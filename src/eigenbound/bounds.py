@@ -1,11 +1,13 @@
 """Explicit bound constants and the two-sided basic and improved estimates.
 
 For the ND case the criterion constant is the supremum over x of
-mu(0,x) * nu(x,D); for DN it is sup of nu(0,x) * mu(x,D).  The eigenvalue is
-positive exactly when the constant is finite, and then it is bracketed
-between the reciprocal of the constant and a quarter of it.  The first
-iteration step sharpens this to the improved constants delta1 (lower side)
-and delta1' (upper side, always within [delta, 2*delta]).
+mu(0,x) * nu(x,D).  The eigenvalue is positive exactly when the constant is
+finite, and then it is bracketed between the reciprocal of the constant and
+a quarter of it.  The map x -> D - x swaps the head and tail masses of both
+measures, so every DN (and NN) constant is its ND formula evaluated on the
+mirrored table, with the argmax mapped back.  The first iteration step
+sharpens this to the improved constants delta1 (lower side) and delta1'
+(upper side, always within [delta, 2*delta]).
 
 Every supremum is a full grid scan followed by derivative-free
 golden-section refinement on the bracketing panels; the objectives are
@@ -62,48 +64,41 @@ def _scan_refine(xs: np.ndarray, node_vals: np.ndarray, objective) -> tuple[floa
     return float(x_star), float(v_star)
 
 
-def _tail_at(table: MeasureTable, which: str, x: float) -> float:
-    tail = table.mu_tail if which == "mu" else table.nu_tail
-    d = table.dmu if which == "mu" else table.dnu
-    g = table.grid
-    i = int(np.searchsorted(g, min(x, table.right_end), side="right") - 1)
-    i = min(max(i, 0), table.n_panels - 1)
-    frac = (x - g[i]) / (g[i + 1] - g[i])
-    return float(max(tail[i] - d[i] * frac, 0.0))
+def _oriented(case: str, table: MeasureTable) -> MeasureTable:
+    """The table the ND formulas run on: DN and NN are ND on the mirror."""
+    if case == "ND":
+        return table
+    if case in ("DN", "NN"):
+        return table.mirrored()
+    raise ValueError(f"unknown case {case!r}")
 
 
-def _head_at(table: MeasureTable, which: str, x: float) -> float:
-    cum = table.mu_cum if which == "mu" else table.nu_cum
-    d = table.dmu if which == "mu" else table.dnu
-    g = table.grid
-    i = int(np.searchsorted(g, min(x, table.right_end), side="right") - 1)
-    i = min(max(i, 0), table.n_panels - 1)
-    frac = (x - g[i]) / (g[i + 1] - g[i])
-    return float(cum[i] + d[i] * frac)
+def _back(case: str, table: MeasureTable, x: float) -> float:
+    """An argmax found on the oriented table, in this table's coordinates."""
+    return x if case == "ND" else table.right_end - x
+
+
+def _require_finite(table: MeasureTable) -> None:
+    if table.mu_divergent or table.nu_divergent:
+        raise CriterionDegenerateError("criterion constant is infinite, eigenvalue is 0")
 
 
 def delta(case: str, table: MeasureTable) -> tuple[float, float]:
-    """The criterion constant and its argmax; inf when a flagged mass makes it so."""
-    if case == "ND":
-        if table.nu_divergent or table.mu_divergent:
-            return math.inf, math.nan
-        node_vals = table.mu_cum * table.nu_tail
+    """The criterion constant and its argmax; inf when a flagged mass makes it so.
 
-        def objective(x):
-            return _head_at(table, "mu", x) * _tail_at(table, "nu", x)
+    ND: sup of mu(0,x) * nu(x,D).  DN and NN: sup of nu(0,x) * mu(x,D), the
+    same supremum on the mirrored table.
+    """
+    t = _oriented(case, table)
+    if table.mu_divergent or table.nu_divergent:
+        return math.inf, math.nan
+    node_vals = t.mu_cum * t.nu_tail
 
-    elif case in ("DN", "NN"):
-        if table.mu_divergent or table.nu_divergent:
-            return math.inf, math.nan
-        node_vals = table.nu_cum * table.mu_tail
+    def objective(x):
+        return t.mu_between(0.0, x) * t.nu_between(x, t.right_end)
 
-        def objective(x):
-            return _head_at(table, "nu", x) * _tail_at(table, "mu", x)
-
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    x_star, v = _scan_refine(table.grid, node_vals, objective)
-    return v, x_star
+    x_star, v = _scan_refine(t.grid, node_vals, objective)
+    return v, _back(case, table, x_star)
 
 
 def basic_bounds(case: str, table: MeasureTable) -> tuple[float, float]:
@@ -117,99 +112,50 @@ def basic_bounds(case: str, table: MeasureTable) -> tuple[float, float]:
 def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step lower-bound constant: the supremum the seed function
     produces under the double-integral transform, via prefix/suffix sums."""
-    d, _ = delta(case, table)
-    if math.isinf(d):
-        raise CriterionDegenerateError("criterion constant is infinite, eigenvalue is 0")
-    g = table.grid
-    if case == "ND":
-        seed = table.nu_tail
-        s = np.sqrt(seed)
-        head = prefix_integral(table, s, "mu")  # int_0^x sqrt(seed) dmu
-        tail = suffix_integral(table, seed * s, "mu")  # int_x^D seed^{3/2} dmu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            node_vals = np.where(s > 0, s * head + tail / np.where(s > 0, s, 1.0), 0.0)
+    t = _oriented(case, table)
+    _require_finite(table)
+    g = t.grid
+    seed = t.nu_tail
+    s = np.sqrt(seed)
+    head = prefix_integral(t, s, "mu")  # int_0^x sqrt(seed) dmu
+    tail = suffix_integral(t, seed * s, "mu")  # int_x^D seed^{3/2} dmu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node_vals = np.where(s > 0, s * head + tail / np.where(s > 0, s, 1.0), 0.0)
 
-        def objective(x):
-            k = int(np.searchsorted(g, x, side="right") - 1)
-            k = min(max(k, 0), table.n_panels - 1)
-            sx = math.sqrt(_tail_at(table, "nu", x))
-            if sx <= 0:
-                return 0.0
-            head_x = head[k] + 0.5 * (s[k] + sx) * table.mu_between(g[k], x)
-            w_x = _tail_at(table, "nu", x) * sx
-            tail_x = tail[k + 1] + 0.5 * (w_x + seed[k + 1] * s[k + 1]) * table.mu_between(x, g[k + 1])
-            return sx * head_x + tail_x / sx
+    def objective(x):
+        k, frac = t.locate(x)
+        px = t.nu_between(x, t.right_end)
+        sx = math.sqrt(px)
+        if sx <= 0:
+            return 0.0
+        head_x = head[k] + 0.5 * (s[k] + sx) * t.dmu[k] * frac
+        tail_x = tail[k + 1] + 0.5 * (px * sx + seed[k + 1] * s[k + 1]) * t.dmu[k] * (1.0 - frac)
+        return sx * head_x + tail_x / sx
 
-    elif case in ("DN", "NN"):
-        seed = table.nu_cum
-        s = np.sqrt(seed)
-        head = prefix_integral(table, seed * s, "mu")  # int_0^x seed^{3/2} dmu
-        tail = suffix_integral(table, s, "mu")  # int_x^D sqrt(seed) dmu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            node_vals = np.where(s > 0, head / np.where(s > 0, s, 1.0) + s * tail, 0.0)
-
-        def objective(x):
-            k = int(np.searchsorted(g, x, side="right") - 1)
-            k = min(max(k, 0), table.n_panels - 1)
-            sx = math.sqrt(_head_at(table, "nu", x))
-            if sx <= 0:
-                return 0.0
-            w_x = _head_at(table, "nu", x) * sx
-            head_x = head[k] + 0.5 * (seed[k] * s[k] + w_x) * table.mu_between(g[k], x)
-            tail_x = tail[k + 1] + 0.5 * (sx + s[k + 1]) * table.mu_between(x, g[k + 1])
-            return head_x / sx + sx * tail_x
-
-    else:
-        raise ValueError(f"unknown case {case!r}")
     x_star, v = _scan_refine(g, node_vals, objective)
-    return v, x_star
+    return v, _back(case, table, x_star)
 
 
 def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step upper-bound constant (the x1 -> D limit of the localized
     family); always lands in [delta, 2*delta]."""
-    d, _ = delta(case, table)
-    if math.isinf(d):
-        raise CriterionDegenerateError("criterion constant is infinite, eigenvalue is 0")
-    g = table.grid
-    if case == "ND":
-        seed = table.nu_tail
-        tail_sq = suffix_integral(table, seed**2, "mu")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            node_vals = np.where(seed > 0, table.mu_cum * seed + tail_sq / np.where(seed > 0, seed, 1.0), 0.0)
+    t = _oriented(case, table)
+    _require_finite(table)
+    seed = t.nu_tail
+    tail_sq = suffix_integral(t, seed**2, "mu")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node_vals = np.where(seed > 0, t.mu_cum * seed + tail_sq / np.where(seed > 0, seed, 1.0), 0.0)
 
-        def objective(x):
-            k = int(np.searchsorted(g, x, side="right") - 1)
-            k = min(max(k, 0), table.n_panels - 1)
-            px = _tail_at(table, "nu", x)
-            if px <= 0:
-                return 0.0
-            t_x = tail_sq[k + 1] + 0.5 * (px**2 + seed[k + 1] ** 2) * table.mu_between(x, g[k + 1])
-            return _head_at(table, "mu", x) * px + t_x / px
+    def objective(x):
+        k, frac = t.locate(x)
+        px = t.nu_between(x, t.right_end)
+        if px <= 0:
+            return 0.0
+        t_x = tail_sq[k + 1] + 0.5 * (px**2 + seed[k + 1] ** 2) * t.dmu[k] * (1.0 - frac)
+        return t.mu_between(0.0, x) * px + t_x / px
 
-    elif case in ("DN", "NN"):
-        seed = table.nu_cum
-        head_sq = prefix_integral(table, seed**2, "mu")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            node_vals = np.where(
-                seed > 0,
-                head_sq / np.where(seed > 0, seed, 1.0) + seed * table.mu_tail,
-                0.0,
-            )
-
-        def objective(x):
-            k = int(np.searchsorted(g, x, side="right") - 1)
-            k = min(max(k, 0), table.n_panels - 1)
-            px = _head_at(table, "nu", x)
-            if px <= 0:
-                return 0.0
-            h_x = head_sq[k] + 0.5 * (seed[k] ** 2 + px**2) * table.mu_between(g[k], x)
-            return h_x / px + px * _tail_at(table, "mu", x)
-
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    x_star, v = _scan_refine(g, node_vals, objective)
-    return v, x_star
+    x_star, v = _scan_refine(t.grid, node_vals, objective)
+    return v, _back(case, table, x_star)
 
 
 @dataclass

@@ -525,7 +525,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
             work = problem
 
         table = measures.build_tables(work, work.D)
-        sol = oracle.fd_eigensolve(work)
+        sol = oracle.solve_on_table(table, work.case)
         lam_work = sol.lambda_
         resid = oracle.eigen_residuals(sol)
         brep = bounds.compute_report(work.case, table)
@@ -604,7 +604,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
                 dual = oracle.dual_table(table)
                 dual_case = "DN" if work.case == "ND" else "ND"
                 lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
-                d_primal, _ = bounds.delta(work.case, table)
+                d_primal = brep.delta
                 d_dual, _ = bounds.delta(dual_case, dual)
                 results["duality"] = {
                     "lambda": lam_work,

@@ -4,7 +4,8 @@ The lower sequence iterates f -> f * (double integral form of f) starting
 from the square root of the seed function; the supremum of the transform is
 non-increasing in n and each reciprocal is a lower bound.  The upper
 sequences run the same iteration inside localized families (a two-parameter
-window for ND, a one-parameter cap for DN), take the window infimum, and
+window for ND; for DN a one-parameter cap, which is the ND window with x1 = D
+on the mirrored table, so DN runs as ND there), take the window infimum, and
 maximize over the family; reciprocals are upper bounds.  The double-Neumann
 sequence centers each iterate against the speed measure and tracks the
 ratio of successive tail integrals, which is the numerically stable form of
@@ -18,6 +19,7 @@ refinement step around the best cell down to single-node resolution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +117,7 @@ def lower_sequence(
 # Localized upper sequences
 
 
-def _index_candidates(m: int, lo: int, hi: int, count: int) -> np.ndarray:
+def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int))
 
 
@@ -124,38 +126,97 @@ def _snap_indices(table: MeasureTable, xs, lo: int, hi: int) -> np.ndarray:
     return np.unique(np.clip(idx, lo, hi))
 
 
-def _eval_pair_nd(table: MeasureTable, i0: int, i1: int, n_max: int):
-    """Localized ND iteration on the node window (i0, i1): per-step window
-    infima, their locations, and the Rayleigh-quotient companions."""
-    nu_cum = table.nu_cum
-    v = np.clip(nu_cum[i1] - np.maximum(nu_cum, nu_cum[i0]), 0.0, None)
-    v[i1:] = 0.0
-    panel_idx = np.arange(table.n_panels)
-    in_window = (panel_idx >= i0) & (panel_idx < i1)
-    energy = float(nu_cum[i1] - nu_cum[i0])  # unit flux on the window
+def _eval_window(table: MeasureTable, i0: int, i1: int, n_max: int):
+    """Localized ND iteration on the node window (i0, i1).
+
+    Returns the per-step window infima, the nodes they sit at, the
+    Rayleigh-quotient companions, and the first step's ratio at the plateau
+    edge i0.  The iterate is a plateau on [0, x_i0], decreasing on the window
+    and zero from x_i1 on, so everything runs on the slice of nodes 0..i1.
+    The starting iterate nu(x, x_i1) is a reverse partial sum of the window's
+    panels, never a difference of cumulative totals.
+    """
+    dnu = table.dnu[:i1]
+    mu_wL, mu_wR = table.mu_wL[:i1], table.mu_wR[:i1]
+    nu_wL, nu_wR = table.nu_wL[:i1], table.nu_wR[:i1]
+    v = np.zeros(i1 + 1)
+    v[i0:i1] = np.cumsum(dnu[i0:][::-1])[::-1]
+    v[:i0] = v[i0]
+    energy = float(v[i0])  # unit flux on the window
+    F = np.zeros(i1 + 1)
+    G = np.zeros(i1 + 1)
     infs, locs, dbars = [], [], []
-    for n in range(1, n_max + 1):
-        mu_sq = prefix_integral(table, v**2, "mu")[-1]
-        dbars.append(mu_sq / energy if energy > 0 else 0.0)
-        F = prefix_integral(table, v, "mu")
-        terms = table.nu_wL * F[:-1] + table.nu_wR * F[1:]
-        terms = np.where(panel_idx < i1, terms, 0.0)
-        G = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(v[:i1] > 0, G[:i1] / np.where(v[:i1] > 0, v[:i1], 1.0), np.inf)
+    edge = np.nan
+    for n in range(n_max):
+        v_sq = v * v
+        dbars.append(float(mu_wL @ v_sq[:-1] + mu_wR @ v_sq[1:]) / energy if energy > 0 else 0.0)
+        np.cumsum(mu_wL * v[:-1] + mu_wR * v[1:], out=F[1:])
+        G[:i1] = np.cumsum((nu_wL * F[:-1] + nu_wR * F[1:])[::-1])[::-1]
+        ratio = np.divide(G[:i1], v[:i1], out=np.full(i1, np.inf), where=v[:i1] > 0)
         k = int(np.argmin(ratio))
         infs.append(float(ratio[k]))
-        locs.append(float(table.grid[k]))
+        locs.append(k)
+        if n == 0:
+            edge = float(ratio[i0])
         # clamp to the window and renormalize for the next step
-        v = np.where(np.arange(len(v)) <= i0, G[i0], G)
-        v[i1:] = 0.0
+        v = G.copy()
+        v[:i0] = G[i0]
         scale = float(np.max(v))
         if not scale > 0:
             raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
         v /= scale
-        flux = 0.5 * (F[:-1] + F[1:]) / scale
-        energy = float(np.sum(np.where(in_window, flux**2 * table.dnu, 0.0)))
-    return infs, locs, dbars
+        flux = (0.5 / scale) * (F[i0:i1] + F[i0 + 1 :])
+        energy = float((flux * flux) @ dnu[i0:])
+    return infs, locs, dbars, edge
+
+
+def _family_sup(evaluate, axes, n_max: int, refine_rounds: int):
+    """Sup over a node-indexed test-function family of each step's infimum.
+
+    ``axes`` holds, per parameter, its coarse candidates and its index range.
+    The coarse scan covers every combination; each refinement round halves
+    the step of every axis and rescans a 5-point neighbourhood per axis
+    around each step's best member.  ``evaluate`` maps parameters to
+    (infima, locations, companions), or None for an inadmissible member.
+    Returns per step the best value, member, location and companion sup.
+    """
+    best_val = [-np.inf] * n_max
+    best_at = [tuple(lo for _, lo, _ in axes)] * n_max
+    best_loc = [0.0] * n_max
+    best_dbar = [-np.inf] * n_max
+    seen: set[tuple[int, ...]] = set()
+
+    def consider(params):
+        params = tuple(int(p) for p in params)
+        if params in seen:
+            return
+        out = evaluate(*params)
+        if out is None:
+            return
+        seen.add(params)
+        infs, locs, dbars = out
+        for n in range(n_max):
+            if infs[n] > best_val[n]:
+                best_val[n] = infs[n]
+                best_at[n] = params
+                best_loc[n] = locs[n]
+            if dbars[n] > best_dbar[n]:
+                best_dbar[n] = dbars[n]
+
+    for params in itertools.product(*(cands for cands, _, _ in axes)):
+        consider(params)
+    steps = [max(1, (c[1] - c[0]) if len(c) > 1 else 1) for c, _, _ in axes]
+    for _ in range(refine_rounds):
+        targets = {best_at[n] for n in range(n_max)}
+        steps = [max(1, st // 2) for st in steps]
+        for best in targets:
+            local = [
+                _index_candidates(max(lo, b - 2 * st), min(hi, b + 2 * st), 5)
+                for b, st, (_, lo, hi) in zip(best, steps, axes)
+            ]
+            for params in itertools.product(*local):
+                consider(params)
+    return best_val, best_at, best_loc, best_dbar
 
 
 def upper_sequence_nd(
@@ -178,50 +239,18 @@ def upper_sequence_nd(
     _require_positive_criterion("ND", table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    i0s = (
-        _index_candidates(m, 0, m - 1, coarse)
-        if x0_grid is None
-        else _snap_indices(table, x0_grid, 0, m - 1)
+    i0s = _index_candidates(0, m - 1, coarse) if x0_grid is None else _snap_indices(table, x0_grid, 0, m - 1)
+    i1s = _index_candidates(1, m, coarse) if x1_grid is None else _snap_indices(table, x1_grid, 1, m)
+
+    def evaluate(i0, i1):
+        if i1 <= i0:
+            return None
+        infs, locs, dbars, _ = _eval_window(table, i0, i1, n_max)
+        return infs, [float(table.grid[k]) for k in locs], dbars
+
+    best_val, best_pair, best_loc, best_dbar = _family_sup(
+        evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max, refine_rounds
     )
-    i1s = (
-        _index_candidates(m, 1, m, coarse)
-        if x1_grid is None
-        else _snap_indices(table, x1_grid, 1, m)
-    )
-
-    best_val = [-np.inf] * n_max
-    best_pair = [(0, m)] * n_max
-    best_loc = [0.0] * n_max
-    best_dbar = [-np.inf] * n_max
-    seen: set[tuple[int, int]] = set()
-
-    def consider(i0: int, i1: int):
-        if i1 <= i0 or (i0, i1) in seen:
-            return
-        seen.add((i0, i1))
-        infs, locs, dbars = _eval_pair_nd(table, i0, i1, n_max)
-        for n in range(n_max):
-            if infs[n] > best_val[n]:
-                best_val[n] = infs[n]
-                best_pair[n] = (i0, i1)
-                best_loc[n] = locs[n]
-            if dbars[n] > best_dbar[n]:
-                best_dbar[n] = dbars[n]
-
-    for i0 in i0s:
-        for i1 in i1s:
-            consider(int(i0), int(i1))
-    step0 = max(1, (i0s[1] - i0s[0]) if len(i0s) > 1 else 1)
-    step1 = max(1, (i1s[1] - i1s[0]) if len(i1s) > 1 else 1)
-    for _ in range(refine_rounds):
-        targets = {best_pair[n] for n in range(n_max)}
-        step0 = max(1, step0 // 2)
-        step1 = max(1, step1 // 2)
-        for (b0, b1) in targets:
-            for i0 in _index_candidates(m, max(0, b0 - 2 * step0), min(m - 1, b0 + 2 * step0), 5):
-                for i1 in _index_candidates(m, max(1, b1 - 2 * step1), min(m, b1 + 2 * step1), 5):
-                    consider(int(i0), int(i1))
-
     pairs_x = [(float(table.grid[p[0]]), float(table.grid[p[1]])) for p in best_pair]
     return IterationTrace(
         case="ND",
@@ -236,29 +265,6 @@ def upper_sequence_nd(
     )
 
 
-def _eval_cap_dn(table: MeasureTable, i0: int, n_max: int):
-    nu_cum = table.nu_cum
-    v = np.minimum(nu_cum, nu_cum[i0])
-    infs, locs, at_cap = [], [], []
-    for _ in range(n_max):
-        Fsuf = suffix_integral(table, v, "mu")
-        terms = table.nu_wL * Fsuf[:-1] + table.nu_wR * Fsuf[1:]
-        G = np.concatenate([[0.0], np.cumsum(terms)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(v > 0, G / np.where(v > 0, v, 1.0), np.inf)
-        ratio[0] = np.inf
-        k = int(np.argmin(ratio))
-        infs.append(float(ratio[k]))
-        locs.append(float(table.grid[k]))
-        at_cap.append(float(ratio[i0]))
-        v = G[np.minimum(np.arange(len(G)), i0)]
-        scale = float(np.max(v))
-        if not scale > 0:
-            raise DegenerationError(f"capped iterate vanished for cap node {i0}")
-        v = v / scale
-    return infs, locs, at_cap
-
-
 def upper_sequence_dn(
     table: MeasureTable,
     n_max: int,
@@ -268,8 +274,11 @@ def upper_sequence_dn(
 ) -> IterationTrace:
     """Upper-bound constants for DN: sup over cap locations of the infimum.
 
-    For the first step the infimum is attained at the cap itself; that fast
-    path is recorded in the trace notes and cross-checked against the scan.
+    The DN family capped at node i0 is the ND window (M - i0, M) of the
+    mirrored table, so each cap runs the ND window evaluator there with x1
+    pinned at D; locations are read back off this table's grid by index.
+    For the first step the infimum sits at the cap itself; the largest
+    relative gap between the two is recorded in the trace notes.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -278,39 +287,17 @@ def upper_sequence_dn(
     _require_positive_criterion("DN", table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    i0s = (
-        _index_candidates(m, 1, m, coarse)
-        if x0_grid is None
-        else _snap_indices(table, x0_grid, 1, m)
-    )
-    best_val = [-np.inf] * n_max
-    best_i0 = [1] * n_max
-    best_loc = [0.0] * n_max
+    mirror = table.mirrored()
+    i0s = _index_candidates(1, m, coarse) if x0_grid is None else _snap_indices(table, x0_grid, 1, m)
     fastpath_gap = 0.0
-    seen: set[int] = set()
 
-    def consider(i0: int):
+    def evaluate(i0):
         nonlocal fastpath_gap
-        if i0 in seen:
-            return
-        seen.add(i0)
-        infs, locs, at_cap = _eval_cap_dn(table, i0, n_max)
-        fastpath_gap = max(fastpath_gap, abs(at_cap[0] - infs[0]) / max(infs[0], 1e-300))
-        for n in range(n_max):
-            if infs[n] > best_val[n]:
-                best_val[n] = infs[n]
-                best_i0[n] = i0
-                best_loc[n] = locs[n]
+        infs, locs, dbars, at_cap = _eval_window(mirror, m - i0, m, n_max)
+        fastpath_gap = max(fastpath_gap, abs(at_cap - infs[0]) / max(infs[0], 1e-300))
+        return infs, [float(table.grid[m - k]) for k in locs], dbars
 
-    for i0 in i0s:
-        consider(int(i0))
-    step = max(1, (i0s[1] - i0s[0]) if len(i0s) > 1 else 1)
-    for _ in range(refine_rounds):
-        step = max(1, step // 2)
-        for b in {best_i0[n] for n in range(n_max)}:
-            for i0 in _index_candidates(m, max(1, b - 2 * step), min(m, b + 2 * step), 5):
-                consider(int(i0))
-
+    best_val, best_cap, best_loc, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max, refine_rounds)
     return IterationTrace(
         case="DN",
         kind="upper_dn",
@@ -318,7 +305,7 @@ def upper_sequence_dn(
         locations=best_loc,
         monotonicity=monotone_verdict(best_val, 10 * eps),
         stop_reason="n_max reached",
-        pair_locations=[float(table.grid[i]) for i in best_i0],
+        pair_locations=[float(table.grid[c[0]]) for c in best_cap],
         notes=[f"first-step infimum sits at the cap (relative gap {fastpath_gap:.2e})"],
     )
 
@@ -376,8 +363,11 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
         product = np.concatenate([[0.0], np.cumsum(terms)])
         fbar_next = centered(product)
         suf_next = suffix_integral(table, fbar_next, "mu")
-        floor = 1e-12 * float(np.max(np.abs(suf_prev)))
-        window = interior[np.abs(suf_prev[interior]) > floor]
+        # rounding bound of the reverse cumsum that produced suf_prev: tiny
+        # where the speed density underflows, about eps * total near 0
+        spread = np.abs(table.mu_wL * fbar[:-1] + table.mu_wR * fbar[1:])
+        floor = 64 * np.finfo(float).eps * np.cumsum(spread[::-1])[::-1]
+        window = interior[np.abs(suf_prev[interior]) > floor[interior]]
         if window.size < 0.98 * interior.size:
             raise DegenerationError(
                 "tail integral of the previous centered iterate vanishes on "

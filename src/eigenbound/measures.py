@@ -259,27 +259,73 @@ class MeasureTable:
         with np.errstate(over="ignore"):
             return np.exp(-self.Cvals)
 
-    def _cum_at(self, cum: np.ndarray, d: np.ndarray, x: float) -> float:
+    def mirrored(self) -> "MeasureTable":
+        """The same measures under x -> right_end - x, in O(M).
+
+        The mirror swaps head and tail: cum and tail columns trade places,
+        so do the left/right panel weights, and the centroids reflect.  The
+        masses are moved, not recomputed, so every ND formula evaluated here
+        is the DN formula of this table read backwards.  Node j of the
+        mirror is node M - j of this table.  C keeps its additive constant,
+        so exp(-C) stays the density of the moved scale masses.  `problem`
+        is this table's own; its coefficients are not mirrored.
+        """
+        r = self.right_end
+        return replace(
+            self,
+            grid=r - self.grid[::-1],
+            Cvals=self.Cvals[::-1].copy(),
+            dmu=self.dmu[::-1].copy(),
+            dnu=self.dnu[::-1].copy(),
+            mu_centroid=r - self.mu_centroid[::-1],
+            nu_centroid=r - self.nu_centroid[::-1],
+            mu_cum=self.mu_tail[::-1].copy(),
+            nu_cum=self.nu_tail[::-1].copy(),
+            mu_tail=self.mu_cum[::-1].copy(),
+            nu_tail=self.nu_cum[::-1].copy(),
+            mu_wL=self.mu_wR[::-1].copy(),
+            mu_wR=self.mu_wL[::-1].copy(),
+            nu_wL=self.nu_wR[::-1].copy(),
+            nu_wR=self.nu_wL[::-1].copy(),
+        )
+
+    def locate(self, x: float) -> tuple[int, float]:
+        """Panel holding x and the fraction of that panel to the left of x."""
         if not (0.0 <= x <= self.right_end * (1 + 1e-12)):
             raise RangeError(f"point {x} outside [0, {self.right_end}]")
         x = min(x, self.right_end)
         i = int(np.searchsorted(self.grid, x, side="right") - 1)
         i = min(max(i, 0), self.n_panels - 1)
-        width = self.grid[i + 1] - self.grid[i]
-        frac = (x - self.grid[i]) / width
-        return float(cum[i] + d[i] * frac)
+        return i, float((x - self.grid[i]) / (self.grid[i + 1] - self.grid[i]))
+
+    def _mass(self, d: np.ndarray, cum: np.ndarray, tail: np.ndarray, alpha: float, beta: float) -> float:
+        """Mass of (alpha, beta): linear inside a panel, exact at nodes.
+
+        The whole panels come from the cum column when alpha = 0, from the
+        tail column when beta = right_end, and from a partial sum of the
+        panel masses otherwise; no two totals are ever subtracted, so a
+        window far below one ulp of the running total keeps its mass.
+        """
+        if beta < alpha:
+            raise RangeError("interval endpoints out of order")
+        if alpha == 0.0:
+            j, fb = self.locate(beta)
+            return float(cum[j] + d[j] * fb)
+        i, fa = self.locate(alpha)
+        if beta == self.right_end:
+            return float(d[i] * (1.0 - fa) + tail[i + 1])
+        j, fb = self.locate(beta)
+        if i == j:
+            return float(d[i] * (fb - fa))
+        return float(d[i] * (1.0 - fa) + np.sum(d[i + 1 : j]) + d[j] * fb)
 
     def mu_between(self, alpha: float, beta: float) -> float:
         """Speed-measure mass of (alpha, beta); exact at nodes, monotone inside panels."""
-        if beta < alpha:
-            raise RangeError("interval endpoints out of order")
-        return max(0.0, self._cum_at(self.mu_cum, self.dmu, beta) - self._cum_at(self.mu_cum, self.dmu, alpha))
+        return self._mass(self.dmu, self.mu_cum, self.mu_tail, alpha, beta)
 
     def nu_between(self, alpha: float, beta: float) -> float:
         """Scale-measure mass of (alpha, beta)."""
-        if beta < alpha:
-            raise RangeError("interval endpoints out of order")
-        return max(0.0, self._cum_at(self.nu_cum, self.dnu, beta) - self._cum_at(self.nu_cum, self.dnu, alpha))
+        return self._mass(self.dnu, self.nu_cum, self.nu_tail, alpha, beta)
 
     def mu_total(self) -> float:
         return float(self.mu_cum[-1])
@@ -633,8 +679,3 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
         mass_trace=mass_trace,
         notes=notes,
     )
-
-
-def dump_csv(table: MeasureTable, target) -> None:
-    """CSV dump of the cumulative columns (see MeasureTable.to_csv)."""
-    table.to_csv(target)

@@ -149,8 +149,11 @@ def localized_nd(table: MeasureTable, x0: float, x1: float) -> GridFunction:
     if not (0.0 <= x0 < x1 <= table.right_end):
         raise RangeError("need 0 <= x0 < x1 <= right_end")
     g = table.grid
-    nu_at_x1 = table.nu_between(0.0, x1)
-    vals = np.clip(nu_at_x1 - table.nu_cum, 0.0, None)
+    # nu(x, x1) at the nodes left of x1: reverse partial sums of the panels,
+    # never a difference of cumulative totals
+    j, frac = table.locate(x1)
+    vals = np.zeros(len(g))
+    vals[: j + 1] = np.cumsum(np.append(table.dnu[:j], table.dnu[j] * frac)[::-1])[::-1]
     plateau = table.nu_between(x0, x1)
     inside = (g > x0) & (g < x1)
     values = np.where(g <= x0, plateau, np.where(g < x1, vals, 0.0))

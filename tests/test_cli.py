@@ -277,3 +277,41 @@ class TestMain:
         out = capsys.readouterr().out
         val = json.loads(out)["results"]["delta1"]
         assert len(repr(val).replace(".", "").replace("-", "").lstrip("0")) <= 13
+
+
+class TestMirrorPair:
+    """x -> 8 - x maps OU DN on (0, 8) onto a = 1, b = 8 - x, ND on (0, 8)."""
+
+    SHARED = ("lambda_oracle", "delta_n", "delta_n_prime")
+    BOUNDS = ("delta", "delta1", "delta1_prime")
+
+    @staticmethod
+    def verify(capsys, b, case):
+        code = cli.main(["verify", "--a", "1", "--b", b, "--D", "8", "--case", case])
+        return code, json.loads(capsys.readouterr().out)["results"]
+
+    def test_nd_mirror_of_ou_dn_matches(self, capsys):
+        code_nd, nd = self.verify(capsys, "8-x", "ND")
+        code_dn, dn = self.verify(capsys, "-x", "DN")
+        assert code_nd == 0 and code_dn == 0
+        for key in self.SHARED:
+            assert nd[key] == pytest.approx(dn[key], rel=1e-10), key
+        for key in self.BOUNDS:
+            assert nd["bounds"][key] == pytest.approx(dn["bounds"][key], rel=1e-10), key
+        v_nd = {v["check"]: v["pass"] for v in nd["verdicts"]}
+        v_dn = {v["check"]: v["pass"] for v in dn["verdicts"]}
+        assert set(v_dn) - set(v_nd) == {"upper_sequence_monotone"}
+        assert all(v_nd.values()) and all(v_dn.values())
+
+
+class TestEtaWindow:
+    def test_ou_nn_d12_keeps_its_ratio_window(self, capsys):
+        # with speed density e^{-x^2/2} the centered tail integrals fall
+        # far below 1e-12 of their maximum near x = 12; only values under
+        # their own rounding bound may leave the ratio window
+        code = cli.main(["verify", "--a", "1", "--b", "-x", "--D", "12", "--case", "NN"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["all_pass"]
+        eta = out["results"]["eta_n"]
+        assert eta == pytest.approx([0.683114828109, 0.552718703185, 0.519549284198], rel=1e-9)
+        assert all(1 / e <= out["results"]["lambda_oracle"] for e in eta)

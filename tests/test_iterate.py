@@ -167,3 +167,33 @@ class TestNaiveTruncationWarning:
         trunc = testfn.GridFunction(lap_nd, vals, np.where(keep, g.deriv, 0.0), 0, i_hi)
         op, _ = va.double_integral_form("ND", trunc)
         assert op.inf <= 0.05 / sol.lambda_
+
+
+class TestMirrorOrientation:
+    """DN is ND on the mirrored table: the oriented DN operators of
+    `variational` and the ND ones on the mirror give the same constants."""
+
+    @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
+    def test_lower_sequence_dn_is_nd_on_mirror(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        dn = iterate.lower_sequence("DN", table, 3)
+        nd = iterate.lower_sequence("ND", table.mirrored(), 3)
+        assert dn.values == pytest.approx(nd.values, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
+    def test_dn_constants_match_unmirrored_node_scans(self, fixture, request):
+        # DN node values read straight off this table's columns; the golden
+        # refinement on the mirror may only add a sliver inside a panel
+        table = request.getfixturevalue(fixture)
+        seed = table.nu_cum
+        head_sq = measures.prefix_integral(table, seed**2, "mu")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1p_nodes = np.where(seed > 0, head_sq / np.where(seed > 0, seed, 1.0) + seed * table.mu_tail, 0.0)
+        for fn, nodes in ((bounds.delta, seed * table.mu_tail), (bounds.delta1_prime, d1p_nodes)):
+            v, x = fn("DN", table)
+            k = int(np.argmax(nodes))
+            assert nodes[k] * (1 - 1e-15) <= v <= nodes[k] * (1 + 1e-4)
+            assert table.grid[max(k - 1, 0)] - 1e-12 <= x <= table.grid[min(k + 1, len(nodes) - 1)] + 1e-12
+        # the mapped-back argmax attains delta in this table's coordinates
+        v, x = bounds.delta("DN", table)
+        assert table.nu_between(0.0, x) * table.mu_between(x, table.right_end) == pytest.approx(v, rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,3 +179,45 @@ class TestCsvDump:
         assert len(lines) == len(lap_nd.grid) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 0.0, 0.0, 0.0, pytest.approx(1.0), pytest.approx(1.0)]
+
+
+class TestWindowMass:
+    def test_small_window_mass_is_a_panel_sum(self):
+        # nu(7.9, 8) is under 50 ulps of nu(0, 8) here: a difference of
+        # cumulative totals keeps two digits of it, the panel masses all
+        t = C.make_table(a="1", b="8-x", D=8.0, case="ND")
+        i = int(np.searchsorted(t.grid, 7.9, side="right") - 1)
+        frac = (7.9 - t.grid[i]) / (t.grid[i + 1] - t.grid[i])
+        expected = t.dnu[i] * (1 - frac) + math.fsum(t.dnu[i + 1 :])
+        assert t.nu_between(7.9, 8.0) == pytest.approx(expected, rel=1e-12)
+        assert t.nu_between(7.9, 8.0) < 50 * np.spacing(t.nu_total())
+
+    def test_interior_window_is_a_panel_sum(self):
+        t = C.make_table(a="1", b="8-x", D=8.0, case="ND")
+        i, j = len(t.grid) // 2, 3 * len(t.grid) // 4
+        got = t.nu_between(float(t.grid[i]), float(t.grid[j]))
+        assert got == pytest.approx(math.fsum(t.dnu[i:j]), rel=1e-12)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("fixture", ["lap_nd", "quad_dn", "ou_dn_8", "ou_nd_3"])
+    def test_double_mirror_reproduces_every_column(self, fixture, request):
+        t = request.getfixturevalue(fixture)
+        back = t.mirrored().mirrored()
+        for f in dataclasses.fields(t):
+            a, b = getattr(t, f.name), getattr(back, f.name)
+            if f.name in ("grid", "mu_centroid", "nu_centroid"):
+                # x -> D - (D - x) rounds twice
+                assert np.max(np.abs(a - b)) <= 4 * np.finfo(float).eps * t.right_end
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    def test_mirror_swaps_head_and_tail(self, ou_dn_4):
+        m = ou_dn_4.mirrored()
+        assert m.grid[0] == 0.0 and m.grid[-1] == ou_dn_4.right_end
+        assert np.all(np.diff(m.grid) > 0)
+        assert np.array_equal(m.mu_cum, ou_dn_4.mu_tail[::-1])
+        assert np.array_equal(m.nu_tail, ou_dn_4.nu_cum[::-1])
+        assert m.mu_between(0.0, 1.0) == pytest.approx(ou_dn_4.mu_between(3.0, 4.0), rel=1e-12)

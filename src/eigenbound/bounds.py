@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriterionDegenerateError
-from .measures import MeasureTable, prefix_integral, suffix_integral
+from .measures import MeasureTable, ProblemSpec, TruncationWalk, prefix_integral, suffix_integral, walk_truncations
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -78,7 +78,8 @@ def _back(case: str, table: MeasureTable, x: float) -> float:
     return x if case == "ND" else table.right_end - x
 
 
-def _require_finite(table: MeasureTable) -> None:
+def require_finite(table: MeasureTable) -> None:
+    """Raise when a flagged mass makes the criterion constant infinite."""
     if table.mu_divergent or table.nu_divergent:
         raise CriterionDegenerateError("criterion constant is infinite, eigenvalue is 0")
 
@@ -113,7 +114,7 @@ def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step lower-bound constant: the supremum the seed function
     produces under the double-integral transform, via prefix/suffix sums."""
     t = _oriented(case, table)
-    _require_finite(table)
+    require_finite(table)
     g = t.grid
     seed = t.nu_tail
     s = np.sqrt(seed)
@@ -140,7 +141,7 @@ def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step upper-bound constant (the x1 -> D limit of the localized
     family); always lands in [delta, 2*delta]."""
     t = _oriented(case, table)
-    _require_finite(table)
+    require_finite(table)
     seed = t.nu_tail
     tail_sq = suffix_integral(t, seed**2, "mu")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,6 +189,32 @@ class BoundsReport:
         }
 
 
+def zero_report(case: str) -> BoundsReport:
+    """The report of a zero eigenvalue: infinite criterion constant, (0, 0) bracket."""
+    return BoundsReport(
+        case=case,
+        delta=math.inf,
+        lower_basic=0.0,
+        upper_basic=0.0,
+        delta1=None,
+        delta1_prime=None,
+        lower_improved=None,
+        upper_improved=None,
+        argmax_x={},
+        positivity="zero",
+    )
+
+
+def settle_delta(problem: ProblemSpec) -> TruncationWalk:
+    """The criterion constant along the truncation schedule of an infinite
+    interval until successive values agree to 100 * eps_bound (relative
+    above 1, absolute below)."""
+    eps = problem.tolerances.bound_refine
+    return walk_truncations(
+        problem, lambda t: delta(problem.case, t), lambda d: 100 * eps * max(d, 1.0)
+    )
+
+
 def compute_report(case: str, table: MeasureTable) -> BoundsReport:
     """Criterion constant, basic bracket, and the first-step improvements.
 
@@ -197,18 +224,7 @@ def compute_report(case: str, table: MeasureTable) -> BoundsReport:
     """
     d, xd = delta(case, table)
     if math.isinf(d):
-        return BoundsReport(
-            case=case,
-            delta=math.inf,
-            lower_basic=0.0,
-            upper_basic=0.0,
-            delta1=None,
-            delta1_prime=None,
-            lower_improved=None,
-            upper_improved=None,
-            argmax_x={},
-            positivity="zero",
-        )
+        return zero_report(case)
     lower, upper = 1.0 / (4.0 * d), 1.0 / d
     if case == "NN":
         # the criterion decides positivity of the spectral gap, but the

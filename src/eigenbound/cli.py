@@ -26,7 +26,6 @@ from .errors import (
     DegenerationError,
     DivergenceError,
     DomainError,
-    EigenboundError,
     HypothesisViolationError,
     LexError,
     ParseError,
@@ -289,33 +288,6 @@ def _decimate(arr: np.ndarray, cap: int = 512) -> list[float]:
 # command implementations
 
 
-def _stable_table(problem: measures.ProblemSpec):
-    """Finite interval: one table.  Infinite: walk the truncation schedule
-    until the criterion constant stabilizes; returns (table, delta_trace)."""
-    if not problem.is_infinite:
-        return measures.build_tables(problem, problem.D), []
-    eps = problem.tolerances.bound_refine
-    trace = []
-    prev = None
-    table = None
-    for p in problem.truncation_schedule:
-        try:
-            cand = measures.build_tables(problem, p)
-        except (DivergenceError, HypothesisViolationError):
-            break
-        d, _ = bounds.delta(problem.case, cand)
-        trace.append({"p": p, "delta": d})
-        table = cand
-        if math.isinf(d):
-            break
-        if prev is not None and abs(d - prev) <= 100 * eps * max(d, 1.0):
-            break
-        prev = d
-    if table is None:
-        raise DegenerationError("no truncation of the infinite interval could be tabulated")
-    return table, trace
-
-
 def _hypothesis_summary(rep: measures.HypothesisReport) -> dict:
     return {
         "positivity_of_a": rep.positivity.passed,
@@ -327,75 +299,90 @@ def _hypothesis_summary(rep: measures.HypothesisReport) -> dict:
     }
 
 
-def cmd_bounds(cfg: RunConfig) -> list[dict]:
-    def run_one(problem: measures.ProblemSpec) -> dict:
+def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[dict]:
+    """The pipeline every command runs, once per problem.
+
+    It checks the coefficient hypothesis, writes the report header, and on
+    (0, inf) lets ``zero(problem, hyp)`` give the results when the criterion
+    decides a zero eigenvalue.  Otherwise it gets the table: one build on a
+    finite interval, the walk ``settle(problem)`` on (0, inf).  The command's
+    ``body(table, walk)`` gives the rest of the report; walk is None on a
+    finite interval.  With --format csv --out, the table the first report
+    was computed on is dumped next to it.
+    """
+
+    def run_one(problem: measures.ProblemSpec):
         hyp = measures.hypothesis_check(problem)
         if not hyp.positivity.passed:
             raise HypothesisViolationError(hyp.positivity.detail)
         report: dict = {
-            "command": "bounds",
+            "command": command,
             "version": __version__,
             "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
             "hypothesis": _hypothesis_summary(hyp),
-            "provenance": {k: _PROVENANCE[k] for k in (
-                "delta", "lower_basic", "upper_basic", "delta1", "delta1_prime",
-                "lower_improved", "upper_improved")},
+            "provenance": {k: _PROVENANCE[k] for k in provenance},
         }
         if problem.is_infinite and hyp.criterion_zero:
-            report["results"] = bounds.BoundsReport(
-                case=problem.case, delta=math.inf, lower_basic=0.0, upper_basic=0.0,
-                delta1=None, delta1_prime=None, lower_improved=None,
-                upper_improved=None, argmax_x={}, positivity="zero",
-            ).to_dict()
-            report["series"] = {}
-            return report
-        table, trace = _stable_table(problem)
-        rep = bounds.compute_report(problem.case, table)
-        report["results"] = rep.to_dict()
-        if trace:
-            report["results"]["delta_truncation_trace"] = trace
-            report["results"]["right_end_used"] = table.right_end
-        if rep.positivity == "positive" and problem.case == "ND":
+            return report | zero(problem, hyp), None
+        if problem.is_infinite:
+            walk = settle(problem)
+            table = walk.table
+        else:
+            walk, table = None, measures.build_tables(problem, problem.D)
+        return report | body(table, walk), table
+
+    runs = _fan_out(run_one, cfg.problems())
+    table = runs[0][1]
+    if cfg.out and cfg.format == "csv" and table is not None:
+        table.to_csv(cfg.out + ".table.csv")
+    return [report for report, _ in runs]
+
+
+def _delta_trace(walk: measures.TruncationWalk) -> list[dict]:
+    return [{"p": p, "delta": d} for p, d in zip(walk.points, walk.values)]
+
+
+def cmd_bounds(cfg: RunConfig) -> list[dict]:
+    def zero(problem, hyp) -> dict:
+        return {"results": bounds.zero_report(cfg.case).to_dict(), "series": {}}
+
+    def body(table, walk) -> dict:
+        rep = bounds.compute_report(cfg.case, table)
+        results = rep.to_dict()
+        if walk:
+            results["delta_truncation_trace"] = _delta_trace(walk)
+            results["right_end_used"] = table.right_end
+        if rep.positivity == "positive" and cfg.case == "ND":
             curve = table.mu_cum * table.nu_tail
         elif rep.positivity == "positive":
             curve = table.nu_cum * table.mu_tail
         else:
             curve = np.zeros_like(table.grid)
-        report["series"] = {
-            "x": _decimate(table.grid),
-            "criterion_product": _decimate(curve),
+        return {
+            "results": results,
+            "series": {"x": _decimate(table.grid), "criterion_product": _decimate(curve)},
         }
-        return report
 
-    return _fan_out(run_one, cfg.problems())
+    keys = ("delta", "lower_basic", "upper_basic", "delta1", "delta1_prime",
+            "lower_improved", "upper_improved")
+    return _run(cfg, "bounds", keys, bounds.settle_delta, zero, body)
 
 
 def cmd_iterate(cfg: RunConfig) -> list[dict]:
-    def run_one(problem: measures.ProblemSpec) -> dict:
-        hyp = measures.hypothesis_check(problem)
-        if not hyp.positivity.passed:
-            raise HypothesisViolationError(hyp.positivity.detail)
-        report: dict = {
-            "command": "iterate",
-            "version": __version__,
-            "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
-            "hypothesis": _hypothesis_summary(hyp),
-            "provenance": {k: _PROVENANCE[k] for k in ("delta_n", "delta_n_prime", "dbar_n", "eta_n")},
-        }
-        if problem.is_infinite and hyp.criterion_zero:
-            report["results"] = {"positivity": "zero", "note": "eigenvalue is 0; sequences undefined"}
-            report["series"] = {}
-            return report
-        table, trace = _stable_table(problem)
+    def zero(problem, hyp) -> dict:
+        return {"results": {"positivity": "zero", "note": "eigenvalue is 0; sequences undefined"},
+                "series": {}}
+
+    def body(table, walk) -> dict:
         results: dict = {"right_end_used": table.right_end}
         series: dict = {}
-        if problem.case in ("ND", "DN"):
-            low = iterate.lower_sequence(problem.case, table, cfg.n_max)
+        if cfg.case in ("ND", "DN"):
+            low = iterate.lower_sequence(cfg.case, table, cfg.n_max)
             results["delta_n"] = low.values
             results["delta_n_monotonicity"] = low.monotonicity
             results["lower_bounds"] = low.bounds()
             series["delta_n"] = low.values
-            if problem.case == "ND":
+            if cfg.case == "ND":
                 up = iterate.upper_sequence_nd(table, cfg.n_max)
                 results["dbar_n"] = up.companion_dbar
                 series["dbar_n"] = up.companion_dbar
@@ -414,66 +401,49 @@ def cmd_iterate(cfg: RunConfig) -> list[dict]:
             results["sign_changes"] = eta.sign_changes
             results["notes"] = eta.notes
             series["eta_n"] = eta.values
-        if trace:
-            results["delta_truncation_trace"] = trace
-        report["results"] = results
-        report["series"] = series
-        return report
+        if walk:
+            results["delta_truncation_trace"] = _delta_trace(walk)
+        return {"results": results, "series": series}
 
-    return _fan_out(run_one, cfg.problems())
+    keys = ("delta_n", "delta_n_prime", "dbar_n", "eta_n")
+    return _run(cfg, "iterate", keys, bounds.settle_delta, zero, body)
 
 
 def cmd_oracle(cfg: RunConfig) -> list[dict]:
-    def run_one(problem: measures.ProblemSpec) -> dict:
-        hyp = measures.hypothesis_check(problem)
-        if not hyp.positivity.passed:
-            raise HypothesisViolationError(hyp.positivity.detail)
-        report: dict = {
-            "command": "oracle",
-            "version": __version__,
-            "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
-            "hypothesis": _hypothesis_summary(hyp),
-            "provenance": {"lambda": _PROVENANCE["lambda"]},
-        }
-        if problem.is_infinite:
-            if hyp.criterion_zero:
-                report["results"] = {
-                    "lambda": 0.0,
-                    "positivity": "zero",
-                    "note": hyp.criterion_zero_reason,
-                }
-                report["series"] = {}
-                return report
-            lam, tr = oracle.infinite_domain_limit(problem)
-            report["results"] = {
-                "lambda": lam,
-                "trace": [[p, v] for p, v in zip(tr.points, tr.values)],
-                "converged": tr.converged,
-                "monotone_decreasing": tr.monotone_decreasing,
-                "stop_reason": tr.stop_reason,
-            }
-            report["series"] = {"p": tr.points, "lambda_p": tr.values}
-            return report
-        sol = oracle.fd_eigensolve(problem)
-        resid = oracle.eigen_residuals(sol)
-        report["results"] = {
-            "lambda": sol.lambda_,
-            "residual": sol.residual,
-            "N": sol.N,
-            "identity_deviations": {
-                "single_integral": resid.get("i_deviation"),
-                "double_integral": resid.get("ii_deviation"),
-            },
-            "diagnostics": {k: v for k, v in resid.items() if k not in ("i_deviation", "ii_deviation")},
-        }
-        g = sol.eigenfunction
-        report["series"] = {
-            "x": _decimate(g.table.grid),
-            "eigenfunction": _decimate(g.values),
-        }
-        return report
+    def zero(problem, hyp) -> dict:
+        return {"results": {"lambda": 0.0, "positivity": "zero", "note": hyp.criterion_zero_reason},
+                "series": {}}
 
-    return _fan_out(run_one, cfg.problems())
+    def body(table, walk) -> dict:
+        if walk:
+            tr = oracle.truncation_trace(walk)
+            return {
+                "results": {
+                    "lambda": walk.values[-1],
+                    "trace": [[p, v] for p, v in zip(tr.points, tr.values)],
+                    "converged": tr.converged,
+                    "monotone_decreasing": tr.monotone_decreasing,
+                    "stop_reason": tr.stop_reason,
+                },
+                "series": {"p": tr.points, "lambda_p": tr.values},
+            }
+        sol = oracle.solve_on_table(table, cfg.case)
+        resid = oracle.eigen_residuals(sol)
+        return {
+            "results": {
+                "lambda": sol.lambda_,
+                "residual": sol.residual,
+                "N": sol.N,
+                "identity_deviations": {
+                    "single_integral": resid.get("i_deviation"),
+                    "double_integral": resid.get("ii_deviation"),
+                },
+                "diagnostics": {k: v for k, v in resid.items() if k not in ("i_deviation", "ii_deviation")},
+            },
+            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction.values)},
+        }
+
+    return _run(cfg, "oracle", ("lambda",), oracle.settle_lambda, zero, body)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> dict:
@@ -481,64 +451,45 @@ def _verdict(name: str, ok: bool, detail: str) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
-    def run_one(problem: measures.ProblemSpec) -> dict:
-        hyp = measures.hypothesis_check(problem)
-        if not hyp.positivity.passed:
-            raise HypothesisViolationError(hyp.positivity.detail)
-        eps_b = problem.tolerances.bound_refine
+    def zero(problem, hyp) -> dict:
+        # nothing to bracket; the criterion decides the value.  The oracle
+        # backs it when p * lambda(p) does not grow over the first two
+        # truncations: a positive limit makes that product grow like p
+        points = problem.truncation_schedule[:2]
+        lams = [oracle.fd_eigensolve(measures.truncate(problem, p)).lambda_ for p in points]
+        falls = len(points) == 2 and points[1] * lams[1] <= points[0] * lams[0]
+        verdict = _verdict(
+            "criterion_zero",
+            falls,
+            f"{hyp.criterion_zero_reason}; truncation eigenvalues "
+            + ", ".join(f"lambda({p:g}) = {v:.6g}" for p, v in zip(points, lams))
+            + "; passes when p*lambda(p) does not grow (lambda falls at least like 1/p)",
+        )
+        return {"results": {"positivity": "zero", "verdicts": [verdict]}, "series": {}, "all_pass": falls}
+
+    def body(table, walk) -> dict:
+        case = cfg.case
+        eps_b = table.problem.tolerances.bound_refine
         verdicts: list[dict] = []
-        report: dict = {
-            "command": "verify",
-            "version": __version__,
-            "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
-            "hypothesis": _hypothesis_summary(hyp),
-            "provenance": dict(_PROVENANCE),
-        }
-
-        if problem.is_infinite and hyp.criterion_zero:
-            # nothing to bracket; the criterion decides the value.  The oracle
-            # backs it when p * lambda(p) does not grow over the first two
-            # truncations: a positive limit makes that product grow like p
-            points = problem.truncation_schedule[:2]
-            lams = [oracle.fd_eigensolve(measures.truncate(problem, p)).lambda_ for p in points]
-            falls = len(points) == 2 and points[1] * lams[1] <= points[0] * lams[0]
-            verdicts.append(_verdict(
-                "criterion_zero",
-                falls,
-                f"{hyp.criterion_zero_reason}; truncation eigenvalues "
-                + ", ".join(f"lambda({p:g}) = {v:.6g}" for p, v in zip(points, lams))
-                + "; passes when p*lambda(p) does not grow (lambda falls at least like 1/p)",
-            ))
-            report["results"] = {"positivity": "zero", "verdicts": verdicts}
-            report["series"] = {}
-            report["all_pass"] = falls
-            return report
-
-        if problem.is_infinite:
-            lam, tr = oracle.infinite_domain_limit(problem)
-            work = measures.truncate(problem, tr.points[-1])
-            verdicts.append(_verdict(
-                "truncation_limit_converged", tr.converged, tr.stop_reason
-            ))
+        if walk:
+            tr = oracle.truncation_trace(walk)
+            verdicts.append(_verdict("truncation_limit_converged", tr.converged, tr.stop_reason))
+            sol = walk.result
         else:
-            lam = None
-            work = problem
-
-        table = measures.build_tables(work, work.D)
-        sol = oracle.solve_on_table(table, work.case)
+            sol = oracle.solve_on_table(table, case)
         lam_work = sol.lambda_
         resid = oracle.eigen_residuals(sol)
-        brep = bounds.compute_report(work.case, table)
+        brep = bounds.compute_report(case, table)
 
         results: dict = {
             "lambda_oracle": lam_work,
             "bounds": brep.to_dict(),
             "residual": sol.residual,
         }
-        if lam is not None:
-            results["lambda_infinite_limit"] = lam
+        if walk:
+            results["lambda_infinite_limit"] = walk.values[-1]
 
-        if work.case in ("ND", "DN"):
+        if case in ("ND", "DN"):
             verdicts.append(_verdict(
                 "basic_bracket",
                 brep.lower_basic - 1e-6 <= lam_work <= brep.upper_basic + 1e-6,
@@ -561,10 +512,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
                 brep.delta - 10 * eps_b <= brep.delta1_prime <= 2 * brep.delta + 10 * eps_b,
                 f"{brep.delta:.9g} <= {brep.delta1_prime:.9g} <= {2 * brep.delta:.9g}",
             ))
-            low = iterate.lower_sequence(work.case, table, cfg.n_max)
+            low = iterate.lower_sequence(case, table, cfg.n_max)
             up = (
                 iterate.upper_sequence_nd(table, cfg.n_max)
-                if work.case == "ND"
+                if case == "ND"
                 else iterate.upper_sequence_dn(table, cfg.n_max)
             )
             results["delta_n"] = low.values
@@ -585,7 +536,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
                 low.monotonicity in ("non-increasing", "constant", "single"),
                 f"delta_n: {low.monotonicity}",
             ))
-            if work.case == "DN":
+            if case == "DN":
                 verdicts.append(_verdict(
                     "upper_sequence_monotone",
                     up.monotonicity in ("non-decreasing", "constant", "single"),
@@ -597,12 +548,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
                 f"sup |lambda*I(g)-1| = {resid.get('i_deviation'):.3g}, "
                 f"sup |lambda*II(g)-1| = {resid.get('ii_deviation'):.3g}",
             ))
-            if not problem.is_infinite:
+            if walk is None:
                 # the dual swaps the measures and the boundary labels, so the
                 # posed eigenvalue is compared against the opposite
                 # orientation on the column-swapped table
                 dual = oracle.dual_table(table)
-                dual_case = "DN" if work.case == "ND" else "ND"
+                dual_case = "DN" if case == "ND" else "ND"
                 lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
                 d_primal = brep.delta
                 d_dual, _ = bounds.delta(dual_case, dual)
@@ -636,19 +587,17 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
             ))
         verdicts.append(_verdict(
             "oracle_residual",
-            sol.residual <= work.tolerances.oracle,
+            sol.residual <= table.problem.tolerances.oracle,
             f"relative defect {sol.residual:.3g}",
         ))
-        report["results"] = results
-        report["results"]["verdicts"] = verdicts
-        report["all_pass"] = all(v["pass"] for v in verdicts)
-        report["series"] = {
-            "x": _decimate(sol.eigenfunction.table.grid),
-            "eigenfunction": _decimate(sol.eigenfunction.values),
+        results["verdicts"] = verdicts
+        return {
+            "results": results,
+            "all_pass": all(v["pass"] for v in verdicts),
+            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction.values)},
         }
-        return report
 
-    reports = _fan_out(run_one, cfg.problems())
+    reports = _run(cfg, "verify", tuple(_PROVENANCE), oracle.settle_lambda, zero, body)
     return reports, all(r.get("all_pass", False) for r in reports)
 
 
@@ -745,14 +694,6 @@ def main(argv: list[str] | None = None) -> int:
             reports, ok = cmd_verify(cfg)
         payload_obj = reports[0] if len(reports) == 1 else reports
         _emit(render_report(payload_obj, cfg.format), cfg.out)
-        if cfg.out and cfg.format == "csv" and args.command in ("bounds", "verify"):
-            # debugging dump of the measure table next to the delimited report
-            try:
-                prob = cfg.problems()[0]
-                table, _ = _stable_table(prob)
-                table.to_csv(cfg.out + ".table.csv")
-            except EigenboundError:
-                pass
         return 0 if ok else 5
     except (LexError, ParseError, RangeError, ConfigError) as exc:
         _emit(_error_payload(exc, 2), cfg.out)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .errors import CriterionDegenerateError, DegenerationError, DivergenceError
+from .bounds import require_finite
+from .errors import DegenerationError, DivergenceError
 from .measures import MeasureTable, prefix_integral, suffix_integral
 from .testfn import power, seed_function
 from .variational import double_integral_form
@@ -65,16 +65,6 @@ def monotone_verdict(values: list[float], slack: float) -> str:
     return "mixed"
 
 
-def _require_positive_criterion(case: str, table: MeasureTable) -> float:
-    d, _ = bounds_mod.delta(case, table)
-    if np.isinf(d):
-        raise CriterionDegenerateError(
-            "criterion constant is infinite; the eigenvalue is 0 and the "
-            "approximating sequences are undefined"
-        )
-    return d
-
-
 def lower_sequence(
     case: str, table: MeasureTable, n_max: int, *, renormalize: bool = True
 ) -> IterationTrace:
@@ -83,7 +73,7 @@ def lower_sequence(
         raise ValueError("n_max must be at least 1")
     if case not in ("ND", "DN"):
         raise ValueError("lower sequence is defined for the ND and DN cases")
-    _require_positive_criterion(case, table)
+    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     f = power(seed_function(case, table), 0.5)
     values: list[float] = []
@@ -117,13 +107,13 @@ def lower_sequence(
 # Localized upper sequences
 
 
+# coarse candidates per window parameter, and rounds of local refinement
+_COARSE = 32
+_REFINE_ROUNDS = 7
+
+
 def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int))
-
-
-def _snap_indices(table: MeasureTable, xs, lo: int, hi: int) -> np.ndarray:
-    idx = np.searchsorted(table.grid, np.asarray(xs, dtype=float))
-    return np.unique(np.clip(idx, lo, hi))
 
 
 def _eval_window(table: MeasureTable, i0: int, i1: int, n_max: int):
@@ -170,7 +160,7 @@ def _eval_window(table: MeasureTable, i0: int, i1: int, n_max: int):
     return infs, locs, dbars, edge
 
 
-def _family_sup(evaluate, axes, n_max: int, refine_rounds: int):
+def _family_sup(evaluate, axes, n_max: int):
     """Sup over a node-indexed test-function family of each step's infimum.
 
     ``axes`` holds, per parameter, its coarse candidates and its index range.
@@ -206,7 +196,7 @@ def _family_sup(evaluate, axes, n_max: int, refine_rounds: int):
     for params in itertools.product(*(cands for cands, _, _ in axes)):
         consider(params)
     steps = [max(1, (c[1] - c[0]) if len(c) > 1 else 1) for c, _, _ in axes]
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         targets = {best_at[n] for n in range(n_max)}
         steps = [max(1, st // 2) for st in steps]
         for best in targets:
@@ -219,28 +209,21 @@ def _family_sup(evaluate, axes, n_max: int, refine_rounds: int):
     return best_val, best_at, best_loc, best_dbar
 
 
-def upper_sequence_nd(
-    table: MeasureTable,
-    n_max: int,
-    x0_grid=None,
-    x1_grid=None,
-    coarse: int = 32,
-    refine_rounds: int = 7,
-) -> IterationTrace:
+def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     """Upper-bound constants: sup over localized windows of the window infimum.
 
     Window endpoints are snapped to table nodes; the outer sup runs a coarse
-    candidate grid (32x32 by default) and then halves the local 5x5
+    candidate grid (32x32) and then halves the local 5x5
     refinement step around the best cell of each step until it reaches
     single-node resolution.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _require_positive_criterion("ND", table)
+    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    i0s = _index_candidates(0, m - 1, coarse) if x0_grid is None else _snap_indices(table, x0_grid, 0, m - 1)
-    i1s = _index_candidates(1, m, coarse) if x1_grid is None else _snap_indices(table, x1_grid, 1, m)
+    i0s = _index_candidates(0, m - 1, _COARSE)
+    i1s = _index_candidates(1, m, _COARSE)
 
     def evaluate(i0, i1):
         if i1 <= i0:
@@ -249,7 +232,7 @@ def upper_sequence_nd(
         return infs, [float(table.grid[k]) for k in locs], dbars
 
     best_val, best_pair, best_loc, best_dbar = _family_sup(
-        evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max, refine_rounds
+        evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max
     )
     pairs_x = [(float(table.grid[p[0]]), float(table.grid[p[1]])) for p in best_pair]
     return IterationTrace(
@@ -265,13 +248,7 @@ def upper_sequence_nd(
     )
 
 
-def upper_sequence_dn(
-    table: MeasureTable,
-    n_max: int,
-    x0_grid=None,
-    coarse: int = 32,
-    refine_rounds: int = 7,
-) -> IterationTrace:
+def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     """Upper-bound constants for DN: sup over cap locations of the infimum.
 
     The DN family capped at node i0 is the ND window (M - i0, M) of the
@@ -284,11 +261,11 @@ def upper_sequence_dn(
         raise ValueError("n_max must be at least 1")
     if table.mu_divergent:
         raise DivergenceError("speed mass is flagged infinite; the DN eigenvalue is 0")
-    _require_positive_criterion("DN", table)
+    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
     mirror = table.mirrored()
-    i0s = _index_candidates(1, m, coarse) if x0_grid is None else _snap_indices(table, x0_grid, 1, m)
+    i0s = _index_candidates(1, m, _COARSE)
     fastpath_gap = 0.0
 
     def evaluate(i0):
@@ -297,7 +274,7 @@ def upper_sequence_dn(
         fastpath_gap = max(fastpath_gap, abs(at_cap - infs[0]) / max(infs[0], 1e-300))
         return infs, [float(table.grid[m - k]) for k in locs], dbars
 
-    best_val, best_cap, best_loc, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max, refine_rounds)
+    best_val, best_cap, best_loc, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max)
     return IterationTrace(
         case="DN",
         kind="upper_dn",
@@ -324,7 +301,7 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
         raise ValueError("n_max must be at least 1")
     if table.mu_divergent:
         raise DivergenceError("speed mass is flagged infinite; the gap setting degenerates")
-    _require_positive_criterion("DN", table)
+    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     grid = table.grid
     n_nodes = len(grid)

@@ -19,18 +19,24 @@ Masses that overflow the 1e300 guard are capped and flagged; the positivity
 criterion treats a flagged mass as infinite, it never compares raw floats.
 On an infinite interval a required mass diverges when a truncation's table
 flags it, or when it keeps growing along the truncation schedule by more than
-the quadrature noise floor (the quadrature tolerance times the mass).
+the quadrature noise floor (the quadrature tolerance times the mass).  Every
+bound and eigenvalue on an infinite interval comes from one loop,
+walk_truncations, which tabulates (0, p) along the schedule until the
+caller's quantity settles.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
 from . import expr
 from .errors import (
+    DegenerationError,
     DivergenceError,
     HypothesisViolationError,
     RangeError,
@@ -250,10 +256,6 @@ class MeasureTable:
     @property
     def n_panels(self) -> int:
         return len(self.grid) - 1
-
-    @property
-    def tail_flags(self) -> dict[str, bool]:
-        return {"mu": self.mu_divergent, "nu": self.nu_divergent}
 
     def exp_negC(self) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -500,6 +502,61 @@ def suffix_integral(table: MeasureTable, values: np.ndarray, measure: str = "mu"
     wL, wR = (table.mu_wL, table.mu_wR) if measure == "mu" else (table.nu_wL, table.nu_wR)
     terms = wL * values[:-1] + wR * values[1:]
     return np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+
+
+@dataclass
+class TruncationWalk:
+    """One quantity along the truncation schedule of an infinite interval.
+
+    ``table`` is the last table tabulated and ``result`` the quantity's full
+    result there, so a caller can carry on from the walk without rebuilding.
+    """
+
+    points: list[float]
+    values: list[float]
+    table: MeasureTable
+    result: Any
+    stop_reason: str
+    settled: bool
+
+
+def walk_truncations(
+    problem: ProblemSpec,
+    quantity: Callable[[MeasureTable], tuple[float, Any]],
+    tolerance: Callable[[float], float],
+) -> TruncationWalk:
+    """Tabulate (0, p) along the schedule until the quantity settles.
+
+    ``quantity`` maps a table to (value, result).  The walk stops when two
+    successive values differ by at most ``tolerance(value)``, at a value
+    that is not finite, or when a table or its quantity raises
+    DivergenceError or DegenerationError; the stop reason says which.  A
+    HypothesisViolationError propagates: a coefficient that breaks the
+    hypothesis on some (0, p) breaks it on (0, inf).
+    """
+    points: list[float] = []
+    values: list[float] = []
+    table = result = None
+    stop_reason, settled = "schedule exhausted", False
+    for p in problem.truncation_schedule:
+        try:
+            cand = build_tables(truncate(problem, p), p)
+            value, out = quantity(cand)
+        except (DivergenceError, DegenerationError) as exc:
+            stop_reason = f"stopped at truncation {p}: {exc}"
+            break
+        points.append(p)
+        values.append(value)
+        table, result = cand, out
+        if not math.isfinite(value):
+            stop_reason = f"value is not finite at truncation {p}"
+            break
+        if len(values) >= 2 and abs(value - values[-2]) <= tolerance(value):
+            stop_reason, settled = "successive truncations agree to tolerance", True
+            break
+    if table is None:
+        raise DegenerationError(f"no truncation could be evaluated: {stop_reason}")
+    return TruncationWalk(points, values, table, result, stop_reason, settled)
 
 
 # ---------------------------------------------------------------------------

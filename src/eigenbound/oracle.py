@@ -25,7 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import variational
 from .errors import DegenerationError, DivergenceError, RangeError
-from .measures import MeasureTable, ProblemSpec, build_tables, truncate
+from .measures import MeasureTable, ProblemSpec, TruncationWalk, build_tables, walk_truncations
 from .testfn import GridFunction, gradient
 
 
@@ -202,44 +202,46 @@ class TruncationTrace:
     stop_reason: str
 
 
-def infinite_domain_limit(problem: ProblemSpec, N: int | None = None) -> tuple[float, TruncationTrace]:
-    """Eigenvalues along the truncation schedule of an infinite interval.
+def _lambda(table: MeasureTable) -> tuple[float, EigenSolution]:
+    sol = solve_on_table(table, table.problem.case)
+    return sol.lambda_, sol
 
-    Stops when successive values agree to the oracle tolerance relatively.
-    For the ND case the exact values decrease strictly in the endpoint; a
-    non-monotone computed trace beyond tolerance marks the discretization
-    as too coarse.
-    """
+
+def settle_lambda(problem: ProblemSpec) -> TruncationWalk:
+    """Eigenvalues along the truncation schedule until successive values
+    agree to the oracle tolerance relatively; the walk's result is the
+    eigenpair on its last table."""
+    eps = problem.tolerances.oracle
+    return walk_truncations(problem, _lambda, lambda lam: eps * max(abs(lam), 1e-300))
+
+
+def truncation_trace(walk: TruncationWalk) -> TruncationTrace:
+    """The trace of an eigenvalue walk.  For the ND case the exact values
+    decrease strictly in the endpoint; a non-monotone computed trace beyond
+    tolerance marks the discretization as too coarse."""
+    problem = walk.table.problem
+    values = walk.values
+    slack = 10 * problem.tolerances.oracle * max(abs(v) for v in values)
+    monotone = all(b <= a + slack for a, b in zip(values, values[1:]))
+    stop_reason = walk.stop_reason
+    if not monotone and problem.case == "ND":
+        stop_reason += "; trace not monotone: discretization too coarse"
+    return TruncationTrace(
+        points=walk.points,
+        values=values,
+        converged=walk.settled,
+        monotone_decreasing=monotone,
+        stop_reason=stop_reason,
+    )
+
+
+def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationTrace]:
+    """Eigenvalues along the truncation schedule of an infinite interval:
+    the last one and the trace."""
     if not problem.is_infinite:
         raise RangeError("infinite_domain_limit needs an infinite interval")
-    eps = problem.tolerances.oracle
-    points: list[float] = []
-    values: list[float] = []
-    stop_reason = "schedule exhausted"
-    for p in problem.truncation_schedule:
-        sub = truncate(problem, p)
-        try:
-            sol = fd_eigensolve(sub, N)
-        except (DivergenceError, DegenerationError) as exc:
-            stop_reason = f"stopped at truncation {p}: {exc}"
-            break
-        points.append(p)
-        values.append(sol.lambda_)
-        if len(values) >= 2 and abs(values[-1] - values[-2]) <= eps * max(abs(values[-1]), 1e-300):
-            stop_reason = "successive truncations agree to tolerance"
-            break
-    if not values:
-        raise DegenerationError(f"no truncation could be solved: {stop_reason}")
-    slack = 10 * eps * max(abs(v) for v in values)
-    monotone = all(b <= a + slack for a, b in zip(values, values[1:]))
-    converged = stop_reason == "successive truncations agree to tolerance"
-    return values[-1], TruncationTrace(
-        points=points,
-        values=values,
-        converged=converged,
-        monotone_decreasing=monotone,
-        stop_reason=stop_reason if monotone or problem.case != "ND" else stop_reason + "; trace not monotone: discretization too coarse",
-    )
+    walk = settle_lambda(problem)
+    return walk.values[-1], truncation_trace(walk)
 
 
 def dual_table(table: MeasureTable) -> MeasureTable:

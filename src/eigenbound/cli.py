@@ -13,13 +13,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, bounds, expr, iterate, measures, oracle
+from . import __version__, bounds, iterate, measures, oracle
 from .errors import (
     ConfigError,
     CriterionDegenerateError,
@@ -27,18 +27,12 @@ from .errors import (
     DivergenceError,
     DomainError,
     HypothesisViolationError,
-    LexError,
-    ParseError,
     RangeError,
 )
 
 _ENV_TOLERANCE = "EIGENBOUND_TOLERANCE"
 
-_KNOWN_KEYS = {
-    "a", "b", "preset", "D", "case", "grid_size", "n_max",
-    "format", "out", "eps_quadrature", "eps_bound", "eps_oracle",
-    "truncation_schedule",
-}
+_FORMATS = ("json", "csv")
 
 _PROVENANCE = {
     "delta": "positivity criterion: the eigenvalue is positive iff this constant is finite",
@@ -57,105 +51,101 @@ _PROVENANCE = {
 }
 
 
+def _parse_number_list(text: str) -> list[float]:
+    items = [item.strip().lower() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ValueError("empty numeric list")
+    return [math.inf if item in ("inf", "infinity") else float(item) for item in items]
+
+
+def _option(default, read=str, flag: dict | None = None, echo: bool = True):
+    """A RunConfig field that is a config key.
+
+    ``read`` turns the key's text into its value, ``flag`` holds the argparse
+    settings of the keys that are inline flags too (None for the others), and
+    ``echo`` says whether reports show the key under "config".
+    """
+    meta = {"read": read, "flag": flag, "echo": echo}
+    if isinstance(default, list):  # a mutable default needs a factory
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """One resolved run: problem description plus command parameters."""
+    """One resolved run: problem description plus command parameters.
 
-    a: str | None = None
-    b: str | None = None
-    preset: str | None = None
-    D: list[float] = field(default_factory=lambda: [1.0])
-    case: str = "ND"
-    grid_size: int = 2000
-    n_max: int = 3
-    format: str = "json"
-    out: str | None = None
-    eps_quadrature: float = 1e-10
-    eps_bound: float = 1e-6
-    eps_oracle: float = 1e-4
-    truncation_schedule: tuple[float, ...] | None = None
+    Each field is declared once, here; the config-file keys, the inline
+    flags and the report's config echo are all derived from these fields.
+    """
+
+    a: str | None = _option(None, flag={"help": "diffusion coefficient a(x) as expression text"})
+    b: str | None = _option(None, flag={"help": "drift coefficient b(x) as expression text"})
+    preset: str | None = _option(None)
+    D: list[float] = _option(
+        [1.0], _parse_number_list, flag={"help": "right endpoint (number, 'inf', or comma list to sweep)"}
+    )
+    case: str = _option("ND", flag={"choices": measures.CASES})
+    grid_size: int = _option(2000, int, flag={})
+    n_max: int = _option(3, int, flag={})
+    format: str = _option("json", flag={"choices": _FORMATS})
+    out: str | None = _option(None, flag={}, echo=False)
+    eps_quadrature: float = _option(1e-10, float)
+    eps_bound: float = _option(1e-6, float)
+    eps_oracle: float = _option(1e-4, float)
+    truncation_schedule: tuple[float, ...] | None = _option(
+        None, lambda text: tuple(_parse_number_list(text)), echo=False
+    )
 
     def validate(self) -> None:
-        if self.case not in ("ND", "DN", "NN"):
-            raise ConfigError(f"case must be one of ND, DN, NN (got {self.case!r})")
-        if self.format not in ("json", "csv"):
+        """Check what only the command line decides; the problems check the rest."""
+        if self.format not in _FORMATS:
             raise ConfigError(f"format must be json or csv (got {self.format!r})")
         if self.n_max < 1:
             raise ConfigError("n_max must be a positive integer")
-        if self.grid_size < 16:
-            raise ConfigError("grid_size must be at least 16")
-        if not (self.eps_quadrature > 0 and self.eps_bound > 0 and self.eps_oracle > 0):
-            raise ConfigError("tolerances must be positive")
-        if self.preset is None and (self.a is None or self.b is None):
-            raise ConfigError("give either preset=... or both a=... and b=...")
-        if self.preset is not None and self.preset not in expr.PRESETS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r}; available: {sorted(expr.PRESETS)}"
-            )
-        for d in self.D:
-            if not d > 0:
-                raise ConfigError("D values must be positive (or inf)")
-        # surface expression problems as configuration errors up front
-        if self.preset is None:
-            for name, text in (("a", self.a), ("b", self.b)):
-                try:
-                    expr.parse_expression(text)
-                except (LexError, ParseError) as exc:
-                    raise ConfigError(f"coefficient {name}: {exc}") from exc
+        self.problems()
 
     def problems(self) -> list[measures.ProblemSpec]:
-        tol = measures.Tolerances(
-            quadrature=self.eps_quadrature,
-            bound_refine=self.eps_bound,
-            oracle=self.eps_oracle,
-        )
-        return [
-            measures.make_problem(
-                a=self.a,
-                b=self.b,
-                preset=self.preset,
-                D=d,
-                case=self.case,
-                grid_size=self.grid_size,
-                truncation_schedule=self.truncation_schedule,
-                tolerances=tol,
-            )
-            for d in self.D
-        ]
+        """One problem per value of D; an invalid one raises ConfigError."""
+        try:
+            tol = measures.Tolerances(self.eps_quadrature, self.eps_bound, self.eps_oracle)
+            return [
+                measures.make_problem(
+                    a=self.a, b=self.b, preset=self.preset, D=d, case=self.case,
+                    grid_size=self.grid_size, truncation_schedule=self.truncation_schedule,
+                    tolerances=tol,
+                )
+                for d in self.D
+            ]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "preset": self.preset,
-            "D": ["inf" if math.isinf(d) else d for d in self.D],
-            "case": self.case,
-            "grid_size": self.grid_size,
-            "n_max": self.n_max,
-            "format": self.format,
-            "eps_quadrature": self.eps_quadrature,
-            "eps_bound": self.eps_bound,
-            "eps_oracle": self.eps_oracle,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["echo"]}
 
 
-def _parse_number_list(text: str) -> list[float]:
-    vals = []
-    for item in text.split(","):
-        item = item.strip().lower()
-        if not item:
-            continue
-        vals.append(math.inf if item in ("inf", "infinity") else float(item))
-    if not vals:
-        raise ConfigError("empty numeric list")
-    return vals
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_FLAGS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _set(cfg: RunConfig, key: str, text: str, source: str) -> None:
+    """Read ``text`` as the value of ``key``; ``source`` names it in errors."""
+    try:
+        setattr(cfg, key, _FIELDS[key].metadata["read"](text))
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {source}: {exc}") from exc
 
 
 def parse_config(path: str | None, text: str | None = None) -> RunConfig:
     """Flat key=value configuration with optional [section] headers.
 
-    Values may be quoted; D accepts a comma-separated sweep list and the
-    word inf.  Unknown keys are rejected with their line number.
+    Values may be quoted and followed by a # or ; comment; D accepts a
+    comma-separated sweep list and the word inf.  Unknown keys are rejected
+    with their line number.
     """
     cfg = RunConfig()
     if path is None and text is None:
@@ -178,51 +168,27 @@ def parse_config(path: str | None, text: str | None = None) -> RunConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip().strip("\"'")
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            if key in ("a", "b", "preset", "case", "format", "out"):
-                setattr(cfg, key, value)
-            elif key == "D":
-                cfg.D = _parse_number_list(value)
-            elif key in ("grid_size", "n_max"):
-                setattr(cfg, key, int(value))
-            elif key == "truncation_schedule":
-                cfg.truncation_schedule = tuple(_parse_number_list(value))
-            else:
-                setattr(cfg, key, float(value))
-        except (ValueError, ConfigError) as exc:
-            problems.append(f"line {lineno}: bad value for {key!r}: {exc}")
+            _set(cfg, key, re.sub(r"\s[#;].*", "", value).strip().strip("\"'"), repr(key))
+        except ConfigError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg
 
 
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.a is not None:
-        cfg.a, cfg.preset = args.a, None if args.a else cfg.preset
-    if args.b is not None:
-        cfg.b = args.b
-    if args.D is not None:
-        cfg.D = _parse_number_list(args.D)
-    if args.case is not None:
-        cfg.case = args.case
-    if args.n_max is not None:
-        cfg.n_max = args.n_max
-    if args.format is not None:
-        cfg.format = args.format
-    if args.out is not None:
-        cfg.out = args.out
-    if args.grid_size is not None:
-        cfg.grid_size = args.grid_size
+    for f in _FLAGS:
+        if getattr(args, f.name) is not None:
+            _set(cfg, f.name, getattr(args, f.name), _flag_name(f.name))
+    if args.a is not None or args.b is not None:
+        cfg.preset = None  # an inline coefficient replaces a config preset
     env_tol = os.environ.get(_ENV_TOLERANCE)
     if env_tol:
-        try:
-            cfg.eps_bound = float(env_tol)
-        except ValueError as exc:
-            raise ConfigError(f"bad {_ENV_TOLERANCE} value {env_tol!r}") from exc
+        _set(cfg, "eps_bound", env_tol, _ENV_TOLERANCE)
     return cfg
 
 
@@ -265,11 +231,10 @@ def render_report(report, fmt: str) -> str:
     cooked = _round12(report)
     if fmt == "json":
         return json.dumps(cooked, indent=2)
-    rows: list[tuple[str, str]] = []
     reports = cooked if isinstance(cooked, list) else [cooked]
     lines = ["quantity,value"]
     for i, rep in enumerate(reports):
-        rows = []
+        rows: list[tuple[str, str]] = []
         _flatten_csv("", {k: v for k, v in rep.items() if k != "series"}, rows)
         tag = f"run{i}." if len(reports) > 1 else ""
         lines.extend(f"{tag}{name},{value}" for name, value in rows)
@@ -331,15 +296,19 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
             walk, table = None, measures.build_tables(problem, problem.D)
         return report | body(table, walk), table
 
-    runs = _fan_out(run_one, cfg.problems())
+    runs = [run_one(problem) for problem in cfg.problems()]
     table = runs[0][1]
     if cfg.out and cfg.format == "csv" and table is not None:
         table.to_csv(cfg.out + ".table.csv")
     return [report for report, _ in runs]
 
 
-def _delta_trace(walk: measures.TruncationWalk) -> list[dict]:
-    return [{"p": p, "delta": d} for p, d in zip(walk.points, walk.values)]
+def _delta_walk(walk: measures.TruncationWalk) -> dict:
+    return {
+        "delta_truncation_trace": [{"p": p, "delta": d} for p, d in zip(walk.points, walk.values)],
+        "delta_truncation_settled": walk.settled,
+        "delta_truncation_stop_reason": walk.stop_reason,
+    }
 
 
 def cmd_bounds(cfg: RunConfig) -> list[dict]:
@@ -350,7 +319,7 @@ def cmd_bounds(cfg: RunConfig) -> list[dict]:
         rep = bounds.compute_report(cfg.case, table)
         results = rep.to_dict()
         if walk:
-            results["delta_truncation_trace"] = _delta_trace(walk)
+            results |= _delta_walk(walk)
             results["right_end_used"] = table.right_end
         if rep.positivity == "positive" and cfg.case == "ND":
             curve = table.mu_cum * table.nu_tail
@@ -402,7 +371,7 @@ def cmd_iterate(cfg: RunConfig) -> list[dict]:
             results["notes"] = eta.notes
             series["eta_n"] = eta.values
         if walk:
-            results["delta_truncation_trace"] = _delta_trace(walk)
+            results |= _delta_walk(walk)
         return {"results": results, "series": series}
 
     keys = ("delta_n", "delta_n_prime", "dbar_n", "eta_n")
@@ -601,13 +570,6 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
     return reports, all(r.get("all_pass", False) for r in reports)
 
 
-def _fan_out(fn, problems: list[measures.ProblemSpec]) -> list[dict]:
-    if len(problems) == 1:
-        return [fn(problems[0])]
-    with ThreadPoolExecutor(max_workers=min(len(problems), 8)) as pool:
-        return list(pool.map(fn, problems))
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -628,14 +590,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--a", help="diffusion coefficient a(x) as expression text")
-        p.add_argument("--b", help="drift coefficient b(x) as expression text")
-        p.add_argument("--D", help="right endpoint (number, 'inf', or comma list to sweep)")
-        p.add_argument("--case", choices=("ND", "DN", "NN"))
-        p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--out")
+        for f in _FLAGS:
+            p.add_argument(_flag_name(f.name), **f.metadata["flag"])
     return parser
 
 
@@ -654,21 +610,15 @@ def _error_payload(exc: Exception, code: int) -> str:
     )
 
 
-_VALUE_FLAGS = ("--config", "--a", "--b", "--D", "--case", "--n-max", "--grid-size", "--format", "--out")
+_VALUE_FLAGS = ("--config", *(_flag_name(f.name) for f in _FLAGS))
 
 
 def _join_flag_values(argv: list[str]) -> list[str]:
     """Merge '--b -x' into '--b=-x' so coefficient text may start with '-'."""
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
@@ -683,19 +633,12 @@ def main(argv: list[str] | None = None) -> int:
         _emit(_error_payload(exc, 2), None)
         return 2
     try:
-        ok = True
-        if args.command == "bounds":
-            reports = cmd_bounds(cfg)
-        elif args.command == "iterate":
-            reports = cmd_iterate(cfg)
-        elif args.command == "oracle":
-            reports = cmd_oracle(cfg)
-        else:
-            reports, ok = cmd_verify(cfg)
+        command = globals()[f"cmd_{args.command}"]
+        reports, ok = command(cfg) if args.command == "verify" else (command(cfg), True)
         payload_obj = reports[0] if len(reports) == 1 else reports
         _emit(render_report(payload_obj, cfg.format), cfg.out)
         return 0 if ok else 5
-    except (LexError, ParseError, RangeError, ConfigError) as exc:
+    except (RangeError, ConfigError) as exc:
         _emit(_error_payload(exc, 2), cfg.out)
         return 2
     except HypothesisViolationError as exc:

@@ -39,10 +39,14 @@ from .errors import (
     DegenerationError,
     DivergenceError,
     HypothesisViolationError,
+    LexError,
+    ParseError,
     RangeError,
 )
 
 OVERFLOW_GUARD = 1e300
+
+CASES = ("ND", "DN", "NN")
 
 _DEFAULT_SCHEDULE = tuple(float(2**n) for n in range(1, 13))
 
@@ -62,12 +66,15 @@ class Tolerances:
 
     def __post_init__(self):
         if not (self.quadrature > 0 and self.bound_refine > 0 and self.oracle > 0):
-            raise ValueError("all tolerances must be positive")
+            raise ValueError(f"tolerances must be positive (got {self})")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Coefficients, interval, boundary case, and numeric parameters."""
+    """Coefficients, interval, boundary case, and numeric parameters.
+
+    Every invalid field raises ValueError with a message that names it.
+    """
 
     a: expr.ExprAst
     b: expr.ExprAst
@@ -81,19 +88,28 @@ class ProblemSpec:
     preset: str | None = None
 
     def __post_init__(self):
-        if self.case not in ("ND", "DN", "NN"):
-            raise ValueError(f"case must be ND, DN or NN, got {self.case!r}")
+        if self.case not in CASES:
+            raise ValueError(f"case must be one of {', '.join(CASES)} (got {self.case!r})")
         if not self.D > 0:
-            raise ValueError("right endpoint must be positive")
+            raise ValueError(f"D must be positive or inf (got {self.D})")
         if self.grid_size < 16:
             raise ValueError("grid_size must be at least 16")
         sched = self.truncation_schedule
+        if not all(0 < p < math.inf for p in sched):
+            raise ValueError(f"truncation_schedule entries must be positive and finite (got {sched})")
         if any(q <= p for p, q in zip(sched, sched[1:])):
             raise ValueError("truncation_schedule must be strictly increasing")
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.D)
+
+
+def _parse_coefficient(name: str, text: str) -> expr.ExprAst:
+    try:
+        return expr.parse_expression(text)
+    except (LexError, ParseError) as exc:
+        raise ValueError(f"coefficient {name}: {exc}") from exc
 
 
 def make_problem(
@@ -106,7 +122,10 @@ def make_problem(
     truncation_schedule: tuple[float, ...] | None = None,
     tolerances: Tolerances | None = None,
 ) -> ProblemSpec:
-    """Build a ProblemSpec from coefficient text or a preset name."""
+    """Build a ProblemSpec from coefficient text or a preset name.
+
+    Raises ValueError for any invalid input, coefficient text included.
+    """
     if preset is not None:
         if preset not in expr.PRESETS:
             raise ValueError(f"unknown preset {preset!r} (have {sorted(expr.PRESETS)})")
@@ -115,7 +134,7 @@ def make_problem(
     else:
         if a is None or b is None:
             raise ValueError("either preset or both a and b must be given")
-        a_ast, b_ast = expr.parse_expression(a), expr.parse_expression(b)
+        a_ast, b_ast = _parse_coefficient("a", a), _parse_coefficient("b", b)
         a_text, b_text = a, b
     if isinstance(D, str):
         D = math.inf if D.strip().lower() in ("inf", "infinity") else float(D)

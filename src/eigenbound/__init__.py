@@ -42,16 +42,8 @@ from .oracle import (
     infinite_domain_limit,
     solve_on_table,
 )
-from .testfn import GridFunction, center, dirichlet_energy, l2_norm_sq, localized_dn, localized_nd, power, seed_function
-from .variational import (
-    OperatorValue,
-    double_integral_form,
-    dual_differential_form,
-    differential_form,
-    lower_bound,
-    single_integral_form,
-    upper_bound,
-)
+from .testfn import GridFunction, power, seed_function
+from .variational import OperatorValue, double_integral_form, single_integral_form
 
 __all__ = [
     "__version__",
@@ -75,26 +67,18 @@ __all__ = [
     "Tolerances",
     "basic_bounds",
     "build_tables",
-    "center",
     "compute_report",
     "delta",
     "delta1",
     "delta1_prime",
-    "dirichlet_energy",
     "double_integral_form",
-    "dual_differential_form",
     "dual_table",
-    "differential_form",
     "duality_pair",
     "eigen_residuals",
     "eta_sequence",
     "fd_eigensolve",
     "hypothesis_check",
     "infinite_domain_limit",
-    "l2_norm_sq",
-    "localized_dn",
-    "localized_nd",
-    "lower_bound",
     "lower_sequence",
     "make_problem",
     "parse_expression",
@@ -103,7 +87,6 @@ __all__ = [
     "single_integral_form",
     "solve_on_table",
     "truncate",
-    "upper_bound",
     "upper_sequence_dn",
     "upper_sequence_nd",
     "validate_positive",

@@ -636,17 +636,22 @@ def main(argv: list[str] | None = None) -> int:
         command = globals()[f"cmd_{args.command}"]
         reports, ok = command(cfg) if args.command == "verify" else (command(cfg), True)
         payload_obj = reports[0] if len(reports) == 1 else reports
-        _emit(render_report(payload_obj, cfg.format), cfg.out)
-        return 0 if ok else 5
+        payload, code = render_report(payload_obj, cfg.format), 0 if ok else 5
     except (RangeError, ConfigError) as exc:
-        _emit(_error_payload(exc, 2), cfg.out)
-        return 2
+        payload, code = _error_payload(exc, 2), 2
     except HypothesisViolationError as exc:
-        _emit(_error_payload(exc, 3), cfg.out)
-        return 3
+        payload, code = _error_payload(exc, 3), 3
     except (DegenerationError, DivergenceError, CriterionDegenerateError, DomainError) as exc:
-        _emit(_error_payload(exc, 4), cfg.out)
-        return 4
+        payload, code = _error_payload(exc, 4), 4
+    except OSError as exc:  # the --format csv table dump next to --out
+        _emit(_error_payload(exc, 2), None)
+        return 2
+    try:
+        _emit(payload, cfg.out)
+    except OSError as exc:  # --out is not writable
+        _emit(_error_payload(exc, 2), None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

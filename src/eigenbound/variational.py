@@ -1,35 +1,28 @@
-"""The four variational operators and the eigenvalue bounds they certify.
+"""The single- and double-integral transforms of a test function.
 
-Two integral transforms and two differential transforms of a test function
-are evaluated pointwise on the measure grid.  Their key property: the
-reciprocal of the integral forms (and the value of the differential forms)
-at the eigenfunction is constant and equals the principal eigenvalue, and
-for any admissible test function the infimum of the reciprocal is a lower
-bound while, over a localized family, the supremum of the reciprocal is an
-upper bound.
+Both transforms are evaluated pointwise on the measure grid.  Their key
+property: the reciprocal of either transform at the eigenfunction is constant
+and equals the principal eigenvalue, and for any admissible test function the
+reciprocal of its supremum is a lower bound.
 
 Double integrals are never nested quadrature: the inner integral of f
 against the speed measure is one prefix (ND) or suffix (DN) pass, the outer
 scale-measure integral is a second pass, so one operator application costs
-O(grid).  Nodes where the defining ratio degenerates (f' = 0 outside a
-localized window, f = 0 at an endpoint) carry an infinite marker and sit
+O(grid).  Nodes where the defining ratio degenerates (f' = 0 outside the
+support window, f = 0 at an endpoint) carry an infinite marker and sit
 outside the evaluation window, matching the 1/0 = infinity convention of
 the sup/inf extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .errors import DegenerationError, DomainError
 from .measures import prefix_integral, suffix_integral
-from .testfn import GridFunction, gradient
-
-INTEGRAL_KINDS = ("single_integral", "double_integral")
-DIFFERENTIAL_KINDS = ("differential", "dual_differential")
+from .testfn import GridFunction
 
 
 @dataclass
@@ -44,11 +37,9 @@ class OperatorValue:
     sup: float
     argmin_x: float
     argmax_x: float
-    diagnostics: dict = field(default_factory=dict)
 
 
-def _finalize(kind: str, x: np.ndarray, values: np.ndarray, window: np.ndarray,
-              diagnostics: dict | None = None) -> OperatorValue:
+def _finalize(kind: str, x: np.ndarray, values: np.ndarray, window: np.ndarray) -> OperatorValue:
     if not window.any():
         raise DegenerationError(f"{kind}: empty evaluation window")
     vals = np.where(window, values, np.inf)
@@ -65,7 +56,6 @@ def _finalize(kind: str, x: np.ndarray, values: np.ndarray, window: np.ndarray,
         sup=float(wvals[imax]),
         argmin_x=float(wx[imin]),
         argmax_x=float(wx[imax]),
-        diagnostics=diagnostics or {},
     )
 
 
@@ -103,7 +93,7 @@ def single_integral_form(case: str, f: GridFunction, *, strict_sign: bool = True
             raise DomainError(
                 f"derivative has the wrong sign for {case} at interior node x={x[i]}"
             )
-    # flat stretches outside the localized window have f' = 0 and carry the
+    # flat stretches outside the support window have f' = 0 and carry the
     # infinite marker by the 1/0 convention
     window = good & np.isfinite(values)
     return _finalize("single_integral", x, values, window)
@@ -130,13 +120,11 @@ def double_integral_form(case: str, f: GridFunction) -> tuple[OperatorValue, Gri
         terms = np.where(np.arange(n - 1) <= f.i_hi, terms, 0.0)
         product_vals = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
         product_deriv = -expneg * inner
-        product_flux = -0.5 * (inner[:-1] + inner[1:])
     elif case == "DN":
         inner = suffix_integral(table, f.values, "mu")
         terms = table.nu_wL * inner[:-1] + table.nu_wR * inner[1:]
         product_vals = np.concatenate([[0.0], np.cumsum(terms)])
         product_deriv = expneg * inner
-        product_flux = 0.5 * (inner[:-1] + inner[1:])
     else:
         raise ValueError("double integral form is oriented: case must be ND or DN")
 
@@ -153,85 +141,5 @@ def double_integral_form(case: str, f: GridFunction) -> tuple[OperatorValue, Gri
     # transform remains defined, so the window is positivity-driven
     window = positive & np.isfinite(values)
     op = _finalize("double_integral", x, values, window)
-    product = GridFunction(
-        table, product_vals, product_deriv, f.i_lo, f.i_hi, product_flux
-    )
+    product = GridFunction(table, product_vals, product_deriv, f.i_lo, f.i_hi)
     return op, product
-
-
-def differential_form(h: GridFunction, a_ast: expr.ExprAst, b_ast: expr.ExprAst) -> OperatorValue:
-    """-(a h^2 + b h + a h') evaluated pointwise; constant at h = g'/g for an
-    eigenfunction g."""
-    x = h.table.grid
-    av = np.asarray(expr.evaluate(a_ast, x), dtype=float)
-    bv = np.asarray(expr.evaluate(b_ast, x), dtype=float)
-    values = -(av * h.values**2 + bv * h.values + av * h.deriv)
-    idx = np.arange(len(x))
-    window = (idx >= 1) & (idx <= len(x) - 2) & np.isfinite(values)
-    return _finalize("differential", x, values, window)
-
-
-def dual_differential_form(
-    h: GridFunction,
-    a_ast: expr.ExprAst,
-    b_ast: expr.ExprAst,
-    w_deriv: np.ndarray | None = None,
-) -> OperatorValue:
-    """-(a h' + b h)'/h, the transform acting on flux-like test functions.
-
-    The outer derivative uses one level of centered differencing on the
-    non-uniform grid unless the caller supplies the analytic derivative of
-    w = a h' + b h.  A doubled-stencil Richardson check is recorded in the
-    diagnostics; nodes where |h| is below the underflow guard are excluded,
-    and a window losing more than 5% of the interval is a degeneration.
-    """
-    table = h.table
-    x = table.grid
-    av = np.asarray(expr.evaluate(a_ast, x), dtype=float)
-    bv = np.asarray(expr.evaluate(b_ast, x), dtype=float)
-    w = av * h.deriv + bv * h.values
-    wp = w_deriv if w_deriv is not None else gradient(x, w)
-    hscale = np.max(np.abs(h.values))
-    guard = 1e-13 * max(hscale, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = -wp / h.values
-    idx = np.arange(len(x))
-    window = (idx >= 1) & (idx <= len(x) - 2) & (np.abs(h.values) > guard) & np.isfinite(values)
-    excluded = (np.abs(h.values) <= guard) & (idx >= 1) & (idx <= len(x) - 2)
-    if excluded.any():
-        widths = np.zeros(len(x))
-        widths[1:-1] = 0.5 * (x[2:] - x[:-2])
-        lost = float(np.sum(widths[excluded]))
-        if lost > 0.05 * (x[-1] - x[0]):
-            raise DegenerationError(
-                f"test function vanishes on a window of width {lost:.3g}; "
-                "the derivative-ratio transform is not usable here"
-            )
-    diagnostics = {}
-    if w_deriv is None:
-        wide = np.full_like(w, np.nan)
-        wide[2:-2] = (w[4:] - w[:-4]) / (x[4:] - x[:-4])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(wide - wp) / np.maximum(np.abs(wp), 1e-30)
-        inner = window.copy()
-        inner[:2] = inner[-2:] = False
-        diagnostics["richardson_defect"] = float(np.nanmax(np.where(inner, rel, 0.0)))
-    return _finalize("dual_differential", x, values, window, diagnostics)
-
-
-def lower_bound(op: OperatorValue) -> float:
-    """A certified (up to quadrature) lower bound for the eigenvalue."""
-    if op.kind in INTEGRAL_KINDS:
-        if op.sup <= 0:
-            raise DegenerationError("integral transform not positive on its window")
-        return 1.0 / op.sup
-    return op.inf
-
-
-def upper_bound(op: OperatorValue) -> float:
-    """Upper bound from a localized test function: reciprocal of the window infimum."""
-    if op.kind not in INTEGRAL_KINDS:
-        raise ValueError("upper bounds come from the integral forms of localized functions")
-    if op.inf <= 0:
-        return float("inf")
-    return 1.0 / op.inf

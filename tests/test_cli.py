@@ -271,6 +271,25 @@ class TestMain:
         rep = json.loads(out.read_text())
         assert rep["results"]["lambda"] == pytest.approx(C.PI_SQ_OVER_4, rel=1e-3)
 
+    def test_unwritable_out_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = cli.main(["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "ND",
+                         "--grid-size", "600", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["exit_code"]) == ("FileNotFoundError", 2)
+        assert not out.parent.exists()
+
+    def test_unwritable_table_dump_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        (tmp_path / "report.csv.table.csv").mkdir()  # the dump path is a directory
+        code = cli.main(["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "ND",
+                         "--grid-size", "600", "--format", "csv", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["exit_code"] == 2 and "report.csv.table.csv" in err["message"]
+        assert not out.exists()
+
     def test_twelve_significant_digits(self, capsys):
         cli.main(["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "ND",
                   "--grid-size", "600"])

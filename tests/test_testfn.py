@@ -3,12 +3,7 @@ import pytest
 
 import conftest as C
 from eigenbound import measures, testfn
-from eigenbound.errors import (
-    CriterionDegenerateError,
-    DivergenceError,
-    DomainError,
-    RangeError,
-)
+from eigenbound.errors import CriterionDegenerateError, DomainError, RangeError
 
 
 class TestSeedFunction:
@@ -51,93 +46,6 @@ class TestPower:
     def test_exponent_range(self, lap_nd):
         with pytest.raises(RangeError):
             testfn.power(testfn.seed_function("ND", lap_nd), 1.5)
-
-
-class TestLocalized:
-    def test_nd_three_regions(self, lap_nd):
-        f = testfn.localized_nd(lap_nd, 0.25, 0.75)
-        g = lap_nd.grid
-        expected = np.where(g <= 0.25, 0.5, np.where(g < 0.75, 0.75 - g, 0.0))
-        assert f.values == pytest.approx(expected, abs=1e-12)
-        mid = np.argmin(np.abs(g - 0.5))
-        assert f.deriv[mid] == -1.0
-        assert f.values[f.i_hi + 1 :] == pytest.approx(0.0)
-
-    def test_nd_full_interval_reduces_to_seed(self, lap_nd):
-        f = testfn.localized_nd(lap_nd, 0.0, 1.0)
-        seed = testfn.seed_function("ND", lap_nd)
-        assert f.values == pytest.approx(seed.values, abs=1e-12)
-
-    def test_nd_ordering_violation(self, lap_nd):
-        with pytest.raises(RangeError):
-            testfn.localized_nd(lap_nd, 0.5, 0.5)
-
-    def test_dn_cap(self, lap_dn):
-        f = testfn.localized_dn(lap_dn, 0.5)
-        assert f.values == pytest.approx(np.minimum(lap_dn.grid, 0.5), abs=1e-12)
-
-    def test_dn_full_is_seed(self, lap_dn):
-        f = testfn.localized_dn(lap_dn, 1.0)
-        assert f.values == pytest.approx(testfn.seed_function("DN", lap_dn).values)
-
-    def test_dn_zero_cap_rejected(self, lap_dn):
-        with pytest.raises(RangeError):
-            testfn.localized_dn(lap_dn, 0.0)
-
-    def test_nd_pointwise_limit_x1_to_end(self, lap_nd):
-        # the localized family converges to the clamped seed as x1 -> D
-        f_lim = testfn.localized_nd(lap_nd, 0.25, 1.0)
-        g = lap_nd.grid
-        expected = np.where(g <= 0.25, 0.75, 1.0 - g)
-        assert f_lim.values == pytest.approx(expected, abs=1e-12)
-
-
-class TestCenter:
-    def test_sqrt_centered(self, lap_dn):
-        f = testfn.power(testfn.seed_function("DN", lap_dn), 0.5)
-        c = testfn.center(f)
-        assert c.values == pytest.approx(np.sqrt(lap_dn.grid) - 2.0 / 3.0, abs=2e-7)
-
-    def test_constant_centers_to_zero(self, lap_dn):
-        const = testfn.GridFunction(
-            lap_dn, np.full_like(lap_dn.grid, 3.0), np.zeros_like(lap_dn.grid), 0, len(lap_dn.grid) - 1
-        )
-        c = testfn.center(const)
-        assert np.max(np.abs(c.values)) <= 1e-12
-
-    def test_idempotent(self, quad_dn):
-        f = testfn.power(testfn.seed_function("DN", quad_dn), 0.5)
-        c1 = testfn.center(f)
-        c2 = testfn.center(c1)
-        assert np.max(np.abs(c2.values - c1.values)) <= 1e-12
-
-    def test_divergent_mass_rejected(self):
-        p = measures.make_problem(a="1", b="x", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)  # mu divergent, ND does not raise
-        const = testfn.GridFunction(t, np.ones_like(t.grid), np.zeros_like(t.grid), 0, len(t.grid) - 1)
-        with pytest.raises(DivergenceError):
-            testfn.center(const)
-
-
-class TestEnergies:
-    def test_linear_function(self, lap_nd):
-        g = lap_nd.grid
-        lin = testfn.GridFunction(lap_nd, g.copy(), np.ones_like(g), 0, len(g) - 1)
-        assert testfn.dirichlet_energy(lin) == pytest.approx(1.0, rel=1e-12)
-        assert testfn.l2_norm_sq(lin) == pytest.approx(1.0 / 3.0, rel=1e-6)
-
-    def test_localized_energy_is_scale_mass(self, lap_nd):
-        f = testfn.localized_nd(lap_nd, 0.25, 0.75)
-        assert testfn.dirichlet_energy(f) == pytest.approx(0.5, rel=1e-12)
-
-    def test_localized_energy_general_weight(self, ou_nd_3):
-        f = testfn.localized_nd(ou_nd_3, 0.5, 2.0)
-        assert testfn.dirichlet_energy(f) == pytest.approx(ou_nd_3.nu_between(0.5, 2.0), rel=1e-12)
-
-    def test_zero_function(self, lap_nd):
-        z = testfn.GridFunction(lap_nd, np.zeros_like(lap_nd.grid), np.zeros_like(lap_nd.grid), 0, len(lap_nd.grid) - 1)
-        assert testfn.dirichlet_energy(z) == 0.0
-        assert testfn.l2_norm_sq(z) == 0.0
 
 
 class TestDerivativeConsistency:

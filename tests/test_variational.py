@@ -102,6 +102,34 @@ class TestDoubleIntegral:
 
 
 class TestBounds:
+    def test_lower_bound_from_sqrt_seed(self, lap_nd):
+        f = testfn.power(testfn.seed_function("ND", lap_nd), 0.5)
+        op, _ = va.double_integral_form("ND", f)
+        assert op.sup > 0
+        lb = 1.0 / op.sup
+        assert lb == pytest.approx(1.0 / C.DELTA1_LAPLACIAN, rel=1e-5)
+        assert lb <= C.PI_SQ_OVER_4
+
+    def test_lower_bound_from_linear_seed(self, lap_nd):
+        # brute-force verified: sup of the transform is 1/2, not 1/3,
+        # so the certified bound is 2 (safely below pi^2/4)
+        op, _ = va.double_integral_form("ND", linear_decreasing(lap_nd))
+        assert op.sup > 0
+        lb = 1.0 / op.sup
+        assert lb == pytest.approx(2.0, abs=1e-5)
+        assert lb <= C.PI_SQ_OVER_4
+
+    def test_upper_bound_localized(self, lap_nd):
+        # plateau 3/4 on [0, 1/4], then the scale mass 1 - x down to the end
+        g = lap_nd.grid
+        values = np.where(g <= 0.25, 0.75, 1.0 - g)
+        deriv = np.where((g > 0.25) & (g < 1.0), -1.0, 0.0)
+        i_hi = int(np.searchsorted(g, 1.0, side="left") - 1)
+        f = testfn.GridFunction(lap_nd, values, deriv, 0, i_hi)
+        op, _ = va.double_integral_form("ND", f)
+        assert op.inf > 0
+        assert 1.0 / op.inf >= C.PI_SQ_OVER_4 - 1e-9
+
     def test_sandwich_on_analytic_eigenvalue(self, lap_nd, lap_dn):
         for case, table in (("ND", lap_nd), ("DN", lap_dn)):
             for gamma in (0.5, 0.75, 1.0):

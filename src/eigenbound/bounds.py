@@ -208,21 +208,29 @@ def zero_report(case: str) -> BoundsReport:
 def settle_delta(problem: ProblemSpec) -> TruncationWalk:
     """The criterion constant along the truncation schedule of an infinite
     interval until successive values agree to 100 * eps_bound (relative
-    above 1, absolute below)."""
+    above 1, absolute below).  The walk's result is delta's (value, argmax)
+    on its last table."""
     eps = problem.tolerances.bound_refine
-    return walk_truncations(
-        problem, lambda t: delta(problem.case, t), lambda d: 100 * eps * max(d, 1.0)
-    )
+
+    def criterion(table: MeasureTable) -> tuple[float, tuple[float, float]]:
+        d = delta(problem.case, table)
+        return d[0], d
+
+    return walk_truncations(problem, criterion, lambda d: 100 * eps * max(d, 1.0))
 
 
-def compute_report(case: str, table: MeasureTable) -> BoundsReport:
+def compute_report(
+    case: str, table: MeasureTable, criterion: tuple[float, float] | None = None
+) -> BoundsReport:
     """Criterion constant, basic bracket, and the first-step improvements.
 
-    For the double-Neumann case only the criterion applies (it decides
-    positivity of the spectral gap); the improved constants describe the
-    ND/DN eigenvalue and are left unset there.
+    ``criterion`` is delta(case, table) when the caller already has it (the
+    last result of a settle_delta walk); it is computed otherwise.  For the
+    double-Neumann case only the criterion applies (it decides positivity of
+    the spectral gap); the improved constants describe the ND/DN eigenvalue
+    and are left unset there.
     """
-    d, xd = delta(case, table)
+    d, xd = criterion if criterion is not None else delta(case, table)
     if math.isinf(d):
         return zero_report(case)
     lower, upper = 1.0 / (4.0 * d), 1.0 / d

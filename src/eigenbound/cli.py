@@ -316,7 +316,7 @@ def cmd_bounds(cfg: RunConfig) -> list[dict]:
         return {"results": bounds.zero_report(cfg.case).to_dict(), "series": {}}
 
     def body(table, walk) -> dict:
-        rep = bounds.compute_report(cfg.case, table)
+        rep = bounds.compute_report(cfg.case, table, walk.result if walk else None)
         results = rep.to_dict()
         if walk:
             results |= _delta_walk(walk)

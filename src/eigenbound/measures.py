@@ -17,12 +17,13 @@ values of C at the quadrature nodes themselves.
 
 Masses that overflow the 1e300 guard are capped and flagged; the positivity
 criterion treats a flagged mass as infinite, it never compares raw floats.
-On an infinite interval a required mass diverges when a truncation's table
-flags it, or when it keeps growing along the truncation schedule by more than
-the quadrature noise floor (the quadrature tolerance times the mass).  Every
-bound and eigenvalue on an infinite interval comes from one loop,
-walk_truncations, which tabulates (0, p) along the schedule until the
-caller's quantity settles.
+On an infinite interval a required mass diverges when its value at a
+truncation point reaches the guard, or when it keeps growing along the
+truncation schedule by more than the quadrature noise floor (the quadrature
+tolerance times the mass); the values at all truncation points are read off
+one table whose nodes include every point.  Every bound and eigenvalue on an
+infinite interval comes from one loop, walk_truncations, which tabulates
+(0, p) along the schedule until the caller's quantity settles.
 """
 
 from __future__ import annotations
@@ -379,13 +380,18 @@ def _suffix_from_panels(d: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
 
 
-def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True) -> MeasureTable:
+def build_tables(
+    problem: ProblemSpec, right_end: float, *, strict: bool = True, base: np.ndarray | None = None
+) -> MeasureTable:
     """Integrate the cumulant and both measures over (0, right_end).
 
     Per-panel error is held below tolerances.quadrature (relative to the
     panel mass once that exceeds 1); failing panels are split in half and the
     grid keeps the splits.  With strict=True a speed-measure overflow raises
     DivergenceError for the DN/NN cases, which need that mass finite.
+    ``base`` is the grid refinement starts from, nodes 0 to right_end
+    (default: the graded grid of problem.grid_size cells); refinement only
+    adds nodes to it.
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
@@ -396,7 +402,7 @@ def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True)
             f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
         )
 
-    edges = _graded_grid(problem.grid_size, right_end)
+    edges = _graded_grid(problem.grid_size, right_end) if base is None else base
     max_nodes = max(16 * problem.grid_size, 20000)
     worst = math.inf
     for _ in range(14):
@@ -631,16 +637,16 @@ def _shell_probe(density, endpoint: float, anchor: float) -> bool:
     return bool(np.median(ratios) <= 0.985)
 
 
-def _mass_growth_divergent(masses: list[float], flags: list[bool], rel_noise: float) -> bool:
+def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
     """Divergence verdict for one mass along a doubling truncation schedule.
 
-    A mass whose table flagged it divergent diverges.  Otherwise only
+    A mass that reached the overflow guard diverges.  Otherwise only
     increments above the quadrature noise floor, rel_noise times the mass
     they were added to, count as growth, so a converged mass that wanders by
     a few ulps is not read as growing; the mass diverges when that growth
     does not shrink along the schedule.
     """
-    if any(flags):
+    if any(m >= OVERFLOW_GUARD for m in masses):
         return True
     if len(masses) < 3:
         return False
@@ -653,15 +659,64 @@ def _mass_growth_divergent(masses: list[float], flags: list[bool], rel_noise: fl
     return bool(np.median(ratios[-4:]) >= 0.97)
 
 
+#: cells of the graded base grid on each shell between truncation points
+_PROBE_SHELL_CELLS = 32
+
+
+def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
+    """Base grid on [0, points[-1]] with every truncation point as a node:
+    a graded grid of _PROBE_SHELL_CELLS cells on each shell between them."""
+    ends = (0.0, *points)
+    shells = [lo + _graded_grid(_PROBE_SHELL_CELLS, hi - lo)[:-1] for lo, hi in zip(ends, ends[1:])]
+    return np.concatenate(shells + [np.array([ends[-1]])])
+
+
+def _mass_trace(problem: ProblemSpec, notes: list[str]) -> list[tuple[float, float, float]]:
+    """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval.
+
+    One table spans (0, p_reach), p_reach the last truncation point before
+    the first whose (0, p) the diffusion coefficient does not sample
+    positive on; that failure is noted.  Every truncation point is a node of
+    the table, so the masses are its cumulative columns there: prefix sums,
+    capped at the overflow guard, which a non-finite panel below p enters
+    at.  The trace stops at the first point where both masses reached the
+    guard.  A table that cannot be built is noted at the first point, with
+    an empty trace.
+    """
+    points = problem.truncation_schedule
+    reach = 0
+    while reach < len(points) and expr.validate_positive(problem.a, points[reach], samples=64).passed:
+        reach += 1
+    trace: list[tuple[float, float, float]] = []
+    if reach:
+        # with a base grid given, grid_size sets only the refinement's node cap
+        probe = replace(problem, grid_size=max(256, problem.grid_size // 8))
+        try:
+            t = build_tables(probe, points[reach - 1], strict=False, base=_probe_grid(points[:reach]))
+        except HypothesisViolationError:
+            reach = 0
+        else:
+            nodes = np.searchsorted(t.grid, points[:reach])
+            for p, mu, nu in zip(points, t.mu_cum[nodes], t.nu_cum[nodes]):
+                trace.append((p, float(mu), float(nu)))
+                if mu >= OVERFLOW_GUARD and nu >= OVERFLOW_GUARD:
+                    return trace
+    if reach < len(points):
+        notes.append(f"table build failed at truncation {points[reach]}")
+    return trace
+
+
 def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
     """Probe the standing coefficient hypothesis and the degenerate criterion.
 
     Checks (i) positivity of a on interior samples, (ii) local integrability
     of b/a and e^C/a near 0 (and near D when finite) through dyadic shell
     integrals, and (iii) for an infinite interval, whether the mass whose
-    finiteness the case needs diverges, which forces a zero eigenvalue: a
-    table along the truncation schedule flags it, or its increments stay
-    above the quadrature noise floor without shrinking.
+    finiteness the case needs diverges, which forces a zero eigenvalue: its
+    value at some truncation point reached the overflow guard, or its
+    increments stay above the quadrature noise floor without shrinking.  The
+    masses mu(0,p) and nu(0,p) at every truncation point p are read off one
+    table (see _mass_trace).
     """
     notes: list[str] = []
     probe_end = problem.D if not problem.is_infinite else problem.truncation_schedule[0]
@@ -719,26 +774,12 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
     reason = ""
     mass_trace: list[tuple[float, float, float]] = []
     if problem.is_infinite:
-        tables: list[MeasureTable] = []
-        for p in problem.truncation_schedule:
-            try:
-                t = build_tables(replace(problem, grid_size=max(256, problem.grid_size // 8)), p, strict=False)
-            except HypothesisViolationError:
-                notes.append(f"table build failed at truncation {p}")
-                break
-            tables.append(t)
-            mass_trace.append((p, t.mu_total(), t.nu_total()))
-            if t.mu_divergent and t.nu_divergent:
-                break
+        mass_trace = _mass_trace(problem, notes)
         noise = problem.tolerances.quadrature
-        if problem.case == "ND" and _mass_growth_divergent(
-            [t.nu_total() for t in tables], [t.nu_divergent for t in tables], noise
-        ):
+        if problem.case == "ND" and _mass_growth_divergent([nu for _, _, nu in mass_trace], noise):
             criterion_zero = True
             reason = "scale mass nu(0, inf) diverges, so the ND eigenvalue is 0"
-        if problem.case in ("DN", "NN") and _mass_growth_divergent(
-            [t.mu_total() for t in tables], [t.mu_divergent for t in tables], noise
-        ):
+        if problem.case in ("DN", "NN") and _mass_growth_divergent([mu for _, mu, _ in mass_trace], noise):
             criterion_zero = True
             reason = (
                 "speed mass mu(0, inf) diverges, so the "

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import variational
 from .errors import DegenerationError, DivergenceError, RangeError
@@ -107,6 +106,9 @@ def _assemble(table: MeasureTable, case: str):
 
 def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     """Assemble and solve directly on an existing measure table."""
+    # scipy.linalg is most of the package's import time; only solves need it
+    from scipy.linalg import eigh_tridiagonal
+
     diag, coupling, cell, node_ids = _assemble(table, case)
     rows = node_ids  # grid indices of the unknowns
     if np.any(cell <= 0):

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import conftest as C
-from eigenbound import cli, measures
+import eigenbound
+from eigenbound import bounds, cli, measures
 from eigenbound.errors import ConfigError
 
 
@@ -289,6 +294,33 @@ class TestMain:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["exit_code"] == 2 and "report.csv.table.csv" in err["message"]
         assert not out.exists()
+
+    def test_bounds_does_not_import_scipy_linalg(self):
+        # scipy.linalg is most of the import time, and only the oracle solve needs it
+        script = (
+            "import sys\n"
+            "from eigenbound import cli\n"
+            "code = cli.main(['bounds', '--a', '1', '--b', '0', '--D', 'inf', '--case', 'ND'])\n"
+            "print('scipy.linalg' in sys.modules, code)\n"
+        )
+        src = str(Path(eigenbound.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "False 0"
+
+    def test_bounds_infinite_evaluates_delta_once_per_walk_point(self, monkeypatch, capsys):
+        calls = []
+        real = bounds.delta
+
+        def counted(case, table):
+            calls.append(table.right_end)
+            return real(case, table)
+
+        monkeypatch.setattr(bounds, "delta", counted)
+        code = cli.main(["bounds", "--a", "1", "--b", "-x", "--D", "inf", "--case", "DN"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert calls == [step["p"] for step in results["delta_truncation_trace"]]
 
     def test_twelve_significant_digits(self, capsys):
         cli.main(["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "ND",

@@ -132,6 +132,23 @@ class TestValidatePositive:
         with pytest.raises(ValueError):
             expr.validate_positive(expr.Num(1.0), 1.0, 1)
 
+    @pytest.mark.parametrize("text", ["3-x", "log(x-0.5)", "sqrt(2-x)", "1/(x-1)", "x^2-1"])
+    @pytest.mark.parametrize("upper, samples", [(0.5, 64), (4.0, 64), (4.0, 200)])
+    def test_array_pass_reports_like_a_scalar_walk(self, text, upper, samples):
+        def scalar_walk(ast):
+            xs = (np.arange(samples) + 0.5) * (upper / samples)
+            for xv in xs:
+                try:
+                    v = expr.evaluate(ast, float(xv))
+                except DomainError as exc:
+                    return expr.PositivityReport(False, float(xv), f"evaluation failed: {exc}")
+                if not (v > 0) or not math.isfinite(v):
+                    return expr.PositivityReport(False, float(xv), f"value {v} at x={xv} is not positive")
+            return expr.PositivityReport(True)
+
+        ast = expr.parse_expression(text)
+        assert expr.validate_positive(ast, upper, samples) == scalar_walk(ast)
+
 
 class TestRoundTrip:
     def test_seeded_fuzz_1000(self):

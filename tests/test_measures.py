@@ -170,6 +170,53 @@ class TestHypothesisCheck:
         assert rep.integrable_near_right is False
 
 
+# criterion_zero per case (ND, DN, NN) and the probe's notes on (0, inf)
+_PROBE_EXPECTED = [
+    ("1", "0", (True, True, True), []),
+    ("1", "-x", (True, False, False), []),
+    ("1+x^2", "0", (True, False, False), []),
+    ("2", "-x", (True, False, False), []),
+    ("1", "1", (False, True, True), []),
+    ("1", "x", (False, True, True), []),
+    ("1", "-x^3", (True, False, False), []),
+    ("1", "-1", (True, False, False), []),
+    ("1", "1/(1+x)", (True, True, True), []),
+    ("3-x", "0", (False, False, False), ["table build failed at truncation 4.0"]),
+    ("exp(x)", "1", (True, False, False), ["table build failed at truncation 1024.0"]),
+]
+
+
+class TestMassProbe:
+    @pytest.mark.parametrize("a, b, zero, notes", _PROBE_EXPECTED)
+    def test_criterion_zero_and_notes(self, a, b, zero, notes):
+        for case, expected in zip(measures.CASES, zero):
+            rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case=case))
+            assert (case, rep.criterion_zero, rep.notes) == (case, expected, notes)
+
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0")])
+    def test_masses_match_one_table_per_truncation(self, a, b):
+        problem = measures.make_problem(a=a, b=b, D="inf", case="DN")
+        trace = {p: (mu, nu) for p, mu, nu in measures.hypothesis_check(problem).mass_trace}
+        for p in (2.0, 64.0, 4096.0):
+            alone = dataclasses.replace(measures.truncate(problem, p), grid_size=problem.grid_size // 8)
+            own = measures.build_tables(alone, p, strict=False)
+            assert trace[p] == pytest.approx((own.mu_total(), own.nu_total()), rel=1e-10)
+
+    def test_one_table_for_the_whole_schedule(self, monkeypatch):
+        ends = []
+        real = measures.build_tables
+
+        def recording(problem, right_end, **kwargs):
+            ends.append(right_end)
+            return real(problem, right_end, **kwargs)
+
+        monkeypatch.setattr(measures, "build_tables", recording)
+        problem = measures.make_problem(preset="ou", D="inf", case="DN")
+        rep = measures.hypothesis_check(problem)
+        assert ends == [4096.0]
+        assert [p for p, _, _ in rep.mass_trace] == list(problem.truncation_schedule)
+
+
 class TestCsvDump:
     def test_columns_and_rows(self, lap_nd, tmp_path):
         path = tmp_path / "table.csv"

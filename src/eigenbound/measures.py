@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -380,32 +380,37 @@ def _suffix_from_panels(d: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
 
 
-def build_tables(
-    problem: ProblemSpec, right_end: float, *, strict: bool = True, base: np.ndarray | None = None
-) -> MeasureTable:
-    """Integrate the cumulant and both measures over (0, right_end).
+class _Refined(NamedTuple):
+    """Panel integrals over a refined grid; bad marks the panels still over tolerance."""
 
-    Per-panel error is held below tolerances.quadrature (relative to the
-    panel mass once that exceeds 1); failing panels are split in half and the
-    grid keeps the splits.  With strict=True a speed-measure overflow raises
-    DivergenceError for the DN/NN cases, which need that mass finite.
-    ``base`` is the grid refinement starts from, nodes 0 to right_end
-    (default: the graded grid of problem.grid_size cells); refinement only
-    adds nodes to it.
+    edges: np.ndarray
+    dc: np.ndarray
+    dmu: np.ndarray
+    dnu: np.ndarray
+    mmu: np.ndarray
+    mnu: np.ndarray
+    bad: np.ndarray
+    worst: float
+
+
+def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) -> _Refined:
+    """Integrate the cumulant and both measures over the panels of edges,
+    splitting the panels that miss tolerances.quadrature.
+
+    The grid serves as the table of (0, e) for each e in ends, ascending
+    nodes of edges with edges[-1] last, and refinement treats each like a
+    right end: a failing panel that ends at e is also graded geometrically
+    into e, and no node at an e is ever dropped.  When splitting every
+    failing panel would put the grid over the node cap, a round splits only
+    those below the last e for which the grid stays within it, so (0, e)
+    for small e is refined first.  Refinement stops after 14 rounds, when
+    nothing can be split, or when no failing panel can be split within the
+    cap; the returned arrays belong to the returned edges.
     """
-    if not (math.isfinite(right_end) and right_end > 0):
-        raise RangeError("right_end must be finite and positive")
     tol = problem.tolerances.quadrature
-    pos = expr.validate_positive(problem.a, right_end, samples=64)
-    if not pos.passed:
-        raise HypothesisViolationError(
-            f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
-        )
-
-    edges = _graded_grid(problem.grid_size, right_end) if base is None else base
     max_nodes = max(16 * problem.grid_size, 20000)
-    worst = math.inf
-    for _ in range(14):
+    ends_arr = np.asarray(ends, dtype=float)
+    for round_ in range(14):
         xl, xr = edges[:-1], edges[1:]
         mids = 0.5 * (xl + xr)
         fine_edges = np.empty(2 * len(xl) + 1)
@@ -435,35 +440,71 @@ def build_tables(
         finite = np.isfinite(dc) & np.isfinite(dmu) & np.isfinite(dnu)
         bad = finite & (err > tol)
         worst = float(np.max(np.where(finite, np.nan_to_num(err, nan=0.0), 0.0)))
-        if not bad.any() or len(edges) + bad.sum() > max_nodes:
+        if not bad.any() or round_ == 13:
             break
-        inserts = [mids[bad]]
-        # an endpoint panel that keeps failing points at an integrable
-        # algebraic singularity; grade geometrically into the endpoint so the
+        # node count after splitting the failing panels below each end e
+        end_nodes = np.searchsorted(edges, ends_arr)
+        counts = len(edges) + np.cumsum(bad)[end_nodes - 1]
+        open_ends = end_nodes[counts <= max_nodes]
+        if not len(open_ends):
+            break
+        split = bad.copy()
+        split[open_ends[-1] :] = False
+        if not split.any():
+            break
+        inserts = [mids[split]]
+        # a panel next to an end that keeps failing points at an integrable
+        # algebraic singularity; grade geometrically into the end so the
         # singular tip mass shrinks by orders of magnitude per round
-        if bad[0]:
+        if split[0]:
             w0 = edges[1] - edges[0]
             inserts.append(edges[0] + w0 * np.array([1.0 / 256.0, 1.0 / 16.0]))
-        if bad[-1]:
-            w1 = edges[-1] - edges[-2]
-            inserts.append(edges[-1] - w1 * np.array([1.0 / 256.0, 1.0 / 16.0]))
+        for j in open_ends[split[open_ends - 1]]:
+            w1 = edges[j] - edges[j - 1]
+            inserts.append(edges[j] - w1 * np.array([1.0 / 256.0, 1.0 / 16.0]))
         new_edges = np.sort(np.unique(np.concatenate([edges] + inserts)))
         gaps = np.diff(new_edges)
-        # panels must stay resolvable in floating point; near 0 that allows
-        # extremely thin tips, elsewhere spacing is relative to magnitude
-        floor = 8 * np.finfo(float).eps * np.abs(new_edges[1:]) + 1e-300
-        new_edges = new_edges[np.concatenate([[True], gaps > floor])]
+        # panels must stay resolvable in floating point, down to the Gauss
+        # nodes of their halves, which must not round onto a panel end (where
+        # a coefficient may be singular); near 0 that allows extremely thin
+        # tips, elsewhere spacing is relative to magnitude
+        floor = 128 * np.finfo(float).eps * np.abs(new_edges[1:]) + 1e-300
+        keep = np.concatenate([[True], gaps > floor])
+        # an end too close to the node before it keeps its place; that node goes
+        crowded = np.flatnonzero(~keep & np.isin(new_edges, ends_arr))
+        keep[crowded] = True
+        keep[crowded - 1] = False
+        new_edges = new_edges[keep]
         if len(new_edges) == len(edges):
             break  # cannot refine further at float resolution
         edges = new_edges
+    return _Refined(edges, dc, dmu, dnu, mmu, mnu, bad, worst)
 
-    if bad.any():
-        touches_end = bad[0] or bad[-1]
-        if touches_end:
-            raise HypothesisViolationError(
-                "quadrature did not converge next to an endpoint; "
-                "a coefficient weight looks non-integrable there"
-            )
+
+def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True) -> MeasureTable:
+    """Integrate the cumulant and both measures over (0, right_end).
+
+    Per-panel error is held below tolerances.quadrature (relative to the
+    panel mass once that exceeds 1); failing panels are split in half and the
+    grid keeps the splits.  With strict=True a speed-measure overflow raises
+    DivergenceError for the DN/NN cases, which need that mass finite.
+    """
+    if not (math.isfinite(right_end) and right_end > 0):
+        raise RangeError("right_end must be finite and positive")
+    pos = expr.validate_positive(problem.a, right_end, samples=64)
+    if not pos.passed:
+        raise HypothesisViolationError(
+            f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
+        )
+
+    edges, dc, dmu, dnu, mmu, mnu, bad, worst = _refine(
+        problem, _graded_grid(problem.grid_size, right_end), (right_end,)
+    )
+    if bad[0] or bad[-1]:
+        raise HypothesisViolationError(
+            "quadrature did not converge next to an endpoint; "
+            "a coefficient weight looks non-integrable there"
+        )
 
     # non-finite increments mean an overflowed density; cap and flag
     mu_divergent = bool((~np.isfinite(dmu)).any() or np.nansum(dmu) > OVERFLOW_GUARD)
@@ -674,35 +715,36 @@ def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
 def _mass_trace(problem: ProblemSpec, notes: list[str]) -> list[tuple[float, float, float]]:
     """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval.
 
-    One table spans (0, p_reach), p_reach the last truncation point before
+    One grid spans (0, p_reach), p_reach the last truncation point before
     the first whose (0, p) the diffusion coefficient does not sample
-    positive on; that failure is noted.  Every truncation point is a node of
-    the table, so the masses are its cumulative columns there: prefix sums,
-    capped at the overflow guard, which a non-finite panel below p enters
-    at.  The trace stops at the first point where both masses reached the
-    guard.  A table that cannot be built is noted at the first point, with
-    an empty trace.
+    positive on.  Every truncation point is a node of the grid and is
+    refined as a right end (see _refine), so the masses at p are prefix sums
+    of the panel masses, capped at the overflow guard, which a non-finite
+    panel below p enters at.  The trace stops before the first point whose
+    own table could not be built: a is not positive on (0, p), or the panel
+    next to 0 or the one ending at p did not converge; that point is noted.
+    It also stops at the first point where both masses reached the guard.
     """
     points = problem.truncation_schedule
     reach = 0
     while reach < len(points) and expr.validate_positive(problem.a, points[reach], samples=64).passed:
         reach += 1
+    built = 0
     trace: list[tuple[float, float, float]] = []
     if reach:
-        # with a base grid given, grid_size sets only the refinement's node cap
         probe = replace(problem, grid_size=max(256, problem.grid_size // 8))
-        try:
-            t = build_tables(probe, points[reach - 1], strict=False, base=_probe_grid(points[:reach]))
-        except HypothesisViolationError:
-            reach = 0
-        else:
-            nodes = np.searchsorted(t.grid, points[:reach])
-            for p, mu, nu in zip(points, t.mu_cum[nodes], t.nu_cum[nodes]):
-                trace.append((p, float(mu), float(nu)))
-                if mu >= OVERFLOW_GUARD and nu >= OVERFLOW_GUARD:
-                    return trace
-    if reach < len(points):
-        notes.append(f"table build failed at truncation {points[reach]}")
+        q = _refine(probe, _probe_grid(points[:reach]), points[:reach])
+        nodes = np.searchsorted(q.edges, points[:reach])
+        failed = q.bad[nodes - 1] | q.bad[0]
+        built = int(np.argmax(failed)) if failed.any() else reach
+        capped = [np.nan_to_num(d, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD) for d in (q.dmu, q.dnu)]
+        mu_at, nu_at = (np.minimum(_prefix_from_panels(d), OVERFLOW_GUARD)[nodes] for d in capped)
+        for p, mu, nu in zip(points[:built], mu_at, nu_at):
+            trace.append((p, float(mu), float(nu)))
+            if mu >= OVERFLOW_GUARD and nu >= OVERFLOW_GUARD:
+                return trace
+    if built < len(points):
+        notes.append(f"table build failed at truncation {points[built]}")
     return trace
 
 

@@ -232,6 +232,11 @@ class TestMain:
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
 
+    def test_singular_at_a_truncation_point_exit_3(self, capsys):
+        code = cli.main(["bounds", "--a", "1", "--b", "1/(x-8)", "--D", "inf", "--case", "ND"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
+
     def test_degeneration_exit_4(self, capsys):
         code = cli.main(["bounds", "--a", "1", "--b", "x", "--D", "40",
                          "--case", "DN", "--grid-size", "256"])

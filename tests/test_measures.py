@@ -183,6 +183,13 @@ _PROBE_EXPECTED = [
     ("1", "1/(1+x)", (True, True, True), []),
     ("3-x", "0", (False, False, False), ["table build failed at truncation 4.0"]),
     ("exp(x)", "1", (True, False, False), ["table build failed at truncation 1024.0"]),
+    # coefficients singular at or before a truncation point, and one that
+    # needs many panels over the whole schedule
+    ("1", "1/(x-8)", (False, False, False), ["table build failed at truncation 8.0"]),
+    ("1", "1/(x-5)", (False, False, False), ["table build failed at truncation 8.0"]),
+    ("1", "1/(x-2)", (False, False, False), ["table build failed at truncation 2.0"]),
+    ("(x-4)^2", "0", (False, False, False), ["table build failed at truncation 4.0"]),
+    ("1", "sin(10*x)", (True, True, True), []),
 ]
 
 
@@ -193,7 +200,7 @@ class TestMassProbe:
             rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case=case))
             assert (case, rep.criterion_zero, rep.notes) == (case, expected, notes)
 
-    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0")])
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0"), ("1", "sin(10*x)")])
     def test_masses_match_one_table_per_truncation(self, a, b):
         problem = measures.make_problem(a=a, b=b, D="inf", case="DN")
         trace = {p: (mu, nu) for p, mu, nu in measures.hypothesis_check(problem).mass_trace}
@@ -202,18 +209,23 @@ class TestMassProbe:
             own = measures.build_tables(alone, p, strict=False)
             assert trace[p] == pytest.approx((own.mu_total(), own.nu_total()), rel=1e-10)
 
-    def test_one_table_for_the_whole_schedule(self, monkeypatch):
-        ends = []
-        real = measures.build_tables
+    @pytest.mark.parametrize("a, b, points", [("1", "1/(x-8)", [2.0, 4.0]), ("(x-4)^2", "0", [2.0])])
+    def test_trace_stops_before_a_point_whose_table_fails(self, a, b, points):
+        rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case="ND"))
+        assert [p for p, _, _ in rep.mass_trace] == points
 
-        def recording(problem, right_end, **kwargs):
-            ends.append(right_end)
-            return real(problem, right_end, **kwargs)
+    def test_one_grid_for_the_whole_schedule(self, monkeypatch):
+        calls = []
+        real = measures._refine
 
-        monkeypatch.setattr(measures, "build_tables", recording)
+        def recording(problem, edges, ends):
+            calls.append(ends)
+            return real(problem, edges, ends)
+
+        monkeypatch.setattr(measures, "_refine", recording)
         problem = measures.make_problem(preset="ou", D="inf", case="DN")
         rep = measures.hypothesis_check(problem)
-        assert ends == [4096.0]
+        assert calls == [problem.truncation_schedule]
         assert [p for p, _, _ in rep.mass_trace] == list(problem.truncation_schedule)
 
 

@@ -280,6 +280,8 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
         hyp = measures.hypothesis_check(problem)
         if not hyp.positivity.passed:
             raise HypothesisViolationError(hyp.positivity.detail)
+        if hyp.unconverged_at is not None:
+            raise HypothesisViolationError(measures.UNCONVERGED_ENDPOINT)
         report: dict = {
             "command": command,
             "version": __version__,

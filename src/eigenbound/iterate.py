@@ -5,11 +5,12 @@ from the square root of the seed function; the supremum of the transform is
 non-increasing in n and each reciprocal is a lower bound.  The upper
 sequences run the same iteration inside localized families (a two-parameter
 window for ND; for DN a one-parameter cap, which is the ND window with x1 = D
-on the mirrored table, so DN runs as ND there), take the window infimum, and
-maximize over the family; reciprocals are upper bounds.  The double-Neumann
-sequence centers each iterate against the speed measure and tracks the
-ratio of successive tail integrals, which is the numerically stable form of
-the single-integral transform there.
+on the mirrored table), take the window infimum, and maximize over the
+family; reciprocals are upper bounds.  Every lower and upper sequence is
+written for ND: DN runs it on the mirrored table and reads its locations
+back off the original grid.  The double-Neumann sequence centers each
+iterate against the speed measure and tracks the ratio of successive tail
+integrals, the numerically stable form of the single-integral transform.
 
 Iterates are renormalized to sup-norm one each step; the transforms are
 scale-invariant, so this only prevents magnitude drift.  Outer optimizations
@@ -27,7 +28,7 @@ import numpy as np
 from .bounds import require_finite
 from .errors import DegenerationError, DivergenceError
 from .measures import MeasureTable, prefix_integral, suffix_integral
-from .testfn import power, seed_function
+from .testfn import GridFunction, power, seed_function
 from .variational import double_integral_form
 
 
@@ -65,34 +66,34 @@ def monotone_verdict(values: list[float], slack: float) -> str:
     return "mixed"
 
 
-def lower_sequence(
-    case: str, table: MeasureTable, n_max: int, *, renormalize: bool = True
-) -> IterationTrace:
-    """Lower-bound constants from iterating the square root of the seed."""
+def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace:
+    """Lower-bound constants from iterating the square root of the seed;
+    DN runs as ND on the mirrored table, whose node k is node M - k here."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if case not in ("ND", "DN"):
         raise ValueError("lower sequence is defined for the ND and DN cases")
     require_finite(table)
     eps = table.problem.tolerances.bound_refine
-    f = power(seed_function(case, table), 0.5)
+    oriented, grid = (table.mirrored(), table.grid[::-1]) if case == "DN" else (table, table.grid)
+    f = power(seed_function(oriented), 0.5)
     values: list[float] = []
     locations: list[float] = []
     stop_reason = "n_max reached"
     for n in range(1, n_max + 1):
-        op, product = double_integral_form(case, f)
+        op, product = double_integral_form(f)
         values.append(op.sup)
-        locations.append(op.argmax_x)
-        inner = product.interior()
-        bad = inner[product.values[inner] <= 0]
+        locations.append(float(grid[np.searchsorted(oriented.grid, op.argmax_x)]))
+        bad = np.flatnonzero(product.values[1:-1] <= 0)
         if bad.size:
             raise DegenerationError(
-                f"iterate lost positivity at node x={table.grid[bad[0]]} (step {n})"
+                f"iterate lost positivity at node x={grid[bad[0] + 1]} (step {n})"
             )
         if n >= 2 and abs(values[-1] - values[-2]) <= eps * max(1.0, values[-1]):
             stop_reason = "relative change below tolerance"
             break
-        f = product.scaled(1.0 / np.max(product.values)) if renormalize else product
+        c = 1.0 / np.max(product.values)
+        f = GridFunction(oriented, product.values * c, product.deriv * c)
     return IterationTrace(
         case=case,
         kind="lower",

@@ -49,6 +49,10 @@ OVERFLOW_GUARD = 1e300
 
 CASES = ("ND", "DN", "NN")
 
+UNCONVERGED_ENDPOINT = (
+    "quadrature did not converge next to an endpoint; a coefficient weight looks non-integrable there"
+)
+
 _DEFAULT_SCHEDULE = tuple(float(2**n) for n in range(1, 13))
 
 
@@ -481,13 +485,13 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
     return _Refined(edges, dc, dmu, dnu, mmu, mnu, bad, worst)
 
 
-def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True) -> MeasureTable:
+def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     """Integrate the cumulant and both measures over (0, right_end).
 
     Per-panel error is held below tolerances.quadrature (relative to the
     panel mass once that exceeds 1); failing panels are split in half and the
-    grid keeps the splits.  With strict=True a speed-measure overflow raises
-    DivergenceError for the DN/NN cases, which need that mass finite.
+    grid keeps the splits.  A speed-measure overflow raises DivergenceError
+    for the DN/NN cases, which need that mass finite.
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
@@ -501,10 +505,7 @@ def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True)
         problem, _graded_grid(problem.grid_size, right_end), (right_end,)
     )
     if bad[0] or bad[-1]:
-        raise HypothesisViolationError(
-            "quadrature did not converge next to an endpoint; "
-            "a coefficient weight looks non-integrable there"
-        )
+        raise HypothesisViolationError(UNCONVERGED_ENDPOINT)
 
     # non-finite increments mean an overflowed density; cap and flag
     mu_divergent = bool((~np.isfinite(dmu)).any() or np.nansum(dmu) > OVERFLOW_GUARD)
@@ -512,7 +513,7 @@ def build_tables(problem: ProblemSpec, right_end: float, *, strict: bool = True)
     dmu = np.nan_to_num(dmu, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
     dnu = np.nan_to_num(dnu, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
 
-    if strict and mu_divergent and problem.case in ("DN", "NN"):
+    if mu_divergent and problem.case in ("DN", "NN"):
         raise DivergenceError(
             f"speed-measure mass over (0, {right_end}) exceeds the overflow guard; "
             f"the {problem.case} case requires it finite"
@@ -638,6 +639,7 @@ class HypothesisReport:
     criterion_zero_reason: str
     mass_trace: list[tuple[float, float, float]]  # (p, mu(0,p), nu(0,p))
     notes: list[str]
+    unconverged_at: float | None = None  # mass trace stopped before it: a panel did not converge
 
     @property
     def ok(self) -> bool:
@@ -712,8 +714,9 @@ def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
     return np.concatenate(shells + [np.array([ends[-1]])])
 
 
-def _mass_trace(problem: ProblemSpec, notes: list[str]) -> list[tuple[float, float, float]]:
-    """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval.
+def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[float, float, float]], float | None]:
+    """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval,
+    and the point the trace stopped before on a panel that did not converge.
 
     One grid spans (0, p_reach), p_reach the last truncation point before
     the first whose (0, p) the diffusion coefficient does not sample
@@ -742,10 +745,10 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> list[tuple[float, flo
         for p, mu, nu in zip(points[:built], mu_at, nu_at):
             trace.append((p, float(mu), float(nu)))
             if mu >= OVERFLOW_GUARD and nu >= OVERFLOW_GUARD:
-                return trace
+                return trace, None
     if built < len(points):
         notes.append(f"table build failed at truncation {points[built]}")
-    return trace
+    return trace, (points[built] if built < reach else None)
 
 
 def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
@@ -814,9 +817,9 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
 
     criterion_zero = False
     reason = ""
-    mass_trace: list[tuple[float, float, float]] = []
+    mass_trace, unconverged_at = [], None
     if problem.is_infinite:
-        mass_trace = _mass_trace(problem, notes)
+        mass_trace, unconverged_at = _mass_trace(problem, notes)
         noise = problem.tolerances.quadrature
         if problem.case == "ND" and _mass_growth_divergent([nu for _, _, nu in mass_trace], noise):
             criterion_zero = True
@@ -837,4 +840,5 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
         criterion_zero_reason=reason,
         mass_trace=mass_trace,
         notes=notes,
+        unconverged_at=unconverged_at,
     )

@@ -175,11 +175,9 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     if probe_val < 0 or (probe_val == 0 and np.sum(full) < 0):
         full = -full
     full = full / np.max(np.abs(full))
-    deriv = gradient(table.grid, full)
-    sol_fn = GridFunction(table, full, deriv, 0, len(table.grid) - 1)
     return EigenSolution(
         lambda_=lam,
-        eigenfunction=sol_fn,
+        eigenfunction=GridFunction(table, full, gradient(table.grid, full)),
         residual=residual,
         N=table.n_panels,
         rayleigh=rayleigh,
@@ -284,7 +282,7 @@ def duality_pair(problem: ProblemSpec, N: int | None = None) -> tuple[float, flo
     return lam_nd, lam_dn_dual
 
 
-def eigen_residuals(sol: EigenSolution, table: MeasureTable | None = None) -> dict:
+def eigen_residuals(sol: EigenSolution) -> dict:
     """How exactly the computed eigenpair satisfies the defining identities.
 
     At the eigenfunction both integral transforms are constant with value
@@ -292,51 +290,38 @@ def eigen_residuals(sol: EigenSolution, table: MeasureTable | None = None) -> di
     lambda * II(g) from one, plus monotonicity/sign diagnostics of g.  The
     single-integral deviation is measured only where the discrete derivative
     carries signal (the difference of neighbouring values is above the
-    floating-point noise floor).
+    floating-point noise floor).  A DN eigenfunction is checked as the ND
+    one it is on the mirrored table.
     """
-    table = table or sol.eigenfunction.table
-    case = table.problem.case
     g = sol.eigenfunction
+    case = g.table.problem.case
     lam = sol.lambda_
-    x = table.grid
     diagnostics: dict = {}
 
     if case == "NN":
         diagnostics["ii_note"] = "integral identities apply to the ND/DN eigenfunctions"
         diagnostics["ii_deviation"] = float("nan")
-    else:
-        orient = case
-        op_ii, _ = variational.double_integral_form(orient, g)
-        vals = op_ii.values[op_ii.window]
-        diagnostics["ii_deviation"] = float(np.max(np.abs(lam * vals - 1.0)))
-
-    # single-integral form with a noise-aware window
-    if case != "NN":
-        orient = case
-        gv = g.values
-        signal = np.zeros(len(x), dtype=bool)
-        signal[1:-1] = np.abs(gv[2:] - gv[:-2]) > 1e-6 * np.max(np.abs(gv))
-        op_i = variational.single_integral_form(orient, g, strict_sign=False)
-        window = op_i.window & signal
-        if window.any():
-            diagnostics["i_deviation"] = float(
-                np.max(np.abs(lam * op_i.values[window] - 1.0))
-            )
-            diagnostics["i_window_fraction"] = float(window.sum() / max(len(x) - 2, 1))
-        else:
-            diagnostics["i_deviation"] = float("nan")
-
-    interior = g.values[1:-1]
-    diffs = np.diff(g.values)
-    tol = 1e-9 * np.max(np.abs(g.values))
-    if case == "ND":
-        diagnostics["strictly_monotone"] = bool(np.all(diffs[:-1] < tol))
-        diagnostics["sign_constant"] = bool(np.all(interior > -tol))
-    elif case == "DN":
-        diagnostics["strictly_monotone"] = bool(np.all(diffs[1:] > -tol))
-        diagnostics["sign_constant"] = bool(np.all(interior > -tol))
-    else:
+        interior = g.values[1:-1]
         diagnostics["sign_changes"] = int(np.sum(np.sign(interior[:-1]) * np.sign(interior[1:]) < 0))
+    else:
+        nd = g.mirrored() if case == "DN" else g
+        op_ii, _ = variational.double_integral_form(nd)
+        diagnostics["ii_deviation"] = float(np.max(np.abs(lam * op_ii.values[op_ii.window] - 1.0)))
+
+        # single-integral form with a noise-aware window
+        gv = nd.values
+        signal = np.zeros(len(gv), dtype=bool)
+        signal[1:-1] = np.abs(gv[2:] - gv[:-2]) > 1e-6 * np.max(np.abs(gv))
+        op_i = variational.single_integral_form(nd)
+        window = op_i.window & signal
+        diagnostics["i_deviation"] = float("nan")
+        if window.any():
+            diagnostics["i_deviation"] = float(np.max(np.abs(lam * op_i.values[window] - 1.0)))
+            diagnostics["i_window_fraction"] = float(window.sum() / max(len(gv) - 2, 1))
+
+        tol = 1e-9 * np.max(np.abs(gv))
+        diagnostics["strictly_monotone"] = bool(np.all(np.diff(gv)[:-1] < tol))
+        diagnostics["sign_constant"] = bool(np.all(gv[1:-1] > -tol))
     diagnostics["right_edge_interior_value"] = float(abs(g.values[-2]))
     diagnostics["residual"] = sol.residual
     diagnostics["rayleigh_gap"] = abs(sol.rayleigh - lam) / max(abs(lam), 1e-300)

@@ -1,9 +1,11 @@
 """Canonical test functions sampled on a measure grid.
 
-A GridFunction carries node values, node derivatives, and a support window
-on the grid of one MeasureTable.  The seed function and its fractional powers
-have analytic derivatives, which matters because the single-integral operator
-divides by f'; differencing noise there would wreck the sup/inf extraction.
+A GridFunction carries node values and node derivatives on the grid of one
+MeasureTable.  The seed function and its fractional powers have analytic
+derivatives, which matters because the single-integral operator divides by
+f'; differencing noise there would wreck the sup/inf extraction.  Test
+functions are ND-oriented: a DN test function is the ND one of the mirrored
+table, and GridFunction.mirrored() moves a function between the two.
 """
 
 from __future__ import annotations
@@ -18,37 +20,19 @@ from .measures import MeasureTable
 
 @dataclass
 class GridFunction:
-    """A function sampled on the nodes of a measure table.
-
-    Outside [i_lo, i_hi] the function is identically zero (decreasing
-    functions) or constant (increasing functions).
-    """
+    """A function sampled on the nodes of a measure table."""
 
     table: MeasureTable
     values: np.ndarray
     deriv: np.ndarray
-    i_lo: int
-    i_hi: int
 
     def __post_init__(self):
-        n = len(self.table.grid)
-        if not (0 <= self.i_lo <= self.i_hi <= n - 1):
-            raise RangeError("support window outside the grid")
-        if len(self.values) != n or len(self.deriv) != n:
+        if not len(self.values) == len(self.deriv) == len(self.table.grid):
             raise ValueError("values/deriv must live on the table nodes")
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.table.grid
-
-    def interior(self) -> np.ndarray:
-        """Indices strictly inside (0, right_end) and inside the support."""
-        n = len(self.values)
-        idx = np.arange(n)
-        return idx[(idx >= max(1, self.i_lo)) & (idx <= min(n - 2, self.i_hi))]
-
-    def scaled(self, c: float) -> "GridFunction":
-        return GridFunction(self.table, self.values * c, self.deriv * c, self.i_lo, self.i_hi)
+    def mirrored(self) -> "GridFunction":
+        """The same function on the mirrored table, x -> right_end - x."""
+        return GridFunction(self.table.mirrored(), self.values[::-1].copy(), -self.deriv[::-1])
 
 
 def gradient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -77,27 +61,15 @@ def gradient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def seed_function(case: str, table: MeasureTable) -> GridFunction:
-    """The canonical starting test function of the approximating procedures.
-
-    ND: the scale-measure tail, decreasing with derivative -e^{-C}.
-    DN/NN: the scale-measure head, increasing with derivative +e^{-C}.
-    """
-    n = len(table.grid)
-    if case == "ND":
-        if table.nu_divergent:
-            raise CriterionDegenerateError(
-                "scale mass is flagged infinite, the ND eigenvalue is 0 and "
-                "no seed test function exists"
-            )
-        values = table.nu_tail.copy()
-        deriv = -table.exp_negC()
-    elif case in ("DN", "NN"):
-        values = table.nu_cum.copy()
-        deriv = table.exp_negC()
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return GridFunction(table, values, deriv, 0, n - 1)
+def seed_function(table: MeasureTable) -> GridFunction:
+    """The canonical starting test function of the approximating procedures:
+    the scale-measure tail, decreasing with derivative -e^{-C}."""
+    if table.nu_divergent:
+        raise CriterionDegenerateError(
+            "scale mass is flagged infinite, the ND eigenvalue is 0 and "
+            "no seed test function exists"
+        )
+    return GridFunction(table, table.nu_tail.copy(), -table.exp_negC())
 
 
 def power(f: GridFunction, gamma: float) -> GridFunction:
@@ -105,13 +77,13 @@ def power(f: GridFunction, gamma: float) -> GridFunction:
     if not 0.0 < gamma <= 1.0:
         raise RangeError("exponent must lie in (0, 1]")
     if gamma == 1.0:
-        return GridFunction(f.table, f.values.copy(), f.deriv.copy(), f.i_lo, f.i_hi)
-    inner = f.interior()
-    if np.any(f.values[inner] <= 0):
-        i = inner[np.argmax(f.values[inner] <= 0)]
+        return GridFunction(f.table, f.values.copy(), f.deriv.copy())
+    nonpos = f.values[1:-1] <= 0
+    if np.any(nonpos):
+        i = 1 + int(np.argmax(nonpos))
         raise DomainError(f"fractional power of a non-positive value at node x={f.table.grid[i]}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = np.where(f.values > 0, f.values, 0.0) ** gamma
         dfactor = np.where(f.values > 0, gamma * f.values ** (gamma - 1.0), np.inf)
         deriv = dfactor * f.deriv
-    return GridFunction(f.table, values, deriv, f.i_lo, f.i_hi)
+    return GridFunction(f.table, values, deriv)

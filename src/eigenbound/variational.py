@@ -5,13 +5,15 @@ property: the reciprocal of either transform at the eigenfunction is constant
 and equals the principal eigenvalue, and for any admissible test function the
 reciprocal of its supremum is a lower bound.
 
+Both are written for ND only: the DN transforms of f are the ND ones of
+f.mirrored(), read backwards.
+
 Double integrals are never nested quadrature: the inner integral of f
-against the speed measure is one prefix (ND) or suffix (DN) pass, the outer
-scale-measure integral is a second pass, so one operator application costs
-O(grid).  Nodes where the defining ratio degenerates (f' = 0 outside the
-support window, f = 0 at an endpoint) carry an infinite marker and sit
-outside the evaluation window, matching the 1/0 = infinity convention of
-the sup/inf extraction.
+against the speed measure is one prefix pass, the outer scale-measure
+integral a suffix pass, so one operator application costs O(grid).  Nodes
+where the defining ratio degenerates (f' = 0 on a flat stretch, f = 0 at an
+endpoint) carry an infinite marker and sit outside the evaluation window,
+matching the 1/0 = infinity convention of the sup/inf extraction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerationError, DomainError
-from .measures import prefix_integral, suffix_integral
+from .measures import prefix_integral
 from .testfn import GridFunction
 
 
@@ -29,117 +31,62 @@ from .testfn import GridFunction
 class OperatorValue:
     """Pointwise operator values with the window they are valid on."""
 
-    kind: str
-    x: np.ndarray
     values: np.ndarray  # +inf marker outside the window
     window: np.ndarray  # boolean mask
     inf: float
     sup: float
-    argmin_x: float
     argmax_x: float
 
 
 def _finalize(kind: str, x: np.ndarray, values: np.ndarray, window: np.ndarray) -> OperatorValue:
     if not window.any():
         raise DegenerationError(f"{kind}: empty evaluation window")
-    vals = np.where(window, values, np.inf)
     wvals = values[window]
-    wx = x[window]
-    imin = int(np.argmin(wvals))
     imax = int(np.argmax(wvals))
     return OperatorValue(
-        kind=kind,
-        x=x,
-        values=vals,
+        values=np.where(window, values, np.inf),
         window=window,
-        inf=float(wvals[imin]),
+        inf=float(np.min(wvals)),
         sup=float(wvals[imax]),
-        argmin_x=float(wx[imin]),
-        argmax_x=float(wx[imax]),
+        argmax_x=float(x[window][imax]),
     )
 
 
-def single_integral_form(case: str, f: GridFunction, *, strict_sign: bool = True) -> OperatorValue:
-    """ND: -e^{-C}/f' times the head integral of f d(mu); DN: +e^{-C}/f'
-    times the tail integral.
+def single_integral_form(f: GridFunction) -> OperatorValue:
+    """-e^{-C}/f' times the head integral of f d(mu).
 
-    The window keeps nodes where f' has the admissible sign (negative for
-    ND, positive for DN); nodes with f' = 0 carry the infinite marker.  With
-    strict_sign, a wrong-signed derivative at an interior support node is a
-    domain error rather than a silent exclusion.
+    The window keeps the nodes where f' is negative; nodes with f' = 0 carry
+    the infinite marker, and so do nodes with a wrong-signed derivative.
     """
     table = f.table
-    x = table.grid
-    expneg = table.exp_negC()
-    if case == "ND":
-        inner = prefix_integral(table, f.values, "mu")
-        good = f.deriv < 0
-        wrong = f.deriv > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = -expneg / f.deriv * inner
-    elif case == "DN":
-        inner = suffix_integral(table, f.values, "mu")
-        good = f.deriv > 0
-        wrong = f.deriv < 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = expneg / f.deriv * inner
-    else:
-        raise ValueError("single integral form is oriented: case must be ND or DN")
-    idx = np.arange(len(x))
-    if strict_sign:
-        interior = (idx > f.i_lo) & (idx < f.i_hi)
-        if np.any(wrong & interior):
-            i = int(np.flatnonzero(wrong & interior)[0])
-            raise DomainError(
-                f"derivative has the wrong sign for {case} at interior node x={x[i]}"
-            )
-    # flat stretches outside the support window have f' = 0 and carry the
-    # infinite marker by the 1/0 convention
-    window = good & np.isfinite(values)
-    return _finalize("single_integral", x, values, window)
+    inner = prefix_integral(table, f.values, "mu")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = -table.exp_negC() / f.deriv * inner
+    window = (f.deriv < 0) & np.isfinite(values)
+    return _finalize("single_integral", table.grid, values, window)
 
 
-def double_integral_form(case: str, f: GridFunction) -> tuple[OperatorValue, GridFunction]:
+def double_integral_form(f: GridFunction) -> tuple[OperatorValue, GridFunction]:
     """The double-integral transform and the product iterate f * (transform).
 
-    ND: (1/f(x)) int over (x, end of support) of d(nu) of the head integral
-    of f d(mu); DN: (1/f(x)) int over (0, x) of d(nu) of the tail integral.
-    The product function comes back with its analytic derivative, the
-    +-e^{-C} times the inner integral, ready to be the next iterate.
+    (1/f(x)) times the integral over (x, right end) of d(nu) of the head
+    integral of f d(mu).  The product function comes back with its analytic
+    derivative, -e^{-C} times the inner integral, ready to be the next
+    iterate.
     """
     table = f.table
-    x = table.grid
-    n = len(x)
-    idx = np.arange(n)
-    expneg = table.exp_negC()
-    if case == "ND":
-        inner = prefix_integral(table, f.values, "mu")
-        terms = table.nu_wL * inner[:-1] + table.nu_wR * inner[1:]
-        # the outer integral stops where the support does: panels whose left
-        # node is inside [i_lo, i_hi] reach exactly up to the cutoff point
-        terms = np.where(np.arange(n - 1) <= f.i_hi, terms, 0.0)
-        product_vals = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
-        product_deriv = -expneg * inner
-    elif case == "DN":
-        inner = suffix_integral(table, f.values, "mu")
-        terms = table.nu_wL * inner[:-1] + table.nu_wR * inner[1:]
-        product_vals = np.concatenate([[0.0], np.cumsum(terms)])
-        product_deriv = expneg * inner
-    else:
-        raise ValueError("double integral form is oriented: case must be ND or DN")
+    inner = prefix_integral(table, f.values, "mu")
+    terms = table.nu_wL * inner[:-1] + table.nu_wR * inner[1:]
+    product_vals = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+    product_deriv = -table.exp_negC() * inner
 
     positive = f.values > 0
-    interior = (idx > f.i_lo) & (idx < f.i_hi)
-    nonpos = interior & ~positive
-    if np.any(nonpos):
-        i = int(np.flatnonzero(nonpos)[0])
-        raise DomainError(f"test function not positive at interior node x={x[i]}")
+    if not positive[1:-1].all():
+        i = 1 + int(np.argmin(positive[1:-1]))
+        raise DomainError(f"test function not positive at interior node x={table.grid[i]}")
     with np.errstate(divide="ignore", invalid="ignore"):
         values = product_vals / f.values
-    # beyond a decreasing support the values are zero (excluded by
-    # positivity); beyond an increasing cap they stay positive and the
-    # transform remains defined, so the window is positivity-driven
+    # at an endpoint where f vanishes the ratio is excluded by positivity
     window = positive & np.isfinite(values)
-    op = _finalize("double_integral", x, values, window)
-    product = GridFunction(table, product_vals, product_deriv, f.i_lo, f.i_hi)
-    return op, product
+    op = _finalize("double_integral", table.grid, values, window)
+    return op, GridFunction(table, product_vals, product_deriv)

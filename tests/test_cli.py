@@ -237,6 +237,22 @@ class TestMain:
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
 
+    def test_zero_not_read_off_a_trace_cut_by_a_singularity(self, capsys):
+        # the mass trace stops before 64, where b's panel does not converge;
+        # the points 2 ... 32 before it do not decide a zero eigenvalue
+        code = cli.main(["bounds", "--a", "1", "--b", "1/(x-64)", "--D", "inf", "--case", "ND"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
+
+    def test_zero_read_off_a_trace_cut_by_positivity_sampling(self, capsys):
+        # exp(x) overflows at 1024: the trace stops there, not on a panel
+        code = cli.main(["bounds", "--a", "exp(x)", "--b", "1", "--D", "inf", "--case", "ND"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypothesis"]["criterion_zero"] is True
+        assert report["hypothesis"]["notes"] == ["table build failed at truncation 1024.0"]
+        assert report["results"]["positivity"] == "zero"
+
     def test_degeneration_exit_4(self, capsys):
         code = cli.main(["bounds", "--a", "1", "--b", "x", "--D", "40",
                          "--case", "DN", "--grid-size", "256"])

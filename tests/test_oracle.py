@@ -18,21 +18,21 @@ class TestEigensolve:
         assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4, rel=1e-4)
         assert sol.residual <= p.tolerances.oracle
         # analytic eigenfunction
-        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.x / 2)))
+        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.table.grid / 2)))
         assert err <= 1e-5
 
     def test_laplacian_dn(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="DN")
         sol = oracle.fd_eigensolve(p, 2000)
         assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4, rel=1e-4)
-        err = np.max(np.abs(sol.eigenfunction.values - np.sin(np.pi * sol.eigenfunction.x / 2)))
+        err = np.max(np.abs(sol.eigenfunction.values - np.sin(np.pi * sol.eigenfunction.table.grid / 2)))
         assert err <= 1e-5
 
     def test_laplacian_nn_gap(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="NN")
         sol = oracle.fd_eigensolve(p, 2000)
         assert sol.lambda_ == pytest.approx(C.PI_SQ, rel=1e-4)
-        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.x)))
+        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.table.grid)))
         assert err <= 1e-4
         # constant mode projected out against the speed measure
         w = np.concatenate([[0.5 * sol.eigenfunction.table.dmu[0]],
@@ -105,6 +105,37 @@ class TestResiduals:
         assert d["ii_deviation"] <= 5e-3
         assert d["rayleigh_gap"] <= 1e-10
 
+    # eigen_residuals on DN tables, frozen from the oriented DN formulas the
+    # mirrored ND evaluation replaced; it must reproduce them exactly
+    FROZEN_DN = {
+        "lap_dn": {
+            "ii_deviation": 3.6814966786202774e-07,
+            "i_deviation": 1.1592646176339372e-08,
+            "i_window_fraction": 0.967983991995998,
+            "strictly_monotone": True,
+            "sign_constant": True,
+            "right_edge_interior_value": 0.9999999969156577,
+            "residual": 9.371945530174437e-09,
+            "rayleigh_gap": 7.148926792876445e-11,
+        },
+        "ou_dn_4": {
+            "ii_deviation": 7.039720350765499e-06,
+            "i_deviation": 1.7660526777873997e-05,
+            "i_window_fraction": 0.9939969984992496,
+            "strictly_monotone": True,
+            "sign_constant": True,
+            "right_edge_interior_value": 0.9999999799796261,
+            "residual": 3.765127355454612e-08,
+            "rayleigh_gap": 7.592411756992789e-12,
+        },
+    }
+
+    @pytest.mark.parametrize("fixture", ["lap_dn", "ou_dn_4"])
+    def test_dn_residuals_match_the_oriented_formulas(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        d = oracle.eigen_residuals(oracle.solve_on_table(table, "DN"))
+        assert d == self.FROZEN_DN[fixture]
+
     def test_decay_at_right_edge_for_large_truncation(self):
         # constant outward drift: scale mass finite, eigenvalue positive, and
         # the ND eigenfunction must die out at ever larger truncations (the
@@ -113,7 +144,7 @@ class TestResiduals:
         edges = []
         for trunc in (8.0, 16.0, 32.0):
             sol = oracle.fd_eigensolve(measures.truncate(p, trunc), 1200)
-            mid = np.argmin(np.abs(sol.eigenfunction.x - 0.75 * trunc))
+            mid = np.argmin(np.abs(sol.eigenfunction.table.grid - 0.75 * trunc))
             edges.append(abs(sol.eigenfunction.values[mid]))
         assert edges[0] > edges[1] > edges[2]
         assert edges[2] <= 1e-3

@@ -280,6 +280,12 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
         hyp = measures.hypothesis_check(problem)
         if not hyp.positivity.passed:
             raise HypothesisViolationError(hyp.positivity.detail)
+        if not hyp.ok:
+            end = "0" if not hyp.integrable_near_zero else "right"
+            raise HypothesisViolationError(
+                f"locally_integrable_near_{end} failed: b/a or e^C/a is not locally integrable "
+                f"near {'0' if end == '0' else 'D'}" + "".join(f"; {note}" for note in hyp.notes)
+            )
         if hyp.unconverged_at is not None:
             raise HypothesisViolationError(measures.UNCONVERGED_ENDPOINT)
         report: dict = {

@@ -15,7 +15,13 @@ integrals, the numerically stable form of the single-integral transform.
 Iterates are renormalized to sup-norm one each step; the transforms are
 scale-invariant, so this only prevents magnitude drift.  Outer optimizations
 scan a coarse candidate grid snapped to table nodes, then halve a local 5x5
-refinement step around the best cell down to single-node resolution.
+refinement step around the best cell down to single-node resolution.  A
+window (x_i0, x_i1) costs O((i1 - i0) * n_max): the iterate is constant on
+the plateau [0, x_i0], so the plateau enters each transform as one prefix
+sum of the speed weights read at i0, built once per search, and per-node
+work runs on the window's own nodes.  Windows are evaluated one at a time;
+a (windows x nodes) array pass was measured no faster on 2 vCPUs and would
+hold about 16 MB for the 32x32 coarse scan.
 """
 
 from __future__ import annotations
@@ -117,48 +123,77 @@ def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int))
 
 
-def _eval_window(table: MeasureTable, i0: int, i1: int, n_max: int):
-    """Localized ND iteration on the node window (i0, i1).
+def _window_evaluator(table: MeasureTable):
+    """The localized ND iteration of ``table``, as ``eval_window(i0, i1, n_max)``.
 
-    Returns the per-step window infima, the nodes they sit at, the
-    Rayleigh-quotient companions, and the first step's ratio at the plateau
-    edge i0.  The iterate is a plateau on [0, x_i0], decreasing on the window
-    and zero from x_i1 on, so everything runs on the slice of nodes 0..i1.
-    The starting iterate nu(x, x_i1) is a reverse partial sum of the window's
-    panels, never a difference of cumulative totals.
+    The prefix sums the plateaus read are built here, once per search:
+    S[i] is the speed mass of (0, x_i) as the cumulative sum of the panel
+    weights, and W[j] = mu_wL[j] + mu_wR[j-1] is the speed weight of node j
+    in the companion's quadrature.
     """
-    dnu = table.dnu[:i1]
-    mu_wL, mu_wR = table.mu_wL[:i1], table.mu_wR[:i1]
-    nu_wL, nu_wR = table.nu_wL[:i1], table.nu_wR[:i1]
-    v = np.zeros(i1 + 1)
-    v[i0:i1] = np.cumsum(dnu[i0:][::-1])[::-1]
-    v[:i0] = v[i0]
-    energy = float(v[i0])  # unit flux on the window
-    F = np.zeros(i1 + 1)
-    G = np.zeros(i1 + 1)
-    infs, locs, dbars = [], [], []
-    edge = np.nan
-    for n in range(n_max):
-        v_sq = v * v
-        dbars.append(float(mu_wL @ v_sq[:-1] + mu_wR @ v_sq[1:]) / energy if energy > 0 else 0.0)
-        np.cumsum(mu_wL * v[:-1] + mu_wR * v[1:], out=F[1:])
-        G[:i1] = np.cumsum((nu_wL * F[:-1] + nu_wR * F[1:])[::-1])[::-1]
-        ratio = np.divide(G[:i1], v[:i1], out=np.full(i1, np.inf), where=v[:i1] > 0)
-        k = int(np.argmin(ratio))
-        infs.append(float(ratio[k]))
-        locs.append(k)
-        if n == 0:
-            edge = float(ratio[i0])
-        # clamp to the window and renormalize for the next step
-        v = G.copy()
-        v[:i0] = G[i0]
-        scale = float(np.max(v))
-        if not scale > 0:
-            raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
-        v /= scale
-        flux = (0.5 / scale) * (F[i0:i1] + F[i0 + 1 :])
-        energy = float((flux * flux) @ dnu[i0:])
-    return infs, locs, dbars, edge
+    mu_wL, mu_wR = table.mu_wL, table.mu_wR
+    nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
+    S = np.zeros(table.n_panels + 1)
+    np.cumsum(mu_wL + mu_wR, out=S[1:])
+    W = mu_wL.copy()
+    W[1:] += mu_wR[:-1]
+
+    def eval_window(i0: int, i1: int, n_max: int):
+        """Localized ND iteration on the node window (i0, i1).
+
+        Returns the per-step window infima, the nodes they sit at, the
+        Rayleigh-quotient companions, and the first step's ratio at the
+        plateau edge i0.  The iterate is a constant c on the plateau
+        [0, x_i0], decreasing on the window and zero from x_i1 on.  Per-node
+        work runs on the window's nodes i0..i1 only, so a window costs
+        O((i1 - i0) * n_max): the plateau enters F as c * S[i0] and the
+        companion's numerator as c^2 * S[i0], prefix sums read at one node.
+        The second transform G is a reverse cumulative sum of non-negative
+        terms, so the iterate never increases: the renormalizing scale is
+        G[i0], no plateau node has a smaller ratio than i0 (an exact tie
+        there is reported at i0), and the iterate is positive on the whole
+        window exactly when it is at node i1 - 1.  The starting iterate
+        nu(x, x_i1) is a reverse partial sum of the window's panels, never a
+        difference of cumulative totals.
+        """
+        L = i1 - i0
+        wL, wR = mu_wL[i0:i1], mu_wR[i0:i1]
+        gL, gR = nu_wL[i0:i1], nu_wR[i0:i1]
+        d = dnu[i0:i1]
+        v = np.zeros(L + 1)  # the iterate on nodes i0..i1; v[L] = 0 at x_i1
+        v[:L] = np.add.accumulate(d[::-1])[::-1]
+        energy = float(v[0])  # unit flux on the window
+        terms = np.empty(L + 1)
+        F = np.empty(L + 1)
+        infs, locs, dbars = [], [], []
+        edge = np.nan
+        for n in range(n_max):
+            c = float(v[0])
+            numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 : i1] @ (v[1:L] * v[1:L])
+            dbars.append(float(numer) / energy if energy > 0 else 0.0)
+            terms[0] = c * S[i0]
+            np.add(wL * v[:L], wR * v[1:], out=terms[1:])
+            np.add.accumulate(terms, out=F)
+            G = np.add.accumulate((gL * F[:L] + gR * F[1:])[::-1])[::-1]
+            if v[L - 1] > 0:
+                ratio = G / v[:L]
+            else:
+                ratio = np.divide(G, v[:L], out=np.full(L, np.inf), where=v[:L] > 0)
+            k = int(ratio.argmin())
+            infs.append(float(ratio[k]))
+            locs.append(i0 + k)
+            if n == 0:
+                edge = float(ratio[0])
+            # renormalize for the next step; the plateau takes the value at i0
+            scale = float(G[0])
+            if not scale > 0:
+                raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
+            np.divide(G, scale, out=v[:L])
+            flux = (0.5 / scale) * (F[:L] + F[1:])
+            energy = float((flux * d) @ flux)
+        return infs, locs, dbars, edge
+
+    return eval_window
 
 
 def _family_sup(evaluate, axes, n_max: int):
@@ -225,11 +260,12 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     m = table.n_panels
     i0s = _index_candidates(0, m - 1, _COARSE)
     i1s = _index_candidates(1, m, _COARSE)
+    eval_window = _window_evaluator(table)
 
     def evaluate(i0, i1):
         if i1 <= i0:
             return None
-        infs, locs, dbars, _ = _eval_window(table, i0, i1, n_max)
+        infs, locs, dbars, _ = eval_window(i0, i1, n_max)
         return infs, [float(table.grid[k]) for k in locs], dbars
 
     best_val, best_pair, best_loc, best_dbar = _family_sup(
@@ -265,13 +301,13 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     require_finite(table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    mirror = table.mirrored()
+    eval_window = _window_evaluator(table.mirrored())
     i0s = _index_candidates(1, m, _COARSE)
     fastpath_gap = 0.0
 
     def evaluate(i0):
         nonlocal fastpath_gap
-        infs, locs, dbars, at_cap = _eval_window(mirror, m - i0, m, n_max)
+        infs, locs, dbars, at_cap = eval_window(m - i0, m, n_max)
         fastpath_gap = max(fastpath_gap, abs(at_cap - infs[0]) / max(infs[0], 1e-300))
         return infs, [float(table.grid[m - k]) for k in locs], dbars
 

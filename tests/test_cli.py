@@ -232,6 +232,21 @@ class TestMain:
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
 
+    def test_failed_integrability_probe_exit_3(self, capsys):
+        # b/a = 1/x^2 is not integrable at 0: no bound may be certified
+        code = cli.main(["bounds", "--a", "1", "--b", "1/x^2", "--D", "1", "--case", "ND"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "HypothesisViolationError"
+        assert "locally_integrable_near_0" in err["message"]
+
+    def test_weight_integrable_at_the_tip_passes(self, capsys):
+        # e^C/a = 1/sqrt(x) blows up at 0 but stays integrable there
+        code = cli.main(["bounds", "--a", "sqrt(x)", "--b", "0", "--D", "1", "--case", "ND"])
+        assert code == 0
+        hyp = json.loads(capsys.readouterr().out)["hypothesis"]
+        assert hyp["locally_integrable_near_0"] is True
+
     def test_singular_at_a_truncation_point_exit_3(self, capsys):
         code = cli.main(["bounds", "--a", "1", "--b", "1/(x-8)", "--D", "inf", "--case", "ND"])
         assert code == 3

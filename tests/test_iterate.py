@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import conftest as C
 from eigenbound import bounds, iterate, measures, oracle, testfn, variational as va
-from eigenbound.errors import CriterionDegenerateError, DivergenceError
+from eigenbound.errors import CriterionDegenerateError, DegenerationError, DivergenceError
 
 
 def brute_force_lower_constants(n_max: int, nodes: int = 20001) -> list[float]:
@@ -96,6 +98,188 @@ class TestUpperSequenceND:
         trace = iterate.upper_sequence_nd(lap_nd, 2)
         assert trace.monotonicity in ("non-increasing", "non-decreasing", "mixed", "constant", "single")
         assert any("recorded" in n for n in trace.notes)
+
+
+def reference_eval_window(table, i0, i1, n_max):
+    """The window evaluator as it ran on every node 0..i1, plateau included:
+    the dense reference the window-local evaluator must reproduce."""
+    dnu = table.dnu[:i1]
+    mu_wL, mu_wR = table.mu_wL[:i1], table.mu_wR[:i1]
+    nu_wL, nu_wR = table.nu_wL[:i1], table.nu_wR[:i1]
+    v = np.zeros(i1 + 1)
+    v[i0:i1] = np.cumsum(dnu[i0:][::-1])[::-1]
+    v[:i0] = v[i0]
+    energy = float(v[i0])
+    F = np.zeros(i1 + 1)
+    G = np.zeros(i1 + 1)
+    infs, locs, dbars = [], [], []
+    edge = np.nan
+    for n in range(n_max):
+        v_sq = v * v
+        dbars.append(float(mu_wL @ v_sq[:-1] + mu_wR @ v_sq[1:]) / energy if energy > 0 else 0.0)
+        np.cumsum(mu_wL * v[:-1] + mu_wR * v[1:], out=F[1:])
+        G[:i1] = np.cumsum((nu_wL * F[:-1] + nu_wR * F[1:])[::-1])[::-1]
+        ratio = np.divide(G[:i1], v[:i1], out=np.full(i1, np.inf), where=v[:i1] > 0)
+        k = int(np.argmin(ratio))
+        infs.append(float(ratio[k]))
+        locs.append(k)
+        if n == 0:
+            edge = float(ratio[i0])
+        v = G.copy()
+        v[:i0] = G[i0]
+        scale = float(np.max(v))
+        if not scale > 0:
+            raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
+        v /= scale
+        flux = (0.5 / scale) * (F[i0:i1] + F[i0 + 1 :])
+        energy = float((flux * flux) @ dnu[i0:])
+    return infs, locs, dbars, edge
+
+
+@pytest.fixture(scope="module")
+def mirror_nd_8():
+    return C.make_table(a="1", b="8-x", D=8.0, case="ND")
+
+
+@pytest.fixture(scope="module")
+def exp_nd_3():
+    return C.make_table(a="exp(x)", b="1", D=3.0, case="ND")
+
+
+def assert_windows_match_reference(table, windows, n_max=3):
+    evaluate = iterate._window_evaluator(table)
+    for i0, i1 in windows:
+        infs, locs, dbars, edge = evaluate(i0, i1, n_max)
+        r_infs, r_locs, r_dbars, r_edge = reference_eval_window(table, i0, i1, n_max)
+        assert infs == pytest.approx(r_infs, rel=1e-12), (i0, i1)
+        assert dbars == pytest.approx(r_dbars, rel=1e-12), (i0, i1)
+        assert edge == pytest.approx(r_edge, rel=1e-12), (i0, i1)
+        assert locs == r_locs, (i0, i1)
+
+
+ND_TABLES = ["lap_nd", "quad_nd", "mirror_nd_8", "exp_nd_3"]
+
+
+class TestWindowEvaluator:
+    @pytest.mark.parametrize("fixture", ND_TABLES)
+    def test_coarse_windows_match_dense_reference(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        m = table.n_panels
+        i0s = iterate._index_candidates(0, m - 1, iterate._COARSE)
+        i1s = iterate._index_candidates(1, m, iterate._COARSE)
+        windows = [(i0, i1) for i0 in i0s for i1 in i1s if i1 > i0]
+        assert len(windows) > 500
+        assert_windows_match_reference(table, windows)
+
+    @pytest.mark.parametrize("fixture", ND_TABLES)
+    def test_extreme_windows_match_dense_reference(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        m = table.n_panels
+        edges = [0, 1, m // 2, m - 1]
+        windows = (
+            [(0, i1) for i1 in (1, 2, m // 2, m)]  # no plateau
+            + [(i0, i0 + 1) for i0 in edges]  # one-panel window
+            + [(i0, m) for i0 in edges]  # window reaching D
+        )
+        assert_windows_match_reference(table, windows)
+
+    def test_every_ou_dn_cap_matches_on_the_mirror(self, ou_dn_8):
+        m = ou_dn_8.n_panels
+        assert_windows_match_reference(ou_dn_8.mirrored(), [(m - i0, m) for i0 in range(1, m + 1)])
+
+    def test_plateau_tie_reported_at_the_window_edge(self, lap_nd):
+        # zero scale mass on the plateau panels leaves G flat there, so every
+        # plateau node ties with the edge; the dense argmin took the first
+        # plateau node, the window-local one reports the edge itself
+        i0, i1 = 400, 1200
+        flat = dataclasses.replace(
+            lap_nd,
+            nu_wL=np.where(np.arange(lap_nd.n_panels) < i0, 0.0, lap_nd.nu_wL),
+            nu_wR=np.where(np.arange(lap_nd.n_panels) < i0, 0.0, lap_nd.nu_wR),
+        )
+        infs, locs, dbars, edge = iterate._window_evaluator(flat)(i0, i1, 1)
+        r_infs, r_locs, r_dbars, r_edge = reference_eval_window(flat, i0, i1, 1)
+        assert r_locs == [0] and locs == [i0]
+        assert infs == pytest.approx(r_infs, rel=1e-12)
+        assert dbars == pytest.approx(r_dbars, rel=1e-12)
+        assert edge == pytest.approx(r_edge, rel=1e-12)
+
+    def test_window_ending_without_scale_mass_matches_dense_reference(self, lap_nd):
+        # the iterate vanishes on the window's last panels: only there are
+        # nodes with v = 0 left out of the infimum
+        tail = (np.arange(lap_nd.n_panels) >= 1150) & (np.arange(lap_nd.n_panels) < 1200)
+        thin = dataclasses.replace(
+            lap_nd,
+            dnu=np.where(tail, 0.0, lap_nd.dnu),
+            nu_wL=np.where(tail, 0.0, lap_nd.nu_wL),
+            nu_wR=np.where(tail, 0.0, lap_nd.nu_wR),
+        )
+        assert_windows_match_reference(thin, [(0, 1200), (400, 1200), (1100, 1200)])
+
+    def test_window_without_scale_mass_degenerates(self, lap_nd):
+        i0, i1 = 400, 1200
+        empty = dataclasses.replace(lap_nd, dnu=np.zeros(lap_nd.n_panels))
+        for evaluate in (iterate._window_evaluator(empty), lambda *w: reference_eval_window(empty, *w)):
+            with pytest.raises(DegenerationError):
+                evaluate(i0, i1, 1)
+
+
+# upper sequences at n_max = 3, frozen from the dense window evaluator
+FROZEN_ND = {
+    "lap_nd": (
+        [0.3749998565912206, 0.40050895445415313, 0.4047623874111222],
+        [0.37500001612825457, 0.40476252881508185, 0.40527863894689947],
+        [0.24963210782502077, 0.09239625296122717, 0.011972881295239768],
+        1.0,
+    ),
+    "quad_nd": (
+        [0.3408609901969433, 0.3613754799760513, 0.36440748323784933],
+        [0.3408611271239963, 0.3644076046423682, 0.36472078631150634],
+        [0.2227794142690812, 0.07642194041421202, 0.008200046885112819],
+        1.0,
+    ),
+    "mirror_nd_8": (
+        [0.7973246390248286, 0.9065045704370902, 0.9536451418489393],
+        [0.7973287213173169, 0.9536450560905932, 0.987479394777257],
+        [6.547911759650599, 6.157530516365495, 5.836402777531809],
+        8.0,
+    ),
+    "exp_nd_3": (
+        [1.1174919681299156, 1.1852125171713397, 1.1959635390713939],
+        [1.117492531328801, 1.1959639140815317, 1.197083256260573],
+        [0.49708321777939557, 0.17146299034128026, 0.01990061297286525],
+        3.0,
+    ),
+}
+FROZEN_DN = {
+    "lap_dn": (
+        [0.3749998565912193, 0.40050895445415235, 0.4047623874111219],
+        [0.7503678921749792, 0.9076037470387729, 0.9880271187047602],
+    ),
+    "ou_dn_8": (
+        [0.797324639024817, 0.9065045704370822, 0.9536451418489306],
+        [1.4520882403494006, 1.8424694836345052, 2.1635972224681908],
+    ),
+}
+
+
+class TestFrozenSearch:
+    @pytest.mark.parametrize("fixture", sorted(FROZEN_ND))
+    def test_nd_search_reproduces_frozen_values(self, fixture, request):
+        values, dbar, locations, x1 = FROZEN_ND[fixture]
+        trace = iterate.upper_sequence_nd(request.getfixturevalue(fixture), 3)
+        assert trace.values == pytest.approx(values, rel=1e-12)
+        assert trace.companion_dbar == pytest.approx(dbar, rel=1e-12)
+        assert trace.locations == locations
+        assert trace.pair_locations == [(x0, x1) for x0 in locations]
+
+    @pytest.mark.parametrize("fixture", sorted(FROZEN_DN))
+    def test_dn_search_reproduces_frozen_values(self, fixture, request):
+        values, locations = FROZEN_DN[fixture]
+        trace = iterate.upper_sequence_dn(request.getfixturevalue(fixture), 3)
+        assert trace.values == pytest.approx(values, rel=1e-12)
+        assert trace.locations == locations
+        assert trace.pair_locations == locations
 
 
 class TestUpperSequenceDN:

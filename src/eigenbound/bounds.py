@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionDegenerateError
+from .errors import CriterionDegenerateError, DegenerationError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, prefix_integral, suffix_integral, walk_truncations
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,12 +102,25 @@ def delta(case: str, table: MeasureTable) -> tuple[float, float]:
     return v, _back(case, table, x_star)
 
 
+def _reciprocal(name: str, c: float, right_end: float) -> float:
+    """1/c; DegenerationError when c is 0 or NaN or 1/c overflows, which
+    means the interval is too short for the table to resolve its masses."""
+    r = 1.0 / c if c > 0 else math.nan
+    if not math.isfinite(r):
+        raise DegenerationError(
+            f"{name} = {c!r} on (0, {right_end}) has no finite reciprocal; "
+            "the interval is too short to resolve"
+        )
+    return r
+
+
 def basic_bounds(case: str, table: MeasureTable) -> tuple[float, float]:
     """(1/(4 delta), 1/delta); the pair (0, 0) marks a zero eigenvalue."""
     d, _ = delta(case, table)
     if math.isinf(d):
         return 0.0, 0.0
-    return 1.0 / (4.0 * d), 1.0 / d
+    upper = _reciprocal("delta", d, table.right_end)
+    return 1.0 / (4.0 * d), upper
 
 
 def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
@@ -233,7 +246,8 @@ def compute_report(
     d, xd = criterion if criterion is not None else delta(case, table)
     if math.isinf(d):
         return zero_report(case)
-    lower, upper = 1.0 / (4.0 * d), 1.0 / d
+    upper = _reciprocal("delta", d, table.right_end)
+    lower = 1.0 / (4.0 * d)  # finite with 1/delta
     if case == "NN":
         # the criterion decides positivity of the spectral gap, but the
         # two-sided bracket belongs to the ND/DN eigenvalue, not the gap
@@ -258,8 +272,8 @@ def compute_report(
         upper_basic=upper,
         delta1=d1,
         delta1_prime=d1p,
-        lower_improved=1.0 / d1,
-        upper_improved=1.0 / d1p,
+        lower_improved=_reciprocal("delta1", d1, table.right_end),
+        upper_improved=_reciprocal("delta1_prime", d1p, table.right_end),
         argmax_x={"delta": xd, "delta1": x1, "delta1_prime": x1p},
         positivity="positive",
     )

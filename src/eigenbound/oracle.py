@@ -138,10 +138,13 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     a_probe[:-1] -= coupling * probe[1:]
     a_probe[1:] -= coupling * probe[:-1]
     rho = float(np.dot(probe, a_probe) / np.dot(probe, cell * probe))
-    vals, vecs = eigh_tridiagonal(
-        d, e, select="i", select_range=(which, which),
-        lapack_driver="stebz", tol=1e-13 * max(rho, 1e-30),
-    )
+    try:
+        vals, vecs = eigh_tridiagonal(
+            d, e, select="i", select_range=(which, which),
+            lapack_driver="stebz", tol=1e-13 * max(rho, 1e-30),
+        )
+    except np.linalg.LinAlgError as exc:
+        raise DegenerationError(f"tridiagonal eigensolver failed on this table: {exc}") from exc
     lam = float(vals[0])
     if lam < 0:
         # the assembly is positive semi-definite by construction, so a

@@ -5,7 +5,7 @@ import pytest
 
 import conftest as C
 from eigenbound import bounds, measures, oracle, testfn, variational as va
-from eigenbound.errors import CriterionDegenerateError
+from eigenbound.errors import CriterionDegenerateError, DegenerationError
 
 
 def flagged_nd_table():
@@ -51,6 +51,15 @@ class TestBasicBounds:
 
     def test_zero_marker(self):
         assert bounds.basic_bounds("ND", flagged_nd_table()) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("D", [1e-155, 1e-160])
+    def test_unresolvable_delta_is_a_degeneration(self, D):
+        # delta underflows to a subnormal (1/delta = inf) or to 0
+        table = C.make_table(preset="laplacian", D=D, case="ND", grid_size=64)
+        with pytest.raises(DegenerationError):
+            bounds.basic_bounds("ND", table)
+        with pytest.raises(DegenerationError):
+            bounds.compute_report("ND", table)
 
 
 class TestDelta1:

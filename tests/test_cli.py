@@ -402,3 +402,40 @@ class TestEtaWindow:
         eta = out["results"]["eta_n"]
         assert eta == pytest.approx([0.683114828109, 0.552718703185, 0.519549284198], rel=1e-9)
         assert all(1 / e <= out["results"]["lambda_oracle"] for e in eta)
+
+
+class TestUnresolvableProblems:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--a", "1", "--b", "1/(x-0.5)", "--D", "1", "--case", "ND"],
+        ["verify", "--a", "(x-0.5)^2", "--b", "0", "--D", "1", "--case", "DN"],
+    ])
+    def test_singularity_inside_the_interval_exit_3(self, argv, capsys):
+        # a weight non-integrable at x = 0.5 leaves panels there over
+        # tolerance after refinement; no bound may be certified
+        code = cli.main(argv)
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3 and err["type"] == "HypothesisViolationError"
+        assert "x = 0.49999" in err["message"]
+
+    @staticmethod
+    def non_finite(node):
+        if isinstance(node, dict):
+            return any(TestUnresolvableProblems.non_finite(v) for v in node.values())
+        if isinstance(node, list):
+            return any(TestUnresolvableProblems.non_finite(v) for v in node)
+        return node in ("inf", "-inf", "nan") or (isinstance(node, float) and not math.isfinite(node))
+
+    @pytest.mark.parametrize("command, D", [
+        ("oracle", "1e-100"), ("verify", "1e-100"), ("bounds", "1e-100"), ("bounds", "1e-155"),
+        ("bounds", "1e-160"), ("bounds", "5e-324"), ("iterate", "1e-160"),
+    ])
+    def test_tiny_interval_is_a_json_error_or_finite(self, command, D, capsys):
+        code = cli.main([command, "--a", "1", "--b", "0", "--D", D, "--case", "ND"])
+        out = json.loads(capsys.readouterr().out)
+        assert code != 1
+        if code == 0:
+            assert not self.non_finite(out["results"])
+        else:
+            assert out["error"]["exit_code"] == code
+        if (command, D) == ("bounds", "1e-100"):
+            assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 import conftest as C
 from eigenbound import measures
-from eigenbound.errors import DivergenceError, HypothesisViolationError, RangeError
+from eigenbound.errors import DivergenceError, EigenboundError, HypothesisViolationError, RangeError
 
 
 class TestBuildTables:
@@ -280,3 +280,144 @@ class TestMirror:
         assert np.array_equal(m.mu_cum, ou_dn_4.mu_tail[::-1])
         assert np.array_equal(m.nu_tail, ou_dn_4.nu_cum[::-1])
         assert m.mu_between(0.0, 1.0) == pytest.approx(ou_dn_4.mu_between(3.0, 4.0), rel=1e-12)
+
+
+# A frozen copy of the quadrature pass as it summed before the column-wise
+# rule sums and the in-place node densities; every output column of today's
+# pass must equal it to the bit.
+def _frozen_panel_nodes(xl, xr):
+    mid = 0.5 * (xl + xr)
+    half = 0.5 * (xr - xl)
+    return mid[:, None] + half[:, None] * measures._GL_NODES[None, :]
+
+
+class _FrozenPanelPass:
+    def __init__(self, xl, xr, a_ast, b_ast):
+        self.half = 0.5 * (xr - xl)
+        t = _frozen_panel_nodes(xl, xr)
+        flat = t.ravel()
+        with np.errstate(all="ignore"):
+            av = np.asarray(measures.expr.evaluate(a_ast, flat), dtype=float).reshape(t.shape)
+            bv = np.asarray(measures.expr.evaluate(b_ast, flat), dtype=float).reshape(t.shape)
+            self.g = bv / av
+        self.t = t
+        self.av = av
+
+    def cumulant_increments(self):
+        return self.half * np.sum(measures._GL_WEIGHTS[None, :] * self.g, axis=1)
+
+    def accumulate(self, c_start, moments=True):  # always returns the moments
+        w = measures._GL_WEIGHTS[None, :]
+        dc = self.cumulant_increments()
+        c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
+        c_nodes = c_left[:, None] + self.half[:, None] * (self.g @ measures._GL_CUM.T)
+        with np.errstate(all="ignore"):
+            dens_mu = np.exp(c_nodes) / self.av
+            dens_nu = np.exp(-c_nodes)
+            dmu = self.half * np.sum(w * dens_mu, axis=1)
+            dnu = self.half * np.sum(w * dens_nu, axis=1)
+            mom_mu = self.half * np.sum(w * self.t * dens_mu, axis=1)
+            mom_nu = self.half * np.sum(w * self.t * dens_nu, axis=1)
+        return dc, dmu, dnu, mom_mu, mom_nu
+
+
+# (a, b, D): laplacian, 1+x^2, OU (0, 8), 1/8-x, exp(x)/1, 1+x^2 (0, 4096),
+# OU (0, 64) with overflow and subnormals, a weight singular at the tip, an
+# oscillating drift, and a pass that overflows to inf and then to NaN
+_PASS_PROBLEMS = [
+    ("1", "0", 1.0),
+    ("1+x^2", "0", 1.0),
+    ("1", "-x", 8.0),
+    ("1", "8-x", 8.0),
+    ("exp(x)", "1", 3.0),
+    ("1+x^2", "0", 4096.0),
+    ("1", "-x", 64.0),
+    ("sqrt(x)", "0", 1.0),
+    ("1", "sin(10*x)", 1.0),
+    ("1", "x + exp(x) - exp(x)", 800.0),
+]
+
+
+def _same_columns(new, old):
+    return [np.array_equal(n, o, equal_nan=True) and n.shape == o.shape for n, o in zip(new, old)]
+
+
+class TestPanelPassFrozen:
+    @pytest.mark.parametrize("a, b, D", _PASS_PROBLEMS)
+    def test_fine_and_coarse_passes_equal_the_frozen_pass(self, a, b, D):
+        p = measures.make_problem(a=a, b=b, D=D, case="ND", grid_size=500)
+        edges = measures._graded_grid(p.grid_size, D)
+        fine = np.empty(2 * len(edges) - 1)
+        fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+        for e in (fine, edges):
+            args = (e[:-1], e[1:], p.a, p.b)
+            new, old = measures._PanelPass(*args), _FrozenPanelPass(*args)
+            assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]), _frozen_panel_nodes(e[:-1], e[1:]))
+            assert _same_columns(new.accumulate(0.0), old.accumulate(0.0)) == [True] * 5
+            coarse = new.accumulate(0.0, moments=False)
+            assert coarse[3:] == (None, None)
+            assert _same_columns(coarse[:3], old.accumulate(0.0)[:3]) == [True] * 3
+
+    def test_overflowing_pass_holds_inf_and_nan(self):
+        p = measures.make_problem(a="1", b="x + exp(x) - exp(x)", D=800.0, case="ND")
+        e = measures._graded_grid(256, 800.0)
+        _, dmu, dnu, _, _ = measures._PanelPass(e[:-1], e[1:], p.a, p.b).accumulate(0.0)
+        assert np.isinf(dmu).any() and np.isnan(dmu).any() and (dnu == 0.0).any()
+
+    @pytest.mark.parametrize("xl, xr", [([], []), ([0.25], [0.75])])
+    def test_empty_and_single_panel_passes(self, xl, xr):
+        p = measures.make_problem(a="1+x^2", b="sin(10*x)", D=1.0, case="ND")
+        args = (np.array(xl), np.array(xr), p.a, p.b)
+        new, old = measures._PanelPass(*args).accumulate(0.5), _FrozenPanelPass(*args).accumulate(0.5)
+        assert _same_columns(new, old) == [True] * 5
+        assert all(len(col) == len(xl) for col in new)
+
+
+def _table_or_error(problem, p):
+    try:
+        t = measures.build_tables(problem, p)
+    except EigenboundError as exc:  # the same failure on both sides counts as equal
+        return type(exc).__name__, str(exc)
+    return {f.name: getattr(t, f.name) for f in dataclasses.fields(t) if f.name != "problem"}
+
+
+def _assert_same_table(new, old):
+    assert type(new) is type(old)
+    if isinstance(new, tuple):
+        assert new == old
+        return
+    for name, value in new.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, old[name], equal_nan=True), name
+        else:
+            assert value == old[name], name
+
+
+# the benchmark problems; on (0, inf), every truncation point of the walk
+_BENCH_TABLES = [
+    ("1", "0", "ND", "1"), ("1", "0", "DN", "1"), ("1", "0", "NN", "1"),
+    ("1+x^2", "0", "DN", "1"), ("1", "-x", "DN", "8"), ("1", "8-x", "ND", "8"),
+    ("exp(x)", "1", "ND", "3"), ("1+x^2", "0", "DN", "4096"),
+    ("1", "0", "ND", "inf"), ("1", "-x", "DN", "inf"), ("1+x^2", "0", "DN", "inf"),
+]
+
+
+class TestTablesFrozen:
+    @pytest.mark.parametrize("a, b, case, D", _BENCH_TABLES)
+    def test_tables_equal_the_frozen_pass_tables(self, a, b, case, D, monkeypatch):
+        problem = measures.make_problem(a=a, b=b, D=D, case=case)
+        ends = problem.truncation_schedule if problem.is_infinite else (problem.D,)
+        new = [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p) for p in ends]
+        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        old = [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p) for p in ends]
+        for n, o in zip(new, old):
+            _assert_same_table(n, o)
+
+    @pytest.mark.parametrize("a, b, case", [("1", "0", "ND"), ("1", "-x", "DN"), ("1+x^2", "0", "DN")])
+    def test_mass_trace_equals_the_frozen_pass_trace(self, a, b, case, monkeypatch):
+        problem = measures.make_problem(a=a, b=b, D="inf", case=case)
+        new = measures.hypothesis_check(problem)
+        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        old = measures.hypothesis_check(problem)
+        assert new.mass_trace == old.mass_trace
+        assert (new.criterion_zero, new.notes) == (old.criterion_zero, old.notes)

@@ -9,7 +9,7 @@ bound against an independent finite-volume eigensolver.
 
 __version__ = "0.1.0"
 
-from .bounds import BoundsReport, basic_bounds, compute_report, delta, delta1, delta1_prime
+from .bounds import BoundsReport, compute_report, delta, delta1, delta1_prime
 from .errors import (
     ConfigError,
     CriterionDegenerateError,
@@ -36,7 +36,6 @@ from .measures import (
 from .oracle import (
     EigenSolution,
     dual_table,
-    duality_pair,
     eigen_residuals,
     fd_eigensolve,
     infinite_domain_limit,
@@ -65,7 +64,6 @@ __all__ = [
     "ProblemSpec",
     "RangeError",
     "Tolerances",
-    "basic_bounds",
     "build_tables",
     "compute_report",
     "delta",
@@ -73,7 +71,6 @@ __all__ = [
     "delta1_prime",
     "double_integral_form",
     "dual_table",
-    "duality_pair",
     "eigen_residuals",
     "eta_sequence",
     "fd_eigensolve",

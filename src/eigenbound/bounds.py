@@ -114,15 +114,6 @@ def _reciprocal(name: str, c: float, right_end: float) -> float:
     return r
 
 
-def basic_bounds(case: str, table: MeasureTable) -> tuple[float, float]:
-    """(1/(4 delta), 1/delta); the pair (0, 0) marks a zero eigenvalue."""
-    d, _ = delta(case, table)
-    if math.isinf(d):
-        return 0.0, 0.0
-    upper = _reciprocal("delta", d, table.right_end)
-    return 1.0 / (4.0 * d), upper
-
-
 def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step lower-bound constant: the supremum the seed function
     produces under the double-integral transform, via prefix/suffix sums."""

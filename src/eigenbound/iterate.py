@@ -7,10 +7,14 @@ sequences run the same iteration inside localized families (a two-parameter
 window for ND; for DN a one-parameter cap, which is the ND window with x1 = D
 on the mirrored table), take the window infimum, and maximize over the
 family; reciprocals are upper bounds.  Every lower and upper sequence is
-written for ND: DN runs it on the mirrored table and reads its locations
-back off the original grid.  The double-Neumann sequence centers each
-iterate against the speed measure and tracks the ratio of successive tail
+written for ND: DN runs it on the mirrored table and reads its caps back
+off the original grid.  The double-Neumann sequence centers each iterate
+against the speed measure and tracks the ratio of successive tail
 integrals, the numerically stable form of the single-integral transform.
+A trace carries the constants, their direction, and only what the reports
+print beside them: the companions dbar_n and best window per step (ND),
+the best cap per step (DN), and the sign changes and notes of the centered
+sequence.
 
 Iterates are renormalized to sup-norm one each step; the transforms are
 scale-invariant, so this only prevents magnitude drift.  Outer optimizations
@@ -40,14 +44,10 @@ from .variational import double_integral_form
 
 @dataclass
 class IterationTrace:
-    """One bound sequence with its per-step locations and verdicts."""
+    """One bound sequence with its direction and per-step diagnostics."""
 
-    case: str
-    kind: str  # "lower" | "upper_nd" | "upper_dn" | "nn_eta"
     values: list[float]
-    locations: list[float]
     monotonicity: str
-    stop_reason: str
     companion_dbar: list[float] | None = None
     pair_locations: list[tuple[float, float]] | list[float] | None = None
     sign_changes: list[float] | None = None
@@ -73,8 +73,9 @@ def monotone_verdict(values: list[float], slack: float) -> str:
 
 
 def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace:
-    """Lower-bound constants from iterating the square root of the seed;
-    DN runs as ND on the mirrored table, whose node k is node M - k here."""
+    """Lower-bound constants from iterating the square root of the seed,
+    until two successive constants agree to the bound tolerance; DN runs as
+    ND on the mirrored table, whose node k is node M - k here."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if case not in ("ND", "DN"):
@@ -84,30 +85,19 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
     oriented, grid = (table.mirrored(), table.grid[::-1]) if case == "DN" else (table, table.grid)
     f = power(seed_function(oriented), 0.5)
     values: list[float] = []
-    locations: list[float] = []
-    stop_reason = "n_max reached"
     for n in range(1, n_max + 1):
         op, product = double_integral_form(f)
         values.append(op.sup)
-        locations.append(float(grid[np.searchsorted(oriented.grid, op.argmax_x)]))
         bad = np.flatnonzero(product.values[1:-1] <= 0)
         if bad.size:
             raise DegenerationError(
                 f"iterate lost positivity at node x={grid[bad[0] + 1]} (step {n})"
             )
         if n >= 2 and abs(values[-1] - values[-2]) <= eps * max(1.0, values[-1]):
-            stop_reason = "relative change below tolerance"
             break
         c = 1.0 / np.max(product.values)
         f = GridFunction(oriented, product.values * c, product.deriv * c)
-    return IterationTrace(
-        case=case,
-        kind="lower",
-        values=values,
-        locations=locations,
-        monotonicity=monotone_verdict(values, 10 * eps),
-        stop_reason=stop_reason,
-    )
+    return IterationTrace(values=values, monotonicity=monotone_verdict(values, 10 * eps))
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +131,18 @@ def _window_evaluator(table: MeasureTable):
     def eval_window(i0: int, i1: int, n_max: int):
         """Localized ND iteration on the node window (i0, i1).
 
-        Returns the per-step window infima, the nodes they sit at, the
-        Rayleigh-quotient companions, and the first step's ratio at the
-        plateau edge i0.  The iterate is a constant c on the plateau
-        [0, x_i0], decreasing on the window and zero from x_i1 on.  Per-node
-        work runs on the window's nodes i0..i1 only, so a window costs
+        Returns the per-step window infima and their Rayleigh-quotient
+        companions.  The iterate is a constant c on the plateau [0, x_i0],
+        decreasing on the window and zero from x_i1 on.  Per-node work runs
+        on the window's nodes i0..i1 only, so a window costs
         O((i1 - i0) * n_max): the plateau enters F as c * S[i0] and the
         companion's numerator as c^2 * S[i0], prefix sums read at one node.
         The second transform G is a reverse cumulative sum of non-negative
         terms, so the iterate never increases: the renormalizing scale is
-        G[i0], no plateau node has a smaller ratio than i0 (an exact tie
-        there is reported at i0), and the iterate is positive on the whole
-        window exactly when it is at node i1 - 1.  The starting iterate
-        nu(x, x_i1) is a reverse partial sum of the window's panels, never a
-        difference of cumulative totals.
+        G[i0], no plateau node has a smaller ratio than i0, and the iterate
+        is positive on the whole window exactly when it is at node i1 - 1.
+        The starting iterate nu(x, x_i1) is a reverse partial sum of the
+        window's panels, never a difference of cumulative totals.
         """
         L = i1 - i0
         wL, wR = mu_wL[i0:i1], mu_wR[i0:i1]
@@ -165,8 +153,7 @@ def _window_evaluator(table: MeasureTable):
         energy = float(v[0])  # unit flux on the window
         terms = np.empty(L + 1)
         F = np.empty(L + 1)
-        infs, locs, dbars = [], [], []
-        edge = np.nan
+        infs, dbars = [], []
         for n in range(n_max):
             c = float(v[0])
             numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 : i1] @ (v[1:L] * v[1:L])
@@ -179,11 +166,7 @@ def _window_evaluator(table: MeasureTable):
                 ratio = G / v[:L]
             else:
                 ratio = np.divide(G, v[:L], out=np.full(L, np.inf), where=v[:L] > 0)
-            k = int(ratio.argmin())
-            infs.append(float(ratio[k]))
-            locs.append(i0 + k)
-            if n == 0:
-                edge = float(ratio[0])
+            infs.append(float(ratio.min()))
             # renormalize for the next step; the plateau takes the value at i0
             scale = float(G[0])
             if not scale > 0:
@@ -191,7 +174,7 @@ def _window_evaluator(table: MeasureTable):
             np.divide(G, scale, out=v[:L])
             flux = (0.5 / scale) * (F[:L] + F[1:])
             energy = float((flux * d) @ flux)
-        return infs, locs, dbars, edge
+        return infs, dbars
 
     return eval_window
 
@@ -203,12 +186,11 @@ def _family_sup(evaluate, axes, n_max: int):
     The coarse scan covers every combination; each refinement round halves
     the step of every axis and rescans a 5-point neighbourhood per axis
     around each step's best member.  ``evaluate`` maps parameters to
-    (infima, locations, companions), or None for an inadmissible member.
-    Returns per step the best value, member, location and companion sup.
+    (infima, companions), or None for an inadmissible member.
+    Returns per step the best value, member and companion sup.
     """
     best_val = [-np.inf] * n_max
     best_at = [tuple(lo for _, lo, _ in axes)] * n_max
-    best_loc = [0.0] * n_max
     best_dbar = [-np.inf] * n_max
     seen: set[tuple[int, ...]] = set()
 
@@ -220,12 +202,11 @@ def _family_sup(evaluate, axes, n_max: int):
         if out is None:
             return
         seen.add(params)
-        infs, locs, dbars = out
+        infs, dbars = out
         for n in range(n_max):
             if infs[n] > best_val[n]:
                 best_val[n] = infs[n]
                 best_at[n] = params
-                best_loc[n] = locs[n]
             if dbars[n] > best_dbar[n]:
                 best_dbar[n] = dbars[n]
 
@@ -242,7 +223,7 @@ def _family_sup(evaluate, axes, n_max: int):
             ]
             for params in itertools.product(*local):
                 consider(params)
-    return best_val, best_at, best_loc, best_dbar
+    return best_val, best_at, best_dbar
 
 
 def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
@@ -263,25 +244,14 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     eval_window = _window_evaluator(table)
 
     def evaluate(i0, i1):
-        if i1 <= i0:
-            return None
-        infs, locs, dbars, _ = eval_window(i0, i1, n_max)
-        return infs, [float(table.grid[k]) for k in locs], dbars
+        return eval_window(i0, i1, n_max) if i1 > i0 else None
 
-    best_val, best_pair, best_loc, best_dbar = _family_sup(
-        evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max
-    )
-    pairs_x = [(float(table.grid[p[0]]), float(table.grid[p[1]])) for p in best_pair]
+    best_val, best_pair, best_dbar = _family_sup(evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max)
     return IterationTrace(
-        case="ND",
-        kind="upper_nd",
         values=best_val,
-        locations=best_loc,
         monotonicity=monotone_verdict(best_val, 10 * eps),
-        stop_reason="n_max reached",
         companion_dbar=best_dbar,
-        pair_locations=pairs_x,
-        notes=["monotonicity of the ND upper sequence is recorded, not asserted"],
+        pair_locations=[(float(table.grid[p[0]]), float(table.grid[p[1]])) for p in best_pair],
     )
 
 
@@ -290,9 +260,7 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
 
     The DN family capped at node i0 is the ND window (M - i0, M) of the
     mirrored table, so each cap runs the ND window evaluator there with x1
-    pinned at D; locations are read back off this table's grid by index.
-    For the first step the infimum sits at the cap itself; the largest
-    relative gap between the two is recorded in the trace notes.
+    pinned at D; cap locations are read back off this table's grid by index.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -303,24 +271,15 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     m = table.n_panels
     eval_window = _window_evaluator(table.mirrored())
     i0s = _index_candidates(1, m, _COARSE)
-    fastpath_gap = 0.0
 
     def evaluate(i0):
-        nonlocal fastpath_gap
-        infs, locs, dbars, at_cap = eval_window(m - i0, m, n_max)
-        fastpath_gap = max(fastpath_gap, abs(at_cap - infs[0]) / max(infs[0], 1e-300))
-        return infs, [float(table.grid[m - k]) for k in locs], dbars
+        return eval_window(m - i0, m, n_max)
 
-    best_val, best_cap, best_loc, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max)
+    best_val, best_cap, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max)
     return IterationTrace(
-        case="DN",
-        kind="upper_dn",
         values=best_val,
-        locations=best_loc,
         monotonicity=monotone_verdict(best_val, 10 * eps),
-        stop_reason="n_max reached",
         pair_locations=[float(table.grid[c[0]]) for c in best_cap],
-        notes=[f"first-step infimum sits at the cap (relative gap {fastpath_gap:.2e})"],
     )
 
 
@@ -362,9 +321,7 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
     with np.errstate(divide="ignore", invalid="ignore"):
         vals1 = 2.0 * s * suf_prev
     interior = np.arange(1, n_nodes - 1)
-    k = interior[np.argmax(vals1[interior])]
-    values = [float(vals1[k])]
-    locations = [float(grid[k])]
+    values = [float(np.max(vals1[interior]))]
     sign_changes = [first_sign_change(fbar)]
     notes: list[str] = []
 
@@ -373,9 +330,7 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
     suf_prev = suf_prev / scale
 
     for n in range(2, n_max + 1):
-        terms = table.nu_wL * suf_prev[:-1] + table.nu_wR * suf_prev[1:]
-        product = np.concatenate([[0.0], np.cumsum(terms)])
-        fbar_next = centered(product)
+        fbar_next = centered(prefix_integral(table, suf_prev, "nu"))
         suf_next = suffix_integral(table, fbar_next, "mu")
         # rounding bound of the reverse cumsum that produced suf_prev: tiny
         # where the speed density underflows, about eps * total near 0
@@ -392,9 +347,7 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
                 f"step {n}: ratio window shrank by {interior.size - window.size} nodes"
             )
         ratios = suf_next[window] / suf_prev[window]
-        k = int(np.argmax(ratios))
-        values.append(float(ratios[k]))
-        locations.append(float(grid[window[k]]))
+        values.append(float(np.max(ratios)))
         sign_changes.append(first_sign_change(fbar_next))
         scale = float(np.max(np.abs(fbar_next)))
         if not scale > 0:
@@ -404,13 +357,4 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
 
     direction = monotone_verdict(values, 10 * eps)
     notes.append(f"empirical direction of the sequence: {direction}")
-    return IterationTrace(
-        case="NN",
-        kind="nn_eta",
-        values=values,
-        locations=locations,
-        monotonicity=direction,
-        stop_reason="n_max reached",
-        sign_changes=sign_changes,
-        notes=notes,
-    )
+    return IterationTrace(values=values, monotonicity=direction, sign_changes=sign_changes, notes=notes)

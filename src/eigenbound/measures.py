@@ -4,8 +4,9 @@ For L = a(x) d^2/dx^2 + b(x) d/dx on (0, D) the cumulant is
 C(x) = int_0^x b/a, the speed measure has density e^C / a and the scale
 measure has density e^{-C}.  A MeasureTable carries both measures as
 cumulative and tail columns on an adaptive grid, plus per-panel masses and
-first moments so that grid functions can be integrated against either
-measure with second-order accuracy in two linear passes.
+the node weights their first moments give, so that grid functions can be
+integrated against either measure with second-order accuracy in two linear
+passes.
 
 Quadrature: each grid panel is integrated by a 7-point Gauss-Legendre rule,
 with the error estimated by comparing against the two half-panel rules
@@ -93,9 +94,6 @@ class ProblemSpec:
     grid_size: int = 2000
     truncation_schedule: tuple[float, ...] = _DEFAULT_SCHEDULE
     tolerances: Tolerances = field(default_factory=Tolerances)
-    a_text: str = ""
-    b_text: str = ""
-    preset: str | None = None
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -140,12 +138,10 @@ def make_problem(
         if preset not in expr.PRESETS:
             raise ValueError(f"unknown preset {preset!r} (have {sorted(expr.PRESETS)})")
         a_ast, b_ast = expr.PRESETS[preset]
-        a_text, b_text = expr.to_text(a_ast), expr.to_text(b_ast)
     else:
         if a is None or b is None:
             raise ValueError("either preset or both a and b must be given")
         a_ast, b_ast = _parse_coefficient("a", a), _parse_coefficient("b", b)
-        a_text, b_text = a, b
     if isinstance(D, str):
         D = math.inf if D.strip().lower() in ("inf", "infinity") else float(D)
     return ProblemSpec(
@@ -156,9 +152,6 @@ def make_problem(
         grid_size=grid_size,
         truncation_schedule=tuple(truncation_schedule) if truncation_schedule else _DEFAULT_SCHEDULE,
         tolerances=tolerances or Tolerances(),
-        a_text=a_text,
-        b_text=b_text,
-        preset=preset,
     )
 
 
@@ -273,8 +266,9 @@ class MeasureTable:
     """Cumulative measure tables on a refined grid over (0, right_end).
 
     Column conventions: grid has M+1 strictly increasing nodes from 0 to
-    right_end; d* and *_centroid are per-panel (length M); cumulative and
-    tail columns are per-node (length M+1) with cum[0] = tail[M] = 0.
+    right_end; d* and the *_wL/*_wR weights are per-panel (length M);
+    cumulative and tail columns are per-node (length M+1) with
+    cum[0] = tail[M] = 0.
     Flags record masses that overflowed the guard; flagged totals mean
     "infinite" to the criterion logic regardless of the capped float.
     """
@@ -285,8 +279,6 @@ class MeasureTable:
     Cvals: np.ndarray
     dmu: np.ndarray
     dnu: np.ndarray
-    mu_centroid: np.ndarray
-    nu_centroid: np.ndarray
     mu_cum: np.ndarray
     nu_cum: np.ndarray
     mu_tail: np.ndarray
@@ -295,10 +287,10 @@ class MeasureTable:
     nu_divergent: bool
     quad_residual: float
     # per-panel linear-exact weights for integrating grid functions
-    mu_wL: np.ndarray = field(repr=False, default=None)
-    mu_wR: np.ndarray = field(repr=False, default=None)
-    nu_wL: np.ndarray = field(repr=False, default=None)
-    nu_wR: np.ndarray = field(repr=False, default=None)
+    mu_wL: np.ndarray = field(repr=False)
+    mu_wR: np.ndarray = field(repr=False)
+    nu_wL: np.ndarray = field(repr=False)
+    nu_wR: np.ndarray = field(repr=False)
 
     @property
     def n_panels(self) -> int:
@@ -312,12 +304,12 @@ class MeasureTable:
         """The same measures under x -> right_end - x, in O(M).
 
         The mirror swaps head and tail: cum and tail columns trade places,
-        so do the left/right panel weights, and the centroids reflect.  The
-        masses are moved, not recomputed, so every ND formula evaluated here
-        is the DN formula of this table read backwards.  Node j of the
-        mirror is node M - j of this table.  C keeps its additive constant,
-        so exp(-C) stays the density of the moved scale masses.  `problem`
-        is this table's own; its coefficients are not mirrored.
+        and so do the left/right panel weights.  The masses are moved, not
+        recomputed, so every ND formula evaluated here is the DN formula of
+        this table read backwards.  Node j of the mirror is node M - j of
+        this table.  C keeps its additive constant, so exp(-C) stays the
+        density of the moved scale masses.  `problem` is this table's own;
+        its coefficients are not mirrored.
         """
         r = self.right_end
         return replace(
@@ -326,8 +318,6 @@ class MeasureTable:
             Cvals=self.Cvals[::-1].copy(),
             dmu=self.dmu[::-1].copy(),
             dnu=self.dnu[::-1].copy(),
-            mu_centroid=r - self.mu_centroid[::-1],
-            nu_centroid=r - self.nu_centroid[::-1],
             mu_cum=self.mu_tail[::-1].copy(),
             nu_cum=self.nu_tail[::-1].copy(),
             mu_tail=self.mu_cum[::-1].copy(),
@@ -565,15 +555,13 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     cen_mu = np.clip(np.nan_to_num(cen_mu, nan=0.0), edges[:-1], edges[1:])
     cen_nu = np.clip(np.nan_to_num(cen_nu, nan=0.0), edges[:-1], edges[1:])
 
-    table = MeasureTable(
+    return MeasureTable(
         problem=problem,
         right_end=float(right_end),
         grid=edges,
         Cvals=cvals,
         dmu=dmu,
         dnu=dnu,
-        mu_centroid=cen_mu,
-        nu_centroid=cen_nu,
         mu_cum=mu_cum,
         nu_cum=nu_cum,
         mu_tail=mu_tail,
@@ -581,12 +569,11 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
         mu_divergent=mu_divergent,
         nu_divergent=nu_divergent,
         quad_residual=worst,
+        mu_wL=dmu * (edges[1:] - cen_mu) / widths,
+        mu_wR=dmu * (cen_mu - edges[:-1]) / widths,
+        nu_wL=dnu * (edges[1:] - cen_nu) / widths,
+        nu_wR=dnu * (cen_nu - edges[:-1]) / widths,
     )
-    table.mu_wL = dmu * (edges[1:] - cen_mu) / widths
-    table.mu_wR = dmu * (cen_mu - edges[:-1]) / widths
-    table.nu_wL = dnu * (edges[1:] - cen_nu) / widths
-    table.nu_wR = dnu * (cen_nu - edges[:-1]) / widths
-    return table
 
 
 def prefix_integral(table: MeasureTable, values: np.ndarray, measure: str = "mu") -> np.ndarray:

@@ -249,13 +249,11 @@ def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationTrace]
 
 def dual_table(table: MeasureTable) -> MeasureTable:
     """Swap the roles of the two measures (the dual operator's table)."""
-    swapped = replace(
+    return replace(
         table,
         Cvals=-table.Cvals,
         dmu=table.dnu.copy(),
         dnu=table.dmu.copy(),
-        mu_centroid=table.nu_centroid.copy(),
-        nu_centroid=table.mu_centroid.copy(),
         mu_cum=table.nu_cum.copy(),
         nu_cum=table.mu_cum.copy(),
         mu_tail=table.nu_tail.copy(),
@@ -267,22 +265,6 @@ def dual_table(table: MeasureTable) -> MeasureTable:
         nu_wL=table.mu_wL.copy(),
         nu_wR=table.mu_wR.copy(),
     )
-    return swapped
-
-def duality_pair(problem: ProblemSpec, N: int | None = None) -> tuple[float, float]:
-    """ND eigenvalue of the operator and DN eigenvalue of its measure-swapped dual.
-
-    The dual swaps the two measures and exchanges the boundary labels; both
-    eigenvalues coincide in exact arithmetic.  The solver works directly on
-    the measure tables, so the dual is literally the column-swapped table.
-    """
-    if problem.is_infinite:
-        raise RangeError("duality check runs on finite intervals")
-    n = N or problem.grid_size
-    table = build_tables(replace(problem, grid_size=n, case="ND"), problem.D)
-    lam_nd = solve_on_table(table, "ND").lambda_
-    lam_dn_dual = solve_on_table(dual_table(table), "DN").lambda_
-    return lam_nd, lam_dn_dual
 
 
 def eigen_residuals(sol: EigenSolution) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerationError, DomainError
-from .measures import prefix_integral
+from .measures import prefix_integral, suffix_integral
 from .testfn import GridFunction
 
 
@@ -33,23 +33,13 @@ class OperatorValue:
 
     values: np.ndarray  # +inf marker outside the window
     window: np.ndarray  # boolean mask
-    inf: float
     sup: float
-    argmax_x: float
 
 
-def _finalize(kind: str, x: np.ndarray, values: np.ndarray, window: np.ndarray) -> OperatorValue:
+def _finalize(kind: str, values: np.ndarray, window: np.ndarray) -> OperatorValue:
     if not window.any():
         raise DegenerationError(f"{kind}: empty evaluation window")
-    wvals = values[window]
-    imax = int(np.argmax(wvals))
-    return OperatorValue(
-        values=np.where(window, values, np.inf),
-        window=window,
-        inf=float(np.min(wvals)),
-        sup=float(wvals[imax]),
-        argmax_x=float(x[window][imax]),
-    )
+    return OperatorValue(np.where(window, values, np.inf), window, float(np.max(values[window])))
 
 
 def single_integral_form(f: GridFunction) -> OperatorValue:
@@ -63,7 +53,7 @@ def single_integral_form(f: GridFunction) -> OperatorValue:
     with np.errstate(divide="ignore", invalid="ignore"):
         values = -table.exp_negC() / f.deriv * inner
     window = (f.deriv < 0) & np.isfinite(values)
-    return _finalize("single_integral", table.grid, values, window)
+    return _finalize("single_integral", values, window)
 
 
 def double_integral_form(f: GridFunction) -> tuple[OperatorValue, GridFunction]:
@@ -76,8 +66,7 @@ def double_integral_form(f: GridFunction) -> tuple[OperatorValue, GridFunction]:
     """
     table = f.table
     inner = prefix_integral(table, f.values, "mu")
-    terms = table.nu_wL * inner[:-1] + table.nu_wR * inner[1:]
-    product_vals = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+    product_vals = suffix_integral(table, inner, "nu")
     product_deriv = -table.exp_negC() * inner
 
     positive = f.values > 0
@@ -88,5 +77,5 @@ def double_integral_form(f: GridFunction) -> tuple[OperatorValue, GridFunction]:
         values = product_vals / f.values
     # at an endpoint where f vanishes the ratio is excluded by positivity
     window = positive & np.isfinite(values)
-    op = _finalize("double_integral", table.grid, values, window)
+    op = _finalize("double_integral", values, window)
     return op, GridFunction(table, product_vals, product_deriv)

@@ -63,7 +63,8 @@ def test_criterion_2_basic_bracket(suite):
     ok = True
     worst = ""
     for name, problem, table, lam in suite:
-        lo, hi = bounds.basic_bounds(problem.case, table)
+        rep = bounds.compute_report(problem.case, table)
+        lo, hi = rep.lower_basic, rep.upper_basic
         good = lo - 1e-6 <= lam <= hi + 1e-6
         ok &= good
         if not good:
@@ -156,10 +157,12 @@ def test_criterion_6_duality(suite):
         dict(a="1+x^2", b="0", D=1.0, case="ND"),
     ):
         problem = measures.make_problem(**kw)
-        lam_nd, lam_dn = oracle.duality_pair(problem)
         table = measures.build_tables(problem, problem.D)
+        dual = oracle.dual_table(table)
+        lam_nd = oracle.solve_on_table(table, "ND").lambda_
+        lam_dn = oracle.solve_on_table(dual, "DN").lambda_
         d, _ = bounds.delta("ND", table)
-        d_dual, _ = bounds.delta("DN", oracle.dual_table(table))
+        d_dual, _ = bounds.delta("DN", dual)
         lam_ok = abs(lam_nd - lam_dn) <= 1e-3 * abs(lam_nd)
         delta_ok = abs(d - d_dual) <= SLACK
         ok &= lam_ok and delta_ok

@@ -44,20 +44,22 @@ class TestDelta:
 class TestBasicBounds:
     def test_laplacian_brackets_analytic_value(self, lap_nd, lap_dn):
         for table, case in ((lap_nd, "ND"), (lap_dn, "DN")):
-            lo, hi = bounds.basic_bounds(case, table)
+            rep = bounds.compute_report(case, table)
+            lo, hi = rep.lower_basic, rep.upper_basic
             assert lo == pytest.approx(1.0, abs=1e-8)
             assert hi == pytest.approx(4.0, abs=1e-7)
             assert lo <= C.PI_SQ_OVER_4 <= hi
 
     def test_zero_marker(self):
-        assert bounds.basic_bounds("ND", flagged_nd_table()) == (0.0, 0.0)
+        # a zero eigenvalue is the (0, 0) bracket, with nothing improved
+        rep = bounds.zero_report("DN")
+        assert (rep.case, rep.lower_basic, rep.upper_basic) == ("DN", 0.0, 0.0)
+        assert rep.lower_improved is None and rep.upper_improved is None
 
     @pytest.mark.parametrize("D", [1e-155, 1e-160])
     def test_unresolvable_delta_is_a_degeneration(self, D):
         # delta underflows to a subnormal (1/delta = inf) or to 0
         table = C.make_table(preset="laplacian", D=D, case="ND", grid_size=64)
-        with pytest.raises(DegenerationError):
-            bounds.basic_bounds("ND", table)
         with pytest.raises(DegenerationError):
             bounds.compute_report("ND", table)
 

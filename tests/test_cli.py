@@ -417,6 +417,20 @@ class TestUnresolvableProblems:
         assert code == 3 and err["type"] == "HypothesisViolationError"
         assert "x = 0.49999" in err["message"]
 
+    @pytest.mark.parametrize("argv, overflowed", [
+        (["bounds", "--a", "1", "--b", "0", "--D", "1e300", "--case", "ND"],
+         "product of the speed-measure mass of (0, x) and the scale-measure mass"),
+        (["bounds", "--a", "1", "--b", "-50*x", "--D", "10", "--case", "DN"],
+         "the scale-measure mass over (0, 10) overflowed"),
+    ], ids=["ND-D1e300", "DN-b-50x"])
+    def test_overflow_on_a_finite_interval_exit_4(self, argv, overflowed, capsys):
+        # every mass on a finite (0, D) is finite, so an overflow there is a
+        # float-range failure, never a certified zero eigenvalue
+        code = cli.main(argv)
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 4 and err["type"] == "DegenerationError"
+        assert overflowed in err["message"]
+
     @staticmethod
     def non_finite(node):
         if isinstance(node, dict):
@@ -439,3 +453,45 @@ class TestUnresolvableProblems:
             assert out["error"]["exit_code"] == code
         if (command, D) == ("bounds", "1e-100"):
             assert code == 0
+
+
+class TestReportKeys:
+    """The keys each command reports under "results", and verify's verdicts."""
+
+    SEQUENCES = {
+        "ND": {"delta_n", "delta_n_monotonicity", "lower_bounds", "delta_n_prime",
+               "delta_n_prime_monotonicity", "upper_bounds", "window_locations", "dbar_n"},
+        "DN": {"delta_n", "delta_n_monotonicity", "lower_bounds", "delta_n_prime",
+               "delta_n_prime_monotonicity", "upper_bounds", "window_locations"},
+        "NN": {"eta_n", "eta_n_monotonicity", "gap_lower_bounds", "sign_changes", "notes"},
+    }
+    VERIFY = {
+        "ND": {"delta_n", "delta_n_prime", "dbar_n", "duality"},
+        "DN": {"delta_n", "delta_n_prime", "duality"},
+        "NN": {"eta_n", "eta_monotonicity"},
+    }
+    VERDICTS = {
+        "ND": ["basic_bracket", "improved_chain", "delta1_prime_containment", "iterated_bracket",
+               "lower_sequence_monotone", "eigen_identities", "duality", "oracle_residual"],
+        "DN": ["basic_bracket", "improved_chain", "delta1_prime_containment", "iterated_bracket",
+               "lower_sequence_monotone", "upper_sequence_monotone", "eigen_identities", "duality",
+               "oracle_residual"],
+        "NN": ["gap_lower_bounds", "eta_direction_consistent", "oracle_residual"],
+    }
+
+    @staticmethod
+    def results(command, case, capsys):
+        code = cli.main([command, "--a", "1", "--b", "0", "--D", "1", "--case", case,
+                         "--grid-size", "400", "--n-max", "2"])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    @pytest.mark.parametrize("case", ["ND", "DN", "NN"])
+    def test_iterate_keys(self, case, capsys):
+        assert set(self.results("iterate", case, capsys)) == self.SEQUENCES[case] | {"right_end_used"}
+
+    @pytest.mark.parametrize("case", ["ND", "DN", "NN"])
+    def test_verify_keys(self, case, capsys):
+        results = self.results("verify", case, capsys)
+        assert set(results) == self.VERIFY[case] | {"lambda_oracle", "bounds", "residual", "verdicts"}
+        assert [v["check"] for v in results["verdicts"]] == self.VERDICTS[case]

@@ -9,7 +9,7 @@ are deterministic, so these are regression tests, not flaky fuzz.
 import numpy as np
 import pytest
 
-from eigenbound import bounds, iterate, measures, oracle
+from eigenbound import bounds, expr, iterate, measures, oracle
 
 SLACK = 10 * measures.Tolerances().bound_refine
 
@@ -24,6 +24,10 @@ def random_problem(rng, case):
     return measures.make_problem(a=a, b=b, D=D, case=case, grid_size=800)
 
 
+def describe(problem):
+    return f"a={expr.to_text(problem.a)}, b={expr.to_text(problem.b)}, D={problem.D}"
+
+
 @pytest.mark.parametrize("case", ["ND", "DN"])
 def test_random_smooth_coefficients_bracket(case):
     rng = np.random.default_rng(hash(case) % 2**32)
@@ -32,7 +36,7 @@ def test_random_smooth_coefficients_bracket(case):
         table = measures.build_tables(problem, problem.D)
         rep = bounds.compute_report(case, table)
         lam = oracle.fd_eigensolve(problem).lambda_
-        label = f"a={problem.a_text}, b={problem.b_text}, D={problem.D}, {case}"
+        label = f"{describe(problem)}, {case}"
         assert rep.lower_basic - 1e-6 <= lam <= rep.upper_basic + 1e-6, label
         assert rep.lower_basic <= rep.lower_improved + SLACK, label
         assert rep.lower_improved <= lam + SLACK, label
@@ -51,7 +55,7 @@ def test_random_smooth_coefficients_gap():
         table = measures.build_tables(problem, problem.D)
         gap = oracle.fd_eigensolve(problem).lambda_
         eta = iterate.eta_sequence(table, 3)
-        label = f"a={problem.a_text}, b={problem.b_text}, D={problem.D}"
+        label = describe(problem)
         assert all(b <= gap * (1 + 1e-2) for b in eta.bounds()), label
         assert eta.monotonicity in ("non-increasing", "non-decreasing", "constant"), label
 
@@ -60,7 +64,7 @@ def test_random_duality(ou_nd_3):
     rng = np.random.default_rng(3)
     for _ in range(5):
         problem = random_problem(rng, "ND")
-        lam_nd, lam_dn = oracle.duality_pair(problem)
-        assert abs(lam_nd - lam_dn) <= 1e-3 * abs(lam_nd), (
-            f"a={problem.a_text}, b={problem.b_text}, D={problem.D}"
-        )
+        table = measures.build_tables(problem, problem.D)
+        lam_nd = oracle.solve_on_table(table, "ND").lambda_
+        lam_dn = oracle.solve_on_table(oracle.dual_table(table), "DN").lambda_
+        assert abs(lam_nd - lam_dn) <= 1e-3 * abs(lam_nd), describe(problem)

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as C
-from eigenbound import bounds, measures, oracle
+from eigenbound import bounds, cli, measures, oracle
 from eigenbound.errors import RangeError
 
 
@@ -82,7 +83,8 @@ class TestEigensolve:
         p = measures.make_problem(a="sqrt(x)", b="0", D=1.0, case="ND", grid_size=1000)
         table = measures.build_tables(p, 1.0)
         sol = oracle.fd_eigensolve(p)
-        lo, hi = bounds.basic_bounds("ND", table)
+        rep = bounds.compute_report("ND", table)
+        lo, hi = rep.lower_basic, rep.upper_basic
         assert lo - 1e-6 <= sol.lambda_ <= hi + 1e-6
         assert abs(oracle.fd_eigensolve(p, 2000).lambda_ - sol.lambda_) <= 1e-5
         assert oracle.eigen_residuals(sol)["ii_deviation"] <= 5e-3
@@ -180,17 +182,23 @@ class TestInfiniteDomainLimit:
         assert trace.monotone_decreasing
 
 
+def duality_pair(table):
+    """ND eigenvalue on the table and DN eigenvalue on its measure-swapped dual."""
+    return (
+        oracle.solve_on_table(table, "ND").lambda_,
+        oracle.solve_on_table(oracle.dual_table(table), "DN").lambda_,
+    )
+
+
 class TestDuality:
-    def test_laplacian_self_dual(self):
-        p = measures.make_problem(preset="laplacian", D=1.0, case="ND")
-        lam_nd, lam_dn = oracle.duality_pair(p)
+    def test_laplacian_self_dual(self, lap_nd):
+        lam_nd, lam_dn = duality_pair(lap_nd)
         assert lam_nd == pytest.approx(C.PI_SQ_OVER_4, rel=2e-4)
         assert lam_dn == pytest.approx(C.PI_SQ_OVER_4, rel=2e-4)
 
     def test_ou_pair_two_grids(self):
-        p = measures.make_problem(preset="ou", D=3.0, case="ND")
         for n in (1000, 2000):
-            lam_nd, lam_dn = oracle.duality_pair(p, n)
+            lam_nd, lam_dn = duality_pair(C.make_table(preset="ou", D=3.0, case="ND", grid_size=n))
             assert abs(lam_nd - lam_dn) <= 1e-3 * abs(lam_nd)
 
     def test_delta_matches_dual_delta(self, ou_nd_3):
@@ -199,7 +207,10 @@ class TestDuality:
         d_dual, _ = bounds.delta("DN", oracle.dual_table(ou_nd_3))
         assert abs(d - d_dual) <= 10 * eps
 
-    def test_infinite_interval_rejected(self):
-        p = measures.make_problem(preset="ou", D="inf", case="ND")
-        with pytest.raises(RangeError):
-            oracle.duality_pair(p)
+    def test_infinite_interval_rejected(self, capsys):
+        # the duality check runs on finite intervals only: verify on (0, inf)
+        # reports neither the dual pair nor its verdict
+        code = cli.main(["verify", "--a", "1", "--b", "-x", "--D", "inf", "--case", "DN"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and "duality" not in results
+        assert "duality" not in {v["check"] for v in results["verdicts"]}

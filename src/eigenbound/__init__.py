@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .bounds import BoundsReport, compute_report, delta, delta1, delta1_prime
 from .errors import (
     ConfigError,
-    CriterionDegenerateError,
     DegenerationError,
-    DivergenceError,
     DomainError,
     EigenboundError,
     HypothesisViolationError,
@@ -48,9 +46,7 @@ __all__ = [
     "__version__",
     "BoundsReport",
     "ConfigError",
-    "CriterionDegenerateError",
     "DegenerationError",
-    "DivergenceError",
     "DomainError",
     "EigenboundError",
     "EigenSolution",

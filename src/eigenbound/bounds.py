@@ -12,8 +12,10 @@ sharpens this to the improved constants delta1 (lower side) and delta1'
 Every supremum is a full grid scan followed by derivative-free
 golden-section refinement on the bracketing panels; the objectives are
 continuous but only piecewise smooth through the tables, so no derivatives
-are assumed.  Divergence is decided from the overflow flags of the table,
-never by comparing floats against a cap.
+are assumed.  Every table covers a finite interval, where the constant is
+finite (measures.build_tables refuses a table whose masses overflow), so
+the constant is infinite only on (0, inf), where the hypothesis probe's
+mass trace decides it and zero_report gives the report.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionDegenerateError, DegenerationError
+from .errors import DegenerationError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, prefix_integral, suffix_integral, walk_truncations
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,21 +80,13 @@ def _back(case: str, table: MeasureTable, x: float) -> float:
     return x if case == "ND" else table.right_end - x
 
 
-def require_finite(table: MeasureTable) -> None:
-    """Raise when a flagged mass makes the criterion constant infinite."""
-    if table.mu_divergent or table.nu_divergent:
-        raise CriterionDegenerateError("criterion constant is infinite, eigenvalue is 0")
-
-
 def delta(case: str, table: MeasureTable) -> tuple[float, float]:
-    """The criterion constant and its argmax; inf when a flagged mass makes it so.
+    """The criterion constant and its argmax.
 
     ND: sup of mu(0,x) * nu(x,D).  DN and NN: sup of nu(0,x) * mu(x,D), the
     same supremum on the mirrored table.
     """
     t = _oriented(case, table)
-    if table.mu_divergent or table.nu_divergent:
-        return math.inf, math.nan
     node_vals = t.mu_cum * t.nu_tail
 
     def objective(x):
@@ -118,7 +112,6 @@ def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step lower-bound constant: the supremum the seed function
     produces under the double-integral transform, via prefix/suffix sums."""
     t = _oriented(case, table)
-    require_finite(table)
     g = t.grid
     seed = t.nu_tail
     s = np.sqrt(seed)
@@ -145,7 +138,6 @@ def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step upper-bound constant (the x1 -> D limit of the localized
     family); always lands in [delta, 2*delta]."""
     t = _oriented(case, table)
-    require_finite(table)
     seed = t.nu_tail
     tail_sq = suffix_integral(t, seed**2, "mu")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -194,7 +186,8 @@ class BoundsReport:
 
 
 def zero_report(case: str) -> BoundsReport:
-    """The report of a zero eigenvalue: infinite criterion constant, (0, 0) bracket."""
+    """The report of a zero eigenvalue on (0, inf): infinite criterion
+    constant, (0, 0) bracket."""
     return BoundsReport(
         case=case,
         delta=math.inf,
@@ -235,8 +228,6 @@ def compute_report(
     and are left unset there.
     """
     d, xd = criterion if criterion is not None else delta(case, table)
-    if math.isinf(d):
-        return zero_report(case)
     upper = _reciprocal("delta", d, table.right_end)
     lower = 1.0 / (4.0 * d)  # finite with 1/delta
     if case == "NN":

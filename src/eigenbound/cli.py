@@ -22,9 +22,7 @@ import numpy as np
 from . import __version__, bounds, iterate, measures, oracle
 from .errors import (
     ConfigError,
-    CriterionDegenerateError,
     DegenerationError,
-    DivergenceError,
     DomainError,
     HypothesisViolationError,
     RangeError,
@@ -264,26 +262,6 @@ def _hypothesis_summary(rep: measures.HypothesisReport) -> dict:
     }
 
 
-def _require_float_range(table: measures.MeasureTable) -> None:
-    """Under the hypothesis every mass on a finite (0, D) is finite, and so is
-    the criterion constant; a flagged mass or a criterion product that
-    overflows is a float-range failure there, not a zero eigenvalue."""
-    D = table.right_end
-    for name, flagged in (("speed", table.mu_divergent), ("scale", table.nu_divergent)):
-        if flagged:
-            raise DegenerationError(f"the {name}-measure mass over (0, {D:g}) overflowed the float range")
-    with np.errstate(over="ignore"):
-        if table.problem.case == "ND":
-            product, head, tail = table.mu_cum * table.nu_tail, "speed", "scale"
-        else:
-            product, head, tail = table.nu_cum * table.mu_tail, "scale", "speed"
-    if not np.isfinite(product).all():
-        raise DegenerationError(
-            f"the product of the {head}-measure mass of (0, x) and the {tail}-measure "
-            f"mass of (x, {D:g}) overflowed the float range"
-        )
-
-
 def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[dict]:
     """The pipeline every command runs, once per problem.
 
@@ -322,7 +300,6 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
             table = walk.table
         else:
             walk, table = None, measures.build_tables(problem, problem.D)
-            _require_float_range(table)
         return report | body(table, walk), table
 
     runs = [run_one(problem) for problem in cfg.problems()]
@@ -670,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = _error_payload(exc, 2), 2
     except HypothesisViolationError as exc:
         payload, code = _error_payload(exc, 3), 3
-    except (DegenerationError, DivergenceError, CriterionDegenerateError, DomainError) as exc:
+    except (DegenerationError, DomainError) as exc:
         payload, code = _error_payload(exc, 4), 4
     except OSError as exc:  # the --format csv table dump next to --out
         _emit(_error_payload(exc, 2), None)

@@ -2,7 +2,10 @@
 
 Every error carries enough context to be mapped onto the CLI's exit-code
 contract: config errors exit 2, hypothesis violations exit 3, numerical
-degenerations exit 4, failed bracketing verdicts exit 5.
+degenerations exit 4, failed bracketing verdicts exit 5.  No error means a
+zero eigenvalue: on a finite interval every mass is finite, so a table that
+overflows is a degeneration, and on (0, inf) a divergent mass is reported,
+not raised.
 """
 
 from __future__ import annotations
@@ -36,20 +39,13 @@ class RangeError(EigenboundError):
     """Argument outside the interval or ordering required by an operation."""
 
 
-class DivergenceError(EigenboundError):
-    """A mass that the boundary case requires to be finite overflowed the guard."""
-
-
 class HypothesisViolationError(EigenboundError):
     """Coefficient hypothesis failed: a not positive, or a weight not locally integrable."""
 
 
 class DegenerationError(EigenboundError):
-    """An iteration lost the structure it needs (positivity, non-vanishing window)."""
-
-
-class CriterionDegenerateError(EigenboundError):
-    """The positivity criterion already decided the eigenvalue is zero."""
+    """A computation left what floats resolve: a table's masses overflowed, or an
+    iteration lost the structure it needs (positivity, non-vanishing window)."""
 
 
 class ConfigError(EigenboundError):

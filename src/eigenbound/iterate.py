@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import require_finite
-from .errors import DegenerationError, DivergenceError
+from .errors import DegenerationError
 from .measures import MeasureTable, prefix_integral, suffix_integral
 from .testfn import GridFunction, power, seed_function
 from .variational import double_integral_form
@@ -80,7 +79,6 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
         raise ValueError("n_max must be at least 1")
     if case not in ("ND", "DN"):
         raise ValueError("lower sequence is defined for the ND and DN cases")
-    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     oriented, grid = (table.mirrored(), table.grid[::-1]) if case == "DN" else (table, table.grid)
     f = power(seed_function(oriented), 0.5)
@@ -236,7 +234,6 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
     i0s = _index_candidates(0, m - 1, _COARSE)
@@ -264,9 +261,6 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if table.mu_divergent:
-        raise DivergenceError("speed mass is flagged infinite; the DN eigenvalue is 0")
-    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
     eval_window = _window_evaluator(table.mirrored())
@@ -295,9 +289,6 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if table.mu_divergent:
-        raise DivergenceError("speed mass is flagged infinite; the gap setting degenerates")
-    require_finite(table)
     eps = table.problem.tolerances.bound_refine
     grid = table.grid
     n_nodes = len(grid)

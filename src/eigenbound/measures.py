@@ -21,15 +21,18 @@ at a time, left to right in node order: the order np.sum(w * X, axis=1)
 adds a 7-wide row, so every sum is the reduction's to the bit, at about a
 third of its cost.  X @ w would be faster still but rounds differently.
 
-Masses that overflow the 1e300 guard are capped and flagged; the positivity
-criterion treats a flagged mass as infinite, it never compares raw floats.
-On an infinite interval a required mass diverges when its value at a
+Every table covers a finite interval, where every mass is finite.  A mass
+over the 1e300 guard there, or a criterion product head x tail that leaves
+the float range, is a float-range failure: build_tables raises
+DegenerationError naming it, and no table carries an overflowed value.  Only
+on an infinite interval can a required mass diverge: when its value at a
 truncation point reaches the guard, or when it keeps growing along the
 truncation schedule by more than the quadrature noise floor (the quadrature
 tolerance times the mass); the values at all truncation points are read off
 one table whose nodes include every point.  Every bound and eigenvalue on an
 infinite interval comes from one loop, walk_truncations, which tabulates
-(0, p) along the schedule until the caller's quantity settles.
+(0, p) along the schedule until the caller's quantity settles; a truncation
+whose table overflows ends the walk on the last table that did not.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import numpy as np
 from . import expr
 from .errors import (
     DegenerationError,
-    DivergenceError,
     HypothesisViolationError,
     LexError,
     ParseError,
@@ -268,9 +270,8 @@ class MeasureTable:
     Column conventions: grid has M+1 strictly increasing nodes from 0 to
     right_end; d* and the *_wL/*_wR weights are per-panel (length M);
     cumulative and tail columns are per-node (length M+1) with
-    cum[0] = tail[M] = 0.
-    Flags record masses that overflowed the guard; flagged totals mean
-    "infinite" to the criterion logic regardless of the capped float.
+    cum[0] = tail[M] = 0.  Every mass, and the case's criterion product of
+    head and tail masses, is finite (build_tables refuses a table otherwise).
     """
 
     problem: ProblemSpec
@@ -283,8 +284,6 @@ class MeasureTable:
     nu_cum: np.ndarray
     mu_tail: np.ndarray
     nu_tail: np.ndarray
-    mu_divergent: bool
-    nu_divergent: bool
     quad_residual: float
     # per-panel linear-exact weights for integrating grid functions
     mu_wL: np.ndarray = field(repr=False)
@@ -505,9 +504,11 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     panel mass once that exceeds 1); failing panels are split in half and the
     grid keeps the splits.  A panel still over tolerance after refinement
     raises HypothesisViolationError: a weight that is not integrable there
-    would otherwise enter the masses as a finite number.  A speed-measure
-    overflow raises DivergenceError for the DN/NN cases, which need that
-    mass finite.
+    would otherwise enter the masses as a finite number.  A panel mass that
+    is not finite, a mass total over OVERFLOW_GUARD, or a criterion product
+    (speed head x scale tail for ND, scale head x speed tail for DN and NN)
+    that overflows raises DegenerationError naming it: on a finite interval
+    each is a float-range failure, not a divergent mass.
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
@@ -529,23 +530,24 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
             "a coefficient weight looks non-integrable there"
         )
 
-    # non-finite increments mean an overflowed density; cap and flag
-    mu_divergent = bool((~np.isfinite(dmu)).any() or np.nansum(dmu) > OVERFLOW_GUARD)
-    nu_divergent = bool((~np.isfinite(dnu)).any() or np.nansum(dnu) > OVERFLOW_GUARD)
-    dmu = np.nan_to_num(dmu, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
-    dnu = np.nan_to_num(dnu, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD)
-
-    if mu_divergent and problem.case in ("DN", "NN"):
-        raise DivergenceError(
-            f"speed-measure mass over (0, {right_end}) exceeds the overflow guard; "
-            f"the {problem.case} case requires it finite"
-        )
-
+    for name, d in (("speed", dmu), ("scale", dnu)):
+        if not np.isfinite(d).all() or d.sum() > OVERFLOW_GUARD:
+            raise DegenerationError(
+                f"the {name}-measure mass over (0, {right_end:g}) overflowed the float range"
+            )
     cvals = _prefix_from_panels(dc)
-    mu_cum = np.minimum(_prefix_from_panels(dmu), OVERFLOW_GUARD)
-    nu_cum = np.minimum(_prefix_from_panels(dnu), OVERFLOW_GUARD)
-    mu_tail = np.minimum(_suffix_from_panels(dmu), OVERFLOW_GUARD)
-    nu_tail = np.minimum(_suffix_from_panels(dnu), OVERFLOW_GUARD)
+    mu_cum, nu_cum = _prefix_from_panels(dmu), _prefix_from_panels(dnu)
+    mu_tail, nu_tail = _suffix_from_panels(dmu), _suffix_from_panels(dnu)
+    with np.errstate(over="ignore"):
+        if problem.case == "ND":
+            product, head, tail = mu_cum * nu_tail, "speed", "scale"
+        else:
+            product, head, tail = nu_cum * mu_tail, "scale", "speed"
+    if not np.isfinite(product).all():
+        raise DegenerationError(
+            f"the product of the {head}-measure mass of (0, x) and the {tail}-measure "
+            f"mass of (x, {right_end:g}) overflowed the float range"
+        )
 
     widths = edges[1:] - edges[:-1]
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -566,8 +568,6 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
         nu_cum=nu_cum,
         mu_tail=mu_tail,
         nu_tail=nu_tail,
-        mu_divergent=mu_divergent,
-        nu_divergent=nu_divergent,
         quad_residual=worst,
         mu_wL=dmu * (edges[1:] - cen_mu) / widths,
         mu_wR=dmu * (cen_mu - edges[:-1]) / widths,
@@ -616,9 +616,11 @@ def walk_truncations(
     ``quantity`` maps a table to (value, result).  The walk stops when two
     successive values differ by at most ``tolerance(value)``, at a value
     that is not finite, or when a table or its quantity raises
-    DivergenceError or DegenerationError; the stop reason says which.  A
-    HypothesisViolationError propagates: a coefficient that breaks the
-    hypothesis on some (0, p) breaks it on (0, inf).
+    DegenerationError (a table whose masses leave the float range is one);
+    it then keeps the last table that did not, unsettled, and the stop
+    reason says which.  A HypothesisViolationError propagates: a
+    coefficient that breaks the hypothesis on some (0, p) breaks it on
+    (0, inf).
     """
     points: list[float] = []
     values: list[float] = []
@@ -628,7 +630,7 @@ def walk_truncations(
         try:
             cand = build_tables(truncate(problem, p), p)
             value, out = quantity(cand)
-        except (DivergenceError, DegenerationError) as exc:
+        except DegenerationError as exc:
             stop_reason = f"stopped at truncation {p}: {exc}"
             break
         points.append(p)

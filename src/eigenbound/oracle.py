@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import variational
-from .errors import DegenerationError, DivergenceError, RangeError
+from .errors import DegenerationError, RangeError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, build_tables, walk_truncations
 from .testfn import GridFunction, gradient
 
@@ -37,10 +37,6 @@ class EigenSolution:
     residual: float
     N: int
     rayleigh: float
-
-    def __post_init__(self):
-        if self.lambda_ < -1e-12:
-            raise DegenerationError(f"negative eigenvalue {self.lambda_}: matrix not PSD")
 
 
 def _merged_panels(table: MeasureTable):
@@ -76,8 +72,6 @@ def _assemble(table: MeasureTable, case: str):
     matrix rows to (merged) grid nodes.
     """
     kidx, dnu, dmu = _merged_panels(table)
-    if not (np.isfinite(dnu).all() and np.isfinite(dmu).all()):
-        raise DivergenceError("measure panels overflowed; cannot assemble the scheme")
     if np.any(dnu <= 0):
         raise DegenerationError("degenerate scale-measure panel; grid too coarse here")
     m = len(dnu)
@@ -258,8 +252,6 @@ def dual_table(table: MeasureTable) -> MeasureTable:
         nu_cum=table.mu_cum.copy(),
         mu_tail=table.nu_tail.copy(),
         nu_tail=table.mu_tail.copy(),
-        mu_divergent=table.nu_divergent,
-        nu_divergent=table.mu_divergent,
         mu_wL=table.nu_wL.copy(),
         mu_wR=table.nu_wR.copy(),
         nu_wL=table.mu_wL.copy(),

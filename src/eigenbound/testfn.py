@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionDegenerateError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .measures import MeasureTable
 
 
@@ -64,11 +64,6 @@ def gradient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def seed_function(table: MeasureTable) -> GridFunction:
     """The canonical starting test function of the approximating procedures:
     the scale-measure tail, decreasing with derivative -e^{-C}."""
-    if table.nu_divergent:
-        raise CriterionDegenerateError(
-            "scale mass is flagged infinite, the ND eigenvalue is 0 and "
-            "no seed test function exists"
-        )
     return GridFunction(table, table.nu_tail.copy(), -table.exp_negC())
 
 

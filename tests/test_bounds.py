@@ -5,12 +5,15 @@ import pytest
 
 import conftest as C
 from eigenbound import bounds, measures, oracle, testfn, variational as va
-from eigenbound.errors import CriterionDegenerateError, DegenerationError
+from eigenbound.errors import DegenerationError
 
 
-def flagged_nd_table():
-    p = measures.make_problem(preset="ou", D=40.0, case="ND", grid_size=256)
-    return measures.build_tables(p, 40.0)
+def assert_build_refused(match, D, **coefficients):
+    """A table whose masses leave the float range on a finite (0, D) is
+    refused where it is built, so no constant is ever computed from it."""
+    p = measures.make_problem(D=D, grid_size=256, **coefficients)
+    with pytest.raises(DegenerationError, match=match):
+        measures.build_tables(p, D)
 
 
 class TestDelta:
@@ -21,9 +24,11 @@ class TestDelta:
         d2, _ = bounds.delta("DN", lap_dn)
         assert d2 == pytest.approx(0.25, abs=1e-9)
 
-    def test_flagged_tail_gives_infinity(self):
-        d, _ = bounds.delta("ND", flagged_nd_table())
-        assert math.isinf(d)
+    def test_overflowed_tail_refused_before_delta(self):
+        # OU's scale density e^{x^2/2} overflows on (0, 40)
+        assert_build_refused(
+            r"the scale-measure mass over \(0, 40\) overflowed", 40.0, preset="ou", case="ND"
+        )
 
     def test_quadratic_weight_matches_scalar_optimum(self, quad_nd):
         # delta = sup arctan(x) (1 - x), maximized independently of the tables
@@ -87,8 +92,10 @@ class TestDelta1:
         assert abs(d1 - op.sup) <= 5 * eps
 
     def test_degenerate_raises(self):
-        with pytest.raises(CriterionDegenerateError):
-            bounds.delta1("ND", flagged_nd_table())
+        # the DN head mass e^{25 x^2} overflows on (0, 10)
+        assert_build_refused(
+            r"the scale-measure mass over \(0, 10\) overflowed", 10.0, a="1", b="-50*x", case="DN"
+        )
 
 
 class TestDelta1Prime:
@@ -132,10 +139,14 @@ class TestReport:
         assert d["lower_basic"] <= d["lower_improved"] <= d["upper_improved"] <= d["upper_basic"]
 
     def test_zero_report(self):
-        rep = bounds.compute_report("ND", flagged_nd_table())
-        assert rep.positivity == "zero"
-        assert (rep.lower_basic, rep.upper_basic) == (0.0, 0.0)
-        assert math.isinf(rep.delta)
+        # a finite interval never reports a zero eigenvalue: each mass of
+        # the laplacian on (0, 1e300) fits, their criterion product does not,
+        # and the build refuses it; only the (0, inf) probe gives zero_report
+        assert_build_refused(
+            r"the product of the speed-measure mass of \(0, x\)", 1e300, preset="laplacian", case="ND"
+        )
+        rep = bounds.zero_report("ND")
+        assert rep.positivity == "zero" and math.isinf(rep.delta)
 
     def test_nn_report_is_criterion_only(self, lap_nn):
         rep = bounds.compute_report("NN", lap_nn)

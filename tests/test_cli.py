@@ -455,6 +455,36 @@ class TestUnresolvableProblems:
             assert code == 0
 
 
+class TestOverflowingTruncation:
+    """b = -x^3 on (0, inf): the scale mass e^{x^4/4} leaves the float range
+    on (0, 8), which says nothing of the eigenvalue (the speed mass converges,
+    so it is positive).  The walk ends on (0, 4), unsettled."""
+
+    CUBIC = ["--a", "1", "--b", "-x^3", "--case"]
+
+    def run(self, capsys, command, case, D="inf"):
+        code = cli.main([command, *self.CUBIC, case, "--D", D])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("case", ["DN", "NN"])
+    def test_bounds_positive(self, case, capsys):
+        code, out = self.run(capsys, "bounds", case)
+        res = out["results"]
+        assert code == 0 and res["positivity"] == "positive"
+        assert res["right_end_used"] == 4.0 and res["delta_truncation_settled"] is False
+        assert "scale-measure mass over (0, 8) overflowed" in res["delta_truncation_stop_reason"]
+        if case == "DN":
+            _, ref = self.run(capsys, "oracle", "DN", D="4")
+            lam = ref["results"]["lambda"]
+            assert res["lower_improved"] <= lam <= res["upper_improved"]
+
+    @pytest.mark.parametrize("case, lower", [("DN", "lower_bounds"), ("NN", "gap_lower_bounds")])
+    def test_iterate_positive(self, case, lower, capsys):
+        code, out = self.run(capsys, "iterate", case)
+        assert code == 0
+        assert all(v > 0 for v in out["results"][lower])
+
+
 class TestReportKeys:
     """The keys each command reports under "results", and verify's verdicts."""
 

@@ -5,7 +5,7 @@ import pytest
 
 import conftest as C
 from eigenbound import bounds, iterate, measures, oracle, testfn, variational as va
-from eigenbound.errors import CriterionDegenerateError, DegenerationError, DivergenceError
+from eigenbound.errors import DegenerationError
 
 
 def brute_force_lower_constants(n_max: int, nodes: int = 20001) -> list[float]:
@@ -65,10 +65,10 @@ class TestLowerSequence:
         assert with_norm.values == pytest.approx(without, abs=10 * eps)
 
     def test_degenerate_criterion_refused(self):
+        # the overflowed scale tail is refused at the build, before any seed
         p = measures.make_problem(preset="ou", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)
-        with pytest.raises(CriterionDegenerateError):
-            iterate.lower_sequence("ND", t, 2)
+        with pytest.raises(DegenerationError, match="scale-measure mass over"):
+            measures.build_tables(p, 40.0)
 
     def test_nmax_validation(self, lap_nd):
         with pytest.raises(ValueError):
@@ -303,10 +303,11 @@ class TestUpperSequenceDN:
             assert lb <= lam * (1 + 1e-2)
 
     def test_divergent_mass_refused(self):
-        p = measures.make_problem(a="1", b="x", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)  # built under ND, mass flagged
-        with pytest.raises(DivergenceError):
-            iterate.upper_sequence_dn(t, 1)
+        # the speed density e^{x^2/2} overflows on (0, 40), whatever the case
+        for case in ("ND", "DN"):
+            p = measures.make_problem(a="1", b="x", D=40.0, case=case, grid_size=256)
+            with pytest.raises(DegenerationError, match="speed-measure mass over"):
+                measures.build_tables(p, 40.0)
 
 
 class TestEtaSequence:
@@ -332,10 +333,9 @@ class TestEtaSequence:
         assert recips[-1] == pytest.approx(C.PI_SQ, rel=2e-2)
 
     def test_degenerate_criterion_refused(self):
-        p = measures.make_problem(a="1", b="x", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)
-        with pytest.raises(DivergenceError):
-            iterate.eta_sequence(t, 2)
+        p = measures.make_problem(a="1", b="x", D=40.0, case="NN", grid_size=256)
+        with pytest.raises(DegenerationError, match="speed-measure mass over"):
+            measures.build_tables(p, 40.0)
 
 
 class TestNaiveTruncationWarning:

@@ -6,7 +6,7 @@ import pytest
 
 import conftest as C
 from eigenbound import measures
-from eigenbound.errors import DivergenceError, EigenboundError, HypothesisViolationError, RangeError
+from eigenbound.errors import DegenerationError, EigenboundError, HypothesisViolationError, RangeError
 
 
 class TestBuildTables:
@@ -47,13 +47,15 @@ class TestBuildTables:
 
     def test_mu_overflow_raises_for_dn(self):
         p = measures.make_problem(a="1", b="x", D=40.0, case="DN", grid_size=256)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DegenerationError, match=r"the speed-measure mass over \(0, 40\) overflowed"):
             measures.build_tables(p, 40.0)
 
-    def test_nu_overflow_flags_for_nd(self):
+    def test_nu_overflow_raises_for_nd(self):
+        # every mass on a finite interval is finite, so an overflow is a
+        # float-range failure in every case, not a divergent mass
         p = measures.make_problem(preset="ou", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)
-        assert t.nu_divergent and not t.mu_divergent
+        with pytest.raises(DegenerationError, match=r"the scale-measure mass over \(0, 40\) overflowed"):
+            measures.build_tables(p, 40.0)
 
     def test_infinite_right_end_rejected(self):
         p = measures.make_problem(preset="laplacian", D="inf", case="ND")
@@ -206,6 +208,12 @@ class TestMassProbe:
         trace = {p: (mu, nu) for p, mu, nu in measures.hypothesis_check(problem).mass_trace}
         for p in (2.0, 64.0, 4096.0):
             alone = dataclasses.replace(measures.truncate(problem, p), grid_size=problem.grid_size // 8)
+            if max(trace[p]) >= measures.OVERFLOW_GUARD:
+                # the probe reads the guard where the table's build refuses the mass
+                name = "speed" if trace[p][0] >= measures.OVERFLOW_GUARD else "scale"
+                with pytest.raises(DegenerationError, match=f"the {name}-measure mass over"):
+                    measures.build_tables(alone, p)
+                continue
             own = measures.build_tables(alone, p)
             assert trace[p] == pytest.approx((own.mu_total(), own.nu_total()), rel=1e-10)
 
@@ -227,6 +235,20 @@ class TestMassProbe:
         rep = measures.hypothesis_check(problem)
         assert calls == [problem.truncation_schedule]
         assert [p for p, _, _ in rep.mass_trace] == list(problem.truncation_schedule)
+
+
+class TestWalk:
+    def test_overflowing_truncation_ends_the_walk_on_the_last_table(self):
+        # OU's scale mass over (0, 64) leaves the float range; a quantity that
+        # never settles walks up to that truncation and stops on (0, 32)
+        problem = measures.make_problem(preset="ou", D="inf", case="DN", grid_size=256)
+        walk = measures.walk_truncations(problem, lambda t: (t.right_end, t.nu_total()), lambda v: -1.0)
+        assert walk.points == [2.0, 4.0, 8.0, 16.0, 32.0]
+        assert walk.table.right_end == 32.0 and walk.result == walk.table.nu_total()
+        assert not walk.settled
+        assert walk.stop_reason == (
+            "stopped at truncation 64.0: the scale-measure mass over (0, 64) overflowed the float range"
+        )
 
 
 class TestCsvDump:

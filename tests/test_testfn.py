@@ -3,7 +3,7 @@ import pytest
 
 import conftest as C
 from eigenbound import measures, testfn
-from eigenbound.errors import CriterionDegenerateError, DomainError, RangeError
+from eigenbound.errors import DegenerationError, DomainError, RangeError
 
 
 class TestSeedFunction:
@@ -17,11 +17,12 @@ class TestSeedFunction:
         assert f.values == pytest.approx(lap_dn.grid, abs=1e-12)
         assert f.deriv == pytest.approx(np.ones_like(lap_dn.grid))
 
-    def test_degenerate_when_tail_flagged(self):
+    def test_no_seed_on_an_overflowed_tail(self):
+        # the seed is the scale tail; a tail over the float range is refused
+        # where the table is built, so no seed is ever made from it
         p = measures.make_problem(preset="ou", D=40.0, case="ND", grid_size=256)
-        t = measures.build_tables(p, 40.0)
-        with pytest.raises(CriterionDegenerateError):
-            testfn.seed_function(t)
+        with pytest.raises(DegenerationError, match="scale-measure mass over"):
+            measures.build_tables(p, 40.0)
 
 
 class TestPower:

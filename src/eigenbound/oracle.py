@@ -10,10 +10,12 @@ product and second-order accurate on the smoothly graded grid.
 The generalized problem A f = lambda B f (A tridiagonal, B the diagonal of
 cell masses) is symmetrized to B^{-1/2} A B^{-1/2} and the wanted eigenpair
 is computed by LAPACK bisection with Sturm sign counts plus inverse
-iteration (scipy's eigh_tridiagonal with the stebz/stein drivers).  For the
-double-Neumann case the gap is the second eigenvalue; the constant mode is
-projected out of the returned eigenvector against the discrete speed
-measure rather than shifted away.
+iteration (scipy's eigh_tridiagonal with the stebz/stein drivers).  The
+scheme is assembled for ND (flux zero at 0, value zero at the right end) and
+NN only.  DN is solved as ND on the panels in reverse order, and its values
+are put back on the table's own nodes.  For the double-Neumann case the gap
+is the second eigenvalue; the constant mode is projected out of the returned
+eigenvector against the discrete speed measure rather than shifted away.
 """
 
 from __future__ import annotations
@@ -65,37 +67,25 @@ def _merged_panels(table: MeasureTable):
     return kidx, dnu, dmu
 
 
-def _assemble(table: MeasureTable, case: str):
-    """Tridiagonal stiffness/mass pair for the requested boundary case.
-
-    Returns (diag, offdiag, cell_mass, node_index) where node_index maps
-    matrix rows to (merged) grid nodes.
-    """
-    kidx, dnu, dmu = _merged_panels(table)
+def _assemble(dnu: np.ndarray, dmu: np.ndarray):
+    """Tridiagonal stiffness/mass pair (diag, coupling, cell_mass) of the
+    panels, one row per node, with zero flux at both ends."""
     if np.any(dnu <= 0):
         raise DegenerationError("degenerate scale-measure panel; grid too coarse here")
-    m = len(dnu)
     inv = 1.0 / dnu
-    full_diag = np.empty(m + 1)
-    full_diag[0] = inv[0]
-    full_diag[-1] = inv[-1]
-    full_diag[1:-1] = inv[:-1] + inv[1:]
-    cell = np.empty(m + 1)
-    cell[0] = 0.5 * dmu[0]
-    cell[-1] = 0.5 * dmu[-1]
-    cell[1:-1] = 0.5 * (dmu[:-1] + dmu[1:])
+    diag = np.append(inv, 0.0)
+    diag[1:] += inv
+    cell = np.append(dmu, 0.0)
+    cell[1:] += dmu
+    return diag, inv, 0.5 * cell
 
-    if case == "ND":  # flux zero at 0, value zero at the right end
-        rows = np.arange(0, m)
-    elif case == "DN":
-        rows = np.arange(1, m + 1)
-    elif case == "NN":
-        rows = np.arange(0, m + 1)
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    diag = full_diag[rows]
-    coupling = inv[rows[0] : rows[-1]]  # panel between consecutive kept nodes
-    return diag, coupling, cell[rows], kidx[rows]
+
+def _stiffness(diag: np.ndarray, coupling: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The tridiagonal stiffness matrix applied to v."""
+    av = diag * v
+    av[:-1] -= coupling * v[1:]
+    av[1:] -= coupling * v[:-1]
+    return av
 
 
 def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
@@ -103,8 +93,19 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     # scipy.linalg is most of the package's import time; only solves need it
     from scipy.linalg import eigh_tridiagonal
 
-    diag, coupling, cell, node_ids = _assemble(table, case)
-    rows = node_ids  # grid indices of the unknowns
+    if case not in ("ND", "DN", "NN"):
+        raise ValueError(f"unknown case {case!r}")
+    # merged in the table's own orientation, so DN merges the same panels
+    kidx, dnu, dmu = _merged_panels(table)
+    if case == "DN":  # the ND problem on the reversed panels
+        kidx, dnu, dmu = kidx[::-1], dnu[::-1], dmu[::-1]
+    diag, coupling, cell = _assemble(dnu, dmu)
+    x = np.abs(table.grid[kidx] - table.grid[kidx[0]])  # distance from the Neumann end
+    if case == "NN":
+        probe = x - np.dot(cell, x) / np.sum(cell)
+    else:  # value zero at the far end: its row is dropped
+        diag, coupling, cell = diag[:-1], coupling[:-1], cell[:-1]
+        probe = 1.0 - x[:-1] / x[-1]
     if np.any(cell <= 0):
         raise DegenerationError(
             "non-positive speed-measure cell: either the diffusion "
@@ -121,17 +122,7 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     # test vector bounds the wanted eigenvalue from above, so a tolerance
     # relative to it keeps full accuracy even when tiny endpoint panels blow
     # up the matrix norm (the default norm-scaled tolerance would not)
-    x_rows = table.grid[rows]
-    if case == "ND":
-        probe = 1.0 - x_rows / table.grid[-1]
-    elif case == "DN":
-        probe = x_rows / table.grid[-1]
-    else:
-        probe = x_rows - np.dot(cell, x_rows) / np.sum(cell)
-    a_probe = diag * probe
-    a_probe[:-1] -= coupling * probe[1:]
-    a_probe[1:] -= coupling * probe[:-1]
-    rho = float(np.dot(probe, a_probe) / np.dot(probe, cell * probe))
+    rho = float(np.dot(probe, _stiffness(diag, coupling, probe)) / np.dot(probe, cell * probe))
     try:
         vals, vecs = eigh_tridiagonal(
             d, e, select="i", select_range=(which, which),
@@ -147,31 +138,21 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
             f"eigenvalue {lam:.3e} is below the solver resolution at this "
             "grid size; it is indistinguishable from zero"
         )
-    g_int = vecs[:, 0] / mass_sqrt
-
+    g = vecs[:, 0] / mass_sqrt
     if case == "NN":  # project out the discrete constant mode
-        g_int = g_int - np.dot(cell, g_int) / np.sum(cell)
+        g = g - np.dot(cell, g) / np.sum(cell)
 
     # residual of the generalized problem, relative to the stiffness scale
-    av = diag * g_int
-    av[:-1] -= coupling * g_int[1:]
-    av[1:] -= coupling * g_int[:-1]
-    defect = av - lam * cell * g_int
+    av = _stiffness(diag, coupling, g)
+    defect = av - lam * cell * g
     residual = float(np.max(np.abs(defect)) / max(np.max(np.abs(av)), 1e-300))
-    rayleigh = float(np.dot(g_int, av) / np.dot(g_int, cell * g_int))
+    rayleigh = float(np.dot(g, av) / np.dot(g, cell * g))
 
-    # embed on the full grid: solved nodes keep their values, Dirichlet
-    # boundaries are zero, and nodes inside merged tip panels interpolate
-    last = len(table.grid) - 1
-    xs_idx = np.unique(np.concatenate([[0], rows, [last]]))
-    ys = np.zeros(len(xs_idx))
-    ys[np.searchsorted(xs_idx, rows)] = g_int
-    full = np.interp(table.grid, table.grid[xs_idx], ys)
-    # sign conventions: positive near 0 (ND/NN), positive slope at 0 (DN)
-    probe_val = full[rows[0]] if case != "DN" else full[rows[len(rows) // 4]]
-    if probe_val < 0 or (probe_val == 0 and np.sum(full) < 0):
-        full = -full
-    full = full / np.max(np.abs(full))
+    # on the full grid: zero at a Dirichlet end, interpolated inside merged tip panels
+    ys = np.pad(g, (0, len(kidx) - len(g)))
+    order = np.argsort(kidx)
+    full = np.interp(table.grid, table.grid[kidx[order]], ys[order])
+    full = full / np.copysign(np.max(np.abs(full)), g[0])  # positive at the Neumann end
     return EigenSolution(
         lambda_=lam,
         eigenfunction=GridFunction(table, full, gradient(table.grid, full)),
@@ -185,8 +166,7 @@ def fd_eigensolve(problem: ProblemSpec, N: int | None = None) -> EigenSolution:
     """Solve the mixed eigenproblem on a finite interval at grid size N."""
     if problem.is_infinite:
         raise RangeError("interval is infinite: truncate first or use infinite_domain_limit")
-    n = N or problem.grid_size
-    table = build_tables(replace(problem, grid_size=n), problem.D)
+    table = build_tables(replace(problem, grid_size=N or problem.grid_size), problem.D)
     return solve_on_table(table, problem.case)
 
 

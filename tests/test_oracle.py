@@ -8,6 +8,56 @@ import pytest
 import conftest as C
 from eigenbound import bounds, cli, measures, oracle
 from eigenbound.errors import RangeError
+from eigenbound.testfn import GridFunction, gradient
+
+
+def _frozen_dn_solve(table):
+    """The DN solve as assembled per case before DN ran as ND on the reversed
+    panels: rows 1..M of the zero-flux scheme, the probe x/D for the bisection
+    tolerance, and the sign read a quarter of the way along the rows."""
+    from scipy.linalg import eigh_tridiagonal
+
+    kidx, dnu, dmu = oracle._merged_panels(table)
+    m = len(dnu)
+    inv = 1.0 / dnu
+    full_diag = np.empty(m + 1)
+    full_diag[0] = inv[0]
+    full_diag[-1] = inv[-1]
+    full_diag[1:-1] = inv[:-1] + inv[1:]
+    full_cell = np.empty(m + 1)
+    full_cell[0] = 0.5 * dmu[0]
+    full_cell[-1] = 0.5 * dmu[-1]
+    full_cell[1:-1] = 0.5 * (dmu[:-1] + dmu[1:])
+    diag, coupling, cell, rows = full_diag[1:], inv[1:], full_cell[1:], kidx[1:]
+
+    def stiffness(v):
+        av = diag * v
+        av[:-1] -= coupling * v[1:]
+        av[1:] -= coupling * v[:-1]
+        return av
+
+    mass_sqrt = np.sqrt(cell)
+    probe = table.grid[rows] / table.grid[-1]
+    rho = float(np.dot(probe, stiffness(probe)) / np.dot(probe, cell * probe))
+    vals, vecs = eigh_tridiagonal(
+        diag / cell, -coupling / (mass_sqrt[:-1] * mass_sqrt[1:]), select="i", select_range=(0, 0),
+        lapack_driver="stebz", tol=1e-13 * max(rho, 1e-30),
+    )
+    lam = float(vals[0])
+    g = vecs[:, 0] / mass_sqrt
+    av = stiffness(g)
+    residual = float(np.max(np.abs(av - lam * cell * g)) / max(np.max(np.abs(av)), 1e-300))
+    rayleigh = float(np.dot(g, av) / np.dot(g, cell * g))
+    xs_idx = np.unique(np.concatenate([[0], rows, [len(table.grid) - 1]]))
+    ys = np.zeros(len(xs_idx))
+    ys[np.searchsorted(xs_idx, rows)] = g
+    full = np.interp(table.grid, table.grid[xs_idx], ys)
+    probe_val = full[rows[len(rows) // 4]]
+    if probe_val < 0 or (probe_val == 0 and np.sum(full) < 0):
+        full = -full
+    full = full / np.max(np.abs(full))
+    eigenfunction = GridFunction(table, full, gradient(table.grid, full))
+    return oracle.EigenSolution(lam, eigenfunction, residual, table.n_panels, rayleigh)
 
 
 class TestEigensolve:
@@ -135,8 +185,32 @@ class TestResiduals:
     @pytest.mark.parametrize("fixture", ["lap_dn", "ou_dn_4"])
     def test_dn_residuals_match_the_oriented_formulas(self, fixture, request):
         table = request.getfixturevalue(fixture)
-        d = oracle.eigen_residuals(oracle.solve_on_table(table, "DN"))
+        d = oracle.eigen_residuals(_frozen_dn_solve(table))
         assert d == self.FROZEN_DN[fixture]
+
+    # DN problems as fixtures or (a, b, D): OU, 1+x^2 over four decades of D,
+    # drifts both ways, and the two thin tips at the Dirichlet end
+    DN_PROBLEMS = [
+        "lap_dn", "ou_dn_4", "ou_dn_8", "quad_dn",
+        ("1+x^2", "0", 2.0), ("1+x^2", "0", 512.0), ("1+x^2", "0", 4096.0),
+        ("exp(x)", "1", 3.0), ("1", "x", 4.0), ("sqrt(x)", "0", 1.0), ("1", "-1/sqrt(x)", 1.0),
+    ]
+
+    @pytest.mark.parametrize("problem", DN_PROBLEMS, ids=str)
+    def test_dn_solve_matches_the_per_case_assembly(self, problem, request):
+        if isinstance(problem, str):
+            table = request.getfixturevalue(problem)
+        else:
+            table = C.make_table(a=problem[0], b=problem[1], D=problem[2], case="DN")
+        ref = _frozen_dn_solve(table)
+        sol = oracle.solve_on_table(table, "DN")
+        assert sol.lambda_ == pytest.approx(ref.lambda_, rel=1e-10, abs=0)
+        assert np.max(np.abs(sol.eigenfunction.values - ref.eigenfunction.values)) <= 1e-9
+        assert sol.residual <= table.problem.tolerances.oracle
+
+    def test_unknown_case_rejected(self, lap_nd):
+        with pytest.raises(ValueError):
+            oracle.solve_on_table(lap_nd, "XY")
 
     def test_decay_at_right_edge_for_large_truncation(self):
         # constant outward drift: scale mass finite, eigenvalue positive, and
@@ -150,6 +224,20 @@ class TestResiduals:
             edges.append(abs(sol.eigenfunction.values[mid]))
         assert edges[0] > edges[1] > edges[2]
         assert edges[2] <= 1e-3
+
+
+class TestThinTipDN:
+    # panels graded to 1e-19 next to 0, the Dirichlet end of DN: a solve on a
+    # grid mirrored as D - x would round those nodes onto D
+    @pytest.mark.parametrize("a, b", [("sqrt(x)", "0"), ("1", "-1/sqrt(x)")])
+    def test_oracle_and_verify_pass_inside_the_basic_bracket(self, a, b, capsys):
+        argv = ["--a", a, "--b", b, "--D", "1", "--case", "DN"]
+        assert cli.main(["oracle", *argv]) == 0
+        lam = json.loads(capsys.readouterr().out)["results"]["lambda"]
+        assert cli.main(["verify", *argv]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["lambda_oracle"] == lam
+        assert results["bounds"]["lower_basic"] <= lam <= results["bounds"]["upper_basic"]
 
 
 class TestInfiniteDomainLimit:

@@ -3,10 +3,10 @@
 The lower sequence iterates f -> f * (double integral form of f) starting
 from the square root of the seed function; the supremum of the transform is
 non-increasing in n and each reciprocal is a lower bound.  The upper
-sequences run the same iteration inside localized families (a two-parameter
-window for ND; for DN a one-parameter cap, which is the ND window with x1 = D
-on the mirrored table), take the window infimum, and maximize over the
-family; reciprocals are upper bounds.  Every lower and upper sequence is
+sequences run the same iteration inside one localized family, the ND
+windows (x0, D) whose end is pinned at D, take the window infimum, and
+maximize over the family; reciprocals are upper bounds.  The DN cap is
+that ND window on the mirrored table.  Every lower and upper sequence is
 written for ND: DN runs it on the mirrored table and reads its caps back
 off the original grid.  The double-Neumann sequence centers each iterate
 against the speed measure and tracks the ratio of successive tail
@@ -17,20 +17,18 @@ the best cap per step (DN), and the sign changes and notes of the centered
 sequence.
 
 Iterates are renormalized to sup-norm one each step; the transforms are
-scale-invariant, so this only prevents magnitude drift.  Outer optimizations
-scan a coarse candidate grid snapped to table nodes, then halve a local 5x5
-refinement step around the best cell down to single-node resolution.  A
-window (x_i0, x_i1) costs O((i1 - i0) * n_max): the iterate is constant on
-the plateau [0, x_i0], so the plateau enters each transform as one prefix
-sum of the speed weights read at i0, built once per search, and per-node
-work runs on the window's own nodes.  Windows are evaluated one at a time;
-a (windows x nodes) array pass was measured no faster on 2 vCPUs and would
-hold about 16 MB for the 32x32 coarse scan.
+scale-invariant, so this only prevents magnitude drift.  The outer
+optimization scans a coarse candidate set snapped to table nodes, then
+halves a local 5-point refinement step around the best member down to
+single-node resolution.  A window (x_i0, x_i1) costs O((i1 - i0) * n_max):
+the iterate is constant on the plateau [0, x_i0], so the plateau enters
+each transform as one prefix sum of the speed weights read at i0, built
+once per search, and per-node work runs on the window's own nodes.
+Windows are evaluated one at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +100,7 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
 # Localized upper sequences
 
 
-# coarse candidates per window parameter, and rounds of local refinement
+# coarse candidates per family, and the least number of refinement rounds
 _COARSE = 32
 _REFINE_ROUNDS = 7
 
@@ -177,103 +175,87 @@ def _window_evaluator(table: MeasureTable):
     return eval_window
 
 
-def _family_sup(evaluate, axes, n_max: int):
-    """Sup over a node-indexed test-function family of each step's infimum.
+def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int):
+    """Sup over the ND windows (x_i0, D) of ``table`` of each step's infimum.
 
-    ``axes`` holds, per parameter, its coarse candidates and its index range.
-    The coarse scan covers every combination; each refinement round halves
-    the step of every axis and rescans a 5-point neighbourhood per axis
-    around each step's best member.  ``evaluate`` maps parameters to
-    (infima, companions), or None for an inadmissible member.
+    Members are node indices k in [lo, hi], the window starting at node
+    ``start_of(k)``.  The coarse scan covers _COARSE members; each
+    refinement round halves the step and rescans a 5-point neighbourhood of
+    each step's best member, for _REFINE_ROUNDS rounds and then on until the
+    step is one node.  Ties go to the member visited first.
     Returns per step the best value, member and companion sup.
     """
+    m = table.n_panels
+    eval_window = _window_evaluator(table)
     best_val = [-np.inf] * n_max
-    best_at = [tuple(lo for _, lo, _ in axes)] * n_max
+    best_at = [lo] * n_max
     best_dbar = [-np.inf] * n_max
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
 
-    def consider(params):
-        params = tuple(int(p) for p in params)
-        if params in seen:
+    def consider(k):
+        k = int(k)
+        if k in seen:
             return
-        out = evaluate(*params)
-        if out is None:
-            return
-        seen.add(params)
-        infs, dbars = out
+        seen.add(k)
+        infs, dbars = eval_window(start_of(k), m, n_max)
         for n in range(n_max):
             if infs[n] > best_val[n]:
                 best_val[n] = infs[n]
-                best_at[n] = params
+                best_at[n] = k
             if dbars[n] > best_dbar[n]:
                 best_dbar[n] = dbars[n]
 
-    for params in itertools.product(*(cands for cands, _, _ in axes)):
-        consider(params)
-    steps = [max(1, (c[1] - c[0]) if len(c) > 1 else 1) for c, _, _ in axes]
-    for _ in range(_REFINE_ROUNDS):
-        targets = {best_at[n] for n in range(n_max)}
-        steps = [max(1, st // 2) for st in steps]
-        for best in targets:
-            local = [
-                _index_candidates(max(lo, b - 2 * st), min(hi, b + 2 * st), 5)
-                for b, st, (_, lo, hi) in zip(best, steps, axes)
-            ]
-            for params in itertools.product(*local):
-                consider(params)
+    cands = _index_candidates(lo, hi, _COARSE)
+    for k in cands:
+        consider(k)
+    step = int(cands[1] - cands[0]) if len(cands) > 1 else 1
+    rounds = 0
+    while rounds < _REFINE_ROUNDS or step > 1:
+        step = max(1, step // 2)
+        for b in dict.fromkeys(best_at):
+            for k in _index_candidates(max(lo, b - 2 * step), min(hi, b + 2 * step), 5):
+                consider(k)
+        rounds += 1
     return best_val, best_at, best_dbar
 
 
 def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
-    """Upper-bound constants: sup over localized windows of the window infimum.
+    """Upper-bound constants: sup over the windows (x0, D) of the window infimum.
 
-    Window endpoints are snapped to table nodes; the outer sup runs a coarse
-    candidate grid (32x32) and then halves the local 5x5
-    refinement step around the best cell of each step until it reaches
-    single-node resolution.
+    Window starts are snapped to table nodes; the outer sup scans 32 starts
+    and then halves a local 5-point refinement step around the best start
+    of each step down to single-node resolution.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     eps = table.problem.tolerances.bound_refine
-    m = table.n_panels
-    i0s = _index_candidates(0, m - 1, _COARSE)
-    i1s = _index_candidates(1, m, _COARSE)
-    eval_window = _window_evaluator(table)
-
-    def evaluate(i0, i1):
-        return eval_window(i0, i1, n_max) if i1 > i0 else None
-
-    best_val, best_pair, best_dbar = _family_sup(evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max)
+    best_val, best_start, best_dbar = _family_sup(table, n_max, lambda i0: i0, 0, table.n_panels - 1)
+    D = float(table.grid[-1])
     return IterationTrace(
         values=best_val,
         monotonicity=monotone_verdict(best_val, 10 * eps),
         companion_dbar=best_dbar,
-        pair_locations=[(float(table.grid[p[0]]), float(table.grid[p[1]])) for p in best_pair],
+        pair_locations=[(float(table.grid[i0]), D) for i0 in best_start],
     )
 
 
 def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     """Upper-bound constants for DN: sup over cap locations of the infimum.
 
-    The DN family capped at node i0 is the ND window (M - i0, M) of the
-    mirrored table, so each cap runs the ND window evaluator there with x1
-    pinned at D; cap locations are read back off this table's grid by index.
+    The DN family capped at node c is the ND window (M - c, M) of the
+    mirrored table, so DN runs the ND search there, indexed by cap so that
+    ties go to the smallest cap; cap locations are read back off this
+    table's grid by index.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    eval_window = _window_evaluator(table.mirrored())
-    i0s = _index_candidates(1, m, _COARSE)
-
-    def evaluate(i0):
-        return eval_window(m - i0, m, n_max)
-
-    best_val, best_cap, _ = _family_sup(evaluate, [(i0s, 1, m)], n_max)
+    best_val, best_cap, _ = _family_sup(table.mirrored(), n_max, lambda c: m - c, 1, m)
     return IterationTrace(
         values=best_val,
         monotonicity=monotone_verdict(best_val, 10 * eps),
-        pair_locations=[float(table.grid[c[0]]) for c in best_cap],
+        pair_locations=[float(table.grid[c]) for c in best_cap],
     )
 
 

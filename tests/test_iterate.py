@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -277,6 +278,95 @@ class TestFrozenSearch:
         assert trace.pair_locations == caps
 
 
+def reference_family_sup(evaluate, axes, n_max):
+    """The multi-axis family search as it ran over two-parameter ND windows:
+    a coarse scan of every combination of the axes' candidates, then seven
+    rounds that halve every axis' step and rescan a 5-point neighbourhood
+    per axis around each step's best member."""
+    best_val = [-np.inf] * n_max
+    best_at = [tuple(lo for _, lo, _ in axes)] * n_max
+    best_dbar = [-np.inf] * n_max
+    seen = set()
+
+    def consider(params):
+        params = tuple(int(p) for p in params)
+        if params in seen:
+            return
+        out = evaluate(*params)
+        if out is None:
+            return
+        seen.add(params)
+        infs, dbars = out
+        for n in range(n_max):
+            if infs[n] > best_val[n]:
+                best_val[n] = infs[n]
+                best_at[n] = params
+            if dbars[n] > best_dbar[n]:
+                best_dbar[n] = dbars[n]
+
+    for params in itertools.product(*(cands for cands, _, _ in axes)):
+        consider(params)
+    steps = [max(1, (c[1] - c[0]) if len(c) > 1 else 1) for c, _, _ in axes]
+    for _ in range(7):
+        targets = {best_at[n] for n in range(n_max)}
+        steps = [max(1, st // 2) for st in steps]
+        for best in targets:
+            local = [
+                iterate._index_candidates(max(lo, b - 2 * st), min(hi, b + 2 * st), 5)
+                for b, st, (_, lo, hi) in zip(best, steps, axes)
+            ]
+            for params in itertools.product(*local):
+                consider(params)
+    return best_val, best_at, best_dbar
+
+
+def reference_upper_sequence_nd(table, n_max):
+    """The ND upper sequence searched over every window (x_i0, x_i1) with
+    i1 > i0 on a 32x32 coarse grid: (values, dbar_n, window locations)."""
+    m = table.n_panels
+    i0s = iterate._index_candidates(0, m - 1, 32)
+    i1s = iterate._index_candidates(1, m, 32)
+    eval_window = iterate._window_evaluator(table)
+
+    def evaluate(i0, i1):
+        return eval_window(i0, i1, n_max) if i1 > i0 else None
+
+    vals, pairs, dbars = reference_family_sup(evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max)
+    return vals, dbars, [(float(table.grid[i0]), float(table.grid[i1])) for i0, i1 in pairs]
+
+
+TWO_PARAMETER_TABLES = {
+    "1/-x ND (0,5)": dict(a="1", b="-x", D=5.0),
+    "1/x ND (0,4)": dict(a="1", b="x", D=4.0),
+    "2+sin(5x)/0 ND (0,3)": dict(a="2+sin(5*x)", b="0", D=3.0),
+    "1/(1/(1+x)) ND (0,5)": dict(a="1", b="1/(1+x)", D=5.0),
+    "1+x^2/0 ND (0,64)": dict(a="1+x^2", b="0", D=64.0),
+    "laplacian ND (0,1) grid 300": dict(preset="laplacian", grid_size=300),
+}
+
+
+class TestCapFamilyMatchesTwoParameterSearch:
+    """Every window the two-parameter search picked ends at D, so the
+    one-parameter search over window starts reports the same values,
+    companions and windows."""
+
+    def assert_matches_two_parameter_search(self, table):
+        assert table.n_panels < 255 * 31  # no refinement rounds past the seventh
+        vals, dbars, windows = reference_upper_sequence_nd(table, 3)
+        trace = iterate.upper_sequence_nd(table, 3)
+        assert trace.values == pytest.approx(vals, rel=1e-12)
+        assert trace.companion_dbar == pytest.approx(dbars, rel=1e-12)
+        assert trace.pair_locations == windows
+
+    @pytest.mark.parametrize("fixture", ND_TABLES)
+    def test_fixture_tables(self, fixture, request):
+        self.assert_matches_two_parameter_search(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("name", sorted(TWO_PARAMETER_TABLES))
+    def test_more_nd_problems(self, name):
+        self.assert_matches_two_parameter_search(C.make_table(case="ND", **TWO_PARAMETER_TABLES[name]))
+
+
 class TestUpperSequenceDN:
     def test_first_step_cap_location(self, lap_dn):
         trace = iterate.upper_sequence_dn(lap_dn, 1)
@@ -301,6 +391,32 @@ class TestUpperSequenceDN:
             assert ub >= lam * (1 - 1e-2)
         for lb in low.bounds():
             assert lb <= lam * (1 + 1e-2)
+
+    def test_refinement_reaches_single_nodes_on_a_large_table(self, monkeypatch):
+        # a coarse step above 255 nodes is still above one node after seven
+        # halvings; the search keeps halving until every best cap's
+        # neighbouring caps have been evaluated
+        table = C.make_table(a="1", b="-1/sqrt(x)", D=1.0, case="DN")
+        m = table.n_panels
+        assert np.diff(iterate._index_candidates(1, m, iterate._COARSE))[0] > 255
+        starts = set()
+        build = iterate._window_evaluator
+
+        def recording(t):
+            evaluate = build(t)
+
+            def eval_window(i0, i1, n_max):
+                starts.add(i0)
+                return evaluate(i0, i1, n_max)
+
+            return eval_window
+
+        monkeypatch.setattr(iterate, "_window_evaluator", recording)
+        trace = iterate.upper_sequence_dn(table, 3)
+        caps = {m - i0 for i0 in starts}
+        for x in trace.pair_locations:
+            c = int(np.flatnonzero(table.grid == x)[0])
+            assert {max(c - 1, 1), min(c + 1, m)} <= caps
 
     def test_divergent_mass_refused(self):
         # the speed density e^{x^2/2} overflows on (0, 40), whatever the case
@@ -363,6 +479,17 @@ class TestMirrorOrientation:
         dn = iterate.lower_sequence("DN", table, 3)
         nd = iterate.lower_sequence("ND", table.mirrored(), 3)
         assert dn.values == pytest.approx(nd.values, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
+    def test_upper_sequence_dn_is_nd_on_mirror(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        D = table.right_end
+        dn = iterate.upper_sequence_dn(table, 3)
+        nd = iterate.upper_sequence_nd(table.mirrored(), 3)
+        assert dn.values == pytest.approx(nd.values, rel=1e-12)
+        for cap, (x0, x1) in zip(dn.pair_locations, nd.pair_locations):
+            assert x1 == D
+            assert cap == pytest.approx(D - x0, abs=1e-12 * D)
 
     @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
     def test_dn_constants_match_unmirrored_node_scans(self, fixture, request):

@@ -9,13 +9,14 @@ mirrored table, with the argmax mapped back.  The first iteration step
 sharpens this to the improved constants delta1 (lower side) and delta1'
 (upper side, always within [delta, 2*delta]).
 
-Every supremum is a full grid scan followed by derivative-free
-golden-section refinement on the bracketing panels; the objectives are
-continuous but only piecewise smooth through the tables, so no derivatives
-are assumed.  Every table covers a finite interval, where the constant is
-finite (measures.build_tables refuses a table whose masses overflow), so
-the constant is infinite only on (0, inf), where the hypothesis probe's
-mass trace decides it and zero_report gives the report.
+Every supremum is a node scan, then the exact maximum on the two panels
+around the best node: tables model each measure as linear inside a panel,
+so there each objective is a low-degree rational function of one variable,
+maximal at a panel end or at a real root of its derivative's numerator.
+Every table covers a finite interval, where the constant is finite (tables
+whose masses overflow are refused, and so is a node scan that overflows),
+so it is infinite only on (0, inf), where the hypothesis probe's mass trace
+decides it and zero_report gives the report.
 """
 
 from __future__ import annotations
@@ -27,43 +28,6 @@ import numpy as np
 
 from .errors import DegenerationError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, prefix_integral, suffix_integral, walk_truncations
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def golden_max(fun, lo: float, hi: float, iters: int = 70) -> tuple[float, float]:
-    """Golden-section maximization of a continuous scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    h = b - a
-    if h <= 0:
-        return a, fun(a)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, yd = fun(c), fun(d)
-    for _ in range(iters):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            yc = fun(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd = fun(d)
-    return (c, yc) if yc > yd else (d, yd)
-
-
-def _scan_refine(xs: np.ndarray, node_vals: np.ndarray, objective) -> tuple[float, float]:
-    """Grid argmax plus golden refinement over the two bracketing panels."""
-    k = int(np.nanargmax(node_vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    x_star, v_star = golden_max(objective, lo, hi)
-    if node_vals[k] >= v_star:
-        return float(xs[k]), float(node_vals[k])
-    return float(x_star), float(v_star)
 
 
 def _oriented(case: str, table: MeasureTable) -> MeasureTable:
@@ -80,6 +44,36 @@ def _back(case: str, table: MeasureTable, x: float) -> float:
     return x if case == "ND" else table.right_end - x
 
 
+def _real_roots(coeffs) -> np.ndarray:
+    """Real parts of a polynomial's roots, none when a coefficient is not
+    finite; a near-double root may come back as a complex pair."""
+    c = np.asarray(coeffs, dtype=float)
+    return np.roots(c).real if np.all(np.isfinite(c)) else np.empty(0)
+
+
+def _panel_sup(
+    name: str, case: str, table: MeasureTable, t: MeasureTable, node_vals: np.ndarray, objective, stationary
+) -> tuple[float, float]:
+    """Supremum and argmax (in table's coordinates) of an objective on the
+    oriented table t: the best node, or a larger value on a panel next to it.
+    objective(j, f) evaluates it at fractions f of panel j, and stationary(j)
+    gives the fractions where its derivative vanishes; on a panel without
+    speed or scale mass its maximum is at an end, so only the ends are tried."""
+    k = int(np.nanargmax(node_vals))
+    v, x = float(node_vals[k]), float(t.grid[k])
+    if not math.isfinite(v):
+        raise DegenerationError(f"{name} overflowed the float range on (0, {t.right_end:g})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(max(k - 1, 0), min(k + 1, t.n_panels)):
+            f = np.concatenate([[0.0, 1.0], stationary(j) if t.dmu[j] > 0 and t.dnu[j] > 0 else []])
+            f = f[(f >= 0) & (f <= 1)]
+            vals = objective(j, f)
+            i = int(np.argmax(vals))
+            if vals[i] > v:
+                v, x = float(vals[i]), float((1.0 - f[i]) * t.grid[j] + f[i] * t.grid[j + 1])
+    return v, _back(case, table, x)
+
+
 def delta(case: str, table: MeasureTable) -> tuple[float, float]:
     """The criterion constant and its argmax.
 
@@ -87,23 +81,26 @@ def delta(case: str, table: MeasureTable) -> tuple[float, float]:
     same supremum on the mirrored table.
     """
     t = _oriented(case, table)
-    node_vals = t.mu_cum * t.nu_tail
 
-    def objective(x):
-        return t.mu_between(0.0, x) * t.nu_between(x, t.right_end)
+    def objective(j, f):
+        return (t.mu_cum[j] + t.dmu[j] * f) * (t.dnu[j] * (1.0 - f) + t.nu_tail[j + 1])
 
-    x_star, v = _scan_refine(t.grid, node_vals, objective)
-    return v, _back(case, table, x_star)
+    def stationary(j):
+        # vertex of the concave (m1 - dmu*g) * (P1 + dnu*g) in g = 1 - f
+        g = 0.5 * (t.mu_cum[j + 1] / t.dmu[j] - t.nu_tail[j + 1] / t.dnu[j])
+        return [1.0 - g]
+
+    return _panel_sup("delta", case, table, t, t.mu_cum * t.nu_tail, objective, stationary)
 
 
 def _reciprocal(name: str, c: float, right_end: float) -> float:
-    """1/c; DegenerationError when c is 0 or NaN or 1/c overflows, which
-    means the interval is too short for the table to resolve its masses."""
-    r = 1.0 / c if c > 0 else math.nan
+    """1/c; DegenerationError when c is 0, NaN or infinite, or 1/c
+    overflows: floats do not resolve the masses of this interval."""
+    r = 1.0 / c if 0 < c < math.inf else math.nan
     if not math.isfinite(r):
         raise DegenerationError(
-            f"{name} = {c!r} on (0, {right_end}) has no finite reciprocal; "
-            "the interval is too short to resolve"
+            f"{name} = {c!r} on (0, {right_end}) has no finite nonzero reciprocal; "
+            "floats do not resolve this interval"
         )
     return r
 
@@ -112,26 +109,30 @@ def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
     """First-step lower-bound constant: the supremum the seed function
     produces under the double-integral transform, via prefix/suffix sums."""
     t = _oriented(case, table)
-    g = t.grid
     seed = t.nu_tail
     s = np.sqrt(seed)
-    head = prefix_integral(t, s, "mu")  # int_0^x sqrt(seed) dmu
-    tail = suffix_integral(t, seed * s, "mu")  # int_x^D seed^{3/2} dmu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        node_vals = np.where(s > 0, s * head + tail / np.where(s > 0, s, 1.0), 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        head = prefix_integral(t, s, "mu")  # int_0^x sqrt(seed) dmu
+        tail = suffix_integral(t, seed * s, "mu")  # int_x^D seed^{3/2} dmu
+        node_vals = np.where(s > 0, s * head + tail / s, 0.0)
 
-    def objective(x):
-        k, frac = t.locate(x)
-        px = t.nu_between(x, t.right_end)
-        sx = math.sqrt(px)
-        if sx <= 0:
-            return 0.0
-        head_x = head[k] + 0.5 * (s[k] + sx) * t.dmu[k] * frac
-        tail_x = tail[k + 1] + 0.5 * (px * sx + seed[k + 1] * s[k + 1]) * t.dmu[k] * (1.0 - frac)
-        return sx * head_x + tail_x / sx
+    def objective(j, f):
+        px = t.dnu[j] * (1.0 - f) + seed[j + 1]
+        sx = np.sqrt(px)
+        head_x = head[j] + 0.5 * (s[j] + sx) * t.dmu[j] * f
+        tail_x = tail[j + 1] + 0.5 * (px * sx + seed[j + 1] * s[j + 1]) * t.dmu[j] * (1.0 - f)
+        return np.where(sx > 0, sx * head_x + tail_x / sx, 0.0)
 
-    x_star, v = _scan_refine(g, node_vals, objective)
-    return v, _back(case, table, x_star)
+    def stationary(j):
+        # u^2 times the derivative of -(r s_j/2) u^3 + (dmu/2) u^2 + b u + c/u,
+        # the objective in u = sqrt(px) (r = dmu/dnu; its u^4 terms cancel)
+        p1, dmu, r = seed[j + 1], t.dmu[j], t.dmu[j] / t.dnu[j]
+        b = head[j] + 0.5 * dmu * s[j] + 0.5 * r * p1 * (s[j] + s[j + 1])
+        c = tail[j + 1] - 0.5 * r * p1**2 * s[j + 1]
+        u = _real_roots([-1.5 * r * s[j], dmu, b, 0.0, -c])
+        return 1.0 - (u * u - p1) / t.dnu[j]
+
+    return _panel_sup("delta1", case, table, t, node_vals, objective, stationary)
 
 
 def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
@@ -139,20 +140,23 @@ def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
     family); always lands in [delta, 2*delta]."""
     t = _oriented(case, table)
     seed = t.nu_tail
-    tail_sq = suffix_integral(t, seed**2, "mu")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        node_vals = np.where(seed > 0, t.mu_cum * seed + tail_sq / np.where(seed > 0, seed, 1.0), 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail_sq = suffix_integral(t, seed**2, "mu")
+        node_vals = np.where(seed > 0, t.mu_cum * seed + tail_sq / seed, 0.0)
 
-    def objective(x):
-        k, frac = t.locate(x)
-        px = t.nu_between(x, t.right_end)
-        if px <= 0:
-            return 0.0
-        t_x = tail_sq[k + 1] + 0.5 * (px**2 + seed[k + 1] ** 2) * t.dmu[k] * (1.0 - frac)
-        return t.mu_between(0.0, x) * px + t_x / px
+    def objective(j, f):
+        px = t.dnu[j] * (1.0 - f) + seed[j + 1]
+        t_x = tail_sq[j + 1] + 0.5 * (px**2 + seed[j + 1] ** 2) * t.dmu[j] * (1.0 - f)
+        return np.where(px > 0, (t.mu_cum[j] + t.dmu[j] * f) * px + t_x / px, 0.0)
 
-    x_star, v = _scan_refine(t.grid, node_vals, objective)
-    return v, _back(case, table, x_star)
+    def stationary(j):
+        # p^2 times the derivative of -(r/2) p^2 + (m1 + r p1/2) p + (T1 - r p1^3/2)/p, the
+        # objective in p = px up to a constant; r = dmu/dnu, m1 and T1: mu_cum, tail_sq at j+1
+        p1, r = seed[j + 1], t.dmu[j] / t.dnu[j]
+        p = _real_roots([-r, t.mu_cum[j + 1] + 0.5 * r * p1, 0.0, -(tail_sq[j + 1] - 0.5 * r * p1**3)])
+        return 1.0 - (p - p1) / t.dnu[j]
+
+    return _panel_sup("delta1_prime", case, table, t, node_vals, objective, stationary)
 
 
 @dataclass

@@ -327,12 +327,7 @@ def cmd_bounds(cfg: RunConfig) -> list[dict]:
         if walk:
             results |= _delta_walk(walk)
             results["right_end_used"] = table.right_end
-        if rep.positivity == "positive" and cfg.case == "ND":
-            curve = table.mu_cum * table.nu_tail
-        elif rep.positivity == "positive":
-            curve = table.nu_cum * table.mu_tail
-        else:
-            curve = np.zeros_like(table.grid)
+        curve = table.mu_cum * table.nu_tail if cfg.case == "ND" else table.nu_cum * table.mu_tail
         return {
             "results": results,
             "series": {"x": _decimate(table.grid), "criterion_product": _decimate(curve)},

@@ -41,6 +41,20 @@ class TestDelta:
         d_dual, _ = bounds.delta("DN", oracle.dual_table(ou_nd_3))
         assert d_dual == pytest.approx(d_primal, rel=1e-12)
 
+    def test_takes_the_higher_of_two_panel_humps(self):
+        # on 1+x^2 DN (0, 1024) each panel next to the best node peaks
+        # inside, the right one higher; a search that follows one side
+        # stops 2.2e-7 short of the supremum
+        table = C.make_table(a="1+x^2", b="0", D=1024.0, case="DN")
+        t = table.mirrored()
+        k = int(np.argmax(t.mu_cum * t.nu_tail))
+        f = np.linspace(0.0, 1.0, 10001)
+        humps = [np.max((t.mu_cum[j] + t.dmu[j] * f) * (t.dnu[j] * (1 - f) + t.nu_tail[j + 1]))
+                 for j in (k - 1, k)]
+        assert humps[1] > humps[0] > t.mu_cum[k] * t.nu_tail[k]
+        d, _ = bounds.delta("DN", table)
+        assert humps[1] <= d <= humps[1] * (1 + 1e-12)
+
     def test_nn_uses_increasing_orientation(self, lap_nn):
         d, _ = bounds.delta("NN", lap_nn)
         assert d == pytest.approx(0.25, abs=1e-9)
@@ -67,6 +81,12 @@ class TestBasicBounds:
         table = C.make_table(preset="laplacian", D=D, case="ND", grid_size=64)
         with pytest.raises(DegenerationError):
             bounds.compute_report("ND", table)
+
+
+    def test_infinite_constant_has_no_reciprocal(self):
+        # an overflowed constant is a degeneration, never an upper bound of 0
+        with pytest.raises(DegenerationError, match="no finite nonzero reciprocal"):
+            bounds._reciprocal("delta1_prime", math.inf, 27.0)
 
 
 class TestDelta1:
@@ -124,6 +144,140 @@ class TestDelta1Prime:
         d1p, _ = bounds.delta1_prime(case, table)
         eps = table.problem.tolerances.bound_refine
         assert d - 10 * eps <= d1p <= 2 * d + 10 * eps
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def reference_golden_max(fun, lo, hi, iters=70):
+    """Golden-section maximization of a continuous scalar function on [lo, hi]."""
+    a, b = float(lo), float(hi)
+    h = b - a
+    if h <= 0:
+        return a, fun(a)
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc, yd = fun(c), fun(d)
+    for _ in range(iters):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h *= _INVPHI
+            c = a + _INVPHI2 * h
+            yc = fun(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= _INVPHI
+            d = a + _INVPHI * h
+            yd = fun(d)
+    return (c, yc) if yc > yd else (d, yd)
+
+
+def reference_scan_refine(xs, node_vals, objective):
+    """Grid argmax plus golden refinement over the two bracketing panels."""
+    k = int(np.nanargmax(node_vals))
+    lo = xs[max(k - 1, 0)]
+    hi = xs[min(k + 1, len(xs) - 1)]
+    x_star, v_star = reference_golden_max(objective, lo, hi)
+    if node_vals[k] >= v_star:
+        return float(xs[k]), float(node_vals[k])
+    return float(x_star), float(v_star)
+
+
+def reference_constants(case, table):
+    """delta, delta1 and delta1' as (value, argmax) the way a node scan, 70
+    golden-section steps over the two panels around the best node and a
+    scalar objective that looks every probe up in the table found them: the
+    frozen reference for the closed-form panel maxima."""
+    t = bounds._oriented(case, table)
+    D = t.right_end
+    seed = t.nu_tail
+    s = np.sqrt(seed)
+    head = measures.prefix_integral(t, s, "mu")
+    tail = measures.suffix_integral(t, seed * s, "mu")
+    tail_sq = measures.suffix_integral(t, seed**2, "mu")
+
+    def delta(x):
+        return t.mu_between(0.0, x) * t.nu_between(x, D)
+
+    def delta1(x):
+        k, frac = t.locate(x)
+        px = t.nu_between(x, D)
+        sx = math.sqrt(px)
+        if sx <= 0:
+            return 0.0
+        head_x = head[k] + 0.5 * (s[k] + sx) * t.dmu[k] * frac
+        tail_x = tail[k + 1] + 0.5 * (px * sx + seed[k + 1] * s[k + 1]) * t.dmu[k] * (1.0 - frac)
+        return sx * head_x + tail_x / sx
+
+    def delta1_prime(x):
+        k, frac = t.locate(x)
+        px = t.nu_between(x, D)
+        if px <= 0:
+            return 0.0
+        t_x = tail_sq[k + 1] + 0.5 * (px**2 + seed[k + 1] ** 2) * t.dmu[k] * (1.0 - frac)
+        return t.mu_between(0.0, x) * px + t_x / px
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nodes = {
+            "delta": (t.mu_cum * seed, delta),
+            "delta1": (np.where(s > 0, s * head + tail / np.where(s > 0, s, 1.0), 0.0), delta1),
+            "delta1_prime": (
+                np.where(seed > 0, t.mu_cum * seed + tail_sq / np.where(seed > 0, seed, 1.0), 0.0),
+                delta1_prime,
+            ),
+        }
+    out = {}
+    for name, (node_vals, objective) in nodes.items():
+        x, v = reference_scan_refine(t.grid, node_vals, objective)
+        out[name] = (v, bounds._back(case, table, x))
+    return out
+
+
+REFERENCE_FIXTURES = [
+    ("ND", "lap_nd"), ("DN", "lap_dn"), ("NN", "lap_nn"), ("ND", "quad_nd"),
+    ("DN", "quad_dn"), ("DN", "ou_dn_4"), ("DN", "ou_dn_8"),
+]
+
+REFERENCE_TABLES = {
+    "exp(x)/1 ND (0,3)": dict(a="exp(x)", b="1", D=3.0, case="ND"),
+    "1/-x ND (0,5)": dict(a="1", b="-x", D=5.0, case="ND"),
+    "2+sin(5x)/0 ND (0,3)": dict(a="2+sin(5*x)", b="0", D=3.0, case="ND"),
+    "1+x^2/0 DN (0,4096)": dict(a="1+x^2", b="0", D=4096.0, case="DN"),
+    "sqrt(x)/0 DN (0,1)": dict(a="sqrt(x)", b="0", D=1.0, case="DN"),
+    "1/-1/sqrt(x) DN (0,1)": dict(a="1", b="-1/sqrt(x)", D=1.0, case="DN"),
+}
+
+
+class TestClosedFormMatchesGoldenSection:
+    """Each constant's exact panel maximum against the golden-section search
+    it replaced: values to 1e-12 relative, argmax in the reference's panel."""
+
+    @staticmethod
+    def check(case, table):
+        ref = reference_constants(case, table)
+        slack = 1e-12 * table.right_end
+        for name, fn in (("delta", bounds.delta), ("delta1", bounds.delta1),
+                         ("delta1_prime", bounds.delta1_prime)):
+            v, x = fn(case, table)
+            v_ref, x_ref = ref[name]
+            assert v == pytest.approx(v_ref, rel=1e-12), name
+            k, _ = table.locate(x_ref)
+            assert table.grid[k] - slack <= x <= table.grid[k + 1] + slack, (name, x, x_ref)
+
+    @pytest.mark.parametrize("case,fixture", REFERENCE_FIXTURES)
+    def test_fixture_tables(self, case, fixture, request):
+        self.check(case, request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("label", sorted(REFERENCE_TABLES))
+    def test_more_tables(self, label):
+        spec = REFERENCE_TABLES[label]
+        self.check(spec["case"], C.make_table(**spec))
+
+    @pytest.mark.parametrize("case,fixture", [("ND", "lap_nd"), ("DN", "lap_dn"), ("NN", "lap_nn")])
+    def test_laplacian_delta_argmax_is_the_midpoint(self, case, fixture, request):
+        _, x = bounds.delta(case, request.getfixturevalue(fixture))
+        assert x == pytest.approx(0.5, abs=1e-12)
 
 
 class TestReport:

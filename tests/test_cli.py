@@ -422,7 +422,13 @@ class TestUnresolvableProblems:
          "product of the speed-measure mass of (0, x) and the scale-measure mass"),
         (["bounds", "--a", "1", "--b", "-50*x", "--D", "10", "--case", "DN"],
          "the scale-measure mass over (0, 10) overflowed"),
-    ], ids=["ND-D1e300", "DN-b-50x"])
+        # OU DN: the table and delta fit, the squared (D = 27) or 3/2-power
+        # (D = 32) scale tail of an improved constant does not
+        (["bounds", "--a", "1", "--b", "-x", "--D", "27", "--case", "DN"],
+         "delta1_prime overflowed the float range on (0, 27)"),
+        (["bounds", "--a", "1", "--b", "-x", "--D", "32", "--case", "DN"],
+         "delta1 overflowed the float range on (0, 32)"),
+    ], ids=["ND-D1e300", "DN-b-50x", "DN-ou-D27", "DN-ou-D32"])
     def test_overflow_on_a_finite_interval_exit_4(self, argv, overflowed, capsys):
         # every mass on a finite (0, D) is finite, so an overflow there is a
         # float-range failure, never a certified zero eigenvalue
@@ -430,6 +436,14 @@ class TestUnresolvableProblems:
         err = json.loads(capsys.readouterr().out)["error"]
         assert code == 4 and err["type"] == "DegenerationError"
         assert overflowed in err["message"]
+
+    def test_ou_dn_below_the_improved_overflow_resolves(self, capsys):
+        # the last D before delta1_prime's overflow keeps its bracket
+        code = cli.main(["bounds", "--a", "1", "--b", "-x", "--D", "26", "--case", "DN"])
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert res["lower_improved"] == pytest.approx(0.872415981306, rel=1e-11)
+        assert res["upper_improved"] == pytest.approx(1.25417501674, rel=1e-11)
 
     @staticmethod
     def non_finite(node):

@@ -493,8 +493,8 @@ class TestMirrorOrientation:
 
     @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
     def test_dn_constants_match_unmirrored_node_scans(self, fixture, request):
-        # DN node values read straight off this table's columns; the golden
-        # refinement on the mirror may only add a sliver inside a panel
+        # DN node values read straight off this table's columns; the panel
+        # maxima on the mirror may only add a sliver inside a panel
         table = request.getfixturevalue(fixture)
         seed = table.nu_cum
         head_sq = measures.prefix_integral(table, seed**2, "mu")

@@ -44,7 +44,8 @@ _PROVENANCE = {
     "delta_n_prime": "iterated localized upper-bound constants; reciprocals are upper bounds",
     "dbar_n": "Rayleigh-quotient companions of the localized iterates",
     "eta_n": "centered-iterate constants; reciprocals bound the spectral gap from below",
-    "lambda": "finite-volume eigensolver (independent oracle) on the measure grid",
+    "lambda": "finite-volume eigensolver (independent oracle) on the measure grid; "
+    "lambda_lo and lambda_hi enclose the scheme's eigenvalue",
     "duality": "measure-swapped dual problem has the same principal eigenvalue",
 }
 
@@ -390,6 +391,8 @@ def cmd_oracle(cfg: RunConfig) -> list[dict]:
             return {
                 "results": {
                     "lambda": walk.values[-1],
+                    "lambda_lo": walk.result.lambda_lo,
+                    "lambda_hi": walk.result.lambda_hi,
                     "trace": [[p, v] for p, v in zip(tr.points, tr.values)],
                     "converged": tr.converged,
                     "monotone_decreasing": tr.monotone_decreasing,
@@ -402,6 +405,8 @@ def cmd_oracle(cfg: RunConfig) -> list[dict]:
         return {
             "results": {
                 "lambda": sol.lambda_,
+                "lambda_lo": sol.lambda_lo,
+                "lambda_hi": sol.lambda_hi,
                 "residual": sol.residual,
                 "N": sol.N,
                 "identity_deviations": {
@@ -453,6 +458,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
 
         results: dict = {
             "lambda_oracle": lam_work,
+            "lambda_lo": sol.lambda_lo,
+            "lambda_hi": sol.lambda_hi,
             "bounds": brep.to_dict(),
             "residual": sol.residual,
         }
@@ -558,7 +565,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
         verdicts.append(_verdict(
             "oracle_residual",
             sol.residual <= table.problem.tolerances.oracle,
-            f"relative defect {sol.residual:.3g}",
+            f"Green's-function defect max|lambda*G*B*g - g|/max|g| = {sol.residual:.3g}",
         ))
         results["verdicts"] = verdicts
         return {

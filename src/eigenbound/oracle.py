@@ -1,21 +1,26 @@
-"""Independent finite-difference eigensolver used to validate every bound.
+"""Independent finite-volume eigensolver used to validate every bound.
 
 The operator is discretized in its conservation form: the flux difference
-(f_{i+1} - f_i) / nu(panel) between neighbouring nodes, divided by the
-speed-measure mass of the node cell.  Coefficients enter only through the
-per-panel masses of the measure table (a finite-volume scheme), which keeps
-the matrix symmetric positive semi-definite under the speed-measure inner
-product and second-order accurate on the smoothly graded grid.
+(f_{i+1} - f_i) / nu(panel) between neighbouring nodes, divided by the speed
+mass of the node cell (half of each neighbouring panel's).  Coefficients
+enter only through the table's panel masses, which keeps A f = lambda B f
+symmetric under the speed-measure inner product and second-order accurate on
+the smoothly graded grid.  The solve reads nothing of the bounds code.
 
-The generalized problem A f = lambda B f (A tridiagonal, B the diagonal of
-cell masses) is symmetrized to B^{-1/2} A B^{-1/2} and the wanted eigenpair
-is computed by LAPACK bisection with Sturm sign counts plus inverse
-iteration (scipy's eigh_tridiagonal with the stebz/stein drivers).  The
-scheme is assembled for ND (flux zero at 0, value zero at the right end) and
-NN only.  DN is solved as ND on the panels in reverse order, and its values
-are put back on the table's own nodes.  For the double-Neumann case the gap
-is the second eigenvalue; the constant mode is projected out of the returned
-eigenvector against the discrete speed measure rather than shifted away.
+The scheme's inverse G is explicit and positive, so the eigenpair comes from
+power iteration on G B, the paper's lower-sequence iteration run on the
+scheme.  It only sums positive terms, so it keeps full relative accuracy
+however far lambda lies below the norm of A.  For every positive v, the least
+and greatest entry of (G B v) / v bracket 1/lambda (Collatz-Wielandt): each
+solve reports that enclosure [lambda_lo, lambda_hi], and refuses one it
+cannot close to the oracle tolerance.  Its Green's-function defect
+|lambda G B g - g| / max |g| is at most the enclosure's relative width.
+- ND: G[i, k] = T[max(i, k)], T[i] the scale mass from node i to the right
+  end, where the value is zero.  DN is ND on the panels in reverse order.
+- NN: the gap is the principal eigenvalue of the panel fluxes w,
+  Delta B^-1 Delta^T w = lambda diag(dnu) w, with inverse P[min(j, k)]
+  Q[max(j, k)] / total, P and Q the node cells summed from either end.  The
+  eigenfunction is the prefix sum of dnu * w, centred against the cells.
 """
 
 from __future__ import annotations
@@ -29,136 +34,123 @@ from .errors import DegenerationError, RangeError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, build_tables, walk_truncations
 from .testfn import GridFunction, gradient
 
+# power steps before a solve whose enclosure is still open gives up
+MAX_ITERATIONS = 10_000
+
 
 @dataclass
 class EigenSolution:
-    """Principal (or first nontrivial) eigenpair with solver diagnostics."""
+    """Principal (or first nontrivial) eigenpair with solver diagnostics.  The
+    residual and the Rayleigh quotient are those of the iterated vector: the
+    node values for ND/DN, the panel fluxes for NN."""
 
     lambda_: float
     eigenfunction: GridFunction
     residual: float
     N: int
     rayleigh: float
+    lambda_lo: float
+    lambda_hi: float
 
 
-def _merged_panels(table: MeasureTable):
-    """Coalesce panels thinner than a width floor, preserving their masses.
-
-    The adaptive tables may grade geometrically into an endpoint to resolve
-    an integrable singular weight; panels that thin would blow the scheme's
-    matrix norm past what float Sturm counts can resolve.  Merging is exact
-    for the masses and perturbs the discrete eigenvalue only at the tip
-    scale.  Returns (kept node indices, merged scale panels, merged speed
-    panels)."""
-    widths = np.diff(table.grid)
-    floor = 1e-7 * table.right_end
-    if np.all(widths >= floor):
-        return np.arange(len(table.grid)), table.dnu, table.dmu
-    kept = [0]
-    acc = 0.0
-    for j, w in enumerate(widths):
-        acc += w
-        if acc >= floor or j == len(widths) - 1:
-            kept.append(j + 1)
-            acc = 0.0
-    kidx = np.asarray(kept)
-    dnu = np.add.reduceat(table.dnu, kidx[:-1])
-    dmu = np.add.reduceat(table.dmu, kidx[:-1])
-    return kidx, dnu, dmu
+def _suffix(x: np.ndarray) -> np.ndarray:
+    """s[i] = sum of x[i:], summed from the far end."""
+    return np.cumsum(x[::-1])[::-1]
 
 
-def _assemble(dnu: np.ndarray, dmu: np.ndarray):
-    """Tridiagonal stiffness/mass pair (diag, coupling, cell_mass) of the
-    panels, one row per node, with zero flux at both ends."""
-    if np.any(dnu <= 0):
-        raise DegenerationError("degenerate scale-measure panel; grid too coarse here")
-    inv = 1.0 / dnu
-    diag = np.append(inv, 0.0)
-    diag[1:] += inv
-    cell = np.append(dmu, 0.0)
-    cell[1:] += dmu
-    return diag, inv, 0.5 * cell
+def _nd_green(dnu: np.ndarray, cell: np.ndarray):
+    """v -> G B v for ND, (G B v)_i = T[i] sum_{k<=i} cell_k v_k + sum_{k>i}
+    T_k cell_k v_k; returns the operator and its start vector T."""
+    tail = _suffix(dnu)
+
+    def apply(v):
+        cv = cell * v
+        w = tail * np.cumsum(cv)
+        w[:-1] += _suffix(tail * cv)[1:]
+        return w
+
+    return apply, tail
 
 
-def _stiffness(diag: np.ndarray, coupling: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The tridiagonal stiffness matrix applied to v."""
-    av = diag * v
-    av[:-1] -= coupling * v[1:]
-    av[1:] -= coupling * v[:-1]
-    return av
+def _nn_green(dnu: np.ndarray, cell: np.ndarray):
+    """w -> K^-1 diag(dnu) w on the panel fluxes, and a start vector.  Q is
+    summed from the right, never taken as total - P: that difference cancels
+    to 0 where the speed mass is tiny."""
+    head = np.cumsum(cell)[:-1]
+    tail = _suffix(cell)[1:]
+    total = head[-1] + tail[-1]
+
+    def apply(phi):
+        y = dnu * phi
+        z = tail * np.cumsum(head * y)
+        z[:-1] += head[:-1] * _suffix(tail * y)[1:]
+        return z / total
+
+    return apply, np.ones(len(dnu))
+
+
+def _power(apply, v: np.ndarray):
+    """Power iteration until the Collatz-Wielandt bounds min/max apply(v)/v
+    meet, stop tightening (in exact arithmetic they tighten at every step, so
+    that is the rounding floor), or MAX_ITERATIONS steps.  Returns (v scaled
+    to max 1, apply(v), min ratio, max ratio)."""
+    spread = np.inf
+    for step in range(1, MAX_ITERATIONS + 1):
+        v = v / np.max(v)
+        w = apply(v)
+        ratio = w / v
+        lo, hi = ratio.min(), ratio.max()
+        if hi - lo <= 1e-15 * lo or not hi - lo < spread or step == MAX_ITERATIONS:
+            break
+        spread, v = hi - lo, w
+    return v, w, lo, hi
+
+
+def _green_defect(lam: float, v: np.ndarray, w: np.ndarray) -> float:
+    """max |lambda w - v| / max |v| for w = G B v, free of differences of v."""
+    return float(np.max(np.abs(lam * w - v)) / np.max(np.abs(v)))
 
 
 def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
-    """Assemble and solve directly on an existing measure table."""
-    # scipy.linalg is most of the package's import time; only solves need it
-    from scipy.linalg import eigh_tridiagonal
-
+    """The principal eigenpair of the scheme on an existing measure table."""
     if case not in ("ND", "DN", "NN"):
         raise ValueError(f"unknown case {case!r}")
-    # merged in the table's own orientation, so DN merges the same panels
-    kidx, dnu, dmu = _merged_panels(table)
-    if case == "DN":  # the ND problem on the reversed panels
-        kidx, dnu, dmu = kidx[::-1], dnu[::-1], dmu[::-1]
-    diag, coupling, cell = _assemble(dnu, dmu)
-    x = np.abs(table.grid[kidx] - table.grid[kidx[0]])  # distance from the Neumann end
-    if case == "NN":
-        probe = x - np.dot(cell, x) / np.sum(cell)
-    else:  # value zero at the far end: its row is dropped
-        diag, coupling, cell = diag[:-1], coupling[:-1], cell[:-1]
-        probe = 1.0 - x[:-1] / x[-1]
-    if np.any(cell <= 0):
+    dnu, dmu = (table.dnu[::-1], table.dmu[::-1]) if case == "DN" else (table.dnu, table.dmu)
+    cell = 0.5 * (np.append(dmu, 0.0) + np.append(0.0, dmu))
+    if case != "NN":  # value zero at the far end: its node is dropped
+        cell = cell[:-1]
+    if np.any(dnu <= 0) or np.any(cell <= 0):
         raise DegenerationError(
-            "non-positive speed-measure cell: either the diffusion "
-            "coefficient slipped past validation without being positive, or "
-            "the mass underflowed at this truncation and grid size"
+            "non-positive panel mass: a coefficient slipped past validation, or "
+            "a mass underflowed at this truncation and grid size"
         )
-    mass_sqrt = np.sqrt(cell)
-    d = diag / cell
-    e = -coupling / (mass_sqrt[:-1] * mass_sqrt[1:])
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise DegenerationError("non-finite scheme coefficients after symmetrization")
-    which = 1 if case == "NN" else 0
-    # bisection tolerance scale: the Rayleigh quotient of a cheap admissible
-    # test vector bounds the wanted eigenvalue from above, so a tolerance
-    # relative to it keeps full accuracy even when tiny endpoint panels blow
-    # up the matrix norm (the default norm-scaled tolerance would not)
-    rho = float(np.dot(probe, _stiffness(diag, coupling, probe)) / np.dot(probe, cell * probe))
-    try:
-        vals, vecs = eigh_tridiagonal(
-            d, e, select="i", select_range=(which, which),
-            lapack_driver="stebz", tol=1e-13 * max(rho, 1e-30),
-        )
-    except np.linalg.LinAlgError as exc:
-        raise DegenerationError(f"tridiagonal eigensolver failed on this table: {exc}") from exc
-    lam = float(vals[0])
-    if lam < 0:
-        # the assembly is positive semi-definite by construction, so a
-        # negative value can only be bisection noise around zero
+    apply, start = _nn_green(dnu, cell) if case == "NN" else _nd_green(dnu, cell)
+    weight = dnu if case == "NN" else cell  # the inner product the operator is symmetric in
+    v, w, lo, hi = _power(apply, start)
+    lam_lo, lam_hi = 1.0 / hi, 1.0 / lo
+    if not lam_hi - lam_lo <= table.problem.tolerances.oracle * lam_lo:
         raise DegenerationError(
-            f"eigenvalue {lam:.3e} is below the solver resolution at this "
-            "grid size; it is indistinguishable from zero"
+            f"power iteration could not close the eigenvalue enclosure [{lam_lo:.6g}, "
+            f"{lam_hi:.6g}] to the oracle tolerance; the spectral gap is too small here"
         )
-    g = vecs[:, 0] / mass_sqrt
-    if case == "NN":  # project out the discrete constant mode
-        g = g - np.dot(cell, g) / np.sum(cell)
-
-    # residual of the generalized problem, relative to the stiffness scale
-    av = _stiffness(diag, coupling, g)
-    defect = av - lam * cell * g
-    residual = float(np.max(np.abs(defect)) / max(np.max(np.abs(av)), 1e-300))
-    rayleigh = float(np.dot(g, av) / np.dot(g, cell * g))
-
-    # on the full grid: zero at a Dirichlet end, interpolated inside merged tip panels
-    ys = np.pad(g, (0, len(kidx) - len(g)))
-    order = np.argsort(kidx)
-    full = np.interp(table.grid, table.grid[kidx[order]], ys[order])
-    full = full / np.copysign(np.max(np.abs(full)), g[0])  # positive at the Neumann end
+    scale = np.max(w)  # w is about v / lambda: rescaled, its squares cannot underflow
+    u = w / scale
+    vu = np.dot(weight * v, u)
+    lam = float(np.dot(weight * v, v) / (vu * scale))  # the Rayleigh quotient of G B at v, inverted
+    if case == "NN":  # the node values, centred against the cells
+        g = np.concatenate([[0.0], np.cumsum(dnu * v)])
+        g -= np.dot(cell, g) / np.sum(cell)
+        g /= np.copysign(np.max(np.abs(g)), g[0])  # positive at the Neumann end
+    else:
+        g = np.append(v, 0.0)[::-1] if case == "DN" else np.append(v, 0.0)
     return EigenSolution(
         lambda_=lam,
-        eigenfunction=GridFunction(table, full, gradient(table.grid, full)),
-        residual=residual,
+        eigenfunction=GridFunction(table, g, gradient(table.grid, g)),
+        residual=_green_defect(lam, v, w),
         N=table.n_panels,
-        rayleigh=rayleigh,
+        rayleigh=float(vu / (np.dot(weight * u, u) * scale)),  # of A at w, as A w = B v
+        lambda_lo=lam_lo,
+        lambda_hi=lam_hi,
     )
 
 

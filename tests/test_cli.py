@@ -332,17 +332,21 @@ class TestMain:
         assert not out.exists()
 
     def test_bounds_does_not_import_scipy_linalg(self):
-        # scipy.linalg is most of the import time, and only the oracle solve needs it
-        script = (
-            "import sys\n"
-            "from eigenbound import cli\n"
-            "code = cli.main(['bounds', '--a', '1', '--b', '0', '--D', 'inf', '--case', 'ND'])\n"
-            "print('scipy.linalg' in sys.modules, code)\n"
-        )
+        # no command needs scipy, whose import would cost a fresh process more
+        # than its whole computation
         src = str(Path(eigenbound.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        assert proc.stdout.splitlines()[-1] == "False 0"
+        for argv in (["bounds", "--a", "1", "--b", "0", "--D", "inf", "--case", "ND"],
+                     ["oracle", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"],
+                     ["verify", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"]):
+            script = (
+                "import sys\n"
+                "from eigenbound import cli\n"
+                f"code = cli.main({argv!r})\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')), code)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+            assert proc.stdout.splitlines()[-1] == "[] 0", argv
 
     def test_bounds_infinite_evaluates_delta_once_per_walk_point(self, monkeypatch, capsys):
         calls = []
@@ -537,5 +541,42 @@ class TestReportKeys:
     @pytest.mark.parametrize("case", ["ND", "DN", "NN"])
     def test_verify_keys(self, case, capsys):
         results = self.results("verify", case, capsys)
-        assert set(results) == self.VERIFY[case] | {"lambda_oracle", "bounds", "residual", "verdicts"}
+        assert set(results) == self.VERIFY[case] | {"lambda_oracle", "lambda_lo", "lambda_hi", "bounds",
+                                                    "residual", "verdicts"}
         assert [v["check"] for v in results["verdicts"]] == self.VERDICTS[case]
+
+
+class TestSmallEigenvalues:
+    """ND problems whose eigenvalue lies far below the norm of the scheme's
+    matrix: OU with its Dirichlet end far out, and two double wells.  The
+    oracle's value must lie inside the certified improved bracket and inside
+    its own enclosure."""
+
+    @staticmethod
+    def verify(b, D, capsys):
+        code = cli.main(["verify", "--a", "1", "--b", b, "--D", D, "--case", "ND"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        lam, rep = results["lambda_oracle"], results["bounds"]
+        assert rep["lower_improved"] <= lam <= rep["upper_improved"]
+        assert results["lambda_lo"] <= lam <= results["lambda_hi"]
+        return code, results
+
+    @pytest.mark.parametrize("D, lam", [
+        ("5", 1.42110277621e-05), ("7", 1.2515670002e-10), ("8", 7.95302930201e-14),
+    ])
+    def test_ou_nd_passes(self, D, lam, capsys):
+        code, results = self.verify("-x", D, capsys)
+        assert code == 0
+        assert results["lambda_oracle"] == pytest.approx(lam, rel=1e-10)
+
+    @pytest.mark.parametrize("b, D, lam", [
+        ("-20*(x-1)*(x-2)*(x-3)", "4", 4.05408313132e-18),
+        ("-10*(x-1)*(x-2.5)*(x-4)", "5", 5.49840421993e-16),
+    ])
+    def test_double_well_fails_only_the_lower_sequence_direction(self, b, D, lam, capsys):
+        # every verdict that reads the oracle passes; delta_n rising on a
+        # double well is a finding about the lower sequence, left standing
+        code, results = self.verify(b, D, capsys)
+        assert results["lambda_oracle"] == pytest.approx(lam, rel=1e-10)
+        failed = [v["check"] for v in results["verdicts"] if not v["pass"]]
+        assert (code, failed) == (5, ["lower_sequence_monotone"])

@@ -1,23 +1,46 @@
 import json
 import math
 import time
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as C
 from eigenbound import bounds, cli, measures, oracle
-from eigenbound.errors import RangeError
+from eigenbound.errors import DegenerationError, RangeError
 from eigenbound.testfn import GridFunction, gradient
 
 
-def _frozen_dn_solve(table):
-    """The DN solve as assembled per case before DN ran as ND on the reversed
-    panels: rows 1..M of the zero-flux scheme, the probe x/D for the bisection
-    tolerance, and the sign read a quarter of the way along the rows."""
-    from scipy.linalg import eigh_tridiagonal
+def _merged_panels(table: measures.MeasureTable):
+    """Coalesce panels thinner than 1e-7 of the interval, preserving their
+    masses, as the LAPACK bisection solve needed: (kept node indices, merged
+    scale panels, merged speed panels)."""
+    widths = np.diff(table.grid)
+    floor = 1e-7 * table.right_end
+    if np.all(widths >= floor):
+        return np.arange(len(table.grid)), table.dnu, table.dmu
+    kept = [0]
+    acc = 0.0
+    for j, w in enumerate(widths):
+        acc += w
+        if acc >= floor or j == len(widths) - 1:
+            kept.append(j + 1)
+            acc = 0.0
+    kidx = np.asarray(kept)
+    dnu = np.add.reduceat(table.dnu, kidx[:-1])
+    dmu = np.add.reduceat(table.dmu, kidx[:-1])
+    return kidx, dnu, dmu
 
-    kidx, dnu, dmu = oracle._merged_panels(table)
+
+def _frozen_dn_assembly(table):
+    """The DN scheme as assembled per case before DN ran as ND on the reversed
+    panels: rows 1..M of the zero-flux scheme on the merged panels, as
+    (diagonal, coupling, cell masses, table node of each row)."""
+    kidx, dnu, dmu = _merged_panels(table)
     m = len(dnu)
     inv = 1.0 / dnu
     full_diag = np.empty(m + 1)
@@ -28,7 +51,16 @@ def _frozen_dn_solve(table):
     full_cell[0] = 0.5 * dmu[0]
     full_cell[-1] = 0.5 * dmu[-1]
     full_cell[1:-1] = 0.5 * (dmu[:-1] + dmu[1:])
-    diag, coupling, cell, rows = full_diag[1:], inv[1:], full_cell[1:], kidx[1:]
+    return full_diag[1:], inv[1:], full_cell[1:], kidx[1:]
+
+
+def _frozen_dn_solve(table):
+    """The DN solve of the per-case assembly by LAPACK bisection (stebz), with
+    the probe x/D for the bisection tolerance and the sign read a quarter of
+    the way along the rows."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, coupling, cell, rows = _frozen_dn_assembly(table)
 
     def stiffness(v):
         av = diag * v
@@ -57,7 +89,27 @@ def _frozen_dn_solve(table):
         full = -full
     full = full / np.max(np.abs(full))
     eigenfunction = GridFunction(table, full, gradient(table.grid, full))
-    return oracle.EigenSolution(lam, eigenfunction, residual, table.n_panels, rayleigh)
+    return oracle.EigenSolution(lam, eigenfunction, residual, table.n_panels, rayleigh, lam, lam)
+
+
+def _eigenvalues_below(table, x) -> int:
+    """Eigenvalues of the per-case DN scheme below x, by a Sturm count of
+    A - x B assembled and factored in 40-digit arithmetic from the merged
+    panel masses.  A float assembly would not do: rounding the diagonal of A
+    moves its least eigenvalue by about 1e-16 of the norm of A."""
+    _, dnu, dmu = _merged_panels(table)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        inv = [1 / mpmath.mpf(v) for v in dnu] + [0]
+        mass = [mpmath.mpf(v) for v in dmu] + [0]
+        count, pivot = 0, None
+        for j in range(1, len(inv)):  # rows 1..M: the node at 0 is Dirichlet
+            d = inv[j - 1] + inv[j] - x * (mass[j - 1] + mass[j]) / 2
+            if pivot is not None:
+                d -= inv[j - 1] ** 2 / pivot
+            count += d < 0
+            pivot = d
+    return count
 
 
 class TestEigensolve:
@@ -204,7 +256,12 @@ class TestResiduals:
             table = C.make_table(a=problem[0], b=problem[1], D=problem[2], case="DN")
         ref = _frozen_dn_solve(table)
         sol = oracle.solve_on_table(table, "DN")
-        assert sol.lambda_ == pytest.approx(ref.lambda_, rel=1e-10, abs=0)
+        # the enclosure holds the per-case scheme's eigenvalue, and no other,
+        # to 1e-12 relative, and is 1e-10 narrow
+        assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi
+        assert sol.lambda_hi - sol.lambda_lo <= 1e-10 * sol.lambda_lo
+        assert _eigenvalues_below(table, sol.lambda_lo * (1 - 1e-12)) == 0
+        assert _eigenvalues_below(table, sol.lambda_hi * (1 + 1e-12)) == 1
         assert np.max(np.abs(sol.eigenfunction.values - ref.eigenfunction.values)) <= 1e-9
         assert sol.residual <= table.problem.tolerances.oracle
 
@@ -224,6 +281,90 @@ class TestResiduals:
             edges.append(abs(sol.eigenfunction.values[mid]))
         assert edges[0] > edges[1] > edges[2]
         assert edges[2] <= 1e-3
+
+
+class TestPowerIteration:
+    """The Green's-function power iteration: enclosure, defect and refusal."""
+
+    def test_ou_nn_gap_sums_the_tail_cells_from_the_right(self):
+        # speed cells near 8 are e^-32 of the total: a tail taken as total -
+        # head would cancel to 0 there
+        sol = oracle.solve_on_table(C.make_table(preset="ou", D=8.0, case="NN"), "NN")
+        assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi
+        assert sol.lambda_ == pytest.approx(1.99993208329, rel=1e-11)
+        assert sol.residual <= 1e-12
+        assert np.isfinite(sol.eigenfunction.values).all()
+
+    @pytest.mark.parametrize("table", [
+        ("laplacian", None, 1.0), (None, "-x", 5.0), (None, "-20*(x-1)*(x-2)*(x-3)", 4.0),
+    ], ids=str)
+    def test_green_defect_rejects_a_doctored_eigenfunction(self, table):
+        preset, b, D = table
+        t = C.make_table(preset=preset, a=None if preset else "1", b=b, D=D, case="ND")
+        sol = oracle.solve_on_table(t, "ND")
+        cell = 0.5 * (np.append(t.dmu, 0.0) + np.append(0.0, t.dmu))[:-1]
+        apply, _ = oracle._nd_green(t.dnu, cell)
+        g = sol.eigenfunction.values[:-1]  # the Dirichlet node is not an unknown
+        assert oracle._green_defect(sol.lambda_, g, apply(g)) <= 1e-14
+        doctored = g.copy()
+        doctored[len(g) // 2:] *= 1.01
+        assert oracle._green_defect(sol.lambda_, doctored, apply(doctored)) > t.problem.tolerances.oracle
+
+    def test_an_enclosure_open_at_the_cap_is_refused(self, monkeypatch, capsys):
+        # OU DN (0, 8) needs 38 steps to close its enclosure
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 3)
+        with pytest.raises(DegenerationError):
+            oracle.solve_on_table(C.make_table(preset="ou", D=8.0, case="DN"), "DN")
+        assert cli.main(["oracle", "--a", "1", "--b", "-x", "--D", "8", "--case", "DN"]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 4
+
+    def test_an_enclosure_closed_at_the_cap_holds_lambda(self, monkeypatch):
+        # 20 steps leave OU DN (0, 8) open by about 1e-7, inside the tolerance
+        table = C.make_table(preset="ou", D=8.0, case="DN")
+        full = oracle.solve_on_table(table, "DN")
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 20)
+        sol = oracle.solve_on_table(table, "DN")
+        width = (sol.lambda_hi - sol.lambda_lo) / sol.lambda_lo
+        assert 1e-15 < width <= table.problem.tolerances.oracle
+        assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi
+        assert sol.lambda_ == pytest.approx(full.lambda_, rel=1e-12)
+        assert sol.residual <= width
+
+    def test_a_crowded_spectrum_bottom_is_slow_or_refused(self, monkeypatch, capsys):
+        # drift -1 on (0, 64): lambda_1 = 0.2521 lies just above the continuum
+        # edge 1/4 of (0, inf), and the iteration needs over 1,000 steps
+        table = C.make_table(a="1", b="-1", D=64.0, case="DN")
+        steps, green = [0], oracle._nd_green
+
+        def counted(dnu, cell):
+            apply, start = green(dnu, cell)
+
+            def step(v):
+                steps[0] += 1
+                return apply(v)
+
+            return step, start
+
+        monkeypatch.setattr(oracle, "_nd_green", counted)
+        sol = oracle.solve_on_table(table, "DN")
+        assert steps[0] > 1000
+        assert sol.lambda_hi - sol.lambda_lo <= 1e-12 * sol.lambda_lo
+        assert _eigenvalues_below(table, sol.lambda_lo * (1 - 1e-12)) == 0
+        assert _eigenvalues_below(table, sol.lambda_hi * (1 + 1e-12)) == 1
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 200)  # the enclosure is 1e-3 wide there
+        with pytest.raises(DegenerationError):
+            oracle.solve_on_table(table, "DN")
+        assert cli.main(["oracle", "--a", "1", "--b", "-1", "--D", "64", "--case", "DN"]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)), min_size=2, max_size=40))
+    def test_enclosure_contains_the_bisection_eigenvalue(self, lap_dn, masses):
+        dnu, dmu = (np.array(col) / len(masses) for col in zip(*masses))
+        table = replace(lap_dn, grid=np.linspace(0.0, 1.0, len(masses) + 1), dnu=dnu, dmu=dmu)
+        sol = oracle.solve_on_table(table, "DN")
+        ref = _frozen_dn_solve(table).lambda_
+        assert sol.lambda_lo * (1 - 1e-9) <= ref <= sol.lambda_hi * (1 + 1e-9)
 
 
 class TestThinTipDN:

@@ -10,6 +10,7 @@ degeneration, 5 a bracketing verdict failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -244,8 +245,7 @@ def _decimate(arr: np.ndarray, cap: int = 512) -> list[float]:
     arr = np.asarray(arr, dtype=float)
     if len(arr) <= cap:
         return arr.tolist()
-    idx = np.linspace(0, len(arr) - 1, cap).round().astype(int)
-    return arr[np.unique(idx)].tolist()
+    return arr[np.linspace(0, len(arr) - 1, cap).round().astype(int)].tolist()  # distinct: the step exceeds 1
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +582,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
 # entry point
 
 
+@functools.cache  # one parser per process; parse_args does not change it
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenbound",

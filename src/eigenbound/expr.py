@@ -245,9 +245,9 @@ def evaluate(ast: ExprAst, x: Number) -> Number:
     if isinstance(ast, Neg):
         return -evaluate(ast.child, x)
     if isinstance(ast, Bin):
-        lv = evaluate(ast.left, x)
-        rv = evaluate(ast.right, x)
         op = ast.op
+        lv = evaluate(ast.left, x)
+        rv = _exponent(ast.right, x) if op == "^" else evaluate(ast.right, x)
         if op == "+":
             return lv + rv
         if op == "-":
@@ -261,9 +261,10 @@ def evaluate(ast: ExprAst, x: Number) -> Number:
             return lv / rv
         return _power(lv, rv, ast, x)
     if isinstance(ast, Call):
-        vals = [evaluate(arg, x) for arg in ast.args]
-        v = vals[0]
         name = ast.name
+        if name == "pow":
+            return _power(evaluate(ast.args[0], x), _exponent(ast.args[1], x), ast, x)
+        v = evaluate(ast.args[0], x)
         if name == "exp":
             with np.errstate(over="ignore"):
                 return np.exp(v) if is_array else float(np.exp(v))
@@ -283,20 +284,29 @@ def evaluate(ast: ExprAst, x: Number) -> Number:
             return np.cos(v) if is_array else math.cos(v)
         if name == "abs":
             return np.abs(v) if is_array else abs(v)
-        if name == "pow":
-            return _power(vals[0], vals[1], ast, x)
         raise AssertionError(name)
     raise TypeError(f"not an ExprAst: {ast!r}")
+
+
+def _has_x(ast: ExprAst) -> bool:
+    kids = (ast.child,) if isinstance(ast, Neg) else (ast.left, ast.right) if isinstance(ast, Bin) else ()
+    return isinstance(ast, Var) or any(map(_has_x, kids + getattr(ast, "args", ())))
+
+
+def _exponent(ast: ExprAst, x: Number) -> Number:
+    """An exponent at x, a float if it has no x (np.power's scalar loops)."""
+    constant = isinstance(x, np.ndarray) and x.size and not _has_x(ast)
+    return evaluate(ast, float(x.flat[0]) if constant else x)
 
 
 def _power(base: Number, expo: Number, node, x) -> Number:
     b = np.asarray(base, dtype=float)
     p = np.asarray(expo, dtype=float)
-    bad = (b == 0) & (p < 0)
-    if np.any(bad):
+    neg = p < 0  # the base is read only where the exponent can make it a domain error
+    if np.any(neg) and np.any(bad := (b == 0) & neg):
         _fail("0 raised to a negative power", node, x, bad)
-    bad = (b < 0) & (p != np.round(p))
-    if np.any(bad):
+    frac = p != np.round(p)
+    if np.any(frac) and np.any(bad := (b < 0) & frac):
         _fail("negative base with non-integer exponent", node, x, bad)
     with np.errstate(over="ignore"):
         out = np.power(b, p)

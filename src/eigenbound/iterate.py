@@ -106,7 +106,7 @@ _REFINE_ROUNDS = 7
 
 
 def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
-    return np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int))
+    return np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int)  # distinct: the step is >= 1
 
 
 def _window_evaluator(table: MeasureTable):

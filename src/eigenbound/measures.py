@@ -388,6 +388,11 @@ class MeasureTable:
                 target.close()
 
 
+def _median(a: np.ndarray) -> float:  # np.median, whose import of numpy.ma costs a process 10 ms
+    a = np.sort(a)
+    return 0.5 * (a[(len(a) - 1) // 2] + a[len(a) // 2])
+
+
 def _prefix_from_panels(d: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(d)])
 
@@ -478,7 +483,7 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
         for j in open_ends[split[open_ends - 1]]:
             w1 = edges[j] - edges[j - 1]
             inserts.append(edges[j] - w1 * np.array([1.0 / 256.0, 1.0 / 16.0]))
-        new_edges = np.sort(np.unique(np.concatenate([edges] + inserts)))
+        new_edges = np.sort(np.concatenate([edges] + inserts))  # a repeated node has gap 0: dropped below
         gaps = np.diff(new_edges)
         # panels must stay resolvable in floating point, down to the Gauss
         # nodes of their halves, which must not round onto a panel end (where
@@ -505,10 +510,10 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     grid keeps the splits.  A panel still over tolerance after refinement
     raises HypothesisViolationError: a weight that is not integrable there
     would otherwise enter the masses as a finite number.  A panel mass that
-    is not finite, a mass total over OVERFLOW_GUARD, or a criterion product
+    is not finite, a mass total over OVERFLOW_GUARD, a criterion product
     (speed head x scale tail for ND, scale head x speed tail for DN and NN)
-    that overflows raises DegenerationError naming it: on a finite interval
-    each is a float-range failure, not a divergent mass.
+    that overflows or a zero-width panel raises DegenerationError naming it:
+    on a finite interval each is a float-range failure, not a divergent mass.
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
@@ -550,6 +555,8 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
         )
 
     widths = edges[1:] - edges[:-1]
+    if not (widths > 0).all():
+        raise DegenerationError(f"(0, {right_end:g}) is too short for floats: a panel has zero width")
     mid = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         cen_mu = np.where(dmu > 0, mmu / np.where(dmu > 0, dmu, 1.0), mid)
@@ -579,15 +586,13 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
 def prefix_integral(table: MeasureTable, values: np.ndarray, measure: str = "mu") -> np.ndarray:
     """P[i] = integral of the grid function over (0, x_i) against mu or nu."""
     wL, wR = (table.mu_wL, table.mu_wR) if measure == "mu" else (table.nu_wL, table.nu_wR)
-    terms = wL * values[:-1] + wR * values[1:]
-    return np.concatenate([[0.0], np.cumsum(terms)])
+    return _prefix_from_panels(wL * values[:-1] + wR * values[1:])
 
 
 def suffix_integral(table: MeasureTable, values: np.ndarray, measure: str = "mu") -> np.ndarray:
     """S[i] = integral of the grid function over (x_i, right_end)."""
     wL, wR = (table.mu_wL, table.mu_wR) if measure == "mu" else (table.nu_wL, table.nu_wR)
-    terms = wL * values[:-1] + wR * values[1:]
-    return np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
+    return _suffix_from_panels(wL * values[:-1] + wR * values[1:])
 
 
 @dataclass
@@ -698,7 +703,7 @@ def _shell_probe(density, endpoint: float, anchor: float) -> bool:
     if shells[-1] <= 1e-9 * (total + 1.0):
         return True
     ratios = shells[-6:] / np.maximum(shells[-7:-1], 1e-300)
-    return bool(np.median(ratios) <= 0.985)
+    return bool(_median(ratios) <= 0.985)
 
 
 def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
@@ -720,7 +725,7 @@ def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
     if len(inc) < 2:
         return False
     ratios = inc[1:] / inc[:-1]
-    return bool(np.median(ratios[-4:]) >= 0.97)
+    return bool(_median(ratios[-4:]) >= 0.97)
 
 
 #: cells of the graded base grid on each shell between truncation points

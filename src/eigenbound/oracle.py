@@ -7,14 +7,15 @@ enter only through the table's panel masses, which keeps A f = lambda B f
 symmetric under the speed-measure inner product and second-order accurate on
 the smoothly graded grid.  The solve reads nothing of the bounds code.
 
-The scheme's inverse G is explicit and positive, so the eigenpair comes from
-power iteration on G B, the paper's lower-sequence iteration run on the
-scheme.  It only sums positive terms, so it keeps full relative accuracy
-however far lambda lies below the norm of A.  For every positive v, the least
-and greatest entry of (G B v) / v bracket 1/lambda (Collatz-Wielandt): each
-solve reports that enclosure [lambda_lo, lambda_hi], and refuses one it
-cannot close to the oracle tolerance.  Its Green's-function defect
-|lambda G B g - g| / max |g| is at most the enclosure's relative width.
+The scheme's inverse G is explicit and positive, so G B sums positive terms
+only and keeps full relative accuracy however far lambda lies below the norm
+of A.  Restarted Lanczos on G B finds the eigenvector at a rate set by the
+square root of the gap 1 - lambda_1/lambda_2; power iteration from it, the
+paper's lower-sequence iteration run on the scheme, closes the enclosure: for
+every positive v, the least and greatest entry of (G B v) / v bracket 1/lambda
+(Collatz-Wielandt).  Each solve reports [lambda_lo, lambda_hi], and refuses
+one still open to the oracle tolerance after MAX_ITERATIONS applications of
+G B.  Its Green's-function defect is at most the enclosure's relative width.
 - ND: G[i, k] = T[max(i, k)], T[i] the scale mass from node i to the right
   end, where the value is zero.  DN is ND on the panels in reverse order.
 - NN: the gap is the principal eigenvalue of the panel fluxes w,
@@ -34,7 +35,7 @@ from .errors import DegenerationError, RangeError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, build_tables, walk_truncations
 from .testfn import GridFunction, gradient
 
-# power steps before a solve whose enclosure is still open gives up
+# applications of G B, both phases together, before an open enclosure is refused
 MAX_ITERATIONS = 10_000
 
 
@@ -89,18 +90,50 @@ def _nn_green(dnu: np.ndarray, cell: np.ndarray):
     return apply, np.ones(len(dnu))
 
 
-def _power(apply, v: np.ndarray):
+def _lanczos(apply, v: np.ndarray, weight: np.ndarray, budget: int):
+    """Lanczos on apply, self-adjoint in sum(weight u v): cycles of at most 20
+    steps, orthogonalized twice, restarted from the top Ritz vector, until
+    |beta_k s_k| <= 1e-13 theta (checked every 4 steps) or budget applications.
+    Returns (the Ritz vector, applications used)."""
+    used, scale = 0, 0.0
+    while used < budget:
+        m = min(20, len(v), budget - used)
+        (basis, wbasis), (alpha, beta) = np.empty((2, m + 1, len(v))), np.zeros((2, m))
+        v = v / np.max(np.abs(v))
+        basis[0] = v / np.sqrt(np.dot(weight * v, v))
+        wbasis[0] = weight * basis[0]  # wbasis = weight * basis throughout
+        for k in range(m):
+            w = apply(basis[k])
+            scale = scale or 1.0 / np.dot(wbasis[0], w)  # theta about 1: w^2 cannot overflow
+            w *= scale
+            for _ in range(2):
+                c = wbasis[: k + 1] @ w
+                w -= c @ basis[: k + 1]
+                alpha[k] += c[k]
+            ww = weight * w
+            beta[k] = np.sqrt(np.dot(ww, w))
+            if (k + 1) % 4 == 0 or k + 1 == m or beta[k] <= 1e-13 * alpha[k]:
+                theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))  # lower half
+                v = s[:, -1] @ basis[: k + 1]
+                if beta[k] * abs(s[k, -1]) <= 1e-13 * theta[-1]:
+                    return v, used + k + 1
+            basis[k + 1], wbasis[k + 1] = w / beta[k], ww / beta[k]
+        used += m
+    return v, used
+
+
+def _power(apply, v: np.ndarray, steps: int):
     """Power iteration until the Collatz-Wielandt bounds min/max apply(v)/v
     meet, stop tightening (in exact arithmetic they tighten at every step, so
-    that is the rounding floor), or MAX_ITERATIONS steps.  Returns (v scaled
-    to max 1, apply(v), min ratio, max ratio)."""
-    spread = np.inf
-    for step in range(1, MAX_ITERATIONS + 1):
+    that is the rounding floor), or the given number of steps.  Returns (v
+    scaled to max 1, apply(v), min ratio, max ratio)."""
+    spread, w, lo, hi = np.inf, v, np.nan, np.nan  # no steps left: no enclosure
+    for step in range(1, steps + 1):
         v = v / np.max(v)
         w = apply(v)
         ratio = w / v
         lo, hi = ratio.min(), ratio.max()
-        if hi - lo <= 1e-15 * lo or not hi - lo < spread or step == MAX_ITERATIONS:
+        if hi - lo <= 1e-15 * lo or not hi - lo < spread or step == steps:
             break
         spread, v = hi - lo, w
     return v, w, lo, hi
@@ -125,13 +158,14 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
             "a mass underflowed at this truncation and grid size"
         )
     apply, start = _nn_green(dnu, cell) if case == "NN" else _nd_green(dnu, cell)
-    weight = dnu if case == "NN" else cell  # the inner product the operator is symmetric in
-    v, w, lo, hi = _power(apply, start)
+    weight = dnu if case == "NN" else cell  # the inner product the operator is self-adjoint in
+    ritz, used = _lanczos(apply, start, weight, MAX_ITERATIONS)
+    v, w, lo, hi = _power(apply, np.abs(ritz), MAX_ITERATIONS - used)
     lam_lo, lam_hi = 1.0 / hi, 1.0 / lo
     if not lam_hi - lam_lo <= table.problem.tolerances.oracle * lam_lo:
         raise DegenerationError(
-            f"power iteration could not close the eigenvalue enclosure [{lam_lo:.6g}, "
-            f"{lam_hi:.6g}] to the oracle tolerance; the spectral gap is too small here"
+            f"the eigenvalue enclosure [{lam_lo:.6g}, {lam_hi:.6g}] is still open to the oracle "
+            f"tolerance after {MAX_ITERATIONS} applications of G B; the spectral gap is too small here"
         )
     scale = np.max(w)  # w is about v / lambda: rescaled, its squares cannot underflow
     u = w / scale

@@ -333,7 +333,7 @@ class TestMain:
 
     def test_bounds_does_not_import_scipy_linalg(self):
         # no command needs scipy, whose import would cost a fresh process more
-        # than its whole computation
+        # than its whole computation, nor numpy.ma (10-14 ms of one)
         src = str(Path(eigenbound.__file__).resolve().parents[1])
         for argv in (["bounds", "--a", "1", "--b", "0", "--D", "inf", "--case", "ND"],
                      ["oracle", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"],
@@ -342,11 +342,22 @@ class TestMain:
                 "import sys\n"
                 "from eigenbound import cli\n"
                 f"code = cli.main({argv!r})\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')), code)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')), 'numpy.ma' in sys.modules, code)\n"
             )
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-            assert proc.stdout.splitlines()[-1] == "[] 0", argv
+            assert proc.stdout.splitlines()[-1] == "[] False 0", argv
+
+    def test_a_reused_parser_prints_what_fresh_processes_print(self, capsys):
+        # the argument parser is built once per process
+        src = str(Path(eigenbound.__file__).resolve().parents[1])
+        runs = (["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "ND", "--grid-size", "600"],
+                ["oracle", "--a", "1", "--b", "-x", "--D", "4", "--case", "DN", "--n-max", "2", "--format", "csv"])
+        for argv in runs:
+            cli.main(argv)
+            fresh = subprocess.run([sys.executable, "-m", "eigenbound.cli", *argv], capture_output=True,
+                                   text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+            assert capsys.readouterr().out == fresh.stdout, argv
 
     def test_bounds_infinite_evaluates_delta_once_per_walk_point(self, monkeypatch, capsys):
         calls = []
@@ -461,6 +472,7 @@ class TestUnresolvableProblems:
         ("oracle", "1e-100"), ("verify", "1e-100"), ("bounds", "1e-100"), ("bounds", "1e-155"),
         ("bounds", "1e-160"), ("bounds", "5e-324"), ("iterate", "1e-160"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_interval_is_a_json_error_or_finite(self, command, D, capsys):
         code = cli.main([command, "--a", "1", "--b", "0", "--D", D, "--case", "ND"])
         out = json.loads(capsys.readouterr().out)
@@ -471,6 +483,8 @@ class TestUnresolvableProblems:
             assert out["error"]["exit_code"] == code
         if (command, D) == ("bounds", "1e-100"):
             assert code == 0
+        if D == "5e-324":  # every panel has zero width: refused where the table is built
+            assert code == 4 and "zero width" in out["error"]["message"]
 
 
 class TestOverflowingTruncation:

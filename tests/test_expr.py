@@ -107,6 +107,25 @@ class TestEvaluate:
         b = expr.evaluate(ast, 1.2345)
         assert a == b  # bit-identical
 
+    @pytest.mark.parametrize("src, ref", [
+        ("x^2", lambda x: x * x), ("pow(x, 2)", lambda x: x * x),
+        ("x^0.5", np.sqrt), ("x^(1/2)", np.sqrt), ("pow(x, 0.5)", np.sqrt),
+    ])
+    def test_constant_exponent_takes_the_scalar_power(self, src, ref):
+        xs = np.linspace(0.0, 50.0, 28_001)
+        assert np.array_equal(expr.evaluate(expr.parse_expression(src), xs), ref(xs))
+
+    @pytest.mark.parametrize("src, message", [
+        ("0^-1", "0 raised to a negative power"), ("(-1)^0.5", "negative base with non-integer exponent"),
+        ("pow(x - 1, 0.5)", "negative base with non-integer exponent"), ("x^-1", "0 raised to a negative power"),
+    ])
+    def test_constant_exponent_domain_errors_name_x(self, src, message):
+        xs = np.linspace(0.0, 0.5, 11)
+        with pytest.raises(DomainError, match=rf"{message} in node at offset \d+ \(x=0\.0\)"):
+            expr.evaluate(expr.parse_expression(src), xs)
+        with pytest.raises(DomainError, match=rf"{message} .*\(x=0\.0\)"):
+            expr.evaluate(expr.parse_expression(src), 0.0)
+
     def test_domain_error_names_node(self):
         with pytest.raises(DomainError, match="offset"):
             expr.evaluate(expr.parse_expression("1 + log(x-2)"), 1.0)

@@ -20,11 +20,12 @@ Iterates are renormalized to sup-norm one each step; the transforms are
 scale-invariant, so this only prevents magnitude drift.  The outer
 optimization scans a coarse candidate set snapped to table nodes, then
 halves a local 5-point refinement step around the best member down to
-single-node resolution.  A window (x_i0, x_i1) costs O((i1 - i0) * n_max):
-the iterate is constant on the plateau [0, x_i0], so the plateau enters
-each transform as one prefix sum of the speed weights read at i0, built
-once per search, and per-node work runs on the window's own nodes.
-Windows are evaluated one at a time.
+single-node resolution.  A window (x_i0, D) costs O((M - i0) * n_max): the
+iterate is constant on the plateau [0, x_i0], so the plateau enters each
+transform as one prefix sum read at i0, and per-node work runs on the
+window's own nodes.  The prefix sums, the start nu(x, D) every window
+shares and its first-step terms are built once per search; only the ND
+search, whose dbar_n is printed, computes the Rayleigh companion.
 """
 
 from __future__ import annotations
@@ -109,53 +110,58 @@ def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
     return np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int)  # distinct: the step is >= 1
 
 
-def _window_evaluator(table: MeasureTable):
-    """The localized ND iteration of ``table``, as ``eval_window(i0, i1, n_max)``.
+def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
+    """The localized ND iteration of ``table`` on the windows (x_i0, D), the
+    only ones a search visits, as ``eval_window(i0)``.
 
-    The prefix sums the plateaus read are built here, once per search:
-    S[i] is the speed mass of (0, x_i) as the cumulative sum of the panel
-    weights, and W[j] = mu_wL[j] + mu_wR[j-1] is the speed weight of node j
-    in the companion's quadrature.
+    Built once per search: S[i], the speed mass of (0, x_i) as the
+    cumulative sum of the panel weights; W[j] = mu_wL[j] + mu_wR[j-1], the
+    speed weight of node j in the companion's quadrature; T[i] = nu(x_i, D),
+    a reverse partial sum of the panels whose tail T[i0:] (never written)
+    starts window i0; and P, the panel terms of T its first step reads.
     """
+    m = table.n_panels
     mu_wL, mu_wR = table.mu_wL, table.mu_wR
     nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
-    S = np.zeros(table.n_panels + 1)
+    S = np.zeros(m + 1)
     np.cumsum(mu_wL + mu_wR, out=S[1:])
     W = mu_wL.copy()
     W[1:] += mu_wR[:-1]
+    T = np.zeros(m + 1)
+    T[:m] = np.add.accumulate(dnu[::-1])[::-1]
+    P = mu_wL * T[:m] + mu_wR * T[1:]
 
-    def eval_window(i0: int, i1: int, n_max: int):
-        """Localized ND iteration on the node window (i0, i1).
+    def eval_window(i0: int):
+        """Localized ND iteration on the node window (i0, M).
 
-        Returns the per-step window infima and their Rayleigh-quotient
-        companions.  The iterate is a constant c on the plateau [0, x_i0],
-        decreasing on the window and zero from x_i1 on.  Per-node work runs
-        on the window's nodes i0..i1 only, so a window costs
-        O((i1 - i0) * n_max): the plateau enters F as c * S[i0] and the
-        companion's numerator as c^2 * S[i0], prefix sums read at one node.
-        The second transform G is a reverse cumulative sum of non-negative
-        terms, so the iterate never increases: the renormalizing scale is
+        Returns the per-step window infima and, with ``companion``, their
+        Rayleigh-quotient companions.  The iterate is a constant c on the
+        plateau [0, x_i0], decreasing on the window and zero at D: the
+        plateau enters F as c * S[i0] and the companion's numerator as
+        c^2 * S[i0].  The second transform G is a reverse cumulative sum of
+        non-negative terms, so the iterate never increases: the scale is
         G[i0], no plateau node has a smaller ratio than i0, and the iterate
-        is positive on the whole window exactly when it is at node i1 - 1.
-        The starting iterate nu(x, x_i1) is a reverse partial sum of the
-        window's panels, never a difference of cumulative totals.
+        is positive on the window exactly when it is at node M - 1.  The
+        last step only checks the scale; nothing reads its renormalization.
         """
-        L = i1 - i0
-        wL, wR = mu_wL[i0:i1], mu_wR[i0:i1]
-        gL, gR = nu_wL[i0:i1], nu_wR[i0:i1]
-        d = dnu[i0:i1]
-        v = np.zeros(L + 1)  # the iterate on nodes i0..i1; v[L] = 0 at x_i1
-        v[:L] = np.add.accumulate(d[::-1])[::-1]
+        L = m - i0
+        wL, wR = mu_wL[i0:], mu_wR[i0:]
+        gL, gR = nu_wL[i0:], nu_wR[i0:]
+        v = T[i0:]  # the iterate on nodes i0..M; v[L] = 0 at D
         energy = float(v[0])  # unit flux on the window
         terms = np.empty(L + 1)
         F = np.empty(L + 1)
         infs, dbars = [], []
         for n in range(n_max):
             c = float(v[0])
-            numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 : i1] @ (v[1:L] * v[1:L])
-            dbars.append(float(numer) / energy if energy > 0 else 0.0)
+            if companion:
+                numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 :] @ (v[1:L] * v[1:L])
+                dbars.append(float(numer) / energy if energy > 0 else 0.0)
             terms[0] = c * S[i0]
-            np.add(wL * v[:L], wR * v[1:], out=terms[1:])
+            if n == 0:
+                terms[1:] = P[i0:]
+            else:
+                np.add(wL * v[:L], wR * v[1:], out=terms[1:])
             np.add.accumulate(terms, out=F)
             G = np.add.accumulate((gL * F[:L] + gR * F[1:])[::-1])[::-1]
             if v[L - 1] > 0:
@@ -163,19 +169,23 @@ def _window_evaluator(table: MeasureTable):
             else:
                 ratio = np.divide(G, v[:L], out=np.full(L, np.inf), where=v[:L] > 0)
             infs.append(float(ratio.min()))
-            # renormalize for the next step; the plateau takes the value at i0
             scale = float(G[0])
             if not scale > 0:
-                raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
+                raise DegenerationError(f"localized iterate vanished on window ({i0}, {m})")
+            if n + 1 == n_max:
+                break
+            # renormalize for the next step; the plateau takes the value at i0
+            v = np.zeros(L + 1)
             np.divide(G, scale, out=v[:L])
-            flux = (0.5 / scale) * (F[:L] + F[1:])
-            energy = float((flux * d) @ flux)
+            if companion:
+                flux = (0.5 / scale) * (F[:L] + F[1:])
+                energy = float((flux * dnu[i0:]) @ flux)
         return infs, dbars
 
     return eval_window
 
 
-def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int):
+def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, companion: bool):
     """Sup over the ND windows (x_i0, D) of ``table`` of each step's infimum.
 
     Members are node indices k in [lo, hi], the window starting at node
@@ -183,10 +193,9 @@ def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int):
     refinement round halves the step and rescans a 5-point neighbourhood of
     each step's best member, for _REFINE_ROUNDS rounds and then on until the
     step is one node.  Ties go to the member visited first.
-    Returns per step the best value, member and companion sup.
+    Returns per step the best value, member and companion sup (-inf if none).
     """
-    m = table.n_panels
-    eval_window = _window_evaluator(table)
+    eval_window = _window_evaluator(table, n_max, companion)
     best_val = [-np.inf] * n_max
     best_at = [lo] * n_max
     best_dbar = [-np.inf] * n_max
@@ -197,13 +206,14 @@ def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int):
         if k in seen:
             return
         seen.add(k)
-        infs, dbars = eval_window(start_of(k), m, n_max)
+        infs, dbars = eval_window(start_of(k))
         for n in range(n_max):
             if infs[n] > best_val[n]:
                 best_val[n] = infs[n]
                 best_at[n] = k
-            if dbars[n] > best_dbar[n]:
-                best_dbar[n] = dbars[n]
+        for n, dbar in enumerate(dbars):
+            if dbar > best_dbar[n]:
+                best_dbar[n] = dbar
 
     cands = _index_candidates(lo, hi, _COARSE)
     for k in cands:
@@ -229,7 +239,7 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     eps = table.problem.tolerances.bound_refine
-    best_val, best_start, best_dbar = _family_sup(table, n_max, lambda i0: i0, 0, table.n_panels - 1)
+    best_val, best_start, best_dbar = _family_sup(table, n_max, lambda i0: i0, 0, table.n_panels - 1, True)
     D = float(table.grid[-1])
     return IterationTrace(
         values=best_val,
@@ -251,7 +261,7 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
         raise ValueError("n_max must be at least 1")
     eps = table.problem.tolerances.bound_refine
     m = table.n_panels
-    best_val, best_cap, _ = _family_sup(table.mirrored(), n_max, lambda c: m - c, 1, m)
+    best_val, best_cap, _ = _family_sup(table.mirrored(), n_max, lambda c: m - c, 1, m, False)
     return IterationTrace(
         values=best_val,
         monotonicity=monotone_verdict(best_val, 10 * eps),

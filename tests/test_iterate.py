@@ -136,6 +136,26 @@ def reference_eval_window(table, i0, i1, n_max):
     return infs, dbars, edge
 
 
+def cut(table, i1):
+    """``table`` cut at node i1, so that its window (i0, i1) ends at D."""
+    return dataclasses.replace(
+        table,
+        grid=table.grid[: i1 + 1],
+        dnu=table.dnu[:i1],
+        mu_wL=table.mu_wL[:i1],
+        mu_wR=table.mu_wR[:i1],
+        nu_wL=table.nu_wL[:i1],
+        nu_wR=table.nu_wR[:i1],
+    )
+
+
+def eval_window(table, i0, i1, n_max):
+    """The infima and companions of the window (i0, i1) of ``table``: the
+    window evaluator serves windows ending at D, so it runs on the table cut
+    at i1 (it reads only panels below i1 and the speed prefix at i0)."""
+    return iterate._window_evaluator(cut(table, i1), n_max, True)(i0)
+
+
 @pytest.fixture(scope="module")
 def mirror_nd_8():
     return C.make_table(a="1", b="8-x", D=8.0, case="ND")
@@ -147,9 +167,8 @@ def exp_nd_3():
 
 
 def assert_windows_match_reference(table, windows, n_max=3):
-    evaluate = iterate._window_evaluator(table)
     for i0, i1 in windows:
-        infs, dbars = evaluate(i0, i1, n_max)
+        infs, dbars = eval_window(table, i0, i1, n_max)
         r_infs, r_dbars, _ = reference_eval_window(table, i0, i1, n_max)
         assert infs == pytest.approx(r_infs, rel=1e-12), (i0, i1)
         assert dbars == pytest.approx(r_dbars, rel=1e-12), (i0, i1)
@@ -195,7 +214,7 @@ class TestWindowEvaluator:
             nu_wL=np.where(np.arange(lap_nd.n_panels) < i0, 0.0, lap_nd.nu_wL),
             nu_wR=np.where(np.arange(lap_nd.n_panels) < i0, 0.0, lap_nd.nu_wR),
         )
-        infs, dbars = iterate._window_evaluator(flat)(i0, i1, 1)
+        infs, dbars = eval_window(flat, i0, i1, 1)
         r_infs, r_dbars, r_edge = reference_eval_window(flat, i0, i1, 1)
         assert infs == pytest.approx(r_infs, rel=1e-12)
         assert infs[0] == pytest.approx(r_edge, rel=1e-12)
@@ -216,9 +235,116 @@ class TestWindowEvaluator:
     def test_window_without_scale_mass_degenerates(self, lap_nd):
         i0, i1 = 400, 1200
         empty = dataclasses.replace(lap_nd, dnu=np.zeros(lap_nd.n_panels))
-        for evaluate in (iterate._window_evaluator(empty), lambda *w: reference_eval_window(empty, *w)):
+        for evaluate in (lambda *w: eval_window(empty, *w), lambda *w: reference_eval_window(empty, *w)):
             with pytest.raises(DegenerationError):
                 evaluate(i0, i1, 1)
+
+
+def frozen_window_evaluator(table):
+    """The window evaluator as it ran before windows were pinned at D, frozen:
+    any window (i0, i1), each built from its own start, the companion on
+    every step, and the last step renormalized too."""
+    mu_wL, mu_wR = table.mu_wL, table.mu_wR
+    nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
+    S = np.zeros(table.n_panels + 1)
+    np.cumsum(mu_wL + mu_wR, out=S[1:])
+    W = mu_wL.copy()
+    W[1:] += mu_wR[:-1]
+
+    def eval_window(i0, i1, n_max):
+        L = i1 - i0
+        wL, wR = mu_wL[i0:i1], mu_wR[i0:i1]
+        gL, gR = nu_wL[i0:i1], nu_wR[i0:i1]
+        d = dnu[i0:i1]
+        v = np.zeros(L + 1)
+        v[:L] = np.add.accumulate(d[::-1])[::-1]
+        energy = float(v[0])
+        terms = np.empty(L + 1)
+        F = np.empty(L + 1)
+        infs, dbars = [], []
+        for n in range(n_max):
+            c = float(v[0])
+            numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 : i1] @ (v[1:L] * v[1:L])
+            dbars.append(float(numer) / energy if energy > 0 else 0.0)
+            terms[0] = c * S[i0]
+            np.add(wL * v[:L], wR * v[1:], out=terms[1:])
+            np.add.accumulate(terms, out=F)
+            G = np.add.accumulate((gL * F[:L] + gR * F[1:])[::-1])[::-1]
+            if v[L - 1] > 0:
+                ratio = G / v[:L]
+            else:
+                ratio = np.divide(G, v[:L], out=np.full(L, np.inf), where=v[:L] > 0)
+            infs.append(float(ratio.min()))
+            scale = float(G[0])
+            if not scale > 0:
+                raise DegenerationError(f"localized iterate vanished on window ({i0}, {i1})")
+            np.divide(G, scale, out=v[:L])
+            flux = (0.5 / scale) * (F[:L] + F[1:])
+            energy = float((flux * d) @ flux)
+        return infs, dbars
+
+    return eval_window
+
+
+def frozen_pinned_evaluator(table, n_max, companion):
+    """The frozen evaluator behind the pinned evaluator's signature."""
+    frozen = frozen_window_evaluator(table)
+
+    def eval_window(i0):
+        infs, dbars = frozen(i0, table.n_panels, n_max)
+        return infs, dbars if companion else []
+
+    return eval_window
+
+
+def record_starts(patch, build, starts):
+    """Serve iterate's window searches from ``build``, appending each window
+    start they evaluate to ``starts``."""
+
+    def recording(t, n_max, companion):
+        evaluate = build(t, n_max, companion)
+
+        def eval_window(i0):
+            starts.append(i0)
+            return evaluate(i0)
+
+        return eval_window
+
+    patch.setattr(iterate, "_window_evaluator", recording)
+
+
+class TestPinnedEvaluatorIsExact:
+    """The shared start, the companion left out of DN and the last step left
+    unrenormalized change no bit of what a search reads."""
+
+    @pytest.mark.parametrize(
+        "fixture, mirror", [(f, False) for f in ND_TABLES] + [("lap_dn", True), ("ou_dn_8", True)]
+    )
+    def test_every_pinned_window_equals_the_frozen_evaluator(self, fixture, mirror, request):
+        table = request.getfixturevalue(fixture)
+        table = table.mirrored() if mirror else table
+        m = table.n_panels
+        frozen = frozen_window_evaluator(table)
+        with_dbar, without = (iterate._window_evaluator(table, 3, c) for c in (True, False))
+        for i0 in range(m):
+            infs, dbars = frozen(i0, m, 3)
+            assert without(i0) == (infs, []), i0
+            if not mirror:
+                assert with_dbar(i0) == (infs, dbars), i0
+
+    @pytest.mark.parametrize("fixture", ["lap_nd", "ou_dn_8"])
+    @pytest.mark.parametrize("search", ["upper_sequence_nd", "upper_sequence_dn"])
+    def test_searches_visit_the_frozen_starts(self, fixture, search, request, monkeypatch):
+        table = request.getfixturevalue(fixture)
+        traces, visits = [], []
+        for build in (frozen_pinned_evaluator, iterate._window_evaluator):
+            visits.append([])
+            with monkeypatch.context() as patched:
+                record_starts(patched, build, visits[-1])
+                traces.append(getattr(iterate, search)(table, 3))
+        assert len(visits[1]) > iterate._COARSE
+        assert visits[1] == visits[0]
+        assert traces[1] == traces[0]
 
 
 # upper sequences at n_max = 3, frozen from the dense window evaluator:
@@ -326,10 +452,9 @@ def reference_upper_sequence_nd(table, n_max):
     m = table.n_panels
     i0s = iterate._index_candidates(0, m - 1, 32)
     i1s = iterate._index_candidates(1, m, 32)
-    eval_window = iterate._window_evaluator(table)
 
     def evaluate(i0, i1):
-        return eval_window(i0, i1, n_max) if i1 > i0 else None
+        return eval_window(table, i0, i1, n_max) if i1 > i0 else None
 
     vals, pairs, dbars = reference_family_sup(evaluate, [(i0s, 0, m - 1), (i1s, 1, m)], n_max)
     return vals, dbars, [(float(table.grid[i0]), float(table.grid[i1])) for i0, i1 in pairs]
@@ -399,19 +524,8 @@ class TestUpperSequenceDN:
         table = C.make_table(a="1", b="-1/sqrt(x)", D=1.0, case="DN")
         m = table.n_panels
         assert np.diff(iterate._index_candidates(1, m, iterate._COARSE))[0] > 255
-        starts = set()
-        build = iterate._window_evaluator
-
-        def recording(t):
-            evaluate = build(t)
-
-            def eval_window(i0, i1, n_max):
-                starts.add(i0)
-                return evaluate(i0, i1, n_max)
-
-            return eval_window
-
-        monkeypatch.setattr(iterate, "_window_evaluator", recording)
+        starts = []
+        record_starts(monkeypatch, iterate._window_evaluator, starts)
         trace = iterate.upper_sequence_dn(table, 3)
         caps = {m - i0 for i0 in starts}
         for x in trace.pair_locations:

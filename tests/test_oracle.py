@@ -319,11 +319,29 @@ class TestPowerIteration:
         assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 4
 
     def test_an_enclosure_closed_at_the_cap_holds_lambda(self, monkeypatch):
-        # 20 steps leave OU DN (0, 8) open by about 1e-7, inside the tolerance
+        # 20 applications of G B on OU DN (0, 8) are 16 Lanczos steps and 4
+        # power steps, which leave the enclosure open by about 3e-15, inside
+        # the tolerance; uncapped, 6 power steps close it to about 7e-16
         table = C.make_table(preset="ou", D=8.0, case="DN")
         full = oracle.solve_on_table(table, "DN")
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 20)
+        budgets, power = [], oracle._power
+
+        def counted(apply, v, steps):
+            used = [0]
+
+            def step(u):
+                used[0] += 1
+                return apply(u)
+
+            out = power(step, v, steps)
+            budgets.append((steps, used[0]))
+            return out
+
+        monkeypatch.setattr(oracle, "_power", counted)
         sol = oracle.solve_on_table(table, "DN")
+        [(budget, used)] = budgets
+        assert 0 < budget == used  # the cap, not the stop rule, ended the power phase
         width = (sol.lambda_hi - sol.lambda_lo) / sol.lambda_lo
         assert 1e-15 < width <= table.problem.tolerances.oracle
         assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi

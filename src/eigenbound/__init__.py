@@ -39,8 +39,6 @@ from .oracle import (
     infinite_domain_limit,
     solve_on_table,
 )
-from .testfn import GridFunction, power, seed_function
-from .variational import OperatorValue, double_integral_form, single_integral_form
 
 __all__ = [
     "__version__",
@@ -50,12 +48,10 @@ __all__ = [
     "DomainError",
     "EigenboundError",
     "EigenSolution",
-    "GridFunction",
     "HypothesisViolationError",
     "IterationTrace",
     "LexError",
     "MeasureTable",
-    "OperatorValue",
     "ParseError",
     "ProblemSpec",
     "RangeError",
@@ -65,7 +61,6 @@ __all__ = [
     "delta",
     "delta1",
     "delta1_prime",
-    "double_integral_form",
     "dual_table",
     "eigen_residuals",
     "eta_sequence",
@@ -75,9 +70,6 @@ __all__ = [
     "lower_sequence",
     "make_problem",
     "parse_expression",
-    "power",
-    "seed_function",
-    "single_integral_form",
     "solve_on_table",
     "truncate",
     "upper_sequence_dn",

@@ -415,7 +415,7 @@ def cmd_oracle(cfg: RunConfig) -> list[dict]:
                 },
                 "diagnostics": {k: v for k, v in resid.items() if k not in ("i_deviation", "ii_deviation")},
             },
-            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction.values)},
+            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
         }
 
     return _run(cfg, "oracle", ("lambda",), oracle.settle_lambda, zero, body)
@@ -571,7 +571,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
         return {
             "results": results,
             "all_pass": all(v["pass"] for v in verdicts),
-            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction.values)},
+            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
         }
 
     reports = _run(cfg, "verify", tuple(_PROVENANCE), oracle.settle_lambda, zero, body)

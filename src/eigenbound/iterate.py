@@ -1,8 +1,11 @@
 """Approximating procedures: monotone sequences of certified bounds.
 
-The lower sequence iterates f -> f * (double integral form of f) starting
-from the square root of the seed function; the supremum of the transform is
-non-increasing in n and each reciprocal is a lower bound.  The upper
+The lower sequence iterates f -> f * II(f), II the double-integral
+transform, starting from the square root of the scale tail nu(x, D); the
+supremum of the transform is non-increasing in n and each reciprocal is a
+lower bound.  The lower and centered sequences take each transform from
+measures.prefix_integral and measures.suffix_integral, the package's one
+transform kernel; the window evaluator below is its window-local form.  The upper
 sequences run the same iteration inside one localized family, the ND
 windows (x0, D) whose end is pinned at D, take the window infimum, and
 maximize over the family; reciprocals are upper bounds.  The DN cap is
@@ -34,10 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerationError
+from .errors import DegenerationError, DomainError
 from .measures import MeasureTable, prefix_integral, suffix_integral
-from .testfn import GridFunction, power, seed_function
-from .variational import double_integral_form
 
 
 @dataclass
@@ -72,28 +73,41 @@ def monotone_verdict(values: list[float], slack: float) -> str:
 
 def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace:
     """Lower-bound constants from iterating the square root of the seed,
-    until two successive constants agree to the bound tolerance; DN runs as
-    ND on the mirrored table, whose node k is node M - k here."""
+    until two successive constants agree to the bound tolerance relatively;
+    DN runs as ND on the mirrored table, whose node k is node M - k here.
+
+    One step maps f to its product f * II(f) = int_x^D dnu int_0^y f dmu, a
+    prefix pass against mu and a suffix pass against nu, and takes the sup
+    of the ratio over the nodes where f > 0 and the ratio is finite.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if case not in ("ND", "DN"):
         raise ValueError("lower sequence is defined for the ND and DN cases")
     eps = table.problem.tolerances.bound_refine
     oriented, grid = (table.mirrored(), table.grid[::-1]) if case == "DN" else (table, table.grid)
-    f = power(seed_function(oriented), 0.5)
+    f = np.sqrt(oriented.nu_tail)
     values: list[float] = []
     for n in range(1, n_max + 1):
-        op, product = double_integral_form(f)
-        values.append(op.sup)
-        bad = np.flatnonzero(product.values[1:-1] <= 0)
+        positive = f > 0
+        if not positive[1:-1].all():
+            i = 1 + int(np.argmin(positive[1:-1]))
+            raise DomainError(f"test function not positive at interior node x={grid[i]} (step {n})")
+        product = suffix_integral(oriented, prefix_integral(oriented, f, "mu"), "nu")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = product / f
+        window = positive & np.isfinite(ratio)
+        if not window.any():
+            raise DegenerationError(f"double integral: empty evaluation window (step {n})")
+        values.append(float(np.max(ratio[window])))
+        bad = np.flatnonzero(product[1:-1] <= 0)
         if bad.size:
             raise DegenerationError(
                 f"iterate lost positivity at node x={grid[bad[0] + 1]} (step {n})"
             )
-        if n >= 2 and abs(values[-1] - values[-2]) <= eps * max(1.0, values[-1]):
+        if n >= 2 and abs(values[-1] - values[-2]) <= eps * abs(values[-1]):
             break
-        c = 1.0 / np.max(product.values)
-        f = GridFunction(oriented, product.values * c, product.deriv * c)
+        f = product * (1.0 / np.max(product))
     return IterationTrace(values=values, monotonicity=monotone_verdict(values, 10 * eps))
 
 

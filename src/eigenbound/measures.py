@@ -6,7 +6,9 @@ measure has density e^{-C}.  A MeasureTable carries both measures as
 cumulative and tail columns on an adaptive grid, plus per-panel masses and
 the node weights their first moments give, so that grid functions can be
 integrated against either measure with second-order accuracy in two linear
-passes.
+passes: prefix_integral and suffix_integral, the package's one transform
+kernel.  A mass over a window is a partial sum of panel masses, never a
+difference of two cumulative totals.
 
 Quadrature: each grid panel is integrated by a 7-point Gauss-Legendre rule,
 with the error estimated by comparing against the two half-panel rules
@@ -295,10 +297,6 @@ class MeasureTable:
     def n_panels(self) -> int:
         return len(self.grid) - 1
 
-    def exp_negC(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(-self.Cvals)
-
     def mirrored(self) -> "MeasureTable":
         """The same measures under x -> right_end - x, in O(M).
 
@@ -327,49 +325,8 @@ class MeasureTable:
             nu_wR=self.nu_wL[::-1].copy(),
         )
 
-    def locate(self, x: float) -> tuple[int, float]:
-        """Panel holding x and the fraction of that panel to the left of x."""
-        if not (0.0 <= x <= self.right_end * (1 + 1e-12)):
-            raise RangeError(f"point {x} outside [0, {self.right_end}]")
-        x = min(x, self.right_end)
-        i = int(np.searchsorted(self.grid, x, side="right") - 1)
-        i = min(max(i, 0), self.n_panels - 1)
-        return i, float((x - self.grid[i]) / (self.grid[i + 1] - self.grid[i]))
-
-    def _mass(self, d: np.ndarray, cum: np.ndarray, tail: np.ndarray, alpha: float, beta: float) -> float:
-        """Mass of (alpha, beta): linear inside a panel, exact at nodes.
-
-        The whole panels come from the cum column when alpha = 0, from the
-        tail column when beta = right_end, and from a partial sum of the
-        panel masses otherwise; no two totals are ever subtracted, so a
-        window far below one ulp of the running total keeps its mass.
-        """
-        if beta < alpha:
-            raise RangeError("interval endpoints out of order")
-        if alpha == 0.0:
-            j, fb = self.locate(beta)
-            return float(cum[j] + d[j] * fb)
-        i, fa = self.locate(alpha)
-        if beta == self.right_end:
-            return float(d[i] * (1.0 - fa) + tail[i + 1])
-        j, fb = self.locate(beta)
-        if i == j:
-            return float(d[i] * (fb - fa))
-        return float(d[i] * (1.0 - fa) + np.sum(d[i + 1 : j]) + d[j] * fb)
-
-    def mu_between(self, alpha: float, beta: float) -> float:
-        """Speed-measure mass of (alpha, beta); exact at nodes, monotone inside panels."""
-        return self._mass(self.dmu, self.mu_cum, self.mu_tail, alpha, beta)
-
-    def nu_between(self, alpha: float, beta: float) -> float:
-        """Scale-measure mass of (alpha, beta)."""
-        return self._mass(self.dnu, self.nu_cum, self.nu_tail, alpha, beta)
-
     def mu_total(self) -> float:
         return float(self.mu_cum[-1])
-
-    def nu_total(self) -> float:
-        return float(self.nu_cum[-1])
 
     def to_csv(self, target) -> None:
         """Dump columns x, C, mu_cum, nu_cum, mu_tail, nu_tail as CSV."""

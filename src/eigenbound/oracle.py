@@ -5,7 +5,10 @@ The operator is discretized in its conservation form: the flux difference
 mass of the node cell (half of each neighbouring panel's).  Coefficients
 enter only through the table's panel masses, which keeps A f = lambda B f
 symmetric under the speed-measure inner product and second-order accurate on
-the smoothly graded grid.  The solve reads nothing of the bounds code.
+the smoothly graded grid.  The solve reads nothing of the bounds code; the
+identity residuals of its eigenfunction take both integral transforms from
+measures.prefix_integral and measures.suffix_integral, the one transform
+kernel the bounds and sequences use.
 
 The scheme's inverse G is explicit and positive, so G B sums positive terms
 only and keeps full relative accuracy however far lambda lies below the norm
@@ -30,10 +33,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import variational
-from .errors import DegenerationError, RangeError
-from .measures import MeasureTable, ProblemSpec, TruncationWalk, build_tables, walk_truncations
-from .testfn import GridFunction, gradient
+from .errors import DegenerationError, DomainError, RangeError
+from .measures import (
+    MeasureTable,
+    ProblemSpec,
+    TruncationWalk,
+    build_tables,
+    prefix_integral,
+    suffix_integral,
+    walk_truncations,
+)
 
 # applications of G B, both phases together, before an open enclosure is refused
 MAX_ITERATIONS = 10_000
@@ -42,16 +51,21 @@ MAX_ITERATIONS = 10_000
 @dataclass
 class EigenSolution:
     """Principal (or first nontrivial) eigenpair with solver diagnostics.  The
-    residual and the Rayleigh quotient are those of the iterated vector: the
-    node values for ND/DN, the panel fluxes for NN."""
+    eigenfunction is its values at the nodes of ``table``.  The residual and
+    the Rayleigh quotient are those of the iterated vector: the node values
+    for ND/DN, the panel fluxes for NN."""
 
     lambda_: float
-    eigenfunction: GridFunction
+    table: MeasureTable
+    eigenfunction: np.ndarray
     residual: float
-    N: int
     rayleigh: float
     lambda_lo: float
     lambda_hi: float
+
+    @property
+    def N(self) -> int:
+        return self.table.n_panels
 
 
 def _suffix(x: np.ndarray) -> np.ndarray:
@@ -179,9 +193,9 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
         g = np.append(v, 0.0)[::-1] if case == "DN" else np.append(v, 0.0)
     return EigenSolution(
         lambda_=lam,
-        eigenfunction=GridFunction(table, g, gradient(table.grid, g)),
+        table=table,
+        eigenfunction=g,
         residual=_green_defect(lam, v, w),
-        N=table.n_panels,
         rayleigh=float(vu / (np.dot(weight * u, u) * scale)),  # of A at w, as A w = B v
         lambda_lo=lam_lo,
         lambda_hi=lam_hi,
@@ -269,43 +283,51 @@ def eigen_residuals(sol: EigenSolution) -> dict:
     """How exactly the computed eigenpair satisfies the defining identities.
 
     At the eigenfunction both integral transforms are constant with value
-    1/lambda; reported are the sup interior deviations of lambda * I(g) and
-    lambda * II(g) from one, plus monotonicity/sign diagnostics of g.  The
-    single-integral deviation is measured only where the discrete derivative
-    carries signal (the difference of neighbouring values is above the
-    floating-point noise floor).  A DN eigenfunction is checked as the ND
-    one it is on the mirrored table.
+    1/lambda; reported are the sup deviations of lambda * I(g) and
+    lambda * II(g) from one, plus monotonicity/sign diagnostics of g.  With
+    P the prefix integral of g against mu, II(g) = (suffix integral of P
+    against nu) / g at the nodes where g > 0, and I(g) on panel k is the
+    scheme's flux form, the panel mean of P times dnu[k] / (g[k] - g[k+1]),
+    on the panels where that difference is above the floating-point noise
+    floor.  A DN eigenfunction is checked as the ND one it is on the
+    mirrored table.
     """
     g = sol.eigenfunction
-    case = g.table.problem.case
+    case = sol.table.problem.case
     lam = sol.lambda_
     diagnostics: dict = {}
 
     if case == "NN":
         diagnostics["ii_note"] = "integral identities apply to the ND/DN eigenfunctions"
         diagnostics["ii_deviation"] = float("nan")
-        interior = g.values[1:-1]
+        interior = g[1:-1]
         diagnostics["sign_changes"] = int(np.sum(np.sign(interior[:-1]) * np.sign(interior[1:]) < 0))
     else:
-        nd = g.mirrored() if case == "DN" else g
-        op_ii, _ = variational.double_integral_form(nd)
-        diagnostics["ii_deviation"] = float(np.max(np.abs(lam * op_ii.values[op_ii.window] - 1.0)))
+        if not (g[1:-1] > 0).all():
+            i = 1 + int(np.argmin(g[1:-1] > 0))
+            raise DomainError(f"eigenfunction not positive at interior node x={sol.table.grid[i]}")
+        t, gv = (sol.table.mirrored(), g[::-1]) if case == "DN" else (sol.table, g)
+        positive = gv > 0
+        inner = prefix_integral(t, gv, "mu")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ii = suffix_integral(t, inner, "nu") / gv
+        window = positive & np.isfinite(ii)
+        if not window.any():
+            raise DegenerationError("double integral: empty evaluation window")
+        diagnostics["ii_deviation"] = float(np.max(np.abs(lam * ii[window] - 1.0)))
 
-        # single-integral form with a noise-aware window
-        gv = nd.values
-        signal = np.zeros(len(gv), dtype=bool)
-        signal[1:-1] = np.abs(gv[2:] - gv[:-2]) > 1e-6 * np.max(np.abs(gv))
-        op_i = variational.single_integral_form(nd)
-        window = op_i.window & signal
+        drop = gv[:-1] - gv[1:]
+        signal = drop > 0.5e-6 * np.max(np.abs(gv))
         diagnostics["i_deviation"] = float("nan")
-        if window.any():
-            diagnostics["i_deviation"] = float(np.max(np.abs(lam * op_i.values[window] - 1.0)))
-            diagnostics["i_window_fraction"] = float(window.sum() / max(len(gv) - 2, 1))
+        if signal.any():
+            flux = 0.5 * (inner[:-1] + inner[1:])[signal] * t.dnu[signal] / drop[signal]
+            diagnostics["i_deviation"] = float(np.max(np.abs(lam * flux - 1.0)))
+            diagnostics["i_window_fraction"] = float(np.mean(signal))
 
         tol = 1e-9 * np.max(np.abs(gv))
         diagnostics["strictly_monotone"] = bool(np.all(np.diff(gv)[:-1] < tol))
         diagnostics["sign_constant"] = bool(np.all(gv[1:-1] > -tol))
-    diagnostics["right_edge_interior_value"] = float(abs(g.values[-2]))
+    diagnostics["right_edge_interior_value"] = float(abs(g[-2]))
     diagnostics["residual"] = sol.residual
     diagnostics["rayleigh_gap"] = abs(sol.rayleigh - lam) / max(abs(lam), 1e-300)
     return diagnostics

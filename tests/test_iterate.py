@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import conftest as C
-from eigenbound import bounds, iterate, measures, oracle, testfn, variational as va
+from eigenbound import bounds, iterate, measures, oracle
 from eigenbound.errors import DegenerationError
 
 
@@ -58,11 +58,14 @@ class TestLowerSequence:
         # products unnormalized gives the renormalized sequence's constants
         eps = lap_nd.problem.tolerances.bound_refine
         with_norm = iterate.lower_sequence("ND", lap_nd, 4)
-        f = testfn.power(testfn.seed_function(lap_nd), 0.5)
+        f = np.sqrt(lap_nd.nu_tail)
         without = []
         for _ in range(4):
-            op, f = va.double_integral_form(f)
-            without.append(op.sup)
+            product = measures.suffix_integral(lap_nd, measures.prefix_integral(lap_nd, f, "mu"), "nu")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = product / f
+            without.append(float(np.max(ratio[(f > 0) & np.isfinite(ratio)])))
+            f = product
         assert with_norm.values == pytest.approx(without, abs=10 * eps)
 
     def test_degenerate_criterion_refused(self):
@@ -74,6 +77,86 @@ class TestLowerSequence:
     def test_nmax_validation(self, lap_nd):
         with pytest.raises(ValueError):
             iterate.lower_sequence("ND", lap_nd, 0)
+
+
+def frozen_lower_sequence(oriented, n_max):
+    """The lower sequence as the seed, power and double-integral layer ran
+    it, without the early stop: power(seed, 1/2) of the scale tail, then
+    f -> f * II(f) with the sup over the nodes where f > 0 and the ratio is
+    finite, renormalized by the reciprocal of the product's max."""
+    seed = oriented.nu_tail.copy()
+    f = np.where(seed > 0, seed, 0.0) ** 0.5
+    values = []
+    for _ in range(n_max):
+        inner = measures.prefix_integral(oriented, f, "mu")
+        product = measures.suffix_integral(oriented, inner, "nu")
+        positive = f > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = product / f
+        window = positive & np.isfinite(ratio)
+        values.append(float(np.max(ratio[window])))
+        c = 1.0 / np.max(product)
+        f = product * c
+    return values
+
+
+def frozen_ii_deviation(sol):
+    """sup |lambda * II(g) - 1| as the identity check took it from the
+    mirrored grid function and the double-integral layer."""
+    table, g = sol.table, sol.eigenfunction
+    if table.problem.case == "DN":
+        table, g = table.mirrored(), g[::-1].copy()
+    inner = measures.prefix_integral(table, g, "mu")
+    product = measures.suffix_integral(table, inner, "nu")
+    positive = g > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = product / g
+    window = positive & np.isfinite(ratio)
+    return float(np.max(np.abs(sol.lambda_ * ratio[window] - 1.0)))
+
+
+FROZEN_LOWER_PROBLEMS = {
+    "laplacian": dict(preset="laplacian"),
+    "1+x^2": dict(a="1+x^2", b="0"),
+    "ou (0,4)": dict(preset="ou", D=4.0),
+    "ou (0,8)": dict(preset="ou", D=8.0),
+    "exp(x)/1 (0,3)": dict(a="exp(x)", b="1", D=3.0),
+    "sqrt(x)/0": dict(a="sqrt(x)", b="0"),
+    "1/-1/sqrt(x)": dict(a="1", b="-1/sqrt(x)"),
+}
+
+
+class TestLowerSequenceMatchesFrozenLayer:
+    """The lower sequence and the II identity residual, run straight on the
+    prefix/suffix kernel, reproduce the seed/power/transform layer they
+    replaced to the bit."""
+
+    @pytest.mark.parametrize("case", ["ND", "DN"])
+    @pytest.mark.parametrize("name", sorted(FROZEN_LOWER_PROBLEMS))
+    def test_values_and_ii_deviation_are_bit_identical(self, name, case):
+        table = C.make_table(case=case, **FROZEN_LOWER_PROBLEMS[name])
+        n_max = 6
+        trace = iterate.lower_sequence(case, table, n_max)
+        ref = frozen_lower_sequence(table.mirrored() if case == "DN" else table, n_max)
+        assert np.array_equal(trace.values, ref[: len(trace.values)])
+        eps = table.problem.tolerances.bound_refine
+        stops = [n for n in range(1, n_max) if abs(ref[n] - ref[n - 1]) <= eps * abs(ref[n])]
+        assert len(trace.values) == (stops[0] + 1 if stops else n_max)
+        sol = oracle.solve_on_table(table, case)
+        assert oracle.eigen_residuals(sol)["ii_deviation"] == frozen_ii_deviation(sol)
+
+
+class TestLowerSequenceStopIsScaleFree:
+    def test_laplacian_nd_scales_with_d_squared(self):
+        # delta_n of the laplacian on (0, D) is D^2 times its value on (0, 1);
+        # an absolute stop test ended the sequence early for D < 1
+        traces = {
+            D: iterate.lower_sequence("ND", C.make_table(preset="laplacian", D=D), 6) for D in (1e-3, 1.0, 1e3)
+        }
+        ref = traces[1.0].values
+        for D, trace in traces.items():
+            assert len(trace.values) == len(ref), D
+            assert np.array(trace.values) / D**2 == pytest.approx(ref, rel=1e-9), D
 
 
 class TestUpperSequenceND:
@@ -574,18 +657,17 @@ class TestNaiveTruncationWarning:
         window infimum of the double-integral transform to zero instead of
         1/lambda, so that truncation is useless for upper bounds."""
         sol = oracle.fd_eigensolve(lap_nd.problem)
-        g = sol.eigenfunction
         cut = measures.build_tables(lap_nd.problem, 0.8)
-        trunc = testfn.GridFunction(
-            cut, np.interp(cut.grid, lap_nd.grid, g.values), np.interp(cut.grid, lap_nd.grid, g.deriv)
-        )
-        op, _ = va.double_integral_form(trunc)
-        assert op.values.min() <= 0.05 / sol.lambda_  # +inf outside the window
+        trunc = np.interp(cut.grid, lap_nd.grid, sol.eigenfunction)
+        product = measures.suffix_integral(cut, measures.prefix_integral(cut, trunc, "mu"), "nu")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = product / trunc
+        assert ratio[(trunc > 0) & np.isfinite(ratio)].min() <= 0.05 / sol.lambda_
 
 
 class TestMirrorOrientation:
-    """DN is ND on the mirrored table: the oriented DN operators of
-    `variational` and the ND ones on the mirror give the same constants."""
+    """DN is ND on the mirrored table: the DN sequences and constants and
+    the ND ones on the mirror agree."""
 
     @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
     def test_lower_sequence_dn_is_nd_on_mirror(self, fixture, request):
@@ -621,4 +703,5 @@ class TestMirrorOrientation:
             assert table.grid[max(k - 1, 0)] - 1e-12 <= x <= table.grid[min(k + 1, len(nodes) - 1)] + 1e-12
         # the mapped-back argmax attains delta in this table's coordinates
         v, x = bounds.delta("DN", table)
-        assert table.nu_between(0.0, x) * table.mu_between(x, table.right_end) == pytest.approx(v, rel=1e-12)
+        head, tail = np.interp(x, table.grid, table.nu_cum), np.interp(x, table.grid, table.mu_tail)
+        assert head * tail == pytest.approx(v, rel=1e-12)

@@ -19,14 +19,14 @@ class TestBuildTables:
     def test_ou_masses_match_quad_oracle(self):
         t = C.make_table(preset="ou", D=3.0, case="ND")
         assert t.mu_total() == pytest.approx(C.MU_0_3_OU, rel=1e-9)
-        assert t.nu_total() == pytest.approx(C.NU_0_3_OU, rel=1e-9)
-        assert t.nu_between(0.0, 1.0) == pytest.approx(C.NU_0_1_OU, rel=1e-5)
+        assert t.nu_cum[-1] == pytest.approx(C.NU_0_3_OU, rel=1e-9)
+        assert np.interp(1.0, t.grid, t.nu_cum) == pytest.approx(C.NU_0_1_OU, rel=1e-5)
 
     def test_zero_drift_c_identically_zero(self, quad_nd):
         assert np.all(quad_nd.Cvals == 0.0)
         # speed measure carries the 1/a weight, scale measure is Lebesgue
         assert quad_nd.mu_total() == pytest.approx(math.atan(1.0), rel=1e-10)
-        assert quad_nd.nu_total() == pytest.approx(1.0, rel=1e-12)
+        assert quad_nd.nu_cum[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_tail_plus_head_is_total(self, ou_dn_8):
         gap = ou_dn_8.mu_cum + ou_dn_8.mu_tail - ou_dn_8.mu_total()
@@ -38,7 +38,7 @@ class TestBuildTables:
             t2 = C.make_table(case="ND", grid_size=1000, **kwargs)
             eps = t1.problem.tolerances.quadrature
             assert abs(t1.mu_total() - t2.mu_total()) < 4 * eps * max(1.0, t1.mu_total())
-            assert abs(t1.nu_total() - t2.nu_total()) < 4 * eps * max(1.0, t1.nu_total())
+            assert abs(t1.nu_cum[-1] - t2.nu_cum[-1]) < 4 * eps * max(1.0, t1.nu_cum[-1])
 
     def test_positivity_enforced(self):
         p = measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND")
@@ -78,32 +78,35 @@ class TestBuildTables:
 
 
 class TestBetween:
+    """Masses between nodes, as the columns and the transform kernel give them."""
+
     def test_lebesgue_interval(self, lap_nd):
-        assert lap_nd.mu_between(0.25, 0.75) == pytest.approx(0.5, abs=1e-12)
+        i, j = np.searchsorted(lap_nd.grid, [0.25, 0.75])
+        width = lap_nd.grid[j] - lap_nd.grid[i]
+        assert math.fsum(lap_nd.dmu[i:j]) == pytest.approx(width, abs=1e-12)
+        assert lap_nd.mu_cum[j] - lap_nd.mu_cum[i] == pytest.approx(width, abs=1e-12)
 
     def test_degenerate_interval(self, ou_dn_8):
-        assert ou_dn_8.mu_between(1.234, 1.234) == 0.0
-
-    def test_out_of_range(self, lap_nd):
-        with pytest.raises(RangeError):
-            lap_nd.mu_between(0.5, 1.5)
-        with pytest.raises(RangeError):
-            lap_nd.nu_between(-0.1, 0.5)
-        with pytest.raises(RangeError):
-            lap_nd.mu_between(0.7, 0.3)
+        # (0, 0) and (D, D) carry no mass, in the columns and in the kernel
+        ones = np.ones(len(ou_dn_8.grid))
+        assert ou_dn_8.mu_cum[0] == ou_dn_8.mu_tail[-1] == ou_dn_8.nu_cum[0] == ou_dn_8.nu_tail[-1] == 0.0
+        assert measures.prefix_integral(ou_dn_8, ones, "mu")[0] == 0.0
+        assert measures.suffix_integral(ou_dn_8, ones, "nu")[-1] == 0.0
 
     def test_additivity(self, ou_dn_4):
+        # the head and tail passes of the kernel split the total at every node
+        ones = np.ones(len(ou_dn_4.grid))
+        total = ou_dn_4.mu_total()
+        head = measures.prefix_integral(ou_dn_4, ones, "mu")
+        tail = measures.suffix_integral(ou_dn_4, ones, "mu")
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b, c = np.sort(rng.uniform(0.0, 4.0, size=3))
-            lhs = ou_dn_4.mu_between(a, b) + ou_dn_4.mu_between(b, c)
-            assert lhs == pytest.approx(ou_dn_4.mu_between(a, c), abs=1e-12 * max(1.0, lhs))
+        for i in rng.integers(0, len(ones), size=200):
+            assert head[i] + tail[i] == pytest.approx(total, abs=1e-12 * max(1.0, total))
 
     def test_exact_at_nodes(self, ou_nd_3):
         i = len(ou_nd_3.grid) // 3
-        assert ou_nd_3.mu_between(0.0, float(ou_nd_3.grid[i])) == pytest.approx(
-            float(ou_nd_3.mu_cum[i]), rel=1e-15
-        )
+        head = measures.prefix_integral(ou_nd_3, np.ones(len(ou_nd_3.grid)), "mu")
+        assert head[i] == pytest.approx(float(ou_nd_3.mu_cum[i]), rel=1e-15)
 
 
 class TestProblemSpec:
@@ -215,7 +218,7 @@ class TestMassProbe:
                     measures.build_tables(alone, p)
                 continue
             own = measures.build_tables(alone, p)
-            assert trace[p] == pytest.approx((own.mu_total(), own.nu_total()), rel=1e-10)
+            assert trace[p] == pytest.approx((own.mu_total(), own.nu_cum[-1]), rel=1e-10)
 
     @pytest.mark.parametrize("a, b, points", [("1", "1/(x-8)", [2.0, 4.0]), ("(x-4)^2", "0", [2.0])])
     def test_trace_stops_before_a_point_whose_table_fails(self, a, b, points):
@@ -242,9 +245,9 @@ class TestWalk:
         # OU's scale mass over (0, 64) leaves the float range; a quantity that
         # never settles walks up to that truncation and stops on (0, 32)
         problem = measures.make_problem(preset="ou", D="inf", case="DN", grid_size=256)
-        walk = measures.walk_truncations(problem, lambda t: (t.right_end, t.nu_total()), lambda v: -1.0)
+        walk = measures.walk_truncations(problem, lambda t: (t.right_end, t.nu_cum[-1]), lambda v: -1.0)
         assert walk.points == [2.0, 4.0, 8.0, 16.0, 32.0]
-        assert walk.table.right_end == 32.0 and walk.result == walk.table.nu_total()
+        assert walk.table.right_end == 32.0 and walk.result == walk.table.nu_cum[-1]
         assert not walk.settled
         assert walk.stop_reason == (
             "stopped at truncation 64.0: the scale-measure mass over (0, 64) overflowed the float range"
@@ -263,21 +266,26 @@ class TestCsvDump:
 
 
 class TestWindowMass:
+    """The windows (x_i, D) a search visits start from the tail column and
+    the kernel's suffix pass: partial sums of the panel masses."""
+
     def test_small_window_mass_is_a_panel_sum(self):
-        # nu(7.9, 8) is under 50 ulps of nu(0, 8) here: a difference of
-        # cumulative totals keeps two digits of it, the panel masses all
+        # nu(x_i, 8) for the node x_i nearest 7.9 is under 50 ulps of
+        # nu(0, 8) here: a difference of cumulative totals keeps two digits
+        # of it, the panel masses all
         t = C.make_table(a="1", b="8-x", D=8.0, case="ND")
-        i = int(np.searchsorted(t.grid, 7.9, side="right") - 1)
-        frac = (7.9 - t.grid[i]) / (t.grid[i + 1] - t.grid[i])
-        expected = t.dnu[i] * (1 - frac) + math.fsum(t.dnu[i + 1 :])
-        assert t.nu_between(7.9, 8.0) == pytest.approx(expected, rel=1e-12)
-        assert t.nu_between(7.9, 8.0) < 50 * np.spacing(t.nu_total())
+        i = int(np.searchsorted(t.grid, 7.9))
+        expected = math.fsum(t.dnu[i:])
+        assert t.nu_tail[i] == pytest.approx(expected, rel=1e-12)
+        assert measures.suffix_integral(t, np.ones(len(t.grid)), "nu")[i] == pytest.approx(expected, rel=1e-12)
+        assert t.nu_tail[i] < 50 * np.spacing(t.nu_cum[-1])
 
     def test_interior_window_is_a_panel_sum(self):
         t = C.make_table(a="1", b="8-x", D=8.0, case="ND")
-        i, j = len(t.grid) // 2, 3 * len(t.grid) // 4
-        got = t.nu_between(float(t.grid[i]), float(t.grid[j]))
-        assert got == pytest.approx(math.fsum(t.dnu[i:j]), rel=1e-12)
+        tail = measures.suffix_integral(t, np.ones(len(t.grid)), "nu")
+        for i in (len(t.grid) // 2, 3 * len(t.grid) // 4):
+            assert t.nu_tail[i] == pytest.approx(math.fsum(t.dnu[i:]), rel=1e-12)
+            assert tail[i] == pytest.approx(math.fsum(t.dnu[i:]), rel=1e-12)
 
 
 class TestMirror:
@@ -301,7 +309,11 @@ class TestMirror:
         assert np.all(np.diff(m.grid) > 0)
         assert np.array_equal(m.mu_cum, ou_dn_4.mu_tail[::-1])
         assert np.array_equal(m.nu_tail, ou_dn_4.nu_cum[::-1])
-        assert m.mu_between(0.0, 1.0) == pytest.approx(ou_dn_4.mu_between(3.0, 4.0), rel=1e-12)
+        # the kernel's head pass on the mirror is its tail pass here
+        ones = np.ones(len(m.grid))
+        head = measures.prefix_integral(m, ones, "mu")
+        tail = measures.suffix_integral(ou_dn_4, ones, "mu")
+        assert head == pytest.approx(tail[::-1], rel=1e-12, abs=1e-300)
 
 
 # A frozen copy of the quadrature pass as it summed before the column-wise

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import conftest as C
 from eigenbound import bounds, cli, measures, oracle
 from eigenbound.errors import DegenerationError, RangeError
-from eigenbound.testfn import GridFunction, gradient
 
 
 def _merged_panels(table: measures.MeasureTable):
@@ -88,8 +87,23 @@ def _frozen_dn_solve(table):
     if probe_val < 0 or (probe_val == 0 and np.sum(full) < 0):
         full = -full
     full = full / np.max(np.abs(full))
-    eigenfunction = GridFunction(table, full, gradient(table.grid, full))
-    return oracle.EigenSolution(lam, eigenfunction, residual, table.n_panels, rayleigh, lam, lam)
+    return oracle.EigenSolution(lam, table, full, residual, rayleigh, lam, lam)
+
+
+def _dn_single_integral_flux(sol):
+    """The single-integral identity written for DN, where g increases: with S
+    the suffix integral of g against mu, panel k carries the mean of S times
+    dnu[k] / (g[k+1] - g[k]), on the panels where that rise is above the
+    noise floor."""
+    t, g = sol.table, sol.eigenfunction
+    S = measures.suffix_integral(t, g, "mu")
+    rise = g[1:] - g[:-1]
+    signal = rise > 0.5e-6 * np.max(np.abs(g))
+    flux = 0.5 * (S[:-1] + S[1:])[signal] * t.dnu[signal] / rise[signal]
+    return {
+        "i_deviation": float(np.max(np.abs(sol.lambda_ * flux - 1.0))),
+        "i_window_fraction": float(np.mean(signal)),
+    }
 
 
 def _eigenvalues_below(table, x) -> int:
@@ -121,27 +135,27 @@ class TestEigensolve:
         assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4, rel=1e-4)
         assert sol.residual <= p.tolerances.oracle
         # analytic eigenfunction
-        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.table.grid / 2)))
+        err = np.max(np.abs(sol.eigenfunction - np.cos(np.pi * sol.table.grid / 2)))
         assert err <= 1e-5
 
     def test_laplacian_dn(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="DN")
         sol = oracle.fd_eigensolve(p, 2000)
         assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4, rel=1e-4)
-        err = np.max(np.abs(sol.eigenfunction.values - np.sin(np.pi * sol.eigenfunction.table.grid / 2)))
+        err = np.max(np.abs(sol.eigenfunction - np.sin(np.pi * sol.table.grid / 2)))
         assert err <= 1e-5
 
     def test_laplacian_nn_gap(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="NN")
         sol = oracle.fd_eigensolve(p, 2000)
         assert sol.lambda_ == pytest.approx(C.PI_SQ, rel=1e-4)
-        err = np.max(np.abs(sol.eigenfunction.values - np.cos(np.pi * sol.eigenfunction.table.grid)))
+        err = np.max(np.abs(sol.eigenfunction - np.cos(np.pi * sol.table.grid)))
         assert err <= 1e-4
         # constant mode projected out against the speed measure
-        w = np.concatenate([[0.5 * sol.eigenfunction.table.dmu[0]],
-                            0.5 * (sol.eigenfunction.table.dmu[:-1] + sol.eigenfunction.table.dmu[1:]),
-                            [0.5 * sol.eigenfunction.table.dmu[-1]]])
-        assert abs(np.dot(w, sol.eigenfunction.values)) <= 1e-10
+        w = np.concatenate([[0.5 * sol.table.dmu[0]],
+                            0.5 * (sol.table.dmu[:-1] + sol.table.dmu[1:]),
+                            [0.5 * sol.table.dmu[-1]]])
+        assert abs(np.dot(w, sol.eigenfunction)) <= 1e-10
 
     def test_ou_truncation_linear_eigenfunction(self):
         p = measures.make_problem(preset="ou", D=8.0, case="DN")
@@ -210,12 +224,11 @@ class TestResiduals:
         assert d["rayleigh_gap"] <= 1e-10
 
     # eigen_residuals on DN tables, frozen from the oriented DN formulas the
-    # mirrored ND evaluation replaced; it must reproduce them exactly
+    # mirrored ND evaluation replaced, and the single-integral flux form
+    # written for DN; it must reproduce them exactly
     FROZEN_DN = {
         "lap_dn": {
             "ii_deviation": 3.6814966786202774e-07,
-            "i_deviation": 1.1592646176339372e-08,
-            "i_window_fraction": 0.967983991995998,
             "strictly_monotone": True,
             "sign_constant": True,
             "right_edge_interior_value": 0.9999999969156577,
@@ -224,8 +237,6 @@ class TestResiduals:
         },
         "ou_dn_4": {
             "ii_deviation": 7.039720350765499e-06,
-            "i_deviation": 1.7660526777873997e-05,
-            "i_window_fraction": 0.9939969984992496,
             "strictly_monotone": True,
             "sign_constant": True,
             "right_edge_interior_value": 0.9999999799796261,
@@ -237,8 +248,9 @@ class TestResiduals:
     @pytest.mark.parametrize("fixture", ["lap_dn", "ou_dn_4"])
     def test_dn_residuals_match_the_oriented_formulas(self, fixture, request):
         table = request.getfixturevalue(fixture)
-        d = oracle.eigen_residuals(_frozen_dn_solve(table))
-        assert d == self.FROZEN_DN[fixture]
+        sol = _frozen_dn_solve(table)
+        d = oracle.eigen_residuals(sol)
+        assert d == {**self.FROZEN_DN[fixture], **_dn_single_integral_flux(sol)}
 
     # DN problems as fixtures or (a, b, D): OU, 1+x^2 over four decades of D,
     # drifts both ways, and the two thin tips at the Dirichlet end
@@ -262,7 +274,7 @@ class TestResiduals:
         assert sol.lambda_hi - sol.lambda_lo <= 1e-10 * sol.lambda_lo
         assert _eigenvalues_below(table, sol.lambda_lo * (1 - 1e-12)) == 0
         assert _eigenvalues_below(table, sol.lambda_hi * (1 + 1e-12)) == 1
-        assert np.max(np.abs(sol.eigenfunction.values - ref.eigenfunction.values)) <= 1e-9
+        assert np.max(np.abs(sol.eigenfunction - ref.eigenfunction)) <= 1e-9
         assert sol.residual <= table.problem.tolerances.oracle
 
     def test_unknown_case_rejected(self, lap_nd):
@@ -277,8 +289,8 @@ class TestResiduals:
         edges = []
         for trunc in (8.0, 16.0, 32.0):
             sol = oracle.fd_eigensolve(measures.truncate(p, trunc), 1200)
-            mid = np.argmin(np.abs(sol.eigenfunction.table.grid - 0.75 * trunc))
-            edges.append(abs(sol.eigenfunction.values[mid]))
+            mid = np.argmin(np.abs(sol.table.grid - 0.75 * trunc))
+            edges.append(abs(sol.eigenfunction[mid]))
         assert edges[0] > edges[1] > edges[2]
         assert edges[2] <= 1e-3
 
@@ -293,7 +305,7 @@ class TestPowerIteration:
         assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi
         assert sol.lambda_ == pytest.approx(1.99993208329, rel=1e-11)
         assert sol.residual <= 1e-12
-        assert np.isfinite(sol.eigenfunction.values).all()
+        assert np.isfinite(sol.eigenfunction).all()
 
     @pytest.mark.parametrize("table", [
         ("laplacian", None, 1.0), (None, "-x", 5.0), (None, "-20*(x-1)*(x-2)*(x-3)", 4.0),
@@ -304,7 +316,7 @@ class TestPowerIteration:
         sol = oracle.solve_on_table(t, "ND")
         cell = 0.5 * (np.append(t.dmu, 0.0) + np.append(0.0, t.dmu))[:-1]
         apply, _ = oracle._nd_green(t.dnu, cell)
-        g = sol.eigenfunction.values[:-1]  # the Dirichlet node is not an unknown
+        g = sol.eigenfunction[:-1]  # the Dirichlet node is not an unknown
         assert oracle._green_defect(sol.lambda_, g, apply(g)) <= 1e-14
         doctored = g.copy()
         doctored[len(g) // 2:] *= 1.01

@@ -18,10 +18,13 @@ fastest.  The cumulant is threaded left to right through the same pass: a
 fixed 7x7 cumulative-integration matrix turns the node samples of b/a into
 values of C at the quadrature nodes themselves.  One pass (_PanelPass)
 returns, per panel, the increment of C, the speed and scale masses and their
-first moments, in that order.  Each is a 7-point sum added one node column
-at a time, left to right in node order: the order np.sum(w * X, axis=1)
-adds a 7-wide row, so every sum is the reduction's to the bit, at about a
-third of its cost.  X @ w would be faster still but rounds differently.
+first moments, in that order.  The pass keeps its nodes node-major, a (7, P)
+array with one row per Gauss node, so every elementwise step runs over
+contiguous rows of length P.  Each 7-point sum adds one node row at a time,
+node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
+panel-major (P, 7) layout, so every sum is the reduction's to the bit.
+X @ w would be faster still but rounds differently.  A coefficient without x
+is evaluated once and broadcast over the nodes.
 
 Every table covers a finite interval, where every mass is finite.  A mass
 over the 1e300 guard there, or a criterion product head x tail that leaves
@@ -49,6 +52,7 @@ import numpy as np
 from . import expr
 from .errors import (
     DegenerationError,
+    DomainError,
     HypothesisViolationError,
     LexError,
     ParseError,
@@ -171,7 +175,16 @@ def truncate(problem: ProblemSpec, p: float) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel machinery
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# np.polynomial.legendre.leggauss(7) to the bit, written out so that no
+# process imports numpy.polynomial
+_GL_NODES = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_GL_WEIGHTS = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
 
 
 def _cumulative_matrix() -> np.ndarray:
@@ -191,22 +204,36 @@ _GL_CUM = _cumulative_matrix()
 
 
 def _panel_nodes(xl: np.ndarray, xr: np.ndarray) -> np.ndarray:
-    """(P, 7) quadrature nodes for panels [xl, xr]; all interior points."""
-    t = np.multiply.outer(0.5 * (xr - xl), _GL_NODES)
-    t += (0.5 * (xl + xr))[:, None]
+    """(7, P) quadrature nodes for panels [xl, xr], node-major: row j holds
+    the j-th Gauss node of every panel.  All are interior points."""
+    t = np.multiply.outer(_GL_NODES, 0.5 * (xr - xl))
+    t += 0.5 * (xl + xr)
     return t
 
 
 def _rule_sum(f, v: np.ndarray) -> np.ndarray:
-    """Row sums of f * v over the 7 node columns, added left to right one
-    column at a time: the sum np.sum(f * v, axis=1) forms, to the bit.
+    """Per-panel sums of f * v over the 7 node rows, added one row at a time,
+    node 0 first: the sum np.sum(f * v, axis=1) forms on the (P, 7) layout,
+    to the bit.
 
-    f is the weight vector or a (P, 7) array of weighted factors.
+    f is the weight vector or a (7, P) array of weighted factors.
     """
-    s = f[..., 0] * v[:, 0]
-    for j in range(1, v.shape[1]):
-        s += f[..., j] * v[:, j]
+    s = f[0] * v[0]
+    for j in range(1, len(v)):
+        s += f[j] * v[j]
     return s
+
+
+def _coefficient(ast, t: np.ndarray) -> np.ndarray:
+    """ast at the nodes t; a constant is evaluated on one node (the array
+    loop's bits) and left for numpy to broadcast."""
+    if not expr._has_x(ast):
+        return np.asarray(expr.evaluate(ast, t[:1, :1]), dtype=float)
+    try:
+        return np.asarray(expr.evaluate(ast, t.ravel()), dtype=float).reshape(t.shape)
+    except DomainError:
+        expr.evaluate(ast, t.T.ravel())  # raises naming the leftmost bad node, as panel order does
+        raise
 
 
 class _PanelPass:
@@ -215,11 +242,11 @@ class _PanelPass:
     def __init__(self, xl: np.ndarray, xr: np.ndarray, a_ast, b_ast):
         self.half = 0.5 * (xr - xl)
         t = _panel_nodes(xl, xr)
-        flat = t.ravel()
         with np.errstate(all="ignore"):
-            av = np.asarray(expr.evaluate(a_ast, flat), dtype=float).reshape(t.shape)
-            bv = np.asarray(expr.evaluate(b_ast, flat), dtype=float).reshape(t.shape)
-            self.g = bv / av  # drift-to-diffusion ratio, integrand of the cumulant
+            av, bv = _coefficient(a_ast, t), _coefficient(b_ast, t)
+            # drift-to-diffusion ratio, integrand of the cumulant; a full node
+            # array even for two constants, as the matrix product below needs
+            self.g = np.divide(bv, av, out=np.empty(t.shape))
         self.t = t
         self.av = av
 
@@ -234,9 +261,9 @@ class _PanelPass:
         c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
         # cumulant at the quadrature nodes from its own node samples; the
         # buffer then holds exp(-C)
-        c = self.g @ _GL_CUM.T
-        c *= self.half[:, None]
-        c += c_left[:, None]
+        c = _GL_CUM @ self.g
+        c *= self.half
+        c += c_left
         with np.errstate(all="ignore"):
             dens_mu = np.exp(c)
             dens_mu /= self.av
@@ -245,7 +272,7 @@ class _PanelPass:
             dnu = self.half * _rule_sum(_GL_WEIGHTS, dens_nu)
             if not moments:
                 return dc, dmu, dnu, None, None
-            wt = _GL_WEIGHTS * self.t
+            wt = _GL_WEIGHTS[:, None] * self.t
             mom_mu = self.half * _rule_sum(wt, dens_mu)
             mom_nu = self.half * _rule_sum(wt, dens_nu)
         return dc, dmu, dnu, mom_mu, mom_nu
@@ -647,12 +674,12 @@ def _shell_probe(density, endpoint: float, anchor: float) -> bool:
     hi = endpoint + span / scale[:-1]
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     # one row of quadrature nodes per shell; density maps rows to rows
-    t = _panel_nodes(lo, hi)
+    t = _panel_nodes(lo, hi).T
     with np.errstate(all="ignore"):
         vals = np.abs(np.asarray(density(t), dtype=float))
     if not np.isfinite(vals).all():
         return False
-    shells = 0.5 * (hi - lo) * _rule_sum(_GL_WEIGHTS, vals)
+    shells = 0.5 * (hi - lo) * _rule_sum(_GL_WEIGHTS, vals.T)
     total = shells.sum()
     if total == 0.0:
         return True

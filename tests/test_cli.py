@@ -333,7 +333,8 @@ class TestMain:
 
     def test_bounds_does_not_import_scipy_linalg(self):
         # no command needs scipy, whose import would cost a fresh process more
-        # than its whole computation, nor numpy.ma (10-14 ms of one)
+        # than its whole computation, nor numpy.ma (10-14 ms of one), nor
+        # numpy.polynomial (2-4 ms)
         src = str(Path(eigenbound.__file__).resolve().parents[1])
         for argv in (["bounds", "--a", "1", "--b", "0", "--D", "inf", "--case", "ND"],
                      ["oracle", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"],
@@ -342,11 +343,12 @@ class TestMain:
                 "import sys\n"
                 "from eigenbound import cli\n"
                 f"code = cli.main({argv!r})\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')), 'numpy.ma' in sys.modules, code)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')), 'numpy.ma' in sys.modules,\n"
+                "      'numpy.polynomial' in sys.modules, code)\n"
             )
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                   env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-            assert proc.stdout.splitlines()[-1] == "[] False 0", argv
+            assert proc.stdout.splitlines()[-1] == "[] False False 0", argv
 
     def test_a_reused_parser_prints_what_fresh_processes_print(self, capsys):
         # the argument parser is built once per process

@@ -1,12 +1,19 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import conftest as C
 from eigenbound import measures
-from eigenbound.errors import DegenerationError, EigenboundError, HypothesisViolationError, RangeError
+from eigenbound.errors import (
+    DegenerationError,
+    DomainError,
+    EigenboundError,
+    HypothesisViolationError,
+    RangeError,
+)
 
 
 class TestBuildTables:
@@ -386,7 +393,7 @@ class TestPanelPassFrozen:
         for e in (fine, edges):
             args = (e[:-1], e[1:], p.a, p.b)
             new, old = measures._PanelPass(*args), _FrozenPanelPass(*args)
-            assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]), _frozen_panel_nodes(e[:-1], e[1:]))
+            assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]).T, _frozen_panel_nodes(e[:-1], e[1:]))
             assert _same_columns(new.accumulate(0.0), old.accumulate(0.0)) == [True] * 5
             coarse = new.accumulate(0.0, moments=False)
             assert coarse[3:] == (None, None)
@@ -405,6 +412,29 @@ class TestPanelPassFrozen:
         new, old = measures._PanelPass(*args).accumulate(0.5), _FrozenPanelPass(*args).accumulate(0.5)
         assert _same_columns(new, old) == [True] * 5
         assert all(len(col) == len(xl) for col in new)
+
+    @pytest.mark.parametrize("xl, xr", [([], []), ([0.25], [0.75])])
+    def test_constant_coefficient_passes(self, xl, xr):
+        # constants are evaluated on one node and broadcast, a 0-panel pass included
+        p = measures.make_problem(a="2+sin(1)", b="-3", D=1.0, case="ND")
+        args = (np.array(xl), np.array(xr), p.a, p.b)
+        new, old = measures._PanelPass(*args).accumulate(0.5), _FrozenPanelPass(*args).accumulate(0.5)
+        assert _same_columns(new, old) == [True] * 5
+        assert all(len(col) == len(xl) for col in new)
+
+    def test_domain_error_names_the_leftmost_bad_node(self):
+        # the node-major pass names the node that a pass in x order meets first
+        p = measures.make_problem(a="1", b="sqrt((x-0.3)*(x-0.7))", D=1.0, case="ND")
+        e = measures._graded_grid(500, 1.0)
+        t = measures._panel_nodes(e[:-1], e[1:])
+        x = float(t[(t - 0.3) * (t - 0.7) < 0].min())
+        with pytest.raises(DomainError, match=re.escape(f"(x={x!r})")):
+            measures._PanelPass(e[:-1], e[1:], p.a, p.b)
+
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert measures._GL_NODES.tobytes() == nodes.tobytes()
+        assert measures._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def _table_or_error(problem, p):
@@ -435,9 +465,17 @@ _BENCH_TABLES = [
     ("1", "0", "ND", "inf"), ("1", "-x", "DN", "inf"), ("1+x^2", "0", "DN", "inf"),
 ]
 
+# tables no benchmark problem builds: two weights singular at 0, whose
+# refinement runs past round 0 to 14,513 panels, a weight that vanishes at 0,
+# and constant coefficients, which the pass evaluates once and broadcasts
+_REFINED_AND_CONSTANT_TABLES = [
+    ("1", "-1/sqrt(x)", "DN", "1"), ("1", "1/sqrt(x)", "ND", "1"), ("sqrt(x)", "0", "DN", "1"),
+    ("2+sin(1)", "-3", "ND", "2"), ("exp(1)", "pi", "DN", "1"), ("4", "1/(1+x)", "ND", "3"),
+]
+
 
 class TestTablesFrozen:
-    @pytest.mark.parametrize("a, b, case, D", _BENCH_TABLES)
+    @pytest.mark.parametrize("a, b, case, D", _BENCH_TABLES + _REFINED_AND_CONSTANT_TABLES)
     def test_tables_equal_the_frozen_pass_tables(self, a, b, case, D, monkeypatch):
         problem = measures.make_problem(a=a, b=b, D=D, case=case)
         ends = problem.truncation_schedule if problem.is_infinite else (problem.D,)
@@ -447,7 +485,15 @@ class TestTablesFrozen:
         for n, o in zip(new, old):
             _assert_same_table(n, o)
 
-    @pytest.mark.parametrize("a, b, case", [("1", "0", "ND"), ("1", "-x", "DN"), ("1+x^2", "0", "DN")])
+    @pytest.mark.parametrize("a, b, case, D", _REFINED_AND_CONSTANT_TABLES[:2])
+    def test_singular_weights_refine_past_round_zero(self, a, b, case, D):
+        # round 0 keeps the base grid's panels; more panels mean a later round
+        problem = measures.make_problem(a=a, b=b, D=D, case=case)
+        assert measures.build_tables(problem, problem.D).n_panels > problem.grid_size
+
+    @pytest.mark.parametrize(
+        "a, b, case", [("1", "0", "ND"), ("1", "-x", "DN"), ("1+x^2", "0", "DN"), ("1", "sin(10*x)", "ND")]
+    )
     def test_mass_trace_equals_the_frozen_pass_trace(self, a, b, case, monkeypatch):
         problem = measures.make_problem(a=a, b=b, D="inf", case=case)
         new = measures.hypothesis_check(problem)

@@ -250,14 +250,10 @@ class _PanelPass:
         self.t = t
         self.av = av
 
-    def cumulant_increments(self) -> np.ndarray:
-        """Integral of b/a over each panel."""
-        return self.half * _rule_sum(_GL_WEIGHTS, self.g)
-
     def accumulate(self, c_start: float, moments: bool = True):
         """Panel increments of C, speed mass, scale mass and first moments
         (None without moments); the panels must be consecutive."""
-        dc = self.cumulant_increments()
+        dc = self.half * _rule_sum(_GL_WEIGHTS, self.g)
         c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
         # cumulant at the quadrature nodes from its own node samples; the
         # buffer then holds exp(-C)
@@ -385,6 +381,12 @@ def _suffix_from_panels(d: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
 
 
+def _not_integrable_near(end: str) -> HypothesisViolationError:
+    """The refusal of the panel next to 0 (end "0") or to the right end
+    ("right") when it did not converge."""
+    return HypothesisViolationError(f"locally_integrable_near_{end} failed: {UNCONVERGED_ENDPOINT}")
+
+
 class _Refined(NamedTuple):
     """Panel integrals over a refined grid; bad marks the panels still over tolerance."""
 
@@ -405,7 +407,12 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
     The grid serves as the table of (0, e) for each e in ends, ascending
     nodes of edges with edges[-1] last, and refinement treats each like a
     right end: a failing panel that ends at e is also graded geometrically
-    into e, and no node at an e is ever dropped.  When splitting every
+    into e, and no node at an e is ever dropped.  A panel fails when its
+    cumulant increment dc or a mass misses the tolerance; a panel whose
+    masses are not finite fails when its finite dc misses it, since masses
+    that overflow on a converged cumulant are a float-range failure, while a
+    dc that does not converge means b/a is not integrable there.  A panel
+    whose dc is not finite never fails.  When splitting every
     failing panel would put the grid over the node cap, a round splits only
     those below the last e for which the grid stays within it, so (0, e)
     for small e is refined first.  Refinement stops after 14 rounds, when
@@ -435,15 +442,16 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
         mnu = mnu_f[0::2] + mnu_f[1::2]
 
         with np.errstate(invalid="ignore"):
+            err_c = np.abs(dc - dc_c) / np.maximum(1.0, np.abs(dc))
             err = np.maximum(
-                np.abs(dc - dc_c) / np.maximum(1.0, np.abs(dc)),
+                err_c,
                 np.maximum(
                     np.abs(dmu - dmu_c) / np.maximum(1.0, dmu),
                     np.abs(dnu - dnu_c) / np.maximum(1.0, dnu),
                 ),
             )
         finite = np.isfinite(dc) & np.isfinite(dmu) & np.isfinite(dnu)
-        bad = finite & (err > tol)
+        bad = np.where(finite, err, err_c) > tol
         worst = float(np.max(np.where(finite, np.nan_to_num(err, nan=0.0), 0.0)))
         if not bad.any() or round_ == 13:
             break
@@ -493,7 +501,9 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     panel mass once that exceeds 1); failing panels are split in half and the
     grid keeps the splits.  A panel still over tolerance after refinement
     raises HypothesisViolationError: a weight that is not integrable there
-    would otherwise enter the masses as a finite number.  A panel mass that
+    would otherwise enter the masses as a finite number.  This is the only
+    test of local integrability at 0 and at right_end; the refusal of an end
+    panel names locally_integrable_near_0 or _near_right.  A panel mass that
     is not finite, a mass total over OVERFLOW_GUARD, a criterion product
     (speed head x scale tail for ND, scale head x speed tail for DN and NN)
     that overflows or a zero-width panel raises DegenerationError naming it:
@@ -510,8 +520,10 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     edges, dc, dmu, dnu, mmu, mnu, bad, worst = _refine(
         problem, _graded_grid(problem.grid_size, right_end), (right_end,)
     )
-    if bad[0] or bad[-1]:
-        raise HypothesisViolationError(UNCONVERGED_ENDPOINT)
+    if bad[0]:
+        raise _not_integrable_near("0")
+    if bad[-1]:
+        raise _not_integrable_near("right")
     if bad.any():
         x = edges[np.argmax(bad)]
         raise HypothesisViolationError(
@@ -643,51 +655,11 @@ def walk_truncations(
 @dataclass
 class HypothesisReport:
     positivity: expr.PositivityReport
-    integrable_near_zero: bool
-    integrable_near_right: bool | None
     criterion_zero: bool
     criterion_zero_reason: str
     mass_trace: list[tuple[float, float, float]]  # (p, mu(0,p), nu(0,p))
     notes: list[str]
     unconverged_at: float | None = None  # mass trace stopped before it: a panel did not converge
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.positivity.passed
-            and self.integrable_near_zero
-            and self.integrable_near_right in (True, None)
-        )
-
-
-def _shell_probe(density, endpoint: float, anchor: float) -> bool:
-    """True when the dyadic shell integrals of |density| near the endpoint converge.
-
-    The k-th shell spans the points at distance (|anchor-endpoint|/2^{k+1},
-    |anchor-endpoint|/2^k] from the endpoint.  A weight that diverges slower
-    than any geometric rate can evade this probe; the verdict is a
-    diagnostic, not a proof.
-    """
-    span = anchor - endpoint
-    scale = 2.0 ** np.arange(49)
-    lo = endpoint + span / scale[1:]
-    hi = endpoint + span / scale[:-1]
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    # one row of quadrature nodes per shell; density maps rows to rows
-    t = _panel_nodes(lo, hi).T
-    with np.errstate(all="ignore"):
-        vals = np.abs(np.asarray(density(t), dtype=float))
-    if not np.isfinite(vals).all():
-        return False
-    shells = 0.5 * (hi - lo) * _rule_sum(_GL_WEIGHTS, vals.T)
-    total = shells.sum()
-    if total == 0.0:
-        return True
-    # converged: the innermost shells no longer contribute
-    if shells[-1] <= 1e-9 * (total + 1.0):
-        return True
-    ratios = shells[-6:] / np.maximum(shells[-7:-1], 1e-300)
-    return bool(_median(ratios) <= 0.985)
 
 
 def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
@@ -733,10 +705,12 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
     positive on.  Every truncation point is a node of the grid and is
     refined as a right end (see _refine), so the masses at p are prefix sums
     of the panel masses, capped at the overflow guard, which a non-finite
-    panel below p enters at.  The trace stops before the first point whose
-    own table could not be built: a is not positive on (0, p), or the panel
-    next to 0 or the one ending at p did not converge; that point is noted.
-    It also stops at the first point where both masses reached the guard.
+    panel below p enters at.  A panel next to 0 that did not converge raises
+    HypothesisViolationError naming locally_integrable_near_0, as
+    build_tables does.  The trace stops before the first point whose own
+    table could not be built: a is not positive on (0, p), or the panel
+    ending at p did not converge; that point is noted.  It also stops at the
+    first point where both masses reached the guard.
     """
     points = problem.truncation_schedule
     reach = 0
@@ -747,8 +721,10 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
     if reach:
         probe = replace(problem, grid_size=max(256, problem.grid_size // 8))
         q = _refine(probe, _probe_grid(points[:reach]), points[:reach])
+        if q.bad[0]:
+            raise _not_integrable_near("0")
         nodes = np.searchsorted(q.edges, points[:reach])
-        failed = q.bad[nodes - 1] | q.bad[0]
+        failed = q.bad[nodes - 1]
         built = int(np.argmax(failed)) if failed.any() else reach
         capped = [np.nan_to_num(d, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD) for d in (q.dmu, q.dnu)]
         mu_at, nu_at = (np.minimum(_prefix_from_panels(d), OVERFLOW_GUARD)[nodes] for d in capped)
@@ -762,69 +738,21 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
 
 
 def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
-    """Probe the standing coefficient hypothesis and the degenerate criterion.
+    """Check the standing coefficient hypothesis and the degenerate criterion.
 
-    Checks (i) positivity of a on interior samples, (ii) local integrability
-    of b/a and e^C/a near 0 (and near D when finite) through dyadic shell
-    integrals, and (iii) for an infinite interval, whether the mass whose
-    finiteness the case needs diverges, which forces a zero eigenvalue: its
-    value at some truncation point reached the overflow guard, or its
-    increments stay above the quadrature noise floor without shrinking.  The
-    masses mu(0,p) and nu(0,p) at every truncation point p are read off one
-    table (see _mass_trace).
+    Checks (i) positivity of a on interior samples, and (ii) for an infinite
+    interval, whether the mass whose finiteness the case needs diverges,
+    which forces a zero eigenvalue: its value at some truncation point
+    reached the overflow guard, or its increments stay above the quadrature
+    noise floor without shrinking.  The masses mu(0,p) and nu(0,p) at every
+    truncation point p are read off one table (see _mass_trace).  Local
+    integrability of b/a and e^C/a at the ends is decided where the masses
+    are integrated, by build_tables and, next to 0 on (0, inf), by the mass
+    trace; either raises HypothesisViolationError.
     """
     notes: list[str] = []
     probe_end = problem.D if not problem.is_infinite else problem.truncation_schedule[0]
     pos = expr.validate_positive(problem.a, probe_end, samples=200)
-
-    def ratio_density(t):
-        return np.asarray(expr.evaluate(problem.b, t), dtype=float) / np.asarray(
-            expr.evaluate(problem.a, t), dtype=float
-        )
-
-    def speed_density_rel(anchor):
-        # e^{C(t) - C(anchor)} / a(t): the additive constant in C does not
-        # change whether the weight is integrable near the endpoint.  Each
-        # row of t is walked from the anchor through its sorted points, one
-        # single-panel rule per step, all steps of all rows in one pass.
-        def density(t):
-            order = np.argsort(t, axis=1)
-            tt = np.take_along_axis(t, order, axis=1)
-            prev = np.concatenate([np.full((len(tt), 1), anchor), tt[:, :-1]], axis=1)
-            step = tt != prev
-            dc = _PanelPass(
-                np.minimum(prev, tt)[step], np.maximum(prev, tt)[step], problem.a, problem.b
-            ).cumulant_increments()
-            inc = np.zeros(tt.shape)
-            inc[step] = np.where(tt[step] >= prev[step], dc, -dc)
-            cs = np.cumsum(inc, axis=1)
-            out = np.empty_like(t)
-            with np.errstate(all="ignore"):
-                vals = np.exp(cs) / np.asarray(expr.evaluate(problem.a, tt), dtype=float)
-            np.put_along_axis(out, order, vals, axis=1)
-            return out
-
-        return density
-
-    try:
-        near0 = _shell_probe(ratio_density, 0.0, probe_end / 4) and _shell_probe(
-            speed_density_rel(probe_end / 4), 0.0, probe_end / 4
-        )
-    except Exception as exc:  # evaluation failure near the endpoint
-        near0 = False
-        notes.append(f"integrability probe near 0 failed to evaluate: {exc}")
-
-    near_right: bool | None = None
-    if not problem.is_infinite:
-        anchor = 0.75 * problem.D
-        try:
-            near_right = _shell_probe(ratio_density, problem.D, anchor) and _shell_probe(
-                speed_density_rel(anchor), problem.D, anchor
-            )
-        except Exception as exc:
-            near_right = False
-            notes.append(f"integrability probe near D failed to evaluate: {exc}")
-
     criterion_zero = False
     reason = ""
     mass_trace, unconverged_at = [], None
@@ -844,8 +772,6 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
 
     return HypothesisReport(
         positivity=pos,
-        integrable_near_zero=near0,
-        integrable_near_right=near_right,
         criterion_zero=criterion_zero,
         criterion_zero_reason=reason,
         mass_trace=mass_trace,

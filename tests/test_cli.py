@@ -227,10 +227,30 @@ class TestMain:
             cli.main(["bounds", "--case", "XY"])
         assert err.value.code == 2
 
-    def test_hypothesis_violation_exit_3(self, capsys):
-        code = cli.main(["bounds", "--a", "x-0.5", "--b", "0", "--D", "1", "--case", "ND"])
-        assert code == 3
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
+    @pytest.mark.parametrize("a, b, D, case, named", [
+        ("x-0.5", "0", "1", "ND", "is not positive"),
+        # weights not integrable at an end: the table build's end panel does
+        # not converge (on (0, inf), the mass trace's panel next to 0)
+        ("x", "0", "1", "ND", "locally_integrable_near_0"),
+        ("x", "0", "1", "DN", "locally_integrable_near_0"),
+        ("1", "1/x", "1", "ND", "locally_integrable_near_0"),
+        ("1", "-1/x", "1", "DN", "locally_integrable_near_0"),
+        ("x^2", "0", "1", "NN", "locally_integrable_near_0"),
+        ("1", "1/(1-x)", "1", "ND", "locally_integrable_near_right"),
+        ("1-x", "0", "1", "DN", "locally_integrable_near_right"),
+        ("1", "0.5/x", "1", "ND", "locally_integrable_near_0"),
+        ("1", "1/x", "inf", "ND", "locally_integrable_near_0"),
+        ("x", "0", "inf", "DN", "locally_integrable_near_0"),
+        # the masses overflow on every split of the end panel, and its cumulant
+        # increment never converges
+        ("1", "1/x^2", "1", "ND", "locally_integrable_near_0"),
+        ("1", "-1/x^2", "1", "ND", "locally_integrable_near_0"),
+    ])
+    def test_hypothesis_violation_exit_3(self, a, b, D, case, named, capsys):
+        code = cli.main(["bounds", "--a", a, "--b", b, "--D", D, "--case", case])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3 and err["type"] == "HypothesisViolationError"
+        assert named in err["message"]
 
     def test_failed_integrability_probe_exit_3(self, capsys):
         # b/a = 1/x^2 is not integrable at 0: no bound may be certified
@@ -425,6 +445,8 @@ class TestUnresolvableProblems:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--a", "1", "--b", "1/(x-0.5)", "--D", "1", "--case", "ND"],
         ["verify", "--a", "(x-0.5)^2", "--b", "0", "--D", "1", "--case", "DN"],
+        # masses that overflow where b/a does not converge: not a float-range failure
+        ["bounds", "--a", "1", "--b", "-1/(x-0.5)^2", "--D", "1", "--case", "ND"],
     ])
     def test_singularity_inside_the_interval_exit_3(self, argv, capsys):
         # a weight non-integrable at x = 0.5 leaves panels there over
@@ -439,13 +461,15 @@ class TestUnresolvableProblems:
          "product of the speed-measure mass of (0, x) and the scale-measure mass"),
         (["bounds", "--a", "1", "--b", "-50*x", "--D", "10", "--case", "DN"],
          "the scale-measure mass over (0, 10) overflowed"),
+        (["bounds", "--a", "1", "--b", "x", "--D", "40", "--case", "DN", "--grid-size", "256"],
+         "the speed-measure mass over (0, 40) overflowed"),
         # OU DN: the table and delta fit, the squared (D = 27) or 3/2-power
         # (D = 32) scale tail of an improved constant does not
         (["bounds", "--a", "1", "--b", "-x", "--D", "27", "--case", "DN"],
          "delta1_prime overflowed the float range on (0, 27)"),
         (["bounds", "--a", "1", "--b", "-x", "--D", "32", "--case", "DN"],
          "delta1 overflowed the float range on (0, 32)"),
-    ], ids=["ND-D1e300", "DN-b-50x", "DN-ou-D27", "DN-ou-D32"])
+    ], ids=["ND-D1e300", "DN-b-50x", "DN-b-x-D40", "DN-ou-D27", "DN-ou-D32"])
     def test_overflow_on_a_finite_interval_exit_4(self, argv, overflowed, capsys):
         # every mass on a finite (0, D) is finite, so an overflow there is a
         # float-range failure, never a certified zero eigenvalue

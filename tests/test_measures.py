@@ -144,7 +144,7 @@ class TestHypothesisCheck:
     def test_laplacian_all_pass(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="ND")
         rep = measures.hypothesis_check(p)
-        assert rep.ok and not rep.criterion_zero
+        assert rep.positivity.passed and not rep.criterion_zero
 
     def test_ou_nd_infinite_forces_zero(self):
         p = measures.make_problem(preset="ou", D="inf", case="ND")
@@ -163,23 +163,22 @@ class TestHypothesisCheck:
         rep = measures.hypothesis_check(p)
         assert rep.criterion_zero
 
+    # local integrability at an end is decided by the table build
     def test_nonintegrable_ratio_detected(self):
         p = measures.make_problem(a="1", b="1/x", D=1.0, case="ND")
-        rep = measures.hypothesis_check(p)
-        assert not rep.integrable_near_zero
+        with pytest.raises(HypothesisViolationError, match="locally_integrable_near_0"):
+            measures.build_tables(p, p.D)
 
     def test_integrable_singularity_passes(self):
         # b/a = x^{-1/2} is integrable at 0
         p = measures.make_problem(a="1", b="1/sqrt(x)", D=1.0, case="ND")
-        rep = measures.hypothesis_check(p)
-        assert rep.integrable_near_zero
+        assert np.isfinite(measures.build_tables(p, p.D).mu_total())
 
     def test_right_endpoint_singularity_detected(self):
         # b/a = 1/(1-x) is not integrable at the finite right endpoint
         p = measures.make_problem(a="1", b="1/(1-x)", D=1.0, case="ND")
-        rep = measures.hypothesis_check(p)
-        assert rep.integrable_near_zero
-        assert rep.integrable_near_right is False
+        with pytest.raises(HypothesisViolationError, match="locally_integrable_near_right"):
+            measures.build_tables(p, p.D)
 
 
 # criterion_zero per case (ND, DN, NN) and the probe's notes on (0, inf)

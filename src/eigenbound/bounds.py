@@ -22,7 +22,7 @@ decides it and zero_report gives the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,18 +175,7 @@ class BoundsReport:
     positivity: str  # "positive" | "zero"
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "delta": self.delta,
-            "lower_basic": self.lower_basic,
-            "upper_basic": self.upper_basic,
-            "delta1": self.delta1,
-            "delta1_prime": self.delta1_prime,
-            "lower_improved": self.lower_improved,
-            "upper_improved": self.upper_improved,
-            "argmax_x": dict(self.argmax_x),
-            "positivity": self.positivity,
-        }
+        return asdict(self)
 
 
 def zero_report(case: str) -> BoundsReport:

@@ -427,7 +427,21 @@ def _verdict(name: str, ok: bool, detail: str) -> dict:
     return {"check": name, "pass": bool(ok), "detail": detail}
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
+def _chain(name: str, values: list[float], slack: float, detail: str | None = None) -> dict:
+    """The verdict that ``values`` are in order, each at most the next plus
+    ``slack``; the detail defaults to the chain itself."""
+    ok = all(lo <= hi + slack for lo, hi in zip(values, values[1:]))
+    return _verdict(name, ok, detail or " <= ".join(f"{v:.9g}" for v in values))
+
+
+def _direction(name: str, label: str, trace: iterate.IterationTrace, *allowed: str) -> dict:
+    """The verdict that a sequence runs in an allowed direction; a constant
+    or single-valued sequence runs in every direction."""
+    ok = trace.monotonicity in (*allowed, "constant", "single")
+    return _verdict(name, ok, f"{label}: {trace.monotonicity}")
+
+
+def cmd_verify(cfg: RunConfig) -> list[dict]:
     def zero(problem, hyp) -> dict:
         # nothing to bracket; the criterion decides the value.  The oracle
         # backs it when p * lambda(p) does not grow over the first two
@@ -445,21 +459,18 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
         return {"results": {"positivity": "zero", "verdicts": [verdict]}, "series": {}, "all_pass": falls}
 
     def body(table, walk) -> dict:
-        case = cfg.case
-        eps_b = table.problem.tolerances.bound_refine
+        case, tol = cfg.case, table.problem.tolerances
+        slack = 10 * tol.bound_refine
         verdicts: list[dict] = []
         if walk:
             tr = oracle.truncation_trace(walk)
             verdicts.append(_verdict("truncation_limit_converged", tr.converged, tr.stop_reason))
-            sol = walk.result
-        else:
-            sol = oracle.solve_on_table(table, case)
-        lam_work = sol.lambda_
+        sol = walk.result if walk else oracle.solve_on_table(table, case)
+        lam = sol.lambda_
         resid = oracle.eigen_residuals(sol)
         brep = bounds.compute_report(case, table)
-
         results: dict = {
-            "lambda_oracle": lam_work,
+            "lambda_oracle": lam,
             "lambda_lo": sol.lambda_lo,
             "lambda_hi": sol.lambda_hi,
             "bounds": brep.to_dict(),
@@ -467,66 +478,42 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
         }
         if walk:
             results["lambda_infinite_limit"] = walk.values[-1]
-
-        if case in ("ND", "DN"):
-            verdicts.append(_verdict(
-                "basic_bracket",
-                brep.lower_basic - 1e-6 <= lam_work <= brep.upper_basic + 1e-6,
-                f"{brep.lower_basic:.9g} <= {lam_work:.9g} <= {brep.upper_basic:.9g}",
-            ))
-            chain_ok = (
-                brep.lower_basic <= brep.lower_improved + 10 * eps_b
-                and brep.lower_improved <= lam_work + 10 * eps_b
-                and lam_work <= brep.upper_improved + 10 * eps_b
-                and brep.upper_improved <= brep.upper_basic + 10 * eps_b
-            )
-            verdicts.append(_verdict(
-                "improved_chain",
-                chain_ok,
-                f"{brep.lower_basic:.9g} <= {brep.lower_improved:.9g} <= {lam_work:.9g}"
-                f" <= {brep.upper_improved:.9g} <= {brep.upper_basic:.9g}",
-            ))
-            verdicts.append(_verdict(
-                "delta1_prime_containment",
-                brep.delta - 10 * eps_b <= brep.delta1_prime <= 2 * brep.delta + 10 * eps_b,
-                f"{brep.delta:.9g} <= {brep.delta1_prime:.9g} <= {2 * brep.delta:.9g}",
-            ))
+        # bounds() gives inf for a constant that is not positive, so no bound
+        # is NaN: the largest lower (smallest upper) bound passes a chain
+        # exactly when every one would.  The oracle refuses a lambda that is
+        # not finite, so a slack relative to lambda is finite
+        if case == "NN":
+            eta = iterate.eta_sequence(table, cfg.n_max)
+            results["eta_n"] = eta.values
+            results["eta_monotonicity"] = eta.monotonicity
+            gap_lb = max(eta.bounds())
+            verdicts += [
+                _chain("gap_lower_bounds", [gap_lb, lam], 1e-2 * lam,
+                       f"max lower bound {gap_lb:.9g} vs gap {lam:.9g}"),
+                _direction("eta_direction_consistent", "eta_n", eta, "non-increasing", "non-decreasing"),
+            ]
+        else:
             low = iterate.lower_sequence(case, table, cfg.n_max)
-            up = (
-                iterate.upper_sequence_nd(table, cfg.n_max)
-                if case == "ND"
-                else iterate.upper_sequence_dn(table, cfg.n_max)
-            )
+            up = (iterate.upper_sequence_nd if case == "ND" else iterate.upper_sequence_dn)(table, cfg.n_max)
             results["delta_n"] = low.values
             results["delta_n_prime"] = up.values
             if up.companion_dbar:
                 results["dbar_n"] = up.companion_dbar
-            bracket_ok = all(
-                lb <= lam_work * (1 + 1e-2) for lb in low.bounds()
-            ) and all(ub >= lam_work * (1 - 1e-2) for ub in up.bounds())
-            verdicts.append(_verdict(
-                "iterated_bracket",
-                bracket_ok,
-                f"lower {max(low.bounds()):.9g} <= lambda <= upper {min(up.bounds()):.9g}"
-                " (1e-2 relative slack)",
-            ))
-            verdicts.append(_verdict(
-                "lower_sequence_monotone",
-                low.monotonicity in ("non-increasing", "constant", "single"),
-                f"delta_n: {low.monotonicity}",
-            ))
-            if case == "DN":
-                verdicts.append(_verdict(
-                    "upper_sequence_monotone",
-                    up.monotonicity in ("non-decreasing", "constant", "single"),
-                    f"delta_n_prime: {up.monotonicity}",
-                ))
-            verdicts.append(_verdict(
-                "eigen_identities",
-                max(resid.get("i_deviation", 0.0), resid.get("ii_deviation", 0.0)) <= 5e-3,
-                f"sup |lambda*I(g)-1| = {resid.get('i_deviation'):.3g}, "
-                f"sup |lambda*II(g)-1| = {resid.get('ii_deviation'):.3g}",
-            ))
+            lb, ub = max(low.bounds()), min(up.bounds())
+            i_dev, ii_dev = resid["i_deviation"], resid["ii_deviation"]
+            verdicts += [
+                _chain("basic_bracket", [brep.lower_basic, lam, brep.upper_basic], 1e-6),
+                _chain("improved_chain", [brep.lower_basic, brep.lower_improved, lam,
+                                          brep.upper_improved, brep.upper_basic], slack),
+                _chain("delta1_prime_containment", [brep.delta, brep.delta1_prime, 2 * brep.delta], slack),
+                _chain("iterated_bracket", [lb, lam, ub], 1e-2 * lam,
+                       f"lower {lb:.9g} <= lambda <= upper {ub:.9g} (1e-2 relative slack)"),
+                _direction("lower_sequence_monotone", "delta_n", low, "non-increasing"),
+                *([_direction("upper_sequence_monotone", "delta_n_prime", up, "non-decreasing")]
+                  if case == "DN" else []),
+                _chain("eigen_identities", [max(i_dev, ii_dev), 0.0], 5e-3,
+                       f"sup |lambda*I(g)-1| = {i_dev:.3g}, sup |lambda*II(g)-1| = {ii_dev:.3g}"),
+            ]
             if walk is None:
                 # the dual swaps the measures and the boundary labels, so the
                 # posed eigenvalue is compared against the opposite
@@ -534,39 +521,16 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
                 dual = oracle.dual_table(table)
                 dual_case = "DN" if case == "ND" else "ND"
                 lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
-                d_primal = brep.delta
                 d_dual, _ = bounds.delta(dual_case, dual)
-                results["duality"] = {
-                    "lambda": lam_work,
-                    "lambda_dual": lam_dual,
-                    "delta": d_primal,
-                    "delta_dual": d_dual,
-                }
+                results["duality"] = {"lambda": lam, "lambda_dual": lam_dual,
+                                      "delta": brep.delta, "delta_dual": d_dual}
                 verdicts.append(_verdict(
                     "duality",
-                    abs(lam_work - lam_dual) <= 1e-3 * max(abs(lam_work), 1e-300)
-                    and abs(d_primal - d_dual) <= 10 * eps_b,
-                    f"lambda: {lam_work:.9g} vs dual {lam_dual:.9g}; delta: "
-                    f"{d_primal:.9g} vs {d_dual:.9g}",
+                    abs(lam - lam_dual) <= 1e-3 * max(abs(lam), 1e-300) and abs(brep.delta - d_dual) <= slack,
+                    f"lambda: {lam:.9g} vs dual {lam_dual:.9g}; delta: {brep.delta:.9g} vs {d_dual:.9g}",
                 ))
-        else:  # NN
-            eta = iterate.eta_sequence(table, cfg.n_max)
-            results["eta_n"] = eta.values
-            results["eta_monotonicity"] = eta.monotonicity
-            gap_ok = all(b <= lam_work * (1 + 1e-2) for b in eta.bounds())
-            verdicts.append(_verdict(
-                "gap_lower_bounds",
-                gap_ok,
-                f"max lower bound {max(eta.bounds()):.9g} vs gap {lam_work:.9g}",
-            ))
-            verdicts.append(_verdict(
-                "eta_direction_consistent",
-                eta.monotonicity in ("non-increasing", "non-decreasing", "constant", "single"),
-                f"eta_n: {eta.monotonicity}",
-            ))
-        verdicts.append(_verdict(
-            "oracle_residual",
-            sol.residual <= table.problem.tolerances.oracle,
+        verdicts.append(_chain(
+            "oracle_residual", [sol.residual, 0.0], tol.oracle,
             f"Green's-function defect max|lambda*G*B*g - g|/max|g| = {sol.residual:.3g}",
         ))
         results["verdicts"] = verdicts
@@ -576,8 +540,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
             "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
         }
 
-    reports = _run(cfg, "verify", tuple(_PROVENANCE), oracle.settle_lambda, zero, body)
-    return reports, all(r.get("all_pass", False) for r in reports)
+    return _run(cfg, "verify", tuple(_PROVENANCE), oracle.settle_lambda, zero, body)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +608,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         command = globals()[f"cmd_{args.command}"]
-        reports, ok = command(cfg) if args.command == "verify" else (command(cfg), True)
+        reports = command(cfg)
+        ok = all(r.get("all_pass", True) for r in reports)  # only verify's reports carry verdicts
         payload_obj = reports[0] if len(reports) == 1 else reports
         payload, code = render_report(payload_obj, cfg.format), 0 if ok else 5
     except (RangeError, ConfigError) as exc:

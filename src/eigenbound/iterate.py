@@ -57,7 +57,9 @@ class IterationTrace:
         return [1.0 / v if v > 0 else float("inf") for v in self.values]
 
 
-def monotone_verdict(values: list[float], slack: float) -> str:
+def monotone_verdict(values: list[float], eps_bound: float) -> str:
+    """The direction of a sequence, each step allowed 10 * eps_bound against it."""
+    slack = 10 * eps_bound
     if len(values) < 2:
         return "single"
     down = all(b <= a + slack for a, b in zip(values, values[1:]))
@@ -108,7 +110,7 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
         if n >= 2 and abs(values[-1] - values[-2]) <= eps * abs(values[-1]):
             break
         f = product * (1.0 / np.max(product))
-    return IterationTrace(values=values, monotonicity=monotone_verdict(values, 10 * eps))
+    return IterationTrace(values=values, monotonicity=monotone_verdict(values, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +254,11 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    eps = table.problem.tolerances.bound_refine
     best_val, best_start, best_dbar = _family_sup(table, n_max, lambda i0: i0, 0, table.n_panels - 1, True)
     D = float(table.grid[-1])
     return IterationTrace(
         values=best_val,
-        monotonicity=monotone_verdict(best_val, 10 * eps),
+        monotonicity=monotone_verdict(best_val, table.problem.tolerances.bound_refine),
         companion_dbar=best_dbar,
         pair_locations=[(float(table.grid[i0]), D) for i0 in best_start],
     )
@@ -273,12 +274,11 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    eps = table.problem.tolerances.bound_refine
     m = table.n_panels
     best_val, best_cap, _ = _family_sup(table.mirrored(), n_max, lambda c: m - c, 1, m, False)
     return IterationTrace(
         values=best_val,
-        monotonicity=monotone_verdict(best_val, 10 * eps),
+        monotonicity=monotone_verdict(best_val, table.problem.tolerances.bound_refine),
         pair_locations=[float(table.grid[c]) for c in best_cap],
     )
 
@@ -295,7 +295,6 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    eps = table.problem.tolerances.bound_refine
     grid = table.grid
     n_nodes = len(grid)
     mu_total = table.mu_total()
@@ -352,6 +351,6 @@ def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:
         fbar = fbar_next / scale
         suf_prev = suf_next / scale
 
-    direction = monotone_verdict(values, 10 * eps)
+    direction = monotone_verdict(values, table.problem.tolerances.bound_refine)
     notes.append(f"empirical direction of the sequence: {direction}")
     return IterationTrace(values=values, monotonicity=direction, sign_changes=sign_changes, notes=notes)

@@ -29,6 +29,7 @@ G B.  Its Green's-function defect is at most the enclosure's relative width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,7 +119,14 @@ def _lanczos(apply, v: np.ndarray, weight: np.ndarray, budget: int):
         wbasis[0] = weight * basis[0]  # wbasis = weight * basis throughout
         for k in range(m):
             w = apply(basis[k])
-            scale = scale or 1.0 / np.dot(wbasis[0], w)  # theta about 1: w^2 cannot overflow
+            if not scale:  # theta about 1 from here on: w^2 cannot overflow
+                theta = float(np.dot(wbasis[0], w))  # at most 1/lambda
+                scale = 1.0 / theta if theta > 0 else math.inf
+                if scale == math.inf:
+                    raise DegenerationError(
+                        f"G B's Rayleigh quotient {theta!r} at the start has no finite reciprocal; "
+                        "floats do not resolve the eigenvalue of this interval"
+                    )
             w *= scale
             for _ in range(2):
                 c = wbasis[: k + 1] @ w
@@ -184,7 +192,15 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     scale = np.max(w)  # w is about v / lambda: rescaled, its squares cannot underflow
     u = w / scale
     vu = np.dot(weight * v, u)
-    lam = float(np.dot(weight * v, v) / (vu * scale))  # the Rayleigh quotient of G B at v, inverted
+    # the Rayleigh quotient of G B at v, inverted; den is about the weighted
+    # mass over lambda, and a subnormal den has lost digits
+    den = vu * scale
+    lam = float(np.dot(weight * v, v) / den) if den >= np.finfo(float).tiny else math.inf
+    if not math.isfinite(lam):
+        raise DegenerationError(
+            f"the eigenvector's Rayleigh quotient is {lam!r}: its weighted mass over lambda "
+            "underflows, so floats do not resolve this problem's scale"
+        )
     if case == "NN":  # the node values, centred against the cells
         g = np.concatenate([[0.0], np.cumsum(dnu * v)])
         g -= np.dot(cell, g) / np.sum(cell)

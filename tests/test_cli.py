@@ -10,7 +10,7 @@ import pytest
 
 import conftest as C
 import eigenbound
-from eigenbound import bounds, cli, measures
+from eigenbound import bounds, cli, iterate, measures
 from eigenbound.errors import ConfigError
 
 
@@ -161,8 +161,8 @@ class TestCommands:
     def test_verify_passes(self):
         cfg = cli.RunConfig(preset="laplacian", D=[1.0], case="ND", n_max=2, grid_size=1000)
         cfg.validate()
-        reps, ok = cli.cmd_verify(cfg)
-        assert ok
+        reps = cli.cmd_verify(cfg)
+        assert len(reps) == 1 and reps[0]["all_pass"] is True
         names = {v["check"] for v in reps[0]["results"]["verdicts"]}
         assert {"basic_bracket", "improved_chain", "iterated_bracket", "duality"} <= names
 
@@ -294,8 +294,10 @@ class TestMain:
         assert code == 4
 
     def test_verdict_failure_exit_5(self, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: ([{"all_pass": False}], False))
-        assert cli.main(["verify", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"]) == 5
+        # any report of a --D sweep that fails a verdict fails the run
+        for reports in ([{"all_pass": False}], [{"all_pass": False}, {"all_pass": True}]):
+            monkeypatch.setattr(cli, "cmd_verify", lambda cfg, reports=reports: reports)
+            assert cli.main(["verify", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"]) == 5
 
     def test_env_tolerance_override(self, monkeypatch, capsys):
         monkeypatch.setenv("EIGENBOUND_TOLERANCE", "1e-7")
@@ -497,6 +499,8 @@ class TestUnresolvableProblems:
     @pytest.mark.parametrize("command, D", [
         ("oracle", "1e-100"), ("verify", "1e-100"), ("bounds", "1e-100"), ("bounds", "1e-155"),
         ("bounds", "1e-160"), ("bounds", "5e-324"), ("iterate", "1e-160"),
+        ("oracle", "1e-106"), ("oracle", "1e-155"), ("verify", "1e-155"), ("oracle", "1e-160"),
+        ("verify", "1e-160"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_interval_is_a_json_error_or_finite(self, command, D, capsys):
@@ -509,6 +513,9 @@ class TestUnresolvableProblems:
             assert out["error"]["exit_code"] == code
         if (command, D) == ("bounds", "1e-100"):
             assert code == 0
+        if command in ("oracle", "verify") and D != "1e-100":
+            # refused before the eigenvalue or its Rayleigh quotient leaves the float range
+            assert code == 4
         if D == "5e-324":  # every panel has zero width: refused where the table is built
             assert code == 4 and "zero width" in out["error"]["message"]
 
@@ -620,3 +627,128 @@ class TestSmallEigenvalues:
         assert results["lambda_oracle"] == pytest.approx(lam, rel=1e-10)
         failed = [v["check"] for v in results["verdicts"] if not v["pass"]]
         assert (code, failed) == (5, ["lower_sequence_monotone"])
+
+
+class TestVerdicts:
+    """Every verdict's check, pass and detail, frozen from the hand-written
+    checks that the chain and direction lists replaced.  Together the problems
+    reach every verdict name, the criterion_zero path, and failures of the
+    truncation walk, both chains, the lower sequence's direction, the
+    identities and duality."""
+
+    FROZEN = {
+    ('1', '0', '1', 'ND', ()): (0, [
+        ('basic_bracket', True, '1 <= 2.46740082 <= 4'),
+        ('improved_chain', True, '1 <= 2.33921389 <= 2.46740082 <= 2.66666591 <= 4'),
+        ('delta1_prime_containment', True, '0.25 <= 0.375000106 <= 0.5'),
+        ('iterated_bracket', True, 'lower 2.46551781 <= lambda <= upper 2.47058529 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', True, 'delta_n: non-increasing'),
+        ('eigen_identities', True, 'sup |lambda*I(g)-1| = 5.57e-07, sup |lambda*II(g)-1| = 3.68e-07'),
+        ('duality', True, 'lambda: 2.46740082 vs dual 2.46740082; delta: 0.25 vs 0.25'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 4.44e-16"),
+    ]),
+    ('1', '0', '1', 'DN', ()): (0, [
+        ('basic_bracket', True, '1 <= 2.46740082 <= 4'),
+        ('improved_chain', True, '1 <= 2.33921389 <= 2.46740082 <= 2.66666591 <= 4'),
+        ('delta1_prime_containment', True, '0.25 <= 0.375000106 <= 0.5'),
+        ('iterated_bracket', True, 'lower 2.46551781 <= lambda <= upper 2.47058529 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', True, 'delta_n: non-increasing'),
+        ('upper_sequence_monotone', True, 'delta_n_prime: non-decreasing'),
+        ('eigen_identities', True, 'sup |lambda*I(g)-1| = 5.57e-07, sup |lambda*II(g)-1| = 3.68e-07'),
+        ('duality', True, 'lambda: 2.46740082 vs dual 2.46740082; delta: 0.25 vs 0.25'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 4.44e-16"),
+    ]),
+    ('1', '-x', '12', 'NN', ()): (0, [
+        ('gap_lower_bounds', True, 'max lower bound 1.92474522 vs gap 1.99989385'),
+        ('eta_direction_consistent', True, 'eta_n: non-increasing'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 4.44e-16"),
+    ]),
+    ('1', '0', 'inf', 'ND', ()): (0, [
+        ('criterion_zero', True, 'scale mass nu(0, inf) diverges, so the ND eigenvalue is 0; truncation eigenvalues lambda(2) = 0.61685, lambda(4) = 0.154213; passes when p*lambda(p) does not grow (lambda falls at least like 1/p)'),
+    ]),
+    ('1', '-x', 'inf', 'DN', ()): (0, [
+        ('truncation_limit_converged', True, 'successive truncations agree to tolerance'),
+        ('basic_bracket', True, '0.522120569 <= 0.999980862 <= 2.08848228'),
+        ('improved_chain', True, '0.522120569 <= 0.872420372 <= 0.999980862 <= 1.25417998 <= 2.08848228'),
+        ('delta1_prime_containment', True, '0.478816608 <= 0.797333729 <= 0.957633216'),
+        ('iterated_bracket', True, 'lower 0.990086884 <= lambda <= upper 1.04860699 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', True, 'delta_n: non-increasing'),
+        ('upper_sequence_monotone', True, 'delta_n_prime: non-decreasing'),
+        ('eigen_identities', True, 'sup |lambda*I(g)-1| = 7.71e-05, sup |lambda*II(g)-1| = 0.000987'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 3.33e-16"),
+    ]),
+    ('1', '1', 'inf', 'ND', ()): (5, [
+        ('truncation_limit_converged', False, 'stopped at truncation 1024.0: the speed-measure mass over (0, 1024) overflowed the float range'),
+        ('basic_bracket', True, '0.235777551 <= 0.239672048 <= 0.943110205'),
+        ('improved_chain', False, '0.235777551 <= 0.243151566 <= 0.239672048 <= 0.477206393 <= 0.943110205'),
+        ('delta1_prime_containment', True, '1.06032147 <= 2.09552935 <= 2.12064294'),
+        ('iterated_bracket', False, 'lower 0.247547602 <= lambda <= upper 0.353637303 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', True, 'delta_n: constant'),
+        ('eigen_identities', False, 'sup |lambda*I(g)-1| = 0.00309, sup |lambda*II(g)-1| = 0.0336'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 1.12e-14"),
+    ]),
+    ('1', '-20*(x-1)*(x-2)*(x-3)', '4', 'ND', ()): (5, [
+        ('basic_bracket', True, '1.01352078e-18 <= 4.05408313e-18 <= 4.05408313e-18'),
+        ('improved_chain', True, '1.01352078e-18 <= 4.05408313e-18 <= 4.05408313e-18 <= 4.05408313e-18 <= 4.05408313e-18'),
+        ('delta1_prime_containment', True, '2.46664897e+17 <= 2.46664897e+17 <= 4.93329795e+17'),
+        ('iterated_bracket', True, 'lower 4.05408313e-18 <= lambda <= upper 4.05408313e-18 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', False, 'delta_n: non-decreasing'),
+        ('eigen_identities', True, 'sup |lambda*I(g)-1| = 2.66e-10, sup |lambda*II(g)-1| = 2.44e-15'),
+        ('duality', True, 'lambda: 4.05408313e-18 vs dual 4.05408313e-18; delta: 2.46664897e+17 vs 2.46664897e+17'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 3.33e-16"),
+    ]),
+    ('1+x^2', '0', '8192', 'DN', ('--grid-size', '1000')): (5, [
+        ('basic_bracket', True, '0.250645162 <= 0.312096585 <= 1.00258065'),
+        ('improved_chain', True, '0.250645162 <= 0.280535728 <= 0.312096585 <= 0.506584902 <= 1.00258065'),
+        ('delta1_prime_containment', True, '0.997425996 <= 1.97400277 <= 1.99485199'),
+        ('iterated_bracket', True, 'lower 0.309737151 <= lambda <= upper 0.369251841 (1e-2 relative slack)'),
+        ('lower_sequence_monotone', True, 'delta_n: non-increasing'),
+        ('upper_sequence_monotone', True, 'delta_n_prime: non-decreasing'),
+        ('eigen_identities', False, 'sup |lambda*I(g)-1| = 0.0557, sup |lambda*II(g)-1| = 0.0557'),
+        ('duality', False, 'lambda: 0.312096585 vs dual 0.313705393; delta: 0.997425996 vs 0.997425996'),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 3.33e-16"),
+    ]),
+    }
+
+    @pytest.mark.parametrize("problem", list(FROZEN), ids=lambda p: " ".join([*p[:4], *p[4]]))
+    def test_verdicts_match_the_frozen_checks(self, problem, capsys):
+        a, b, D, case, extra = problem
+        code = cli.main(["verify", "--a", a, "--b", b, "--D", D, "--case", case, *extra])
+        verdicts = json.loads(capsys.readouterr().out)["results"]["verdicts"]
+        assert (code, [(v["check"], v["pass"], v["detail"]) for v in verdicts]) == self.FROZEN[problem]
+
+    def test_frozen_problems_reach_every_verdict(self):
+        names = {v[0] for _, verdicts in self.FROZEN.values() for v in verdicts}
+        assert names == {
+            "basic_bracket", "improved_chain", "delta1_prime_containment", "iterated_bracket",
+            "lower_sequence_monotone", "upper_sequence_monotone", "eigen_identities", "duality",
+            "truncation_limit_converged", "oracle_residual", "gap_lower_bounds",
+            "eta_direction_consistent", "criterion_zero",
+        }
+
+    @pytest.mark.parametrize("hi, slack", [
+        (0.0, 1e-6),  # an absolute slack
+        (1.0, 10 * 1e-6),
+        (2.46740082, 1e-2 * 2.46740082),  # a relative slack
+        (0.312096585, 1e-2 * 0.312096585),
+    ])
+    def test_chain_passes_at_its_slack_and_fails_one_float_above(self, hi, slack):
+        lo = hi + slack
+        assert cli._chain("c", [lo, hi], slack)["pass"]
+        assert not cli._chain("c", [math.nextafter(lo, math.inf), hi], slack)["pass"]
+
+    def test_chain_checks_every_step_and_prints_the_chain(self):
+        assert cli._chain("c", [1.0, 2.0, 3.0], 0.0) == {"check": "c", "pass": True, "detail": "1 <= 2 <= 3"}
+        assert not cli._chain("c", [1.0, 3.0, 2.0], 0.5)["pass"]
+        assert not cli._chain("c", [1.0, math.nan], 1.0)["pass"]
+        assert cli._chain("c", [1.0, 2.0], 0.0, "custom")["detail"] == "custom"
+
+    @pytest.mark.parametrize("label, passes", [
+        ("non-increasing", True), ("constant", True), ("single", True),
+        ("non-decreasing", False), ("mixed", False),
+    ])
+    def test_direction_allows_its_directions_and_the_constant_ones(self, label, passes):
+        trace = iterate.IterationTrace(values=[1.0], monotonicity=label)
+        verdict = cli._direction("d", "delta_n", trace, "non-increasing")
+        assert verdict == {"check": "d", "pass": passes, "detail": f"delta_n: {label}"}
+

@@ -10,6 +10,7 @@ degeneration, 5 a bracketing verdict failed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -596,7 +597,32 @@ def _join_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc reuse freed memory instead of returning it.
+
+    By default glibc maps each large allocation afresh and returns a freed
+    heap top past a threshold to the system, so every table build faults its
+    node arrays in again, page by page: about 1,000 minor faults per op of the
+    benchmark's `infinite` workload, at about 3 us each on a 2-vCPU Xeon VM.
+    Both thresholds are raised once per process.  Setting either one stops
+    glibc from adjusting both itself, so the trim threshold is set only when
+    the mmap threshold took.  Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_argparser()
     args = parser.parse_args(_join_flag_values(list(argv if argv is not None else sys.argv[1:])))
     try:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerationError, DomainError
-from .measures import MeasureTable, prefix_integral, suffix_integral
+from .measures import MeasureTable, _suffix_from_panels, prefix_integral, suffix_integral
 
 
 @dataclass
@@ -143,8 +143,7 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
     np.cumsum(mu_wL + mu_wR, out=S[1:])
     W = mu_wL.copy()
     W[1:] += mu_wR[:-1]
-    T = np.zeros(m + 1)
-    T[:m] = np.add.accumulate(dnu[::-1])[::-1]
+    T = _suffix_from_panels(dnu)
     P = mu_wL * T[:m] + mu_wR * T[1:]
 
     def eval_window(i0: int):

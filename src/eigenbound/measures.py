@@ -42,6 +42,7 @@ whose table overflows ends the walk on the last table that did not.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -282,10 +283,17 @@ def _graded_grid(n: int, p: float, kappa: float = 0.9) -> np.ndarray:
     still resolving endpoint behavior; genuinely singular weights trigger the
     adaptive splitting on top of this.
     """
+    return p * _grid_shape(n, kappa)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_shape(n: int, kappa: float) -> np.ndarray:
+    """The graded grid on [0, 1], made once per size and read-only."""
     u = np.linspace(0.0, 1.0, n + 1)
     s = u - kappa * np.sin(2 * math.pi * u) / (2 * math.pi)
     s[0], s[-1] = 0.0, 1.0
-    return p * s
+    s.flags.writeable = False
+    return s
 
 
 @dataclass
@@ -374,11 +382,21 @@ def _median(a: np.ndarray) -> float:  # np.median, whose import of numpy.ma cost
 
 
 def _prefix_from_panels(d: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum(d)])
+    """The M+1 partial sums of the M panel values, 0 first, summed left to right."""
+    out = np.empty(len(d) + 1)
+    out[0] = 0.0
+    np.add.accumulate(d, out=out[1:])
+    return out
 
 
-def _suffix_from_panels(d: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
+def _suffix_from_panels(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s[i] = sum of d[i:] for i = 0..M, summed from the far end into out (a
+    new array when None); s[M] = 0."""
+    if out is None:
+        out = np.empty(len(d) + 1)
+    out[-1] = 0.0
+    np.add.accumulate(d[::-1], out=out[:-1][::-1])
+    return out
 
 
 def _not_integrable_near(end: str) -> HypothesisViolationError:
@@ -553,12 +571,15 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     widths = edges[1:] - edges[:-1]
     if not (widths > 0).all():
         raise DegenerationError(f"(0, {right_end:g}) is too short for floats: a panel has zero width")
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cen_mu = np.where(dmu > 0, mmu / np.where(dmu > 0, dmu, 1.0), mid)
-        cen_nu = np.where(dnu > 0, mnu / np.where(dnu > 0, dnu, 1.0), mid)
-    cen_mu = np.clip(np.nan_to_num(cen_mu, nan=0.0), edges[:-1], edges[1:])
-    cen_nu = np.clip(np.nan_to_num(cen_nu, nan=0.0), edges[:-1], edges[1:])
+    # each centroid is its panel's first moment over its mass, the midpoint
+    # where the mass is 0
+    cen_mu = 0.5 * (edges[:-1] + edges[1:])
+    cen_nu = cen_mu.copy()
+    for cen, m, d in ((cen_mu, mmu, dmu), (cen_nu, mnu, dnu)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(m, d, out=cen, where=d > 0)
+        np.nan_to_num(cen, copy=False, nan=0.0)
+        np.clip(cen, edges[:-1], edges[1:], out=cen)
 
     return MeasureTable(
         problem=problem,

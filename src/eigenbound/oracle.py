@@ -39,6 +39,7 @@ from .measures import (
     MeasureTable,
     ProblemSpec,
     TruncationWalk,
+    _suffix_from_panels,
     build_tables,
     prefix_integral,
     suffix_integral,
@@ -69,20 +70,24 @@ class EigenSolution:
         return self.table.n_panels
 
 
-def _suffix(x: np.ndarray) -> np.ndarray:
-    """s[i] = sum of x[i:], summed from the far end."""
-    return np.cumsum(x[::-1])[::-1]
-
-
 def _nd_green(dnu: np.ndarray, cell: np.ndarray):
     """v -> G B v for ND, (G B v)_i = T[i] sum_{k<=i} cell_k v_k + sum_{k>i}
-    T_k cell_k v_k; returns the operator and its start vector T."""
-    tail = _suffix(dnu)
+    T_k cell_k v_k; returns the operator and its start vector T.
+
+    The operator writes cell v, T cell v and the suffix sums of the latter
+    into three buffers that live as long as it does, one solve.  The vector
+    it returns is a new array at every call: Lanczos scales it in place, and
+    the power phase keeps it as its next v.
+    """
+    tail = _suffix_from_panels(dnu)[:-1]
+    cv, tcv, back = np.empty(len(cell)), np.empty(len(cell)), np.empty(len(cell) + 1)
 
     def apply(v):
-        cv = cell * v
-        w = tail * np.cumsum(cv)
-        w[:-1] += _suffix(tail * cv)[1:]
+        np.multiply(cell, v, out=cv)
+        w = np.add.accumulate(cv)
+        w *= tail
+        _suffix_from_panels(np.multiply(tail, cv, out=tcv), out=back)
+        w[:-1] += back[1:-1]
         return w
 
     return apply, tail
@@ -93,13 +98,13 @@ def _nn_green(dnu: np.ndarray, cell: np.ndarray):
     summed from the right, never taken as total - P: that difference cancels
     to 0 where the speed mass is tiny."""
     head = np.cumsum(cell)[:-1]
-    tail = _suffix(cell)[1:]
+    tail = _suffix_from_panels(cell)[1:-1]
     total = head[-1] + tail[-1]
 
     def apply(phi):
         y = dnu * phi
         z = tail * np.cumsum(head * y)
-        z[:-1] += head[:-1] * _suffix(tail * y)[1:]
+        z[:-1] += head[:-1] * _suffix_from_panels(tail * y)[1:-1]
         return z / total
 
     return apply, np.ones(len(dnu))
@@ -161,6 +166,17 @@ def _power(apply, v: np.ndarray, steps: int):
     return v, w, lo, hi
 
 
+def _quotient(num, den, scale):
+    """num / (den * scale), divided in two steps where that product is
+    subnormal or 0: with lambda large against the masses, the product (about
+    a mass over lambda) underflows though the quotient is a float."""
+    prod = den * scale
+    if prod >= np.finfo(float).tiny:
+        return num / prod
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return num / den / scale
+
+
 def _green_defect(lam: float, v: np.ndarray, w: np.ndarray) -> float:
     """max |lambda w - v| / max |v| for w = G B v, free of differences of v."""
     return float(np.max(np.abs(lam * w - v)) / np.max(np.abs(v)))
@@ -192,14 +208,10 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     scale = np.max(w)  # w is about v / lambda: rescaled, its squares cannot underflow
     u = w / scale
     vu = np.dot(weight * v, u)
-    # the Rayleigh quotient of G B at v, inverted; den is about the weighted
-    # mass over lambda, and a subnormal den has lost digits
-    den = vu * scale
-    lam = float(np.dot(weight * v, v) / den) if den >= np.finfo(float).tiny else math.inf
+    lam = float(_quotient(np.dot(weight * v, v), vu, scale))  # the Rayleigh quotient of G B at v, inverted
     if not math.isfinite(lam):
         raise DegenerationError(
-            f"the eigenvector's Rayleigh quotient is {lam!r}: its weighted mass over lambda "
-            "underflows, so floats do not resolve this problem's scale"
+            f"the eigenvector's Rayleigh quotient is {lam!r}: floats do not resolve this problem's scale"
         )
     if case == "NN":  # the node values, centred against the cells
         g = np.concatenate([[0.0], np.cumsum(dnu * v)])
@@ -212,7 +224,7 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
         table=table,
         eigenfunction=g,
         residual=_green_defect(lam, v, w),
-        rayleigh=float(vu / (np.dot(weight * u, u) * scale)),  # of A at w, as A w = B v
+        rayleigh=float(_quotient(vu, np.dot(weight * u, u), scale)),  # of A at w, as A w = B v
         lambda_lo=lam_lo,
         lambda_hi=lam_hi,
     )

@@ -499,8 +499,8 @@ class TestUnresolvableProblems:
     @pytest.mark.parametrize("command, D", [
         ("oracle", "1e-100"), ("verify", "1e-100"), ("bounds", "1e-100"), ("bounds", "1e-155"),
         ("bounds", "1e-160"), ("bounds", "5e-324"), ("iterate", "1e-160"),
-        ("oracle", "1e-106"), ("oracle", "1e-155"), ("verify", "1e-155"), ("oracle", "1e-160"),
-        ("verify", "1e-160"),
+        ("oracle", "1e-106"), ("oracle", "1e-154"), ("oracle", "1e-155"), ("verify", "1e-155"),
+        ("oracle", "1e-160"), ("verify", "1e-160"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_interval_is_a_json_error_or_finite(self, command, D, capsys):
@@ -513,11 +513,30 @@ class TestUnresolvableProblems:
             assert out["error"]["exit_code"] == code
         if (command, D) == ("bounds", "1e-100"):
             assert code == 0
-        if command in ("oracle", "verify") and D != "1e-100":
-            # refused before the eigenvalue or its Rayleigh quotient leaves the float range
+        if command in ("oracle", "verify") and float(D) <= 1e-154:
+            # refused at the start vector, where G B's Rayleigh quotient has no finite reciprocal
             assert code == 4
         if D == "5e-324":  # every panel has zero width: refused where the table is built
             assert code == 4 and "zero width" in out["error"]["message"]
+
+    @pytest.mark.parametrize("command, a, D", [
+        ("oracle", "1", "1e-104"), ("oracle", "1", "1e-106"), ("oracle", "1", "1e-120"),
+        ("oracle", "1", "1e-150"), ("oracle", "1e200", "1"), ("verify", "1e200", "1"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eigenvalue_large_against_the_masses_is_resolved(self, command, a, D, capsys):
+        # the Rayleigh quotient's denominator, about a mass over lambda, is
+        # subnormal here; lambda itself and its enclosure are floats
+        code = cli.main([command, "--a", a, "--b", "0", "--D", D, "--case", "ND"])
+        out = json.loads(capsys.readouterr().out)
+        res = out["results"]
+        lam = res["lambda" if command == "oracle" else "lambda_oracle"]
+        assert code == 0 and not self.non_finite(res)
+        assert res["lambda_lo"] <= lam <= res["lambda_hi"]
+        # the grid's own error, as at D = 1: the scheme is scale-free
+        assert lam == pytest.approx(math.pi**2 * float(a) / (4 * float(D) ** 2), rel=2e-7)
+        if command == "verify":
+            assert out["all_pass"]
 
 
 class TestOverflowingTruncation:

@@ -473,6 +473,117 @@ _REFINED_AND_CONSTANT_TABLES = [
 ]
 
 
+def _frozen_graded_grid(n, p, kappa=0.9):
+    u = np.linspace(0.0, 1.0, n + 1)
+    s = u - kappa * np.sin(2 * math.pi * u) / (2 * math.pi)
+    s[0], s[-1] = 0.0, 1.0
+    return p * s
+
+
+def _frozen_prefix(d):
+    return np.concatenate([[0.0], np.cumsum(d)])
+
+
+def _frozen_suffix(d):
+    return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
+
+
+def _frozen_build_tables(problem, right_end):
+    """build_tables' grid, column and centroid steps as they were written
+    before they accumulated into their outputs; the refinement is shared."""
+    if not (math.isfinite(right_end) and right_end > 0):
+        raise RangeError("right_end must be finite and positive")
+    pos = measures.expr.validate_positive(problem.a, right_end, samples=64)
+    if not pos.passed:
+        raise HypothesisViolationError(f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}")
+    edges, dc, dmu, dnu, mmu, mnu, bad, worst = measures._refine(
+        problem, _frozen_graded_grid(problem.grid_size, right_end), (right_end,)
+    )
+    if bad[0]:
+        raise measures._not_integrable_near("0")
+    if bad[-1]:
+        raise measures._not_integrable_near("right")
+    if bad.any():
+        x = edges[np.argmax(bad)]
+        raise HypothesisViolationError(
+            f"quadrature did not converge on the panel at x = {x:.12g}; "
+            "a coefficient weight looks non-integrable there"
+        )
+    for name, d in (("speed", dmu), ("scale", dnu)):
+        if not np.isfinite(d).all() or d.sum() > measures.OVERFLOW_GUARD:
+            raise DegenerationError(f"the {name}-measure mass over (0, {right_end:g}) overflowed the float range")
+    cvals = _frozen_prefix(dc)
+    mu_cum, nu_cum = _frozen_prefix(dmu), _frozen_prefix(dnu)
+    mu_tail, nu_tail = _frozen_suffix(dmu), _frozen_suffix(dnu)
+    with np.errstate(over="ignore"):
+        if problem.case == "ND":
+            product, head, tail = mu_cum * nu_tail, "speed", "scale"
+        else:
+            product, head, tail = nu_cum * mu_tail, "scale", "speed"
+    if not np.isfinite(product).all():
+        raise DegenerationError(
+            f"the product of the {head}-measure mass of (0, x) and the {tail}-measure "
+            f"mass of (x, {right_end:g}) overflowed the float range"
+        )
+    widths = edges[1:] - edges[:-1]
+    if not (widths > 0).all():
+        raise DegenerationError(f"(0, {right_end:g}) is too short for floats: a panel has zero width")
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cen_mu = np.where(dmu > 0, mmu / np.where(dmu > 0, dmu, 1.0), mid)
+        cen_nu = np.where(dnu > 0, mnu / np.where(dnu > 0, dnu, 1.0), mid)
+    cen_mu = np.clip(np.nan_to_num(cen_mu, nan=0.0), edges[:-1], edges[1:])
+    cen_nu = np.clip(np.nan_to_num(cen_nu, nan=0.0), edges[:-1], edges[1:])
+    return {
+        "right_end": float(right_end), "grid": edges, "Cvals": cvals, "dmu": dmu, "dnu": dnu,
+        "mu_cum": mu_cum, "nu_cum": nu_cum, "mu_tail": mu_tail, "nu_tail": nu_tail, "quad_residual": worst,
+        "mu_wL": dmu * (edges[1:] - cen_mu) / widths, "mu_wR": dmu * (cen_mu - edges[:-1]) / widths,
+        "nu_wL": dnu * (edges[1:] - cen_nu) / widths, "nu_wR": dnu * (cen_nu - edges[:-1]) / widths,
+    }
+
+
+def _frozen_table_or_error(problem, p):
+    try:
+        return _frozen_build_tables(problem, p)
+    except EigenboundError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_SUM_INPUTS = [
+    [], [2.5], [np.inf], [np.nan], [1.0, np.inf, 2.0], [np.inf, -np.inf, 1.0], [1.0, np.nan, 3.0],
+    [1e308, 1e308, -1e308], [0.1] * 7, list(np.random.default_rng(3).random(1001)),
+]
+
+
+class TestColumnsFrozen:
+    @pytest.mark.parametrize("d", _SUM_INPUTS, ids=range(len(_SUM_INPUTS)))
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_prefix_and_suffix_equal_the_frozen_sums(self, d):
+        d = np.array(d, dtype=float)
+        assert measures._prefix_from_panels(d).tobytes() == _frozen_prefix(d).tobytes()
+        assert measures._suffix_from_panels(d).tobytes() == _frozen_suffix(d).tobytes()
+        out = np.full(len(d) + 1, 7.0)
+        assert measures._suffix_from_panels(d, out=out) is out
+        assert out.tobytes() == _frozen_suffix(d).tobytes()
+        assert measures._suffix_from_panels(d[::-1]).tobytes() == _frozen_suffix(d[::-1]).tobytes()
+
+    def test_graded_grid_is_fresh_and_writable(self):
+        first = measures._graded_grid(64, 3.0)
+        assert first.flags.writeable and first.tobytes() == _frozen_graded_grid(64, 3.0).tobytes()
+        first[:] = -1.0
+        second = measures._graded_grid(64, 3.0)
+        assert second is not first and second.tobytes() == _frozen_graded_grid(64, 3.0).tobytes()
+        assert measures._graded_grid(64, 1.0).tobytes() == _frozen_graded_grid(64, 1.0).tobytes()
+
+    @pytest.mark.parametrize("a, b, case, D", _BENCH_TABLES + _REFINED_AND_CONSTANT_TABLES)
+    def test_tables_equal_the_frozen_column_tables(self, a, b, case, D):
+        problem = measures.make_problem(a=a, b=b, D=D, case=case)
+        ends = problem.truncation_schedule if problem.is_infinite else (problem.D,)
+        for p in ends:
+            q = measures.truncate(problem, p) if problem.is_infinite else problem
+            _assert_same_table(_table_or_error(q, p), _frozen_table_or_error(q, p))
+
+
 class TestTablesFrozen:
     @pytest.mark.parametrize("a, b, case, D", _BENCH_TABLES + _REFINED_AND_CONSTANT_TABLES)
     def test_tables_equal_the_frozen_pass_tables(self, a, b, case, D, monkeypatch):

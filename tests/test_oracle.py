@@ -295,6 +295,97 @@ class TestResiduals:
         assert edges[2] <= 1e-3
 
 
+def _frozen_suffix(x):
+    return np.cumsum(x[::-1])[::-1]
+
+
+def _frozen_nd_green(dnu, cell):
+    tail = _frozen_suffix(dnu)
+
+    def apply(v):
+        cv = cell * v
+        w = tail * np.cumsum(cv)
+        w[:-1] += _frozen_suffix(tail * cv)[1:]
+        return w
+
+    return apply, tail
+
+
+def _frozen_nn_green(dnu, cell):
+    head = np.cumsum(cell)[:-1]
+    tail = _frozen_suffix(cell)[1:]
+    total = head[-1] + tail[-1]
+
+    def apply(phi):
+        y = dnu * phi
+        z = tail * np.cumsum(head * y)
+        z[:-1] += head[:-1] * _frozen_suffix(tail * y)[1:]
+        return z / total
+
+    return apply, np.ones(len(dnu))
+
+
+class TestGreenFrozen:
+    """The operators on their buffers against their allocating form, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+    def test_nd_operator_equals_the_frozen_closure(self, n):
+        rng = np.random.default_rng(n)
+        dnu, cell = rng.random(n) + 1e-3, rng.random(n) + 1e-3
+        (new, new_start), (old, old_start) = oracle._nd_green(dnu, cell), _frozen_nd_green(dnu, cell)
+        assert new_start.tobytes() == old_start.tobytes()
+        v1, v2 = rng.random(n) + 1e-3, rng.random(n) * 1e6 + 1e-3
+        w1 = new(v1)
+        kept = w1.copy()
+        w2 = new(v2)
+        assert w1 is not w2 and not np.shares_memory(w1, w2)
+        assert w1.tobytes() == kept.tobytes() == old(v1).tobytes()
+        assert w2.tobytes() == old(v2).tobytes()
+        w1 *= 3.0  # Lanczos scales the returned vector in place
+        assert new(v2).tobytes() == w2.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    def test_nn_operator_equals_the_frozen_closure(self, n):
+        rng = np.random.default_rng(n)
+        dnu, cell = rng.random(n) + 1e-3, rng.random(n + 1) + 1e-3
+        (new, _), (old, _) = oracle._nn_green(dnu, cell), _frozen_nn_green(dnu, cell)
+        for _ in range(2):
+            phi = rng.random(n) - 0.5
+            assert new(phi).tobytes() == old(phi).tobytes()
+
+    @pytest.mark.parametrize("case", ["ND", "DN", "NN"])
+    def test_solves_equal_the_frozen_operators(self, case, monkeypatch):
+        table = C.make_table(preset="ou", D=8.0, case=case)
+        new = oracle.solve_on_table(table, case)
+        monkeypatch.setattr(oracle, "_nd_green", _frozen_nd_green)
+        monkeypatch.setattr(oracle, "_nn_green", _frozen_nn_green)
+        old = oracle.solve_on_table(table, case)
+        for name in ("lambda_", "residual", "rayleigh", "lambda_lo", "lambda_hi"):
+            assert getattr(new, name) == getattr(old, name), name
+        assert new.eigenfunction.tobytes() == old.eigenfunction.tobytes()
+
+
+class TestRayleighUnderflow:
+    def test_a_normal_denominator_divides_once(self):
+        rng = np.random.default_rng(5)
+        for num, den, scale in rng.random((100, 3)) * [1e10, 1e-5, 1e3]:
+            assert oracle._quotient(num, den, scale) == num / (den * scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_subnormal_denominator_divides_twice(self):
+        assert oracle._quotient(1e-150, 1e-150, 1e-300) == 1e-150 / 1e-150 / 1e-300
+        assert oracle._quotient(np.float64(1.0), np.float64(0.0), 1.0) == math.inf  # refused by the caller
+
+    @pytest.mark.parametrize("D", [1e-104, 1e-120, 1e-150])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rayleigh_quotient_of_a_tiny_interval(self, D):
+        table = C.make_table(preset="laplacian", D=D, case="ND")
+        sol = oracle.solve_on_table(table, "ND")
+        assert sol.lambda_lo <= sol.lambda_ <= sol.lambda_hi
+        assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4 / D**2, rel=2e-7)
+        assert sol.rayleigh == pytest.approx(sol.lambda_, rel=1e-9)
+
+
 class TestPowerIteration:
     """The Green's-function power iteration: enclosure, defect and refusal."""
 

@@ -255,10 +255,11 @@ def _decimate(arr: np.ndarray, cap: int = 512) -> list[float]:
 
 def _hypothesis_summary(rep: measures.HypothesisReport, problem: measures.ProblemSpec) -> dict:
     # a report is emitted only after its tables were built, and a build (or
-    # the mass trace, next to 0 on (0, inf)) refuses an end whose weights are
-    # not integrable, so every end the report covers passed
+    # the mass trace on (0, inf)) refuses an a that is not positive and an
+    # end whose weights are not integrable, so every check the report covers
+    # passed
     return {
-        "positivity_of_a": rep.positivity.passed,
+        "positivity_of_a": True,
         "locally_integrable_near_0": True,
         "locally_integrable_near_right": None if problem.is_infinite else True,
         "criterion_zero": rep.criterion_zero,
@@ -270,15 +271,16 @@ def _hypothesis_summary(rep: measures.HypothesisReport, problem: measures.Proble
 def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[dict]:
     """The pipeline every command runs, once per problem.
 
-    It checks that a is positive and, on (0, inf), that the mass trace's
-    panel ending at each truncation point it reached converged, writes the
-    report header, and on (0, inf) lets ``zero(problem, hyp)`` give the
-    results when the criterion decides a zero eigenvalue.  Otherwise it gets
-    the table: one build on a finite interval, the walk ``settle(problem)``
-    on (0, inf).  Local integrability at the ends is the table build's test:
-    a build refuses an end panel that does not converge, naming
-    locally_integrable_near_0 or _near_right, and so does the mass trace
-    next to 0 on (0, inf).  The command's
+    On (0, inf) it raises the hypothesis check's refusal, if any: a is not
+    positive at some truncation point, or the mass trace's panel ending at
+    one did not converge.  It writes the report header, and on (0, inf)
+    lets ``zero(problem, hyp)`` give the results when the criterion decides
+    a zero eigenvalue.  Otherwise it gets the table: one build on a finite
+    interval, the walk ``settle(problem)`` on (0, inf).  Positivity of a and
+    local integrability at the ends are the table build's tests: a build
+    refuses an a that is not positive on its interval and an end panel that
+    does not converge, naming locally_integrable_near_0 or _near_right, and
+    so does the mass trace next to 0 on (0, inf).  The command's
     ``body(table, walk)`` gives the rest of the report; walk is None on a
     finite interval.  With --format csv --out, the table the first report
     was computed on is dumped next to it.
@@ -286,10 +288,8 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
 
     def run_one(problem: measures.ProblemSpec):
         hyp = measures.hypothesis_check(problem)
-        if not hyp.positivity.passed:
-            raise HypothesisViolationError(hyp.positivity.detail)
-        if hyp.unconverged_at is not None:
-            raise HypothesisViolationError(measures.UNCONVERGED_ENDPOINT)
+        if hyp.refusal is not None:
+            raise HypothesisViolationError(hyp.refusal)
         report: dict = {
             "command": command,
             "version": __version__,

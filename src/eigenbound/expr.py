@@ -7,7 +7,10 @@ sqrt, sin, cos, abs, pow built in.  Precedence is the standard one
 as -(x^2) while 2^-3 is accepted.
 
 Parsing and evaluation are pure; an AST is frozen after construction and can
-be evaluated concurrently.  ``evaluate`` accepts a scalar or a numpy array.
+be evaluated concurrently.  Evaluation is one walk of the tree on numpy
+arrays (``walk``), in which a subtree without x stays 0-d and is broadcast;
+``evaluate`` runs it on a scalar, giving a float, or on an array, giving an
+array of its shape.
 """
 
 from __future__ import annotations
@@ -219,100 +222,70 @@ def parse_expression(text: str) -> ExprAst:
 # Evaluation
 
 
-def _fail(message: str, node, x, bad_mask=None) -> None:
-    where = ""
-    if isinstance(x, np.ndarray) and bad_mask is not None:
-        idx = np.flatnonzero(bad_mask)
-        if idx.size:
-            where = f" (x={float(np.ravel(x)[idx[0]])!r})"
-    elif not isinstance(x, np.ndarray):
-        where = f" (x={x!r})"
-    raise DomainError(f"{message} in node at offset {node.pos}{where}")
+def _fail(message: str, node, x: np.ndarray, bad) -> None:
+    """Raise DomainError naming node and the smallest x at which bad holds;
+    bad has x's shape, or is 0-d under a subtree without x."""
+    where = float(x[np.broadcast_to(bad, x.shape)].min())
+    raise DomainError(f"{message} in node at offset {node.pos} (x={where!r})")
 
 
 def evaluate(ast: ExprAst, x: Number) -> Number:
     """Evaluate at a scalar or numpy array; IEEE semantics, deterministic.
 
-    Raises DomainError (naming the offending node) for log of a non-positive
-    value, sqrt of a negative, division by zero, and 0 or a negative base
-    raised to a bad power.
+    A scalar x gives a float, an array x an array of its shape (a new one
+    unless the expression is x itself); both come from one walk.  Raises
+    DomainError (naming the offending node and the smallest x it fails at)
+    for log of a non-positive value, sqrt of a negative, division by zero,
+    and 0 or a negative base raised to a bad power.
     """
-    is_array = isinstance(x, np.ndarray)
+    xs = np.asarray(x, dtype=float)
+    v = walk(ast, xs)
+    if not isinstance(x, np.ndarray):
+        return float(v)
+    return v if np.shape(v) == xs.shape else np.full(xs.shape, v)
+
+
+_UFUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "abs": np.abs,
+}
+
+
+def walk(ast: ExprAst, x: np.ndarray) -> Number:
+    """ast at the float array x, broadcastable to its shape: a subtree
+    without x stays 0-d, so numpy computes it once, broadcasts it, and takes
+    np.power's scalar loops for a constant exponent."""
     if isinstance(ast, Num):
-        return np.full(np.shape(x), ast.value, dtype=float) if is_array else float(ast.value)
+        return np.float64(ast.value)
     if isinstance(ast, Var):
-        return np.asarray(x, dtype=float) if is_array else float(x)
+        return x
     if isinstance(ast, Neg):
-        return -evaluate(ast.child, x)
-    if isinstance(ast, Bin):
-        op = ast.op
-        lv = evaluate(ast.left, x)
-        rv = _exponent(ast.right, x) if op == "^" else evaluate(ast.right, x)
-        if op == "+":
-            return lv + rv
-        if op == "-":
-            return lv - rv
-        if op == "*":
-            return lv * rv
-        if op == "/":
-            bad = np.asarray(rv) == 0
-            if np.any(bad):
-                _fail("division by zero", ast, x, bad)
-            return lv / rv
-        return _power(lv, rv, ast, x)
-    if isinstance(ast, Call):
-        name = ast.name
-        if name == "pow":
-            return _power(evaluate(ast.args[0], x), _exponent(ast.args[1], x), ast, x)
-        v = evaluate(ast.args[0], x)
-        if name == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(v) if is_array else float(np.exp(v))
-        if name == "log":
-            bad = ~(np.asarray(v) > 0)
-            if np.any(bad):
-                _fail("log of non-positive value", ast, x, bad)
-            return np.log(v) if is_array else math.log(v)
-        if name == "sqrt":
-            bad = np.asarray(v) < 0
-            if np.any(bad):
-                _fail("sqrt of negative value", ast, x, bad)
-            return np.sqrt(v) if is_array else math.sqrt(v)
-        if name == "sin":
-            return np.sin(v) if is_array else math.sin(v)
-        if name == "cos":
-            return np.cos(v) if is_array else math.cos(v)
-        if name == "abs":
-            return np.abs(v) if is_array else abs(v)
-        raise AssertionError(name)
-    raise TypeError(f"not an ExprAst: {ast!r}")
+        return -walk(ast.child, x)
+    if not isinstance(ast, (Bin, Call)):
+        raise TypeError(f"not an ExprAst: {ast!r}")
+    op, args = (ast.op, (ast.left, ast.right)) if isinstance(ast, Bin) else (ast.name, ast.args)
+    v = [walk(arg, x) for arg in args]
+    if op in ("^", "pow"):
+        return _power(*v, ast, x)
+    if op == "/" and np.any(bad := v[1] == 0):
+        _fail("division by zero", ast, x, bad)
+    if op == "log" and np.any(bad := ~(v[0] > 0)):
+        _fail("log of non-positive value", ast, x, bad)
+    if op == "sqrt" and np.any(bad := v[0] < 0):
+        _fail("sqrt of negative value", ast, x, bad)
+    with np.errstate(over="ignore"):
+        return _UFUNCS[op](*v)
 
 
-def _has_x(ast: ExprAst) -> bool:
-    kids = (ast.child,) if isinstance(ast, Neg) else (ast.left, ast.right) if isinstance(ast, Bin) else ()
-    return isinstance(ast, Var) or any(map(_has_x, kids + getattr(ast, "args", ())))
-
-
-def _exponent(ast: ExprAst, x: Number) -> Number:
-    """An exponent at x, a float if it has no x (np.power's scalar loops)."""
-    constant = isinstance(x, np.ndarray) and x.size and not _has_x(ast)
-    return evaluate(ast, float(x.flat[0]) if constant else x)
-
-
-def _power(base: Number, expo: Number, node, x) -> Number:
-    b = np.asarray(base, dtype=float)
-    p = np.asarray(expo, dtype=float)
-    neg = p < 0  # the base is read only where the exponent can make it a domain error
-    if np.any(neg) and np.any(bad := (b == 0) & neg):
+def _power(base: Number, expo: Number, node, x: np.ndarray) -> Number:
+    neg = expo < 0  # the base is read only where the exponent can make it a domain error
+    if np.any(neg) and np.any(bad := (base == 0) & neg):
         _fail("0 raised to a negative power", node, x, bad)
-    frac = p != np.round(p)
-    if np.any(frac) and np.any(bad := (b < 0) & frac):
+    frac = expo != np.round(expo)
+    if np.any(frac) and np.any(bad := (base < 0) & frac):
         _fail("negative base with non-integer exponent", node, x, bad)
     with np.errstate(over="ignore"):
-        out = np.power(b, p)
-    if not isinstance(base, np.ndarray) and not isinstance(expo, np.ndarray):
-        return float(out)
-    return out
+        return np.power(base, expo)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +347,7 @@ class PositivityReport:
     detail: str = ""
 
 
-def validate_positive(ast: ExprAst, upper: float, samples: int = 200) -> PositivityReport:
+def validate_positive(ast: ExprAst, upper: float, samples: int) -> PositivityReport:
     """Check a(x) > 0 on an interior grid of (0, upper), endpoints excluded.
 
     The coefficient may degenerate at 0 or at the right endpoint, so sampling
@@ -382,27 +355,27 @@ def validate_positive(ast: ExprAst, upper: float, samples: int = 200) -> Positiv
     failures at the offending sample.  All samples are evaluated in one array
     pass; only a failure walks them one at a time, from the first failing
     sample (from the first sample when the array pass raised), so the report
-    names the same sample and value as a scalar walk would.
+    names the first sample that fails, by its value or by a domain error.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     xs = (np.arange(samples) + 0.5) * (upper / samples)
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(evaluate(ast, xs), dtype=float)
-        failed = np.flatnonzero(~(vals > 0) | ~np.isfinite(vals))
-        if not failed.size:
-            return PositivityReport(True)
-        start = int(failed[0])
-    except DomainError:
-        start = 0
-    for xv in xs[start:]:
+    with np.errstate(all="ignore"):
         try:
-            v = evaluate(ast, float(xv))
-        except DomainError as exc:
-            return PositivityReport(False, float(xv), f"evaluation failed: {exc}")
-        if not (v > 0) or not math.isfinite(v):
-            return PositivityReport(False, float(xv), f"value {v} at x={xv} is not positive")
+            vals = evaluate(ast, xs)
+            failed = np.flatnonzero(~(vals > 0) | ~np.isfinite(vals))
+            if not failed.size:
+                return PositivityReport(True)
+            start = int(failed[0])
+        except DomainError:
+            start = 0
+        for xv in xs[start:]:
+            try:
+                v = evaluate(ast, float(xv))
+            except DomainError as exc:
+                return PositivityReport(False, float(xv), f"evaluation failed: {exc}")
+            if not (v > 0) or not math.isfinite(v):
+                return PositivityReport(False, float(xv), f"value {v} at x={xv} is not positive")
     return PositivityReport(True)
 
 

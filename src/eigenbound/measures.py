@@ -23,8 +23,9 @@ array with one row per Gauss node, so every elementwise step runs over
 contiguous rows of length P.  Each 7-point sum adds one node row at a time,
 node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
 panel-major (P, 7) layout, so every sum is the reduction's to the bit.
-X @ w would be faster still but rounds differently.  A coefficient without x
-is evaluated once and broadcast over the nodes.
+X @ w would be faster still but rounds differently.  The coefficients come
+from expr.walk, so a coefficient without x is evaluated once and broadcast
+over the nodes.
 
 Every table covers a finite interval, where every mass is finite.  A mass
 over the 1e300 guard there, or a criterion product head x tail that leaves
@@ -69,6 +70,10 @@ UNCONVERGED_ENDPOINT = (
 )
 
 _DEFAULT_SCHEDULE = tuple(float(2**n) for n in range(1, 13))
+
+#: midpoints of (0, p) at which a must be positive, for a table of (0, p)
+#: and at a truncation point p of the mass trace
+POSITIVITY_SAMPLES = 320
 
 
 @dataclass(frozen=True)
@@ -225,18 +230,6 @@ def _rule_sum(f, v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _coefficient(ast, t: np.ndarray) -> np.ndarray:
-    """ast at the nodes t; a constant is evaluated on one node (the array
-    loop's bits) and left for numpy to broadcast."""
-    if not expr._has_x(ast):
-        return np.asarray(expr.evaluate(ast, t[:1, :1]), dtype=float)
-    try:
-        return np.asarray(expr.evaluate(ast, t.ravel()), dtype=float).reshape(t.shape)
-    except DomainError:
-        expr.evaluate(ast, t.T.ravel())  # raises naming the leftmost bad node, as panel order does
-        raise
-
-
 class _PanelPass:
     """One vectorized quadrature pass over the panels [xl[i], xr[i]]."""
 
@@ -244,7 +237,7 @@ class _PanelPass:
         self.half = 0.5 * (xr - xl)
         t = _panel_nodes(xl, xr)
         with np.errstate(all="ignore"):
-            av, bv = _coefficient(a_ast, t), _coefficient(b_ast, t)
+            av, bv = expr.walk(a_ast, t), expr.walk(b_ast, t)
             # drift-to-diffusion ratio, integrand of the cumulant; a full node
             # array even for two constants, as the matrix product below needs
             self.g = np.divide(bv, av, out=np.empty(t.shape))
@@ -399,6 +392,10 @@ def _suffix_from_panels(d: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _not_positive(right_end: float, pos: expr.PositivityReport) -> str:
+    return f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
+
+
 def _not_integrable_near(end: str) -> HypothesisViolationError:
     """The refusal of the panel next to 0 (end "0") or to the right end
     ("right") when it did not converge."""
@@ -515,25 +512,26 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
 def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     """Integrate the cumulant and both measures over (0, right_end).
 
-    Per-panel error is held below tolerances.quadrature (relative to the
-    panel mass once that exceeds 1); failing panels are split in half and the
-    grid keeps the splits.  A panel still over tolerance after refinement
-    raises HypothesisViolationError: a weight that is not integrable there
-    would otherwise enter the masses as a finite number.  This is the only
-    test of local integrability at 0 and at right_end; the refusal of an end
-    panel names locally_integrable_near_0 or _near_right.  A panel mass that
-    is not finite, a mass total over OVERFLOW_GUARD, a criterion product
-    (speed head x scale tail for ND, scale head x speed tail for DN and NN)
-    that overflows or a zero-width panel raises DegenerationError naming it:
-    on a finite interval each is a float-range failure, not a divergent mass.
+    a must be positive at POSITIVITY_SAMPLES midpoints of (0, right_end), or
+    HypothesisViolationError names the first sample where it is not; no
+    other check of a > 0 covers a table.  Per-panel error is held below
+    tolerances.quadrature (relative to the panel mass once that exceeds 1);
+    failing panels are split in half and the grid keeps the splits.  A panel
+    still over tolerance after refinement raises HypothesisViolationError: a
+    weight that is not integrable there would otherwise enter the masses as
+    a finite number.  This is the only test of local integrability at 0 and
+    at right_end; the refusal of an end panel names locally_integrable_near_0
+    or _near_right.  A panel mass that is not finite, a mass total over
+    OVERFLOW_GUARD, a criterion product (speed head x scale tail for ND,
+    scale head x speed tail for DN and NN) that overflows or a zero-width
+    panel raises DegenerationError naming it: on a finite interval each is a
+    float-range failure, not a divergent mass.
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
-    pos = expr.validate_positive(problem.a, right_end, samples=64)
+    pos = expr.validate_positive(problem.a, right_end, POSITIVITY_SAMPLES)
     if not pos.passed:
-        raise HypothesisViolationError(
-            f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
-        )
+        raise HypothesisViolationError(_not_positive(right_end, pos))
 
     edges, dc, dmu, dnu, mmu, mnu, bad, worst = _refine(
         problem, _graded_grid(problem.grid_size, right_end), (right_end,)
@@ -675,12 +673,11 @@ def walk_truncations(
 
 @dataclass
 class HypothesisReport:
-    positivity: expr.PositivityReport
     criterion_zero: bool
     criterion_zero_reason: str
     mass_trace: list[tuple[float, float, float]]  # (p, mu(0,p), nu(0,p))
     notes: list[str]
-    unconverged_at: float | None = None  # mass trace stopped before it: a panel did not converge
+    refusal: str | None = None  # on (0, inf), why the run must be refused (see _mass_trace)
 
 
 def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
@@ -717,25 +714,39 @@ def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
     return np.concatenate(shells + [np.array([ends[-1]])])
 
 
-def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[float, float, float]], float | None]:
+def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[float, float, float]], str | None]:
     """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval,
-    and the point the trace stopped before on a panel that did not converge.
+    and why the run must be refused, or None.
 
-    One grid spans (0, p_reach), p_reach the last truncation point before
-    the first whose (0, p) the diffusion coefficient does not sample
-    positive on.  Every truncation point is a node of the grid and is
+    a is sampled at every truncation point p as build_tables samples it on
+    (0, p), up to the first point where a sample fails.  A failing sample
+    that is not positive (-inf included) or where a cannot be evaluated
+    refuses the run, however far a walk would get: a breaks the hypothesis
+    on (0, inf).  A sample of +inf or NaN, where a overflowed, only ends the
+    trace.  One grid spans (0, p_reach), p_reach the last point before the
+    first failure.  Every truncation point is a node of the grid and is
     refined as a right end (see _refine), so the masses at p are prefix sums
     of the panel masses, capped at the overflow guard, which a non-finite
     panel below p enters at.  A panel next to 0 that did not converge raises
     HypothesisViolationError naming locally_integrable_near_0, as
-    build_tables does.  The trace stops before the first point whose own
-    table could not be built: a is not positive on (0, p), or the panel
-    ending at p did not converge; that point is noted.  It also stops at the
-    first point where both masses reached the guard.
+    build_tables does; a panel ending at a later p that did not converge
+    refuses the run with UNCONVERGED_ENDPOINT, before a sample past p does.
+    The trace stops before the first point whose own table could not be
+    built, and notes it, or at the first point where both masses reached
+    the guard.
     """
     points = problem.truncation_schedule
-    reach = 0
-    while reach < len(points) and expr.validate_positive(problem.a, points[reach], samples=64).passed:
+    reach, refusal = 0, None
+    for p in points:
+        pos = expr.validate_positive(problem.a, p, POSITIVITY_SAMPLES)
+        if not pos.passed:
+            try:
+                refused = expr.evaluate(problem.a, pos.first_violation_x) <= 0
+            except DomainError:
+                refused = True
+            if refused:
+                refusal = _not_positive(p, pos)
+            break
         reach += 1
     built = 0
     trace: list[tuple[float, float, float]] = []
@@ -752,50 +763,37 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
         for p, mu, nu in zip(points[:built], mu_at, nu_at):
             trace.append((p, float(mu), float(nu)))
             if mu >= OVERFLOW_GUARD and nu >= OVERFLOW_GUARD:
-                return trace, None
+                return trace, refusal
     if built < len(points):
         notes.append(f"table build failed at truncation {points[built]}")
-    return trace, (points[built] if built < reach else None)
+    return trace, (UNCONVERGED_ENDPOINT if built < reach else refusal)
 
 
 def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
-    """Check the standing coefficient hypothesis and the degenerate criterion.
+    """Check the degenerate criterion on an infinite interval.
 
-    Checks (i) positivity of a on interior samples, and (ii) for an infinite
-    interval, whether the mass whose finiteness the case needs diverges,
-    which forces a zero eigenvalue: its value at some truncation point
-    reached the overflow guard, or its increments stay above the quadrature
-    noise floor without shrinking.  The masses mu(0,p) and nu(0,p) at every
-    truncation point p are read off one table (see _mass_trace).  Local
-    integrability of b/a and e^C/a at the ends is decided where the masses
-    are integrated, by build_tables and, next to 0 on (0, inf), by the mass
-    trace; either raises HypothesisViolationError.
+    On (0, inf) it checks whether the mass whose finiteness the case needs
+    diverges, which forces a zero eigenvalue: its value at some truncation
+    point reached the overflow guard, or its increments stay above the
+    quadrature noise floor without shrinking.  The masses mu(0,p) and
+    nu(0,p) at every truncation point p are read off one table, and a is
+    sampled at every p (see _mass_trace); a failure there is the report's
+    refusal.  On a finite interval the report is empty: the positivity of a
+    and the local integrability of b/a and e^C/a at the ends are decided
+    where the masses are integrated, by build_tables, which raises
+    HypothesisViolationError, as the mass trace does next to 0.
     """
+    if not problem.is_infinite:
+        return HypothesisReport(False, "", [], [])
     notes: list[str] = []
-    probe_end = problem.D if not problem.is_infinite else problem.truncation_schedule[0]
-    pos = expr.validate_positive(problem.a, probe_end, samples=200)
-    criterion_zero = False
-    reason = ""
-    mass_trace, unconverged_at = [], None
-    if problem.is_infinite:
-        mass_trace, unconverged_at = _mass_trace(problem, notes)
-        noise = problem.tolerances.quadrature
-        if problem.case == "ND" and _mass_growth_divergent([nu for _, _, nu in mass_trace], noise):
-            criterion_zero = True
-            reason = "scale mass nu(0, inf) diverges, so the ND eigenvalue is 0"
-        if problem.case in ("DN", "NN") and _mass_growth_divergent([mu for _, mu, _ in mass_trace], noise):
-            criterion_zero = True
-            reason = (
-                "speed mass mu(0, inf) diverges, so the "
-                + ("DN eigenvalue" if problem.case == "DN" else "NN spectral gap setting")
-                + " degenerates to 0"
-            )
-
-    return HypothesisReport(
-        positivity=pos,
-        criterion_zero=criterion_zero,
-        criterion_zero_reason=reason,
-        mass_trace=mass_trace,
-        notes=notes,
-        unconverged_at=unconverged_at,
-    )
+    mass_trace, refusal = _mass_trace(problem, notes)
+    noise, reason = problem.tolerances.quadrature, ""
+    if problem.case == "ND" and _mass_growth_divergent([nu for _, _, nu in mass_trace], noise):
+        reason = "scale mass nu(0, inf) diverges, so the ND eigenvalue is 0"
+    if problem.case in ("DN", "NN") and _mass_growth_divergent([mu for _, mu, _ in mass_trace], noise):
+        reason = (
+            "speed mass mu(0, inf) diverges, so the "
+            + ("DN eigenvalue" if problem.case == "DN" else "NN spectral gap setting")
+            + " degenerates to 0"
+        )
+    return HypothesisReport(bool(reason), reason, mass_trace, notes, refusal)

@@ -199,6 +199,11 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     weight = dnu if case == "NN" else cell  # the inner product the operator is self-adjoint in
     ritz, used = _lanczos(apply, start, weight, MAX_ITERATIONS)
     v, w, lo, hi = _power(apply, np.abs(ritz), MAX_ITERATIONS - used)
+    if lo <= 0:  # NaN, when no power step was left, is refused below
+        raise DegenerationError(
+            f"G B's least ratio (G B v)/v is {float(lo)!r} after the power steps and has no finite reciprocal; "
+            "floats do not resolve the eigenvalue of this interval"
+        )
     lam_lo, lam_hi = 1.0 / hi, 1.0 / lo
     if not lam_hi - lam_lo <= table.problem.tolerances.oracle * lam_lo:
         raise DegenerationError(

@@ -245,6 +245,12 @@ class TestMain:
         # increment never converges
         ("1", "1/x^2", "1", "ND", "locally_integrable_near_0"),
         ("1", "-1/x^2", "1", "ND", "locally_integrable_near_0"),
+        # on (0, inf), a that fails past every truncation a walk would reach:
+        # finite and not positive, -inf, or not evaluable there
+        ("1-exp(x-50)", "-x", "inf", "DN", "not positive on (0, 64.0)"),
+        ("100-x", "0", "inf", "ND", "not positive on (0, 128.0)"),
+        ("2-exp(x)^0.0001", "0", "inf", "DN", "value -inf"),
+        ("sqrt(100-x)", "0", "inf", "ND", "sqrt of negative value"),
     ])
     def test_hypothesis_violation_exit_3(self, a, b, D, case, named, capsys):
         code = cli.main(["bounds", "--a", a, "--b", b, "--D", D, "--case", case])
@@ -278,6 +284,19 @@ class TestMain:
         code = cli.main(["bounds", "--a", "1", "--b", "1/(x-64)", "--D", "inf", "--case", "ND"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisViolationError"
+
+    def test_verify_refuses_a_coefficient_past_the_walk(self, capsys):
+        code = cli.main(["verify", "--a", "1-exp(x-50)", "--b", "-x", "--D", "inf", "--case", "DN"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3 and "diffusion coefficient not positive on (0, 64.0)" in err["message"]
+
+    def test_coefficient_that_overflows_only_ends_the_trace(self, capsys):
+        # exp(x) is +inf past x = 709.8: no sign that a is not positive (ND below)
+        code = cli.main(["bounds", "--a", "exp(x)", "--b", "1", "--D", "inf", "--case", "DN"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["hypothesis"]["notes"] == [
+            "table build failed at truncation 1024.0"
+        ]
 
     def test_zero_read_off_a_trace_cut_by_positivity_sampling(self, capsys):
         # exp(x) overflows at 1024: the trace stops there, not on a panel
@@ -443,6 +462,17 @@ class TestEtaWindow:
         assert all(1 / e <= out["results"]["lambda_oracle"] for e in eta)
 
 
+_TINY_INTERVALS = [
+    ("oracle", "1e-100", "ND"), ("verify", "1e-100", "ND"), ("bounds", "1e-100", "ND"),
+    ("bounds", "1e-155", "ND"), ("bounds", "1e-160", "ND"), ("bounds", "5e-324", "ND"),
+    ("iterate", "1e-160", "ND"), ("oracle", "1e-106", "ND"), ("oracle", "1e-154", "ND"),
+    ("oracle", "1e-155", "ND"), ("verify", "1e-155", "ND"), ("oracle", "1e-160", "ND"),
+    ("verify", "1e-160", "ND"),
+    # NN: the power steps' least ratio underflows to 0, refused before its reciprocal
+    ("oracle", "1e-110", "NN"),
+]
+
+
 class TestUnresolvableProblems:
     @pytest.mark.parametrize("argv", [
         ["bounds", "--a", "1", "--b", "1/(x-0.5)", "--D", "1", "--case", "ND"],
@@ -496,15 +526,12 @@ class TestUnresolvableProblems:
             return any(TestUnresolvableProblems.non_finite(v) for v in node)
         return node in ("inf", "-inf", "nan") or (isinstance(node, float) and not math.isfinite(node))
 
-    @pytest.mark.parametrize("command, D", [
-        ("oracle", "1e-100"), ("verify", "1e-100"), ("bounds", "1e-100"), ("bounds", "1e-155"),
-        ("bounds", "1e-160"), ("bounds", "5e-324"), ("iterate", "1e-160"),
-        ("oracle", "1e-106"), ("oracle", "1e-154"), ("oracle", "1e-155"), ("verify", "1e-155"),
-        ("oracle", "1e-160"), ("verify", "1e-160"),
+    @pytest.mark.parametrize("command, D, case", _TINY_INTERVALS, ids=[
+        "-".join(row[:2] if row[2] == "ND" else row) for row in _TINY_INTERVALS
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_tiny_interval_is_a_json_error_or_finite(self, command, D, capsys):
-        code = cli.main([command, "--a", "1", "--b", "0", "--D", D, "--case", "ND"])
+    def test_tiny_interval_is_a_json_error_or_finite(self, command, D, case, capsys):
+        code = cli.main([command, "--a", "1", "--b", "0", "--D", D, "--case", case])
         out = json.loads(capsys.readouterr().out)
         assert code != 1
         if code == 0:
@@ -518,6 +545,8 @@ class TestUnresolvableProblems:
             assert code == 4
         if D == "5e-324":  # every panel has zero width: refused where the table is built
             assert code == 4 and "zero width" in out["error"]["message"]
+        if case == "NN":
+            assert code == 4 and "least ratio" in out["error"]["message"]
 
     @pytest.mark.parametrize("command, a, D", [
         ("oracle", "1", "1e-104"), ("oracle", "1", "1e-106"), ("oracle", "1", "1e-120"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,40 @@ class TestEvaluate:
     def test_domain_error_names_node(self):
         with pytest.raises(DomainError, match="offset"):
             expr.evaluate(expr.parse_expression("1 + log(x-2)"), 1.0)
+
+
+class TestEvaluateContract:
+    """One walk serves both inputs: a float for a scalar, an array of x's shape for an array."""
+
+    @pytest.mark.parametrize("src", [
+        "2", "pi", "x", "-x", "x + 1", "x - 1", "2*x", "x/2", "x^2", "pow(x, 3)", "2^0.5",
+        "exp(x)", "log(x)", "sqrt(x)", "sin(x)", "cos(x)", "abs(x)", "exp(1)", "sin(1)*x",
+    ])
+    def test_scalar_gives_a_python_float(self, src):
+        assert type(expr.evaluate(expr.parse_expression(src), 0.7)) is float
+
+    @pytest.mark.parametrize("src", ["2", "-pi", "exp(1)", "2^0.5", "pow(2, 3)", "1/4"])
+    def test_constant_on_an_array_is_a_fresh_array_of_its_shape(self, src):
+        ast = expr.parse_expression(src)
+        x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        first = expr.evaluate(ast, x)
+        assert first.shape == x.shape and first.dtype == float and first.flags.writeable
+        assert np.all(first == expr.evaluate(ast, 0.5))
+        first[:] = -1.0
+        assert np.all(expr.evaluate(ast, x) == expr.evaluate(ast, 0.5))
+
+    def test_domain_error_names_the_smallest_bad_x_of_a_node_major_array(self):
+        # (7, P): row j holds node j of every panel, so row order is not x order
+        t = np.linspace(0.0, 1.0, 7 * 40).reshape(40, 7).T
+        bad = (t - 0.31) * (t - 0.7) < 0
+        assert t.ravel()[np.argmax(bad.ravel())] != t[bad].min()
+        with pytest.raises(DomainError, match=re.escape(f"(x={float(t[bad].min())!r})")):
+            expr.evaluate(expr.parse_expression("sqrt((x-0.31)*(x-0.7))"), t)
+
+    @pytest.mark.parametrize("x", [np.array([0.9, 0.25, 0.5]), np.linspace(0.1, 1.0, 14).reshape(2, 7).T, 0.25])
+    def test_domain_error_under_a_constant_subtree_names_the_smallest_x(self, x):
+        with pytest.raises(DomainError, match=re.escape(f"division by zero in node at offset 1 (x={float(np.min(x))!r})")):
+            expr.evaluate(expr.parse_expression("1/0*x"), x)
 
 
 class TestValidatePositive:

@@ -144,7 +144,7 @@ class TestHypothesisCheck:
     def test_laplacian_all_pass(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="ND")
         rep = measures.hypothesis_check(p)
-        assert rep.positivity.passed and not rep.criterion_zero
+        assert rep.refusal is None and not rep.criterion_zero
 
     def test_ou_nd_infinite_forces_zero(self):
         p = measures.make_problem(preset="ou", D="inf", case="ND")
@@ -230,6 +230,25 @@ class TestMassProbe:
     def test_trace_stops_before_a_point_whose_table_fails(self, a, b, points):
         rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case="ND"))
         assert [p for p, _, _ in rep.mass_trace] == points
+
+    @pytest.mark.parametrize("a, refusal", [
+        ("1", None), ("exp(x)", None), ("1+x^2", None),
+        ("3-x", "diffusion coefficient not positive on (0, 4.0): value"),
+        ("1-exp(x-50)", "diffusion coefficient not positive on (0, 64.0): value"),
+        ("2-exp(x)^0.0001", "diffusion coefficient not positive on (0, 1024.0): value -inf"),
+        ("sqrt(100-x)", "diffusion coefficient not positive on (0, 128.0): evaluation failed"),
+        ("(x-4)^2", measures.UNCONVERGED_ENDPOINT),
+    ])
+    def test_refusal_of_a_past_the_trace(self, a, refusal):
+        rep = measures.hypothesis_check(measures.make_problem(a=a, b="0", D="inf", case="ND"))
+        if refusal is None:
+            assert rep.refusal is None
+        else:
+            assert rep.refusal.startswith(refusal)
+
+    def test_finite_interval_report_is_empty(self):
+        rep = measures.hypothesis_check(measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND"))
+        assert rep == measures.HypothesisReport(False, "", [], [])
 
     def test_one_grid_for_the_whole_schedule(self, monkeypatch):
         calls = []
@@ -594,6 +613,15 @@ class TestTablesFrozen:
         old = [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p) for p in ends]
         for n, o in zip(new, old):
             _assert_same_table(n, o)
+
+    @pytest.mark.parametrize("a, b, case, D", _REFINED_AND_CONSTANT_TABLES[3:] + [("1", "0", "ND", "inf")])
+    def test_constant_coefficients_equal_their_x_spelling(self, a, b, case, D):
+        # a constant stays 0-d in the pass; + 0*x makes it a full node array
+        const = measures.make_problem(a=a, b=b, D=D, case=case)
+        spelled = measures.make_problem(a=f"{a} + 0*x", b=f"{b} + 0*x", D=D, case=case)
+        for p in const.truncation_schedule if const.is_infinite else (const.D,):
+            tables = [_table_or_error(measures.truncate(q, p) if q.is_infinite else q, p) for q in (const, spelled)]
+            _assert_same_table(*tables)
 
     @pytest.mark.parametrize("a, b, case, D", _REFINED_AND_CONSTANT_TABLES[:2])
     def test_singular_weights_refine_past_round_zero(self, a, b, case, D):

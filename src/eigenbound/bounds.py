@@ -17,12 +17,16 @@ Every table covers a finite interval, where the constant is finite (tables
 whose masses overflow are refused, and so is a node scan that overflows),
 so it is infinite only on (0, inf), where the hypothesis probe's mass trace
 decides it and zero_report gives the report.
+
+BoundsReport is one record for every case; a case names only the fields it
+sets.  NN sets the criterion and its argmax alone, a zero eigenvalue the
+(0, 0) bracket; unset fields stay None, with argmax_x {} and "positive".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -165,14 +169,14 @@ class BoundsReport:
 
     case: str
     delta: float
-    lower_basic: float | None
-    upper_basic: float | None
-    delta1: float | None
-    delta1_prime: float | None
-    lower_improved: float | None
-    upper_improved: float | None
-    argmax_x: dict[str, float]
-    positivity: str  # "positive" | "zero"
+    lower_basic: float | None = None
+    upper_basic: float | None = None
+    delta1: float | None = None
+    delta1_prime: float | None = None
+    lower_improved: float | None = None
+    upper_improved: float | None = None
+    argmax_x: dict[str, float] = field(default_factory=dict)
+    positivity: str = "positive"  # "positive" | "zero"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -181,18 +185,7 @@ class BoundsReport:
 def zero_report(case: str) -> BoundsReport:
     """The report of a zero eigenvalue on (0, inf): infinite criterion
     constant, (0, 0) bracket."""
-    return BoundsReport(
-        case=case,
-        delta=math.inf,
-        lower_basic=0.0,
-        upper_basic=0.0,
-        delta1=None,
-        delta1_prime=None,
-        lower_improved=None,
-        upper_improved=None,
-        argmax_x={},
-        positivity="zero",
-    )
+    return BoundsReport(case, math.inf, lower_basic=0.0, upper_basic=0.0, positivity="zero")
 
 
 def settle_delta(problem: ProblemSpec) -> TruncationWalk:
@@ -222,33 +215,20 @@ def compute_report(
     """
     d, xd = criterion if criterion is not None else delta(case, table)
     upper = _reciprocal("delta", d, table.right_end)
-    lower = 1.0 / (4.0 * d)  # finite with 1/delta
     if case == "NN":
         # the criterion decides positivity of the spectral gap, but the
         # two-sided bracket belongs to the ND/DN eigenvalue, not the gap
-        return BoundsReport(
-            case=case,
-            delta=d,
-            lower_basic=None,
-            upper_basic=None,
-            delta1=None,
-            delta1_prime=None,
-            lower_improved=None,
-            upper_improved=None,
-            argmax_x={"delta": xd},
-            positivity="positive",
-        )
+        return BoundsReport(case, d, argmax_x={"delta": xd})
     d1, x1 = delta1(case, table)
     d1p, x1p = delta1_prime(case, table)
     return BoundsReport(
         case=case,
         delta=d,
-        lower_basic=lower,
+        lower_basic=1.0 / (4.0 * d),  # finite with 1/delta
         upper_basic=upper,
         delta1=d1,
         delta1_prime=d1p,
         lower_improved=_reciprocal("delta1", d1, table.right_end),
         upper_improved=_reciprocal("delta1_prime", d1p, table.right_end),
         argmax_x={"delta": xd, "delta1": x1, "delta1_prime": x1p},
-        positivity="positive",
     )

@@ -448,7 +448,8 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
         # backs it when p * lambda(p) does not grow over the first two
         # truncations: a positive limit makes that product grow like p
         points = problem.truncation_schedule[:2]
-        lams = [oracle.fd_eigensolve(measures.truncate(problem, p)).lambda_ for p in points]
+        lams = [oracle.solve_on_table(measures.build_tables(measures.truncate(problem, p), p), problem.case).lambda_
+                for p in points]
         falls = len(points) == 2 and points[1] * lams[1] <= points[0] * lams[0]
         verdict = _verdict(
             "criterion_zero",

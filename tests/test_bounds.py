@@ -340,6 +340,25 @@ class TestReport:
         assert rep.positivity == "positive"
         assert rep.lower_basic is None and rep.delta1 is None
 
+    UNSET_IMPROVED = {"delta1": None, "delta1_prime": None, "lower_improved": None, "upper_improved": None}
+
+    @pytest.mark.parametrize("case", ["ND", "DN"])
+    def test_zero_report_shape(self, case):
+        expected = {
+            "case": case, "delta": math.inf, "lower_basic": 0.0, "upper_basic": 0.0,
+            **self.UNSET_IMPROVED, "argmax_x": {}, "positivity": "zero",
+        }
+        d = bounds.zero_report(case).to_dict()
+        assert list(d) == list(expected) and d == expected
+
+    def test_nn_report_shape(self, lap_nn):
+        expected = {
+            "case": "NN", "delta": pytest.approx(0.25, abs=1e-15), "lower_basic": None, "upper_basic": None,
+            **self.UNSET_IMPROVED, "argmax_x": {"delta": 0.5}, "positivity": "positive",
+        }
+        d = bounds.compute_report("NN", lap_nn).to_dict()
+        assert list(d) == list(expected) and d == expected
+
 
 class TestWeightedIntegralInequality:
     """For nonnegative locally integrable m, n with c = sup of (head of m

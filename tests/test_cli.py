@@ -216,6 +216,29 @@ class TestMain:
             ("criterion_zero", True)
         ]
 
+    def test_oracle_criterion_zero_reports_lambda_zero(self, capsys):
+        code = cli.main(["oracle", "--a", "1", "--b", "0", "--D", "inf", "--case", "ND"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["results"] == {
+            "lambda": 0.0, "positivity": "zero", "note": out["hypothesis"]["criterion_zero_reason"],
+        }
+        assert "nu(0, inf) diverges" in out["results"]["note"]
+
+    def test_walk_with_no_evaluable_truncation_exit_4(self, capsys):
+        # the scale density e^{1000 x^2 / 2} overflows on the first truncation
+        code = cli.main(["bounds", "--a", "1", "--b", "-1000*x", "--D", "inf", "--case", "DN"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 4 and err["type"] == "DegenerationError"
+        assert err["message"].startswith("no truncation could be evaluated: stopped at truncation 2.0")
+
+    def test_nan_prints_as_a_string(self, capsys):
+        # NN has no double-integral identity: its deviation is NaN
+        code = cli.main(["oracle", "--a", "1", "--b", "0", "--D", "1", "--case", "NN"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["results"]["identity_deviations"]["double_integral"] == "nan"
+
     def test_config_error_exit_2(self, capsys):
         code = cli.main(["iterate", "--a", "1", "--b", "0", "--D", "1",
                          "--case", "ND", "--n-max", "0"])

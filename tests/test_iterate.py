@@ -24,6 +24,11 @@ def brute_force_lower_constants(n_max: int, nodes: int = 20001) -> list[float]:
     return out
 
 
+class TestMonotoneVerdict:
+    def test_rise_then_fall_beyond_the_slack_is_mixed(self):
+        assert iterate.monotone_verdict([1.0, 2.0, 1.5], 1e-6) == "mixed"
+
+
 class TestLowerSequence:
     def test_laplacian_against_independent_brute_force(self, lap_nd):
         trace = iterate.lower_sequence("ND", lap_nd, 3)

@@ -27,8 +27,11 @@ single-node resolution.  A window (x_i0, D) costs O((M - i0) * n_max): the
 iterate is constant on the plateau [0, x_i0], so the plateau enters each
 transform as one prefix sum read at i0, and per-node work runs on the
 window's own nodes.  The prefix sums, the start nu(x, D) every window
-shares and its first-step terms are built once per search; only the ND
-search, whose dbar_n is printed, computes the Rayleigh companion.
+shares, its first-step terms and the work arrays every window runs in are
+built once per search; a window writes every slice of those arrays it reads
+before reading it.  A step is a few per-node passes, most of its time the
+two sequential cumsums.  Only the ND search, whose dbar_n is printed,
+computes the Rayleigh companion.
 """
 
 from __future__ import annotations
@@ -122,8 +125,11 @@ _COARSE = 32
 _REFINE_ROUNDS = 7
 
 
-def _index_candidates(lo: int, hi: int, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, min(count, hi - lo + 1)).round().astype(int)  # distinct: the step is >= 1
+def _index_candidates(lo: int, hi: int, count: int) -> list[int]:
+    # np.linspace(lo, hi, count).round(), the last pinned to hi; distinct: the step is >= 1
+    count = min(count, hi - lo + 1)
+    step = (hi - lo) / max(count - 1, 1)
+    return [round(i * step + lo) for i in range(count - 1)] + [hi if count > 1 else lo]
 
 
 def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
@@ -134,7 +140,11 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
     cumulative sum of the panel weights; W[j] = mu_wL[j] + mu_wR[j-1], the
     speed weight of node j in the companion's quadrature; T[i] = nu(x_i, D),
     a reverse partial sum of the panels whose tail T[i0:] (never written)
-    starts window i0; and P, the panel terms of T its first step reads.
+    starts window i0; P, the panel terms of T its first step reads; and
+    seven work arrays of length M + 1.  Window i0 runs in their leading
+    L + 1 = M - i0 + 1 entries and writes every slice it reads before
+    reading it, so no window sees another's numbers.  What is left is a few
+    per-node passes a step, the two sequential cumsums the most of them.
     """
     m = table.n_panels
     mu_wL, mu_wR = table.mu_wL, table.mu_wR
@@ -145,6 +155,7 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
     W[1:] += mu_wR[:-1]
     T = _suffix_from_panels(dnu)
     P = mu_wL * T[:m] + mu_wR * T[1:]
+    terms, F, left, right, G, ratio, u = (np.empty(m + 1) for _ in range(7))
 
     def eval_window(i0: int):
         """Localized ND iteration on the node window (i0, M).
@@ -160,41 +171,43 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
         last step only checks the scale; nothing reads its renormalization.
         """
         L = m - i0
-        wL, wR = mu_wL[i0:], mu_wR[i0:]
-        gL, gR = nu_wL[i0:], nu_wR[i0:]
-        v = T[i0:]  # the iterate on nodes i0..M; v[L] = 0 at D
-        energy = float(v[0])  # unit flux on the window
-        terms = np.empty(L + 1)
-        F = np.empty(L + 1)
+        wL, wR, gL, gR, d = mu_wL[i0:], mu_wR[i0:], nu_wL[i0:], nu_wR[i0:], dnu[i0:]
+        t, f, g, r, lw, rw = terms[: L + 1], F[: L + 1], G[:L], ratio[:L], left[:L], right[:L]
+        t1, F0, F1, g_rev, W1, sq = t[1:], f[:L], f[1:], g[::-1], W[i0 + 1 :], lw[: L - 1]
+        v0, v1, vin = T[i0:m], T[i0 + 1 :], T[i0 + 1 : m]  # v[:L], v[1:], v[1:L] of the first step
+        u0, u1, uin = u[:L], u[1 : L + 1], u[1:L]  # and of each later one
+        u[L] = 0.0  # the iterate is zero at D
+        energy = float(v0[0])  # unit flux on the window
         infs, dbars = [], []
         for n in range(n_max):
-            c = float(v[0])
+            c = float(v0[0])
             if companion:
-                numer = c * c * (S[i0] + wL[0]) + W[i0 + 1 :] @ (v[1:L] * v[1:L])
+                numer = c * c * (S[i0] + wL[0]) + W1 @ np.multiply(vin, vin, out=sq)
                 dbars.append(float(numer) / energy if energy > 0 else 0.0)
-            terms[0] = c * S[i0]
+            t[0] = c * S[i0]
             if n == 0:
-                terms[1:] = P[i0:]
+                t1[:] = P[i0:]
             else:
-                np.add(wL * v[:L], wR * v[1:], out=terms[1:])
-            np.add.accumulate(terms, out=F)
-            G = np.add.accumulate((gL * F[:L] + gR * F[1:])[::-1])[::-1]
-            if v[L - 1] > 0:
-                ratio = G / v[:L]
+                np.add(np.multiply(wL, v0, out=lw), np.multiply(wR, v1, out=rw), out=t1)
+            np.add.accumulate(t, out=f)
+            np.add(np.multiply(gL, F0, out=lw), np.multiply(gR, F1, out=rw), out=lw)
+            np.add.accumulate(lw[::-1], out=g_rev)
+            if v0[L - 1] > 0:
+                np.divide(g, v0, out=r)
             else:
-                ratio = np.divide(G, v[:L], out=np.full(L, np.inf), where=v[:L] > 0)
-            infs.append(float(ratio.min()))
-            scale = float(G[0])
+                r.fill(np.inf)
+                np.divide(g, v0, out=r, where=v0 > 0)
+            infs.append(float(np.minimum.reduce(r)))
+            scale = float(g[0])
             if not scale > 0:
                 raise DegenerationError(f"localized iterate vanished on window ({i0}, {m})")
             if n + 1 == n_max:
                 break
             # renormalize for the next step; the plateau takes the value at i0
-            v = np.zeros(L + 1)
-            np.divide(G, scale, out=v[:L])
+            v0, v1, vin = np.divide(g, scale, out=u0), u1, uin
             if companion:
-                flux = (0.5 / scale) * (F[:L] + F[1:])
-                energy = float((flux * dnu[i0:]) @ flux)
+                flux = np.multiply(0.5 / scale, np.add(F0, F1, out=lw), out=lw)
+                energy = float(np.multiply(flux, d, out=rw) @ flux)
         return infs, dbars
 
     return eval_window
@@ -217,7 +230,6 @@ def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, com
     seen: set[int] = set()
 
     def consider(k):
-        k = int(k)
         if k in seen:
             return
         seen.add(k)

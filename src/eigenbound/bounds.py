@@ -7,16 +7,18 @@ a quarter of it.  The map x -> D - x swaps the head and tail masses of both
 measures, so every DN (and NN) constant is its ND formula evaluated on the
 mirrored table, with the argmax mapped back.  The first iteration step
 sharpens this to the improved constants delta1 (lower side) and delta1'
-(upper side, always within [delta, 2*delta]).
+(upper side, within [delta, 2*delta]): step 1 of the lower sequence and of
+the upper window family of the iterate module, one rule for each constant
+whether it is printed alone or as the first of a sequence.
 
-Every supremum is a node scan, then the exact maximum on the two panels
-around the best node: tables model each measure as linear inside a panel,
-so there each objective is a low-degree rational function of one variable,
-maximal at a panel end or at a real root of its derivative's numerator.
-Every table covers a finite interval, where the constant is finite (tables
-whose masses overflow are refused, and so is a node scan that overflows),
-so it is infinite only on (0, inf), where the hypothesis probe's mass trace
-decides it and zero_report gives the report.
+Only delta keeps a panel maximum: a node scan, then the exact maximum on
+the two panels around the best node, where tables model each measure as
+linear.  delta1 and delta1' are read at node resolution, delta1 at a node
+and delta1' at the best window start (DN: cap).  Every table covers a
+finite interval, where the constant is finite (tables whose masses
+overflow are refused, and so is a node scan that overflows), so it is
+infinite only on (0, inf), where the hypothesis probe's mass trace decides
+it and zero_report gives the report.
 
 BoundsReport is one record for every case; a case names only the fields it
 sets.  NN sets the criterion and its argmax alone, a zero eigenvalue the
@@ -30,8 +32,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import iterate
 from .errors import DegenerationError
-from .measures import MeasureTable, ProblemSpec, TruncationWalk, prefix_integral, suffix_integral, walk_truncations
+from .measures import MeasureTable, ProblemSpec, TruncationWalk, walk_truncations
 
 
 def _oriented(case: str, table: MeasureTable) -> MeasureTable:
@@ -48,53 +51,33 @@ def _back(case: str, table: MeasureTable, x: float) -> float:
     return x if case == "ND" else table.right_end - x
 
 
-def _real_roots(coeffs) -> np.ndarray:
-    """Real parts of a polynomial's roots, none when a coefficient is not
-    finite; a near-double root may come back as a complex pair."""
-    c = np.asarray(coeffs, dtype=float)
-    return np.roots(c).real if np.all(np.isfinite(c)) else np.empty(0)
-
-
-def _panel_sup(
-    name: str, case: str, table: MeasureTable, t: MeasureTable, node_vals: np.ndarray, objective, stationary
-) -> tuple[float, float]:
-    """Supremum and argmax (in table's coordinates) of an objective on the
-    oriented table t: the best node, or a larger value on a panel next to it.
-    objective(j, f) evaluates it at fractions f of panel j, and stationary(j)
-    gives the fractions where its derivative vanishes; on a panel without
-    speed or scale mass its maximum is at an end, so only the ends are tried."""
-    k = int(np.nanargmax(node_vals))
-    v, x = float(node_vals[k]), float(t.grid[k])
-    if not math.isfinite(v):
-        raise DegenerationError(f"{name} overflowed the float range on (0, {t.right_end:g})")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(max(k - 1, 0), min(k + 1, t.n_panels)):
-            f = np.concatenate([[0.0, 1.0], stationary(j) if t.dmu[j] > 0 and t.dnu[j] > 0 else []])
-            f = f[(f >= 0) & (f <= 1)]
-            vals = objective(j, f)
-            i = int(np.argmax(vals))
-            if vals[i] > v:
-                v, x = float(vals[i]), float((1.0 - f[i]) * t.grid[j] + f[i] * t.grid[j + 1])
-    return v, _back(case, table, x)
-
-
 def delta(case: str, table: MeasureTable) -> tuple[float, float]:
     """The criterion constant and its argmax.
 
     ND: sup of mu(0,x) * nu(x,D).  DN and NN: sup of nu(0,x) * mu(x,D), the
-    same supremum on the mirrored table.
+    same supremum on the mirrored table.  The best node, or a larger value
+    on a panel next to it: both measures are linear inside a panel, where
+    the product is a concave quadratic, maximal at an end or at its vertex.
     """
     t = _oriented(case, table)
-
-    def objective(j, f):
-        return (t.mu_cum[j] + t.dmu[j] * f) * (t.dnu[j] * (1.0 - f) + t.nu_tail[j + 1])
-
-    def stationary(j):
-        # vertex of the concave (m1 - dmu*g) * (P1 + dnu*g) in g = 1 - f
-        g = 0.5 * (t.mu_cum[j + 1] / t.dmu[j] - t.nu_tail[j + 1] / t.dnu[j])
-        return [1.0 - g]
-
-    return _panel_sup("delta", case, table, t, t.mu_cum * t.nu_tail, objective, stationary)
+    node_vals = t.mu_cum * t.nu_tail
+    k = int(np.nanargmax(node_vals))
+    v, x = float(node_vals[k]), float(t.grid[k])
+    if not math.isfinite(v):
+        raise DegenerationError(f"delta overflowed the float range on (0, {t.right_end:g})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(max(k - 1, 0), min(k + 1, t.n_panels)):
+            f = [0.0, 1.0]
+            if t.dmu[j] > 0 and t.dnu[j] > 0:
+                # vertex of the concave (m1 - dmu*g) * (P1 + dnu*g) in g = 1 - f
+                f.append(1.0 - 0.5 * (t.mu_cum[j + 1] / t.dmu[j] - t.nu_tail[j + 1] / t.dnu[j]))
+            f = np.array(f)
+            f = f[(f >= 0) & (f <= 1)]
+            vals = (t.mu_cum[j] + t.dmu[j] * f) * (t.dnu[j] * (1.0 - f) + t.nu_tail[j + 1])
+            i = int(np.argmax(vals))
+            if vals[i] > v:
+                v, x = float(vals[i]), float((1.0 - f[i]) * t.grid[j] + f[i] * t.grid[j + 1])
+    return v, _back(case, table, x)
 
 
 def _reciprocal(name: str, c: float, right_end: float) -> float:
@@ -109,58 +92,24 @@ def _reciprocal(name: str, c: float, right_end: float) -> float:
     return r
 
 
+def _first_step(trace: iterate.IterationTrace) -> tuple[float, float]:
+    """A sequence's first constant and where it is attained: a node of the
+    lower sequence, a cap of the DN family, the start x0 of an ND window
+    (x0, D)."""
+    x = trace.pair_locations[0]
+    return trace.values[0], x[0] if isinstance(x, tuple) else x
+
+
 def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
-    """First-step lower-bound constant: the supremum the seed function
-    produces under the double-integral transform, via prefix/suffix sums."""
-    t = _oriented(case, table)
-    seed = t.nu_tail
-    s = np.sqrt(seed)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        head = prefix_integral(t, s, "mu")  # int_0^x sqrt(seed) dmu
-        tail = suffix_integral(t, seed * s, "mu")  # int_x^D seed^{3/2} dmu
-        node_vals = np.where(s > 0, s * head + tail / s, 0.0)
-
-    def objective(j, f):
-        px = t.dnu[j] * (1.0 - f) + seed[j + 1]
-        sx = np.sqrt(px)
-        head_x = head[j] + 0.5 * (s[j] + sx) * t.dmu[j] * f
-        tail_x = tail[j + 1] + 0.5 * (px * sx + seed[j + 1] * s[j + 1]) * t.dmu[j] * (1.0 - f)
-        return np.where(sx > 0, sx * head_x + tail_x / sx, 0.0)
-
-    def stationary(j):
-        # u^2 times the derivative of -(r s_j/2) u^3 + (dmu/2) u^2 + b u + c/u,
-        # the objective in u = sqrt(px) (r = dmu/dnu; its u^4 terms cancel)
-        p1, dmu, r = seed[j + 1], t.dmu[j], t.dmu[j] / t.dnu[j]
-        b = head[j] + 0.5 * dmu * s[j] + 0.5 * r * p1 * (s[j] + s[j + 1])
-        c = tail[j + 1] - 0.5 * r * p1**2 * s[j + 1]
-        u = _real_roots([-1.5 * r * s[j], dmu, b, 0.0, -c])
-        return 1.0 - (u * u - p1) / t.dnu[j]
-
-    return _panel_sup("delta1", case, table, t, node_vals, objective, stationary)
+    """First-step lower-bound constant and its argmax node: step 1 of the
+    lower sequence, the sup of II(sqrt(nu(x, D))) / sqrt(nu(x, D))."""
+    return _first_step(iterate.lower_sequence(case, table, 1))
 
 
 def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
-    """First-step upper-bound constant (the x1 -> D limit of the localized
-    family); always lands in [delta, 2*delta]."""
-    t = _oriented(case, table)
-    seed = t.nu_tail
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tail_sq = suffix_integral(t, seed**2, "mu")
-        node_vals = np.where(seed > 0, t.mu_cum * seed + tail_sq / seed, 0.0)
-
-    def objective(j, f):
-        px = t.dnu[j] * (1.0 - f) + seed[j + 1]
-        t_x = tail_sq[j + 1] + 0.5 * (px**2 + seed[j + 1] ** 2) * t.dmu[j] * (1.0 - f)
-        return np.where(px > 0, (t.mu_cum[j] + t.dmu[j] * f) * px + t_x / px, 0.0)
-
-    def stationary(j):
-        # p^2 times the derivative of -(r/2) p^2 + (m1 + r p1/2) p + (T1 - r p1^3/2)/p, the
-        # objective in p = px up to a constant; r = dmu/dnu, m1 and T1: mu_cum, tail_sq at j+1
-        p1, r = seed[j + 1], t.dmu[j] / t.dnu[j]
-        p = _real_roots([-r, t.mu_cum[j + 1] + 0.5 * r * p1, 0.0, -(tail_sq[j + 1] - 0.5 * r * p1**3)])
-        return 1.0 - (p - p1) / t.dnu[j]
-
-    return _panel_sup("delta1_prime", case, table, t, node_vals, objective, stationary)
+    """First-step upper-bound constant and its best window start (DN: cap):
+    step 1 of the localized upper family, within [delta, 2*delta]."""
+    return _first_step(iterate.upper_sequence(case, table, 1))
 
 
 @dataclass
@@ -203,12 +152,18 @@ def settle_delta(problem: ProblemSpec) -> TruncationWalk:
 
 
 def compute_report(
-    case: str, table: MeasureTable, criterion: tuple[float, float] | None = None
+    case: str,
+    table: MeasureTable,
+    criterion: tuple[float, float] | None = None,
+    sequences: tuple[iterate.IterationTrace, iterate.IterationTrace] | None = None,
 ) -> BoundsReport:
     """Criterion constant, basic bracket, and the first-step improvements.
 
     ``criterion`` is delta(case, table) when the caller already has it (the
-    last result of a settle_delta walk); it is computed otherwise.  For the
+    last result of a settle_delta walk); it is computed otherwise.  delta1
+    and delta1' are step 1 of the lower sequence and of the upper window
+    family: ``sequences`` is that (lower, upper) pair when the caller has
+    run them (verify, to n_max); both run to n_max = 1 otherwise.  For the
     double-Neumann case only the criterion applies (it decides positivity of
     the spectral gap); the improved constants describe the ND/DN eigenvalue
     and are left unset there.
@@ -219,8 +174,9 @@ def compute_report(
         # the criterion decides positivity of the spectral gap, but the
         # two-sided bracket belongs to the ND/DN eigenvalue, not the gap
         return BoundsReport(case, d, argmax_x={"delta": xd})
-    d1, x1 = delta1(case, table)
-    d1p, x1p = delta1_prime(case, table)
+    low, up = sequences or (iterate.lower_sequence(case, table, 1), iterate.upper_sequence(case, table, 1))
+    d1, x1 = _first_step(low)
+    d1p, x1p = _first_step(up)
     return BoundsReport(
         case=case,
         delta=d,

@@ -356,12 +356,10 @@ def cmd_iterate(cfg: RunConfig) -> list[dict]:
             results["delta_n_monotonicity"] = low.monotonicity
             results["lower_bounds"] = low.bounds()
             series["delta_n"] = low.values
-            if cfg.case == "ND":
-                up = iterate.upper_sequence_nd(table, cfg.n_max)
+            up = iterate.upper_sequence(cfg.case, table, cfg.n_max)
+            if up.companion_dbar is not None:  # ND
                 results["dbar_n"] = up.companion_dbar
                 series["dbar_n"] = up.companion_dbar
-            else:
-                up = iterate.upper_sequence_dn(table, cfg.n_max)
             results["delta_n_prime"] = up.values
             results["delta_n_prime_monotonicity"] = up.monotonicity
             results["upper_bounds"] = up.bounds()
@@ -470,7 +468,9 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
         sol = walk.result if walk else oracle.solve_on_table(table, case)
         lam = sol.lambda_
         resid = oracle.eigen_residuals(sol)
-        brep = bounds.compute_report(case, table)
+        sequences = None if case == "NN" else (iterate.lower_sequence(case, table, cfg.n_max),
+                                               iterate.upper_sequence(case, table, cfg.n_max))
+        brep = bounds.compute_report(case, table, sequences=sequences)
         results: dict = {
             "lambda_oracle": lam,
             "lambda_lo": sol.lambda_lo,
@@ -495,8 +495,7 @@ def cmd_verify(cfg: RunConfig) -> list[dict]:
                 _direction("eta_direction_consistent", "eta_n", eta, "non-increasing", "non-decreasing"),
             ]
         else:
-            low = iterate.lower_sequence(case, table, cfg.n_max)
-            up = (iterate.upper_sequence_nd if case == "ND" else iterate.upper_sequence_dn)(table, cfg.n_max)
+            low, up = sequences
             results["delta_n"] = low.values
             results["delta_n_prime"] = up.values
             if up.companion_dbar:

@@ -15,9 +15,10 @@ off the original grid.  The double-Neumann sequence centers each iterate
 against the speed measure and tracks the ratio of successive tail
 integrals, the numerically stable form of the single-integral transform.
 A trace carries the constants, their direction, and only what the reports
-print beside them: the companions dbar_n and best window per step (ND),
-the best cap per step (DN), and the sign changes and notes of the centered
-sequence.
+print beside them: the argmax node per step of the lower sequence, the
+companions dbar_n and best window per step (ND), the best cap per step
+(DN), and the sign changes and notes of the centered sequence.  Step 1 of
+the lower and upper sequences is what bounds reports as delta1 and delta1'.
 
 Iterates are renormalized to sup-norm one each step; the transforms are
 scale-invariant, so this only prevents magnitude drift.  The outer
@@ -36,6 +37,7 @@ computes the Rayleigh companion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +85,11 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
 
     One step maps f to its product f * II(f) = int_x^D dnu int_0^y f dmu, a
     prefix pass against mu and a suffix pass against nu, and takes the sup
-    of the ratio over the nodes where f > 0 and the ratio is finite.
+    of the ratio over the nodes where f > 0 and the ratio is finite; the
+    trace's pair_locations holds each step's argmax node, the first one on
+    ties in the oriented order.  The start is scaled by a power of two, which
+    changes no bit of the ratios but keeps the products of a tiny interval,
+    of order D^2 times the start, above the float range's floor.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -92,7 +98,9 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
     eps = table.problem.tolerances.bound_refine
     oriented, grid = (table.mirrored(), table.grid[::-1]) if case == "DN" else (table, table.grid)
     f = np.sqrt(oriented.nu_tail)
+    f = np.ldexp(f, -np.frexp(f[0])[1])  # the seed over a power of two near its max, exactly
     values: list[float] = []
+    argmax: list[float] = []
     for n in range(1, n_max + 1):
         positive = f > 0
         if not positive[1:-1].all():
@@ -101,19 +109,24 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
         product = suffix_integral(oriented, prefix_integral(oriented, f, "mu"), "nu")
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = product / f
-        window = positive & np.isfinite(ratio)
-        if not window.any():
+        ratio[~(positive & np.isfinite(ratio))] = -np.inf
+        k = int(np.argmax(ratio))
+        if ratio[k] == -np.inf:
             raise DegenerationError(f"double integral: empty evaluation window (step {n})")
-        values.append(float(np.max(ratio[window])))
+        values.append(float(ratio[k]))
+        argmax.append(float(grid[k]))
         bad = np.flatnonzero(product[1:-1] <= 0)
         if bad.size:
             raise DegenerationError(
                 f"iterate lost positivity at node x={grid[bad[0] + 1]} (step {n})"
             )
-        if n >= 2 and abs(values[-1] - values[-2]) <= eps * abs(values[-1]):
+        if n == n_max or (n >= 2 and abs(values[-1] - values[-2]) <= eps * abs(values[-1])):
             break
-        f = product * (1.0 / np.max(product))
-    return IterationTrace(values=values, monotonicity=monotone_verdict(values, eps))
+        top = float(np.max(product))
+        if 1.0 / top == math.inf:
+            raise DegenerationError(f"iterate maximum {top!r} has no finite reciprocal (step {n})")
+        f = product * (1.0 / top)
+    return IterationTrace(values=values, monotonicity=monotone_verdict(values, eps), pair_locations=argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +151,11 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
 
     Built once per search: S[i], the speed mass of (0, x_i) as the
     cumulative sum of the panel weights; W[j] = mu_wL[j] + mu_wR[j-1], the
-    speed weight of node j in the companion's quadrature; T[i] = nu(x_i, D),
-    a reverse partial sum of the panels whose tail T[i0:] (never written)
-    starts window i0; P, the panel terms of T its first step reads; and
+    speed weight of node j in the companion's quadrature; T[i] = nu(x_i, D)
+    over 2^e, a power of two near nu(0, D), a reverse partial sum of the
+    panels whose tail T[i0:] (never written) starts window i0, scaled
+    exactly so that a tiny or huge interval's transforms stay in the float
+    range; P, the panel terms of T its first step reads; and
     seven work arrays of length M + 1.  Window i0 runs in their leading
     L + 1 = M - i0 + 1 entries and writes every slice it reads before
     reading it, so no window sees another's numbers.  What is left is a few
@@ -154,6 +169,8 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
     W = mu_wL.copy()
     W[1:] += mu_wR[:-1]
     T = _suffix_from_panels(dnu)
+    e = int(np.frexp(T[0])[1])
+    np.ldexp(T, -e, out=T)
     P = mu_wL * T[:m] + mu_wR * T[1:]
     terms, F, left, right, G, ratio, u = (np.empty(m + 1) for _ in range(7))
 
@@ -177,7 +194,7 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
         v0, v1, vin = T[i0:m], T[i0 + 1 :], T[i0 + 1 : m]  # v[:L], v[1:], v[1:L] of the first step
         u0, u1, uin = u[:L], u[1 : L + 1], u[1:L]  # and of each later one
         u[L] = 0.0  # the iterate is zero at D
-        energy = float(v0[0])  # unit flux on the window
+        energy = math.ldexp(float(v0[0]), -e)  # flux 2^-e on the window
         infs, dbars = [], []
         for n in range(n_max):
             c = float(v0[0])
@@ -292,6 +309,15 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
         monotonicity=monotone_verdict(best_val, table.problem.tolerances.bound_refine),
         pair_locations=[float(table.grid[c]) for c in best_cap],
     )
+
+
+def upper_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace:
+    """The localized upper sequence of the ND or the DN case."""
+    if case == "ND":
+        return upper_sequence_nd(table, n_max)
+    if case == "DN":
+        return upper_sequence_dn(table, n_max)
+    raise ValueError("upper sequence is defined for the ND and DN cases")
 
 
 def eta_sequence(table: MeasureTable, n_max: int) -> IterationTrace:

@@ -211,60 +211,20 @@ def reference_mass(t, d, cum, tail, alpha, beta):
     return float(d[i] * (1.0 - fa) + np.sum(d[i + 1 : j]) + d[j] * fb)
 
 
-def reference_constants(case, table):
-    """delta, delta1 and delta1' as (value, argmax) the way a node scan, 70
-    golden-section steps over the two panels around the best node and a
-    scalar objective that looks every probe up in the table found them: the
-    frozen reference for the closed-form panel maxima."""
+def reference_delta(case, table):
+    """delta as (value, argmax) the way a node scan, 70 golden-section steps
+    over the two panels around the best node and a scalar objective that
+    looks every probe up in the table found it: the frozen reference for
+    the closed-form panel maximum."""
     t = bounds._oriented(case, table)
     D = t.right_end
-    seed = t.nu_tail
-    s = np.sqrt(seed)
-    head = measures.prefix_integral(t, s, "mu")
-    tail = measures.suffix_integral(t, seed * s, "mu")
-    tail_sq = measures.suffix_integral(t, seed**2, "mu")
-
-    def mu_between(alpha, beta):
-        return reference_mass(t, t.dmu, t.mu_cum, t.mu_tail, alpha, beta)
-
-    def nu_between(alpha, beta):
-        return reference_mass(t, t.dnu, t.nu_cum, t.nu_tail, alpha, beta)
 
     def delta(x):
-        return mu_between(0.0, x) * nu_between(x, D)
+        return (reference_mass(t, t.dmu, t.mu_cum, t.mu_tail, 0.0, x)
+                * reference_mass(t, t.dnu, t.nu_cum, t.nu_tail, x, D))
 
-    def delta1(x):
-        k, frac = reference_locate(t, x)
-        px = nu_between(x, D)
-        sx = math.sqrt(px)
-        if sx <= 0:
-            return 0.0
-        head_x = head[k] + 0.5 * (s[k] + sx) * t.dmu[k] * frac
-        tail_x = tail[k + 1] + 0.5 * (px * sx + seed[k + 1] * s[k + 1]) * t.dmu[k] * (1.0 - frac)
-        return sx * head_x + tail_x / sx
-
-    def delta1_prime(x):
-        k, frac = reference_locate(t, x)
-        px = nu_between(x, D)
-        if px <= 0:
-            return 0.0
-        t_x = tail_sq[k + 1] + 0.5 * (px**2 + seed[k + 1] ** 2) * t.dmu[k] * (1.0 - frac)
-        return mu_between(0.0, x) * px + t_x / px
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nodes = {
-            "delta": (t.mu_cum * seed, delta),
-            "delta1": (np.where(s > 0, s * head + tail / np.where(s > 0, s, 1.0), 0.0), delta1),
-            "delta1_prime": (
-                np.where(seed > 0, t.mu_cum * seed + tail_sq / np.where(seed > 0, seed, 1.0), 0.0),
-                delta1_prime,
-            ),
-        }
-    out = {}
-    for name, (node_vals, objective) in nodes.items():
-        x, v = reference_scan_refine(t.grid, node_vals, objective)
-        out[name] = (v, bounds._back(case, table, x))
-    return out
+    x, v = reference_scan_refine(t.grid, t.mu_cum * t.nu_tail, delta)
+    return v, bounds._back(case, table, x)
 
 
 REFERENCE_FIXTURES = [
@@ -283,20 +243,17 @@ REFERENCE_TABLES = {
 
 
 class TestClosedFormMatchesGoldenSection:
-    """Each constant's exact panel maximum against the golden-section search
-    it replaced: values to 1e-12 relative, argmax in the reference's panel."""
+    """delta's exact panel maximum against the golden-section search it
+    replaced: value to 1e-12 relative, argmax in the reference's panel."""
 
     @staticmethod
     def check(case, table):
-        ref = reference_constants(case, table)
+        v, x = bounds.delta(case, table)
+        v_ref, x_ref = reference_delta(case, table)
+        assert v == pytest.approx(v_ref, rel=1e-12)
+        k, _ = reference_locate(table, x_ref)
         slack = 1e-12 * table.right_end
-        for name, fn in (("delta", bounds.delta), ("delta1", bounds.delta1),
-                         ("delta1_prime", bounds.delta1_prime)):
-            v, x = fn(case, table)
-            v_ref, x_ref = ref[name]
-            assert v == pytest.approx(v_ref, rel=1e-12), name
-            k, _ = reference_locate(table, x_ref)
-            assert table.grid[k] - slack <= x <= table.grid[k + 1] + slack, (name, x, x_ref)
+        assert table.grid[k] - slack <= x <= table.grid[k + 1] + slack, (x, x_ref)
 
     @pytest.mark.parametrize("case,fixture", REFERENCE_FIXTURES)
     def test_fixture_tables(self, case, fixture, request):

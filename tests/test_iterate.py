@@ -52,11 +52,12 @@ class TestLowerSequence:
         d, _ = bounds.delta(case, table)
         assert trace.values[0] <= 4 * d + 10 * eps
 
-    def test_first_step_matches_delta1(self, lap_nd):
-        trace = iterate.lower_sequence("ND", lap_nd, 1)
-        d1, _ = bounds.delta1("ND", lap_nd)
-        eps = lap_nd.problem.tolerances.bound_refine
-        assert abs(trace.values[0] - d1) <= 5 * eps
+    @pytest.mark.parametrize("case,fixture", [("ND", "lap_nd"), ("DN", "lap_dn")])
+    def test_delta1_pins_its_closed_form_from_below(self, case, fixture, request):
+        # the laplacian's delta1 is (5/8)^(1/3)/2; the node sup of the
+        # step-1 ratio reads it 1.6e-7 low
+        d1, _ = bounds.delta1(case, request.getfixturevalue(fixture))
+        assert -1e-6 <= d1 / C.DELTA1_LAPLACIAN - 1 < 0
 
     def test_renormalization_invariance(self, lap_nd):
         # the double-integral transform is scale-invariant, so iterating the
@@ -152,24 +153,36 @@ class TestLowerSequenceMatchesFrozenLayer:
 
 
 class TestLowerSequenceStopIsScaleFree:
+    D = (1e-150, 1e-110, 1e-3, 1.0, 1e3)
+
     def test_laplacian_nd_scales_with_d_squared(self):
         # delta_n of the laplacian on (0, D) is D^2 times its value on (0, 1);
-        # an absolute stop test ended the sequence early for D < 1
-        traces = {
-            D: iterate.lower_sequence("ND", C.make_table(preset="laplacian", D=D), 6) for D in (1e-3, 1.0, 1e3)
-        }
+        # the stop test is relative, so it ends no sequence early for D < 1,
+        # and the start is a power of two, so no product underflows
+        traces = {D: iterate.lower_sequence("ND", C.make_table(preset="laplacian", D=D), 6) for D in self.D}
         ref = traces[1.0].values
         for D, trace in traces.items():
             assert len(trace.values) == len(ref), D
             assert np.array(trace.values) / D**2 == pytest.approx(ref, rel=1e-9), D
 
+    def test_upper_search_scales_with_d_squared(self):
+        # delta_n', dbar_n over D^2 and the window starts over D are scale-free
+        traces = {D: iterate.upper_sequence_nd(C.make_table(preset="laplacian", D=D), 3) for D in self.D}
+        ref = traces[1.0]
+        for D, trace in traces.items():
+            assert np.array(trace.values) / D**2 == pytest.approx(ref.values, rel=1e-9), D
+            assert np.array(trace.companion_dbar) / D**2 == pytest.approx(ref.companion_dbar, rel=1e-9), D
+            starts = [x0 / D for x0, _ in trace.pair_locations]
+            assert starts == pytest.approx([x0 for x0, _ in ref.pair_locations], rel=1e-9), D
+
 
 class TestUpperSequenceND:
-    def test_first_step_is_delta1_prime(self, lap_nd):
-        trace = iterate.upper_sequence_nd(lap_nd, 1)
-        assert trace.values[0] == pytest.approx(C.DELTA1P_LAPLACIAN, rel=1e-4)
-        d1p, _ = bounds.delta1_prime("ND", lap_nd)
-        assert trace.values[0] == pytest.approx(d1p, rel=1e-4)
+    @pytest.mark.parametrize("case,fixture", [("ND", "lap_nd"), ("DN", "lap_dn")])
+    def test_delta1_prime_pins_its_closed_form_from_below(self, case, fixture, request):
+        # the laplacian's delta1' is 3/8; the best node window reads it
+        # 3.8e-7 low, on the safe side of an upper-bound constant
+        d1p, _ = bounds.delta1_prime(case, request.getfixturevalue(fixture))
+        assert -1e-6 <= d1p / C.DELTA1P_LAPLACIAN - 1 < 0
 
     def test_rayleigh_companion_identities(self, lap_nd):
         trace = iterate.upper_sequence_nd(lap_nd, 3)
@@ -731,17 +744,13 @@ class TestMirrorOrientation:
     @pytest.mark.parametrize("fixture", ["lap_dn", "quad_dn", "ou_dn_4", "ou_dn_8"])
     def test_dn_constants_match_unmirrored_node_scans(self, fixture, request):
         # DN node values read straight off this table's columns; the panel
-        # maxima on the mirror may only add a sliver inside a panel
+        # maximum on the mirror may only add a sliver inside a panel
         table = request.getfixturevalue(fixture)
-        seed = table.nu_cum
-        head_sq = measures.prefix_integral(table, seed**2, "mu")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d1p_nodes = np.where(seed > 0, head_sq / np.where(seed > 0, seed, 1.0) + seed * table.mu_tail, 0.0)
-        for fn, nodes in ((bounds.delta, seed * table.mu_tail), (bounds.delta1_prime, d1p_nodes)):
-            v, x = fn("DN", table)
-            k = int(np.argmax(nodes))
-            assert nodes[k] * (1 - 1e-15) <= v <= nodes[k] * (1 + 1e-4)
-            assert table.grid[max(k - 1, 0)] - 1e-12 <= x <= table.grid[min(k + 1, len(nodes) - 1)] + 1e-12
+        nodes = table.nu_cum * table.mu_tail
+        v, x = bounds.delta("DN", table)
+        k = int(np.argmax(nodes))
+        assert nodes[k] * (1 - 1e-15) <= v <= nodes[k] * (1 + 1e-4)
+        assert table.grid[max(k - 1, 0)] - 1e-12 <= x <= table.grid[min(k + 1, len(nodes) - 1)] + 1e-12
         # the mapped-back argmax attains delta in this table's coordinates
         v, x = bounds.delta("DN", table)
         head, tail = np.interp(x, table.grid, table.nu_cum), np.interp(x, table.grid, table.mu_tail)

@@ -271,11 +271,11 @@ def _hypothesis_summary(rep: measures.HypothesisReport, problem: measures.Proble
 def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[dict]:
     """The pipeline every command runs, once per problem.
 
-    On (0, inf) it raises the hypothesis check's refusal, if any: a is not
-    positive at some truncation point, or the mass trace's panel ending at
-    one did not converge.  It writes the report header, and on (0, inf)
-    lets ``zero(problem, hyp)`` give the results when the criterion decides
-    a zero eigenvalue.  Otherwise it gets the table: one build on a finite
+    On (0, inf) the hypothesis check raises HypothesisViolationError when a
+    is not positive at some truncation point, or the mass trace's panel
+    ending at one did not converge.  It writes the report header, and on
+    (0, inf) lets ``zero(problem, hyp)`` give the results when the criterion
+    decides a zero eigenvalue.  Otherwise it gets the table: one build on a finite
     interval, the walk ``settle(problem)`` on (0, inf).  Positivity of a and
     local integrability at the ends are the table build's tests: a build
     refuses an a that is not positive on its interval and an end panel that
@@ -288,8 +288,6 @@ def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[d
 
     def run_one(problem: measures.ProblemSpec):
         hyp = measures.hypothesis_check(problem)
-        if hyp.refusal is not None:
-            raise HypothesisViolationError(hyp.refusal)
         report: dict = {
             "command": command,
             "version": __version__,

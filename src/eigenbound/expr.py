@@ -4,7 +4,10 @@ The CLI accepts the diffusion coefficients a(x), b(x) as infix arithmetic in
 one free variable x, with the constants pi and e and the functions exp, log,
 sqrt, sin, cos, abs, pow built in.  Precedence is the standard one
 (^ right-associative, then unary minus, then * /, then + -), so -x^2 parses
-as -(x^2) while 2^-3 is accepted.
+as -(x^2) while 2^-3 is accepted.  The lexer is one regular expression:
+numbers are decimal digits with at most one dot and an optional exponent,
+and an identifier starts with a letter or "_".  Text nested deeper than
+MAX_DEPTH levels is a ParseError.
 
 Parsing and evaluation are pure; an AST is frozen after construction and can
 be evaluated concurrently.  Evaluation is one walk of the tree on numpy
@@ -16,6 +19,7 @@ array of its shape.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,6 +36,11 @@ _LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _POW_BP = 30
 _UNARY_BP = 25
 
+#: Deepest nesting a parsed expression may have, counted both as the parser's
+#: recursion and as the levels of the finished tree: walk and to_text recurse
+#: once or twice a level, and must stay within Python's recursion limit.
+MAX_DEPTH = 400
+
 Number = Union[float, np.ndarray]
 
 
@@ -42,54 +51,25 @@ class Token:
     pos: int
 
 
+# One alternative per token kind, tried in order, then any other character.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<identifier>\w+)"
+    r"|(?P<operator>[-+*/^,])|(?P<paren>[()])|(?P<bad>.)",
+    re.S,
+)
+
+
 def tokenize(text: str) -> list[Token]:
     """Split expression source into tokens; reject any character outside the grammar."""
     if not text:
         raise LexError("empty expression", 0)
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            kind = "function-name" if name in FUNCTIONS else "identifier"
-            tokens.append(Token(kind, name, i))
-            i = j
-            continue
-        if c in "+-*/^,":
-            tokens.append(Token("operator", c, i))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(Token("paren", c, i))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {c!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad" or kind == "identifier" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            raise LexError(f"unexpected character {lexeme[0]!r}", m.start())
+        if kind != "space":
+            tokens.append(Token("function-name" if lexeme in FUNCTIONS else kind, lexeme, m.start()))
     return tokens
 
 
@@ -136,6 +116,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def _end_pos(self) -> int:
         if not self.tokens:
@@ -161,6 +142,9 @@ class _Parser:
         return self.advance()
 
     def expression(self, rbp: int = 0) -> ExprAst:
+        if self.depth == MAX_DEPTH:
+            raise _too_deep(self.advance().pos)
+        self.depth += 1
         left = self.nud(self.advance())
         while True:
             tok = self.peek()
@@ -170,6 +154,7 @@ class _Parser:
             op = tok.lexeme
             right = self.expression(_POW_BP - 1 if op == "^" else _LBP[op])
             left = Bin(op, left, right, tok.pos)
+        self.depth -= 1
         return left
 
     def nud(self, tok: Token) -> ExprAst:
@@ -204,13 +189,30 @@ class _Parser:
         raise ParseError(f"unexpected {tok.lexeme!r}", tok.pos)
 
 
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"expression nested more than {MAX_DEPTH} levels deep", pos)
+
+
 def parse(tokens: list[Token]) -> ExprAst:
-    """Parse a token sequence into an AST; the whole input must be consumed."""
+    """Parse a token sequence into an AST; the whole input must be consumed,
+    and neither the parser nor the tree may nest deeper than MAX_DEPTH."""
     parser = _Parser(tokens)
     ast = parser.expression()
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected {trailing.lexeme!r}", trailing.pos)
+    # a chain such as x+x+...+x grows the tree in the parser's loop, not its recursion
+    stack = [(ast, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.pos)
+        kids = (
+            (node.left, node.right) if isinstance(node, Bin)
+            else (node.child,) if isinstance(node, Neg)
+            else getattr(node, "args", ())  # a Call's, or none
+        )
+        stack.extend((kid, depth + 1) for kid in kids)
     return ast
 
 
@@ -301,7 +303,8 @@ def _prec(ast: ExprAst) -> int:
 
 
 def to_text(ast: ExprAst) -> str:
-    """Render with parentheses chosen so parse(to_text(t)) == t structurally."""
+    """Render with parentheses chosen so parse(to_text(t)) == t structurally
+    (when the parentheses added keep the text within MAX_DEPTH)."""
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, Var):
@@ -332,7 +335,7 @@ def to_text(ast: ExprAst) -> str:
                 rt = f"({rt})"
         return f"{lt} {op} {rt}" if op in "+-" else f"{lt}{op}{rt}"
     if isinstance(ast, Call):
-        return f"{ast.name}({', '.join(to_text(a) for a in ast.args)})"
+        return f"{ast.name}({', '.join([to_text(a) for a in ast.args])})"
     raise TypeError(f"not an ExprAst: {ast!r}")
 
 

@@ -352,21 +352,14 @@ class MeasureTable:
     def mu_total(self) -> float:
         return float(self.mu_cum[-1])
 
-    def to_csv(self, target) -> None:
-        """Dump columns x, C, mu_cum, nu_cum, mu_tail, nu_tail as CSV."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", encoding="utf-8")
-            close = True
-        try:
-            target.write("x,C,mu_cum,nu_cum,mu_tail,nu_tail\n")
+    def to_csv(self, path: str) -> None:
+        """Write columns x, C, mu_cum, nu_cum, mu_tail, nu_tail as CSV to path."""
+        with open(path, "w", encoding="utf-8") as out:
+            out.write("x,C,mu_cum,nu_cum,mu_tail,nu_tail\n")
             for i in range(len(self.grid)):
                 row = (self.grid[i], self.Cvals[i], self.mu_cum[i], self.nu_cum[i],
                        self.mu_tail[i], self.nu_tail[i])
-                target.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        finally:
-            if close:
-                target.close()
+                out.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def _median(a: np.ndarray) -> float:  # np.median, whose import of numpy.ma costs a process 10 ms
@@ -677,7 +670,6 @@ class HypothesisReport:
     criterion_zero_reason: str
     mass_trace: list[tuple[float, float, float]]  # (p, mu(0,p), nu(0,p))
     notes: list[str]
-    refusal: str | None = None  # on (0, inf), why the run must be refused (see _mass_trace)
 
 
 def _mass_growth_divergent(masses: list[float], rel_noise: float) -> bool:
@@ -777,16 +769,20 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
     point reached the overflow guard, or its increments stay above the
     quadrature noise floor without shrinking.  The masses mu(0,p) and
     nu(0,p) at every truncation point p are read off one table, and a is
-    sampled at every p (see _mass_trace); a failure there is the report's
-    refusal.  On a finite interval the report is empty: the positivity of a
-    and the local integrability of b/a and e^C/a at the ends are decided
-    where the masses are integrated, by build_tables, which raises
-    HypothesisViolationError, as the mass trace does next to 0.
+    sampled at every p (see _mass_trace); a failure there raises
+    HypothesisViolationError with the trace's refusal, so no report exists
+    for a run that must be refused.  On a finite interval the report is
+    empty: the positivity of a and the local integrability of b/a and e^C/a
+    at the ends are decided where the masses are integrated, by
+    build_tables, which raises HypothesisViolationError, as the mass trace
+    does next to 0.
     """
     if not problem.is_infinite:
         return HypothesisReport(False, "", [], [])
     notes: list[str] = []
     mass_trace, refusal = _mass_trace(problem, notes)
+    if refusal is not None:
+        raise HypothesisViolationError(refusal)
     noise, reason = problem.tolerances.quadrature, ""
     if problem.case == "ND" and _mass_growth_divergent([nu for _, _, nu in mass_trace], noise):
         reason = "scale mass nu(0, inf) diverges, so the ND eigenvalue is 0"
@@ -796,4 +792,4 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
             + ("DN eigenvalue" if problem.case == "DN" else "NN spectral gap setting")
             + " degenerates to 0"
         )
-    return HypothesisReport(bool(reason), reason, mass_trace, notes, refusal)
+    return HypothesisReport(bool(reason), reason, mass_trace, notes)

@@ -245,6 +245,19 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["exit_code"] == 2
 
+    @pytest.mark.parametrize("a", [
+        "1+²",
+        "1" + "+0*x" * 999,
+        "(" * 1500 + "x" + ")" * 1500,
+        "-" * 3000 + "x",
+        "1+0*" + "1^" * 700 + "x",
+    ])
+    def test_malformed_coefficient_exit_2(self, a, capsys):
+        code = cli.main(["bounds", "--a", a, "--b", "0", "--D", "1", "--case", "ND"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (code, err["type"], err["exit_code"]) == (2, "ConfigError", 2)
+        assert err["message"].startswith("coefficient a: ")
+
     def test_bad_flag_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["bounds", "--case", "XY"])

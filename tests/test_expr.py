@@ -11,6 +11,71 @@ from eigenbound import expr
 from eigenbound.errors import DomainError, LexError, ParseError
 
 
+# The hand-written scanner that tokenize replaced, frozen here: tokenize must
+# give its tokens, or its LexError offset, on every input without a character
+# that str.isdigit accepts and float rejects.
+def _frozen_tokenize(text):
+    if not text:
+        raise LexError("empty expression", 0)
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            tokens.append(expr.Token("number", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            kind = "function-name" if name in expr.FUNCTIONS else "identifier"
+            tokens.append(expr.Token(kind, name, i))
+            i = j
+            continue
+        if c in "+-*/^,":
+            tokens.append(expr.Token("operator", c, i))
+            i += 1
+            continue
+        if c in "()":
+            tokens.append(expr.Token("paren", c, i))
+            i += 1
+            continue
+        raise LexError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+# the grammar's characters, letters and decimal digits outside ASCII (é ß ٣ １),
+# numerics that are not digits (½ ⅷ), and whitespace outside ASCII
+_SCANNER_ALPHABET = "x0123456789+-*/^(),. eEpilogsqrtcanbw_$\t\n" + "éß٣１½ⅷ\xa0\x1c\x85"
+
+
+def _tokens_or_offset(tokenizer, text):
+    try:
+        return [(t.kind, t.lexeme, t.pos) for t in tokenizer(text)]
+    except LexError as exc:
+        return exc.offset
+
+
 class TestTokenize:
     def test_seven_tokens(self):
         toks = expr.tokenize("x*(1-x)")
@@ -44,6 +109,17 @@ class TestTokenize:
         with pytest.raises(LexError):
             expr.tokenize("")
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_SCANNER_ALPHABET, max_size=40))
+    def test_tokens_match_the_frozen_scanner(self, text):
+        assert _tokens_or_offset(expr.tokenize, text) == _tokens_or_offset(_frozen_tokenize, text)
+
+    @pytest.mark.parametrize("text, offset", [("²", 0), ("1²", 1), ("x*⁵", 2), ("①", 0)])
+    def test_digit_that_is_not_decimal_is_a_lex_error(self, text, offset):
+        with pytest.raises(LexError, match=f"unexpected character {text[offset]!r}") as err:
+            expr.parse_expression(text)
+        assert err.value.offset == offset
+
 
 class TestParse:
     def test_precedence(self):
@@ -72,6 +148,30 @@ class TestParse:
     def test_depth_bounded_by_input(self):
         deep = "(" * 200 + "x" + ")" * 200
         assert expr.parse_expression(deep) == expr.Var(200)
+
+    # text nested n levels deep, in the parser's recursion, the tree's levels, or both
+    _NESTED = {
+        "parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+        "calls": lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+        "powers": lambda n: "x" + "^x" * (n - 1),
+        "negations": lambda n: "-" * (n - 1) + "x",
+        "sum": lambda n: "x" + "+x" * (n - 1),
+    }
+
+    @pytest.mark.parametrize("kind", _NESTED)
+    def test_nesting_at_the_bound_parses_walks_and_prints(self, kind):
+        ast = expr.parse_expression(self._NESTED[kind](expr.MAX_DEPTH))
+        assert np.all(np.isfinite(expr.walk(ast, np.array([0.5, 1.0]))))
+        assert expr.to_text(ast)
+
+    @pytest.mark.parametrize("kind", _NESTED)
+    def test_nesting_past_the_bound_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match=f"nested more than {expr.MAX_DEPTH} levels"):
+            expr.parse_expression(self._NESTED[kind](expr.MAX_DEPTH + 1))
+
+    def test_long_sum_parses(self):
+        ast = expr.parse_expression("1" + "+0*x" * 299)
+        assert expr.evaluate(ast, 0.5) == 1.0
 
 
 class TestEvaluate:
@@ -219,7 +319,7 @@ class TestRoundTrip:
         assert strip_positions(expr.parse_expression(expr.to_text(ast))) == ast
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="x123+-*/^(), .epilogsqrtcanbw", max_size=40))
+    @given(st.text(alphabet="x123+-*/^(), .epilogsqrtcanbw²½", max_size=40))
     def test_fuzzed_text_never_hangs(self, text):
         try:
             expr.parse_expression(text)

@@ -144,7 +144,7 @@ class TestHypothesisCheck:
     def test_laplacian_all_pass(self):
         p = measures.make_problem(preset="laplacian", D=1.0, case="ND")
         rep = measures.hypothesis_check(p)
-        assert rep.refusal is None and not rep.criterion_zero
+        assert not rep.criterion_zero
 
     def test_ou_nd_infinite_forces_zero(self):
         p = measures.make_problem(preset="ou", D="inf", case="ND")
@@ -181,7 +181,8 @@ class TestHypothesisCheck:
             measures.build_tables(p, p.D)
 
 
-# criterion_zero per case (ND, DN, NN) and the probe's notes on (0, inf)
+# criterion_zero per case (ND, DN, NN), None where the mass trace refuses
+# the run, and the probe's notes on (0, inf)
 _PROBE_EXPECTED = [
     ("1", "0", (True, True, True), []),
     ("1", "-x", (True, False, False), []),
@@ -192,14 +193,14 @@ _PROBE_EXPECTED = [
     ("1", "-x^3", (True, False, False), []),
     ("1", "-1", (True, False, False), []),
     ("1", "1/(1+x)", (True, True, True), []),
-    ("3-x", "0", (False, False, False), ["table build failed at truncation 4.0"]),
+    ("3-x", "0", (None, None, None), ["table build failed at truncation 4.0"]),
     ("exp(x)", "1", (True, False, False), ["table build failed at truncation 1024.0"]),
     # coefficients singular at or before a truncation point, and one that
     # needs many panels over the whole schedule
-    ("1", "1/(x-8)", (False, False, False), ["table build failed at truncation 8.0"]),
-    ("1", "1/(x-5)", (False, False, False), ["table build failed at truncation 8.0"]),
-    ("1", "1/(x-2)", (False, False, False), ["table build failed at truncation 2.0"]),
-    ("(x-4)^2", "0", (False, False, False), ["table build failed at truncation 4.0"]),
+    ("1", "1/(x-8)", (None, None, None), ["table build failed at truncation 8.0"]),
+    ("1", "1/(x-5)", (None, None, None), ["table build failed at truncation 8.0"]),
+    ("1", "1/(x-2)", (None, None, None), ["table build failed at truncation 2.0"]),
+    ("(x-4)^2", "0", (None, None, None), ["table build failed at truncation 4.0"]),
     ("1", "sin(10*x)", (True, True, True), []),
 ]
 
@@ -208,7 +209,15 @@ class TestMassProbe:
     @pytest.mark.parametrize("a, b, zero, notes", _PROBE_EXPECTED)
     def test_criterion_zero_and_notes(self, a, b, zero, notes):
         for case, expected in zip(measures.CASES, zero):
-            rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case=case))
+            problem = measures.make_problem(a=a, b=b, D="inf", case=case)
+            if expected is None:  # the check raises the trace's refusal; the trace still notes its stop
+                trace_notes = []
+                refusal = measures._mass_trace(problem, trace_notes)[1]
+                with pytest.raises(HypothesisViolationError, match="^" + re.escape(refusal) + "$"):
+                    measures.hypothesis_check(problem)
+                assert trace_notes == notes
+                continue
+            rep = measures.hypothesis_check(problem)
             assert (case, rep.criterion_zero, rep.notes) == (case, expected, notes)
 
     @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0"), ("1", "sin(10*x)")])
@@ -228,8 +237,8 @@ class TestMassProbe:
 
     @pytest.mark.parametrize("a, b, points", [("1", "1/(x-8)", [2.0, 4.0]), ("(x-4)^2", "0", [2.0])])
     def test_trace_stops_before_a_point_whose_table_fails(self, a, b, points):
-        rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case="ND"))
-        assert [p for p, _, _ in rep.mass_trace] == points
+        trace, _ = measures._mass_trace(measures.make_problem(a=a, b=b, D="inf", case="ND"), [])
+        assert [p for p, _, _ in trace] == points
 
     @pytest.mark.parametrize("a, refusal", [
         ("1", None), ("exp(x)", None), ("1+x^2", None),
@@ -240,11 +249,12 @@ class TestMassProbe:
         ("(x-4)^2", measures.UNCONVERGED_ENDPOINT),
     ])
     def test_refusal_of_a_past_the_trace(self, a, refusal):
-        rep = measures.hypothesis_check(measures.make_problem(a=a, b="0", D="inf", case="ND"))
+        problem = measures.make_problem(a=a, b="0", D="inf", case="ND")
         if refusal is None:
-            assert rep.refusal is None
+            measures.hypothesis_check(problem)
         else:
-            assert rep.refusal.startswith(refusal)
+            with pytest.raises(HypothesisViolationError, match="^" + re.escape(refusal)):
+                measures.hypothesis_check(problem)
 
     def test_finite_interval_report_is_empty(self):
         rep = measures.hypothesis_check(measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND"))

@@ -228,10 +228,72 @@ def _flatten_csv(prefix: str, obj, rows: list[tuple[str, str]]):
         rows.append((prefix, str(obj)))
 
 
+# Tokens of "%.12g" that repr spells otherwise, each at the start of a line.
+# Those without "." or "e": integral values, -0, inf and nan.  Those with an
+# exponent e+1x, as repr writes e+12 to e+15 positionally (the others come
+# along), or e-3xx, the subnormal range; the second pattern is the slower, and
+# runs only where its exponents occur.
+_PLAIN = re.compile(r"\n([^.e\n]+)(?![^\n])")
+_EXPONENT = re.compile(r"\n([^\n]*e(?:\+1|-3)\d+)(?![^\n])")
+
+
+def _respell(match: re.Match) -> str:
+    token = match[1]
+    return "\n" + (f'"{token}"' if token in ("inf", "-inf", "nan") else repr(float(token)))
+
+
+def _float_array(values, depth: int) -> str:
+    """The text json.dumps(indent=2) gives a list of floats rounded by
+    _round12, for a list ``depth`` containers deep."""
+    text = _PLAIN.sub(_respell, ("\n%.12g" * len(values)) % tuple(values))
+    if "e+1" in text or "e-3" in text:
+        text = _EXPONENT.sub(_respell, text)
+    return "[" + text.replace("\n", ",\n" + "  " * (depth + 1))[1:] + "\n" + "  " * depth + "]"
+
+
+# stands in the structure json.dumps writes for an array written by _float_array
+_PLACEHOLDER = "\x00"
+_MARKER = json.dumps(_PLACEHOLDER)
+
+
+def _cook(obj, depth: int, arrays: list[str]):
+    """obj as _round12 gives it, except that each non-empty list, tuple or
+    ndarray of floats is written into ``arrays`` and left as _PLACEHOLDER."""
+    if isinstance(obj, dict):
+        return {k: _cook(v, depth + 1, arrays) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = [float(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) <= {float}:
+            arrays.append(_float_array(obj, depth))
+            return _PLACEHOLDER
+        return [_cook(v, depth + 1, arrays) for v in obj]
+    return _round12(obj)
+
+
 def render_report(report, fmt: str) -> str:
-    cooked = _round12(report)
+    """The report as JSON, or as CSV rows without its series.
+
+    The JSON is byte for byte json.dumps(_round12(report), indent=2): each
+    number at 12 significant digits, spelled as Python's repr of the rounded
+    value, and a value that is not finite as a string.  Arrays of floats,
+    most of a report's numbers, are written in one "%.12g" pass each rather
+    than by json.dumps's pure-Python encoder, and spliced into the one
+    json.dumps of the rest.  For a normal finite v, "%.12g" % v has the
+    digits of repr(float(f"{v:.12g}")): a decimal of at most 15 significant
+    digits is the only such decimal that reads as its double (DBL_DIG).  The
+    tokens spelled otherwise are written by repr, or quoted: those without
+    "." or "e" (integral values, -0, inf, nan), those with an exponent e+1x
+    (repr writes e+12 to e+15 positionally), and e-3xx, the subnormal range,
+    where a double has fewer digits and 1e-320 formats as 9.99988867183e-321.
+    """
     if fmt == "json":
-        return json.dumps(cooked, indent=2)
+        arrays: list[str] = []
+        parts = json.dumps(_cook(report, 0, arrays), indent=2).split(_MARKER)
+        if len(parts) != len(arrays) + 1:  # a string of the report spells a placeholder
+            return json.dumps(_round12(report), indent=2)
+        return "".join(part + array for part, array in zip(parts, [*arrays, ""]))
+    cooked = _round12(report)
     reports = cooked if isinstance(cooked, list) else [cooked]
     lines = ["quantity,value"]
     for i, rep in enumerate(reports):

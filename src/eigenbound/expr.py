@@ -6,8 +6,9 @@ sqrt, sin, cos, abs, pow built in.  Precedence is the standard one
 (^ right-associative, then unary minus, then * /, then + -), so -x^2 parses
 as -(x^2) while 2^-3 is accepted.  The lexer is one regular expression:
 numbers are decimal digits with at most one dot and an optional exponent,
-and an identifier starts with a letter or "_".  Text nested deeper than
-MAX_DEPTH levels is a ParseError.
+and an identifier starts with a letter or "_" and holds no digit that is
+not decimal ("x²" is a LexError).  Text nested deeper than MAX_DEPTH levels
+is a ParseError.
 
 Parsing and evaluation are pure; an AST is frozen after construction and can
 be evaluated concurrently.  Evaluation is one walk of the tree on numpy
@@ -59,6 +60,16 @@ _TOKEN = re.compile(
 )
 
 
+def _bad_in_name(name: str) -> int | None:
+    """Index of the first character a name may not hold where it stands, or
+    None.  A name starts with a letter or "_"; after that it may hold any
+    character str.isalnum() accepts except a digit that is not decimal, so
+    "x²" is an error at the "²", as "²" alone is."""
+    if not (name[0].isalpha() or name[0] == "_"):
+        return 0
+    return next((i for i, c in enumerate(name) if c.isdigit() and not c.isdecimal()), None)
+
+
 def tokenize(text: str) -> list[Token]:
     """Split expression source into tokens; reject any character outside the grammar."""
     if not text:
@@ -66,8 +77,9 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
-        if kind == "bad" or kind == "identifier" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
-            raise LexError(f"unexpected character {lexeme[0]!r}", m.start())
+        bad = 0 if kind == "bad" else _bad_in_name(lexeme) if kind == "identifier" else None
+        if bad is not None:
+            raise LexError(f"unexpected character {lexeme[bad]!r}", m.start() + bad)
         if kind != "space":
             tokens.append(Token("function-name" if lexeme in FUNCTIONS else kind, lexeme, m.start()))
     return tokens
@@ -303,16 +315,22 @@ def _prec(ast: ExprAst) -> int:
 
 
 def to_text(ast: ExprAst) -> str:
-    """Render with parentheses chosen so parse(to_text(t)) == t structurally
-    (when the parentheses added keep the text within MAX_DEPTH)."""
+    """Render with parentheses chosen so parse(to_text(t)) == t structurally.
+
+    Each parenthesis added costs the parser a level, so a tree whose printing
+    adds one a level (a right-nested - or / chain) may not parse back once it
+    is more than about MAX_DEPTH / 2 deep; a chain of negations prints as --x
+    and adds none.
+    """
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, Var):
         return "x"
     if isinstance(ast, Neg):
         inner = to_text(ast.child)
-        # a Neg or lower-precedence child would rebind: -(x^2) vs -(x)*2 etc.
-        if _prec(ast.child) <= _UNARY_BP:
+        # a lower-precedence child would rebind: -(x+1) vs -x+1.  A Neg child
+        # needs none, as --x parses back to Neg(Neg(x))
+        if _prec(ast.child) < _UNARY_BP:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(ast, Bin):

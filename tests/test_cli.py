@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -6,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as C
 import eigenbound
@@ -837,3 +841,114 @@ class TestVerdicts:
         verdict = cli._direction("d", "delta_n", trace, "non-increasing")
         assert verdict == {"check": "d", "pass": passes, "detail": f"delta_n: {label}"}
 
+
+
+# The renderer that render_report's JSON path replaced, frozen here: its
+# output must stay byte for byte what this gives on every report.
+def _frozen_round12(obj):
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return float(f"{obj:.12g}")
+    if isinstance(obj, (np.floating,)):
+        return _frozen_round12(float(obj))
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: _frozen_round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_frozen_round12(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_frozen_round12(float(v)) for v in obj.tolist()]
+    return obj
+
+
+def _frozen_render(obj):
+    return json.dumps(_frozen_round12(obj), indent=2)
+
+
+# floats whose "%.12g" repr spells otherwise, and their neighbours
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 123456789012.0, 0.99999999999999, 999999999999.5,
+    1e12, 1.5e13, 9.99999999999e15, 1e16, 1.234e17, 1e19, 1e20, 1e300, 1.7976931348623157e308,
+    2.2250738585072014e-308, 2.225e-308, 1e-300, 1e-299, 5e-324, 1e-320, -4.9e-322,
+    1e-5, 1e-4, 0.1, math.inf, -math.inf, math.nan,
+]
+_floats = st.one_of(
+    st.floats(),  # nan, inf, subnormals and +-0.0 among them
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(1e12, 1e16, exclude_max=True),
+    st.floats(min_value=1e16),
+    st.integers(-10**15, 10**15).map(float),
+)
+_float_lists = st.lists(_floats, max_size=12)
+_strings = st.one_of(st.text(max_size=8), st.sampled_from(["\x00", 'a", "\x00']))
+_leaves = st.one_of(
+    _floats, _floats.map(np.float64), st.integers(), st.integers(-2**62, 2**62).map(np.int64),
+    st.booleans(), st.none(), _strings,
+    _float_lists, _float_lists.map(tuple), _float_lists.map(np.array),
+    st.lists(st.integers(-2**53, 2**53), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_strings, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _benchmark_argv():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op["argv"] for ops in workloads.WORKLOADS.values() for op in ops]
+
+
+class TestRenderReport:
+    @settings(max_examples=400, deadline=None)
+    @given(_trees)
+    def test_json_matches_the_frozen_renderer(self, tree):
+        assert cli.render_report(tree, "json") == _frozen_render(tree)
+
+    @pytest.mark.parametrize("value", _SPECIAL_FLOATS, ids=repr)
+    def test_special_floats_in_an_array_and_alone(self, value):
+        for tree in ([value], [1.5, value, 2.5], {"a": {"b": (value, value)}}, value, np.array([value, 1.0])):
+            assert cli.render_report(tree, "json") == _frozen_render(tree)
+
+    @pytest.mark.parametrize("tree", [
+        [], {"x": []}, {"x": np.array([])}, np.array([1, 2, -3]), {"n": np.array([2**60 + 1])},
+        [np.float64(0.1), 0.2], {"D": [1.0, 2.0]}, [{"x": [1.0]}, {"x": [2.0]}],
+        {"\x00": [1.0]}, {"s": "\x00", "x": [1.0, 2.0]},  # strings that spell the placeholder
+    ], ids=repr)
+    def test_edge_trees(self, tree):
+        assert cli.render_report(tree, "json") == _frozen_render(tree)
+
+    _ARGV = [
+        *_benchmark_argv(),
+        ["bounds", "--a", "1", "--b", "0", "--D", "1", "--case", "NN"],
+        ["oracle", "--a", "1", "--b", "-x", "--D", "4", "--case", "NN"],
+        ["iterate", "--a", "1", "--b", "0", "--D", "1", "--case", "NN"],
+        ["oracle", "--a", "1", "--b", "-x", "--D", "4,8", "--case", "DN"],
+        ["bounds", "--a", "1+x^2", "--b", "0", "--D", "2,inf", "--case", "DN"],
+        ["iterate", "--a", "1", "--b", "0", "--D", "1,2", "--case", "ND"],
+    ]
+
+    @pytest.mark.parametrize("argv", _ARGV, ids=" ".join)
+    def test_cli_prints_what_the_frozen_renderer_prints(self, argv, monkeypatch, capsys):
+        seen = []
+        render = cli.render_report
+
+        def spy(report, fmt):
+            seen.append(report)
+            return render(report, fmt)
+
+        monkeypatch.setattr(cli, "render_report", spy)
+        cli.main(argv)
+        assert len(seen) == 1
+        assert capsys.readouterr().out == _frozen_render(seen[0]) + "\n"

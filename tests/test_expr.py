@@ -114,11 +114,19 @@ class TestTokenize:
     def test_tokens_match_the_frozen_scanner(self, text):
         assert _tokens_or_offset(expr.tokenize, text) == _tokens_or_offset(_frozen_tokenize, text)
 
-    @pytest.mark.parametrize("text, offset", [("²", 0), ("1²", 1), ("x*⁵", 2), ("①", 0)])
+    @pytest.mark.parametrize("text, offset", [
+        ("²", 0), ("1²", 1), ("x*⁵", 2), ("①", 0), ("x²", 1), ("1e²", 2), ("sin(x_²)", 6),
+    ])
     def test_digit_that_is_not_decimal_is_a_lex_error(self, text, offset):
         with pytest.raises(LexError, match=f"unexpected character {text[offset]!r}") as err:
             expr.parse_expression(text)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("name", ["x2", "x_1", "é", "x½"])
+    def test_other_names_stay_unknown_identifiers(self, name):
+        assert [(t.kind, t.lexeme) for t in expr.tokenize(name)] == [("identifier", name)]
+        with pytest.raises(ParseError, match=f"unknown identifier {name!r}"):
+            expr.parse_expression(name)
 
 
 class TestParse:
@@ -317,6 +325,13 @@ class TestRoundTrip:
     def test_hypothesis_roundtrip(self, seed, depth):
         ast = random_ast(np.random.default_rng(seed), depth)
         assert strip_positions(expr.parse_expression(expr.to_text(ast))) == ast
+
+    def test_negations_at_the_bound_round_trip(self):
+        # a negated negation prints as --x: parentheses would double the depth
+        text = "-" * (expr.MAX_DEPTH - 1) + "x"
+        printed = expr.to_text(expr.parse_expression(text))
+        assert printed == text
+        assert expr.to_text(expr.parse_expression(printed)) == text
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="x123+-*/^(), .epilogsqrtcanbw²½", max_size=40))

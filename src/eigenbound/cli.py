@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -98,26 +98,19 @@ class RunConfig:
         None, lambda text: tuple(_parse_number_list(text)), echo=False
     )
 
-    def validate(self) -> None:
-        """Check what only the command line decides; the problems check the rest."""
+    def validate(self) -> list[measures.ProblemSpec]:
+        """The run's problems, one per value of D, each coefficient parsed
+        once; ConfigError for anything invalid."""
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be json or csv (got {self.format!r})")
         if self.n_max < 1:
             raise ConfigError("n_max must be a positive integer")
-        self.problems()
-
-    def problems(self) -> list[measures.ProblemSpec]:
-        """One problem per value of D; an invalid one raises ConfigError."""
         try:
             tol = measures.Tolerances(self.eps_quadrature, self.eps_bound, self.eps_oracle)
-            return [
-                measures.make_problem(
-                    a=self.a, b=self.b, preset=self.preset, D=d, case=self.case,
-                    grid_size=self.grid_size, truncation_schedule=self.truncation_schedule,
-                    tolerances=tol,
-                )
-                for d in self.D
-            ]
+            first = measures.make_problem(
+                a=self.a, b=self.b, preset=self.preset, D=self.D[0], case=self.case, grid_size=self.grid_size,
+                truncation_schedule=self.truncation_schedule, tolerances=tol)
+            return [replace(first, D=float(d)) for d in self.D]  # replace re-runs the checks
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -330,47 +323,56 @@ def _hypothesis_summary(rep: measures.HypothesisReport, problem: measures.Proble
     }
 
 
-def _run(cfg: RunConfig, command: str, provenance, settle, zero, body) -> list[dict]:
-    """The pipeline every command runs, once per problem.
+class Evaluation:
+    """One problem's stages, read by every command.
 
-    On (0, inf) the hypothesis check raises HypothesisViolationError when a
-    is not positive at some truncation point, or the mass trace's panel
-    ending at one did not converge.  It writes the report header, and on
-    (0, inf) lets ``zero(problem, hyp)`` give the results when the criterion
-    decides a zero eigenvalue.  Otherwise it gets the table: one build on a finite
-    interval, the walk ``settle(problem)`` on (0, inf).  Positivity of a and
-    local integrability at the ends are the table build's tests: a build
-    refuses an a that is not positive on its interval and an end panel that
-    does not converge, naming locally_integrable_near_0 or _near_right, and
-    so does the mass trace next to 0 on (0, inf).  The command's
-    ``body(table, walk)`` gives the rest of the report; walk is None on a
-    finite interval.  With --format csv --out, the table the first report
-    was computed on is dumped next to it.
+    The hypothesis check runs first; on (0, inf) its criterion_zero decides a
+    zero eigenvalue, and then ``walk`` and ``table`` are None.  Otherwise
+    ``table`` is the one every later stage runs on: the problem's own on a
+    finite interval, the last of ``walk`` on (0, inf).  That walk settles
+    ``walk_of``: "delta" for bounds and iterate, "lambda" for oracle and
+    verify.  The later stages run on first read, once each.  The record makes
+    no reference cycle, so it is freed with its last reference.  A zero
+    report has no table, so _run dumps none for it.
     """
 
-    def run_one(problem: measures.ProblemSpec):
-        hyp = measures.hypothesis_check(problem)
-        report: dict = {
-            "command": command,
-            "version": __version__,
-            "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
-            "hypothesis": _hypothesis_summary(hyp, problem),
-            "provenance": {k: _PROVENANCE[k] for k in provenance},
-        }
-        if problem.is_infinite and hyp.criterion_zero:
-            return report | zero(problem, hyp), None
-        if problem.is_infinite:
-            walk = settle(problem)
-            table = walk.table
-        else:
-            walk, table = None, measures.build_tables(problem, problem.D)
-        return report | body(table, walk), table
+    def __init__(self, problem: measures.ProblemSpec, walk_of: str, n_max: int):
+        self.problem, self.walk_of, self.n_max = problem, walk_of, n_max
+        self.hypothesis = measures.hypothesis_check(problem)
+        self.walk = self.table = None
+        if not problem.is_infinite:
+            self.table = measures.build_tables(problem, problem.D)
+        elif not self.hypothesis.criterion_zero:
+            self.walk = (bounds.settle_delta if walk_of == "delta" else oracle.settle_lambda)(problem)
+            self.table = self.walk.table
 
-    runs = [run_one(problem) for problem in cfg.problems()]
-    table = runs[0][1]
-    if cfg.out and cfg.format == "csv" and table is not None:
-        table.to_csv(cfg.out + ".table.csv")
-    return [report for report, _ in runs]
+    @functools.cached_property
+    def sequences(self) -> tuple[iterate.IterationTrace, iterate.IterationTrace]:
+        """The ND/DN lower and localized upper sequences."""
+        case = self.problem.case
+        return (iterate.lower_sequence(case, self.table, self.n_max),
+                iterate.upper_sequence(case, self.table, self.n_max))
+
+    @functools.cached_property
+    def solution(self) -> oracle.EigenSolution:
+        """The eigenpair on the table: on (0, inf), the eigenvalue walk's last."""
+        if self.walk_of == "lambda" and self.walk:
+            return self.walk.result
+        return oracle.solve_on_table(self.table, self.problem.case)
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        return oracle.eigen_residuals(self.solution)
+
+    @functools.cached_property
+    def bounds_report(self) -> bounds.BoundsReport:
+        """The basic and improved estimates, or the zero report.  delta1 and
+        delta1' are step 1 of the sequences if a command read those first
+        (verify); compute_report runs step 1 alone otherwise (bounds)."""
+        if self.table is None:
+            return bounds.zero_report(self.problem.case)
+        criterion = self.walk.result if self.walk_of == "delta" and self.walk else None
+        return bounds.compute_report(self.problem.case, self.table, criterion, vars(self).get("sequences"))
 
 
 def _delta_walk(walk: measures.TruncationWalk) -> dict:
@@ -381,105 +383,59 @@ def _delta_walk(walk: measures.TruncationWalk) -> dict:
     }
 
 
-def cmd_bounds(cfg: RunConfig) -> list[dict]:
-    def zero(problem, hyp) -> dict:
-        return {"results": bounds.zero_report(cfg.case).to_dict(), "series": {}}
-
-    def body(table, walk) -> dict:
-        rep = bounds.compute_report(cfg.case, table, walk.result if walk else None)
-        results = rep.to_dict()
-        if walk:
-            results |= _delta_walk(walk)
-            results["right_end_used"] = table.right_end
-        curve = table.mu_cum * table.nu_tail if cfg.case == "ND" else table.nu_cum * table.mu_tail
-        return {
-            "results": results,
-            "series": {"x": _decimate(table.grid), "criterion_product": _decimate(curve)},
-        }
-
-    keys = ("delta", "lower_basic", "upper_basic", "delta1", "delta1_prime",
-            "lower_improved", "upper_improved")
-    return _run(cfg, "bounds", keys, bounds.settle_delta, zero, body)
+def _bounds(ev: Evaluation) -> dict:
+    results, table = ev.bounds_report.to_dict(), ev.table
+    if table is None:
+        return {"results": results, "series": {}}
+    if ev.walk:
+        results |= _delta_walk(ev.walk) | {"right_end_used": table.right_end}
+    curve = table.mu_cum * table.nu_tail if ev.problem.case == "ND" else table.nu_cum * table.mu_tail
+    return {"results": results, "series": {"x": _decimate(table.grid), "criterion_product": _decimate(curve)}}
 
 
-def cmd_iterate(cfg: RunConfig) -> list[dict]:
-    def zero(problem, hyp) -> dict:
+def _iterate(ev: Evaluation) -> dict:
+    if ev.table is None:
         return {"results": {"positivity": "zero", "note": "eigenvalue is 0; sequences undefined"},
                 "series": {}}
-
-    def body(table, walk) -> dict:
-        results: dict = {"right_end_used": table.right_end}
-        series: dict = {}
-        if cfg.case in ("ND", "DN"):
-            low = iterate.lower_sequence(cfg.case, table, cfg.n_max)
-            results["delta_n"] = low.values
-            results["delta_n_monotonicity"] = low.monotonicity
-            results["lower_bounds"] = low.bounds()
-            series["delta_n"] = low.values
-            up = iterate.upper_sequence(cfg.case, table, cfg.n_max)
-            if up.companion_dbar is not None:  # ND
-                results["dbar_n"] = up.companion_dbar
-                series["dbar_n"] = up.companion_dbar
-            results["delta_n_prime"] = up.values
-            results["delta_n_prime_monotonicity"] = up.monotonicity
-            results["upper_bounds"] = up.bounds()
-            results["window_locations"] = up.pair_locations
-            series["delta_n_prime"] = up.values
-        else:
-            eta = iterate.eta_sequence(table, cfg.n_max)
-            results["eta_n"] = eta.values
-            results["eta_n_monotonicity"] = eta.monotonicity
-            results["gap_lower_bounds"] = eta.bounds()
-            results["sign_changes"] = eta.sign_changes
-            results["notes"] = eta.notes
-            series["eta_n"] = eta.values
-        if walk:
-            results |= _delta_walk(walk)
-        return {"results": results, "series": series}
-
-    keys = ("delta_n", "delta_n_prime", "dbar_n", "eta_n")
-    return _run(cfg, "iterate", keys, bounds.settle_delta, zero, body)
+    results: dict = {"right_end_used": ev.table.right_end}
+    if ev.problem.case in ("ND", "DN"):
+        low, up = ev.sequences
+        results |= {"delta_n": low.values, "delta_n_monotonicity": low.monotonicity,
+                    "lower_bounds": low.bounds()}
+        if up.companion_dbar is not None:  # ND
+            results["dbar_n"] = up.companion_dbar
+        results |= {"delta_n_prime": up.values, "delta_n_prime_monotonicity": up.monotonicity,
+                    "upper_bounds": up.bounds(), "window_locations": up.pair_locations}
+    else:
+        eta = iterate.eta_sequence(ev.table, ev.n_max)
+        results |= {"eta_n": eta.values, "eta_n_monotonicity": eta.monotonicity,
+                    "gap_lower_bounds": eta.bounds(), "sign_changes": eta.sign_changes, "notes": eta.notes}
+    if ev.walk:
+        results |= _delta_walk(ev.walk)
+    series = ("delta_n", "dbar_n", "delta_n_prime", "eta_n")
+    return {"results": results, "series": {k: results[k] for k in series if k in results}}
 
 
-def cmd_oracle(cfg: RunConfig) -> list[dict]:
-    def zero(problem, hyp) -> dict:
-        return {"results": {"lambda": 0.0, "positivity": "zero", "note": hyp.criterion_zero_reason},
+def _oracle(ev: Evaluation) -> dict:
+    if ev.table is None:
+        return {"results": {"lambda": 0.0, "positivity": "zero", "note": ev.hypothesis.criterion_zero_reason},
                 "series": {}}
-
-    def body(table, walk) -> dict:
-        if walk:
-            tr = oracle.truncation_trace(walk)
-            return {
-                "results": {
-                    "lambda": walk.values[-1],
-                    "lambda_lo": walk.result.lambda_lo,
-                    "lambda_hi": walk.result.lambda_hi,
-                    "trace": [[p, v] for p, v in zip(tr.points, tr.values)],
-                    "converged": tr.converged,
-                    "monotone_decreasing": tr.monotone_decreasing,
-                    "stop_reason": tr.stop_reason,
-                },
-                "series": {"p": tr.points, "lambda_p": tr.values},
-            }
-        sol = oracle.solve_on_table(table, cfg.case)
-        resid = oracle.eigen_residuals(sol)
-        return {
-            "results": {
-                "lambda": sol.lambda_,
-                "lambda_lo": sol.lambda_lo,
-                "lambda_hi": sol.lambda_hi,
-                "residual": sol.residual,
-                "N": sol.N,
-                "identity_deviations": {
-                    "single_integral": resid.get("i_deviation"),
-                    "double_integral": resid.get("ii_deviation"),
-                },
-                "diagnostics": {k: v for k, v in resid.items() if k not in ("i_deviation", "ii_deviation")},
-            },
-            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
-        }
-
-    return _run(cfg, "oracle", ("lambda",), oracle.settle_lambda, zero, body)
+    sol = ev.solution
+    results = {"lambda": sol.lambda_, "lambda_lo": sol.lambda_lo, "lambda_hi": sol.lambda_hi}
+    if ev.walk:
+        tr = oracle.truncation_trace(ev.walk)
+        results |= {"trace": [[p, v] for p, v in zip(tr.points, tr.values)], "converged": tr.converged,
+                    "monotone_decreasing": tr.monotone_decreasing, "stop_reason": tr.stop_reason}
+        return {"results": results, "series": {"p": tr.points, "lambda_p": tr.values}}
+    resid = ev.residuals
+    results |= {"residual": sol.residual, "N": sol.N,
+                "identity_deviations": {"single_integral": resid.get("i_deviation"),
+                                        "double_integral": resid.get("ii_deviation")},
+                "diagnostics": {k: v for k, v in resid.items() if k not in ("i_deviation", "ii_deviation")}}
+    return {
+        "results": results,
+        "series": {"x": _decimate(ev.table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
+    }
 
 
 def _verdict(name: str, ok: bool, detail: str) -> dict:
@@ -500,108 +456,149 @@ def _direction(name: str, label: str, trace: iterate.IterationTrace, *allowed: s
     return _verdict(name, ok, f"{label}: {trace.monotonicity}")
 
 
-def cmd_verify(cfg: RunConfig) -> list[dict]:
-    def zero(problem, hyp) -> dict:
+def _verify(ev: Evaluation) -> dict:
+    if ev.table is None:
         # nothing to bracket; the criterion decides the value.  The oracle
         # backs it when p * lambda(p) does not grow over the first two
         # truncations: a positive limit makes that product grow like p
+        problem = ev.problem
         points = problem.truncation_schedule[:2]
-        lams = [oracle.solve_on_table(measures.build_tables(measures.truncate(problem, p), p), problem.case).lambda_
-                for p in points]
+        lams = [oracle.solve_on_table(measures.build_tables(measures.truncate(problem, p), p),
+                                      problem.case).lambda_ for p in points]
         falls = len(points) == 2 and points[1] * lams[1] <= points[0] * lams[0]
         verdict = _verdict(
             "criterion_zero",
             falls,
-            f"{hyp.criterion_zero_reason}; truncation eigenvalues "
+            f"{ev.hypothesis.criterion_zero_reason}; truncation eigenvalues "
             + ", ".join(f"lambda({p:g}) = {v:.6g}" for p, v in zip(points, lams))
             + "; passes when p*lambda(p) does not grow (lambda falls at least like 1/p)",
         )
         return {"results": {"positivity": "zero", "verdicts": [verdict]}, "series": {}, "all_pass": falls}
+    case, table, walk, tol = ev.problem.case, ev.table, ev.walk, ev.problem.tolerances
+    slack = 10 * tol.bound_refine
+    verdicts: list[dict] = []
+    if walk:
+        tr = oracle.truncation_trace(walk)
+        verdicts.append(_verdict("truncation_limit_converged", tr.converged, tr.stop_reason))
+    sol = ev.solution
+    lam = sol.lambda_
+    resid = ev.residuals
+    sequences = None if case == "NN" else ev.sequences  # read first: the bounds report takes step 1 off them
+    brep = ev.bounds_report
+    results: dict = {"lambda_oracle": lam, "lambda_lo": sol.lambda_lo, "lambda_hi": sol.lambda_hi,
+                     "bounds": brep.to_dict(), "residual": sol.residual}
+    if walk:
+        results["lambda_infinite_limit"] = walk.values[-1]
+    # bounds() gives inf for a constant that is not positive, so no bound
+    # is NaN: the largest lower (smallest upper) bound passes a chain
+    # exactly when every one would.  The oracle refuses a lambda that is
+    # not finite, so a slack relative to lambda is finite
+    if case == "NN":
+        eta = iterate.eta_sequence(table, ev.n_max)
+        results["eta_n"] = eta.values
+        results["eta_monotonicity"] = eta.monotonicity
+        gap_lb = max(eta.bounds())
+        verdicts += [
+            _chain("gap_lower_bounds", [gap_lb, lam], 1e-2 * lam,
+                   f"max lower bound {gap_lb:.9g} vs gap {lam:.9g}"),
+            _direction("eta_direction_consistent", "eta_n", eta, "non-increasing", "non-decreasing"),
+        ]
+    else:
+        low, up = sequences
+        results["delta_n"] = low.values
+        results["delta_n_prime"] = up.values
+        if up.companion_dbar:
+            results["dbar_n"] = up.companion_dbar
+        lb, ub = max(low.bounds()), min(up.bounds())
+        i_dev, ii_dev = resid["i_deviation"], resid["ii_deviation"]
+        verdicts += [
+            _chain("basic_bracket", [brep.lower_basic, lam, brep.upper_basic], 1e-6),
+            _chain("improved_chain", [brep.lower_basic, brep.lower_improved, lam,
+                                      brep.upper_improved, brep.upper_basic], slack),
+            _chain("delta1_prime_containment", [brep.delta, brep.delta1_prime, 2 * brep.delta], slack),
+            _chain("iterated_bracket", [lb, lam, ub], 1e-2 * lam,
+                   f"lower {lb:.9g} <= lambda <= upper {ub:.9g} (1e-2 relative slack)"),
+            _direction("lower_sequence_monotone", "delta_n", low, "non-increasing"),
+            *([_direction("upper_sequence_monotone", "delta_n_prime", up, "non-decreasing")]
+              if case == "DN" else []),
+            _chain("eigen_identities", [max(i_dev, ii_dev), 0.0], 5e-3,
+                   f"sup |lambda*I(g)-1| = {i_dev:.3g}, sup |lambda*II(g)-1| = {ii_dev:.3g}"),
+        ]
+        if walk is None:
+            # the dual swaps the measures and the boundary labels, so the
+            # posed eigenvalue is compared against the opposite
+            # orientation on the column-swapped table
+            dual = oracle.dual_table(table)
+            dual_case = "DN" if case == "ND" else "ND"
+            lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
+            d_dual, _ = bounds.delta(dual_case, dual)
+            results["duality"] = {"lambda": lam, "lambda_dual": lam_dual,
+                                  "delta": brep.delta, "delta_dual": d_dual}
+            verdicts.append(_verdict(
+                "duality",
+                abs(lam - lam_dual) <= 1e-3 * max(abs(lam), 1e-300) and abs(brep.delta - d_dual) <= slack,
+                f"lambda: {lam:.9g} vs dual {lam_dual:.9g}; delta: {brep.delta:.9g} vs {d_dual:.9g}",
+            ))
+    verdicts.append(_chain(
+        "oracle_residual", [sol.residual, 0.0], tol.oracle,
+        f"Green's-function defect max|lambda*G*B*g - g|/max|g| = {sol.residual:.3g}",
+    ))
+    results["verdicts"] = verdicts
+    return {
+        "results": results,
+        "all_pass": all(v["pass"] for v in verdicts),
+        "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
+    }
 
-    def body(table, walk) -> dict:
-        case, tol = cfg.case, table.problem.tolerances
-        slack = 10 * tol.bound_refine
-        verdicts: list[dict] = []
-        if walk:
-            tr = oracle.truncation_trace(walk)
-            verdicts.append(_verdict("truncation_limit_converged", tr.converged, tr.stop_reason))
-        sol = walk.result if walk else oracle.solve_on_table(table, case)
-        lam = sol.lambda_
-        resid = oracle.eigen_residuals(sol)
-        sequences = None if case == "NN" else (iterate.lower_sequence(case, table, cfg.n_max),
-                                               iterate.upper_sequence(case, table, cfg.n_max))
-        brep = bounds.compute_report(case, table, sequences=sequences)
-        results: dict = {
-            "lambda_oracle": lam,
-            "lambda_lo": sol.lambda_lo,
-            "lambda_hi": sol.lambda_hi,
-            "bounds": brep.to_dict(),
-            "residual": sol.residual,
-        }
-        if walk:
-            results["lambda_infinite_limit"] = walk.values[-1]
-        # bounds() gives inf for a constant that is not positive, so no bound
-        # is NaN: the largest lower (smallest upper) bound passes a chain
-        # exactly when every one would.  The oracle refuses a lambda that is
-        # not finite, so a slack relative to lambda is finite
-        if case == "NN":
-            eta = iterate.eta_sequence(table, cfg.n_max)
-            results["eta_n"] = eta.values
-            results["eta_monotonicity"] = eta.monotonicity
-            gap_lb = max(eta.bounds())
-            verdicts += [
-                _chain("gap_lower_bounds", [gap_lb, lam], 1e-2 * lam,
-                       f"max lower bound {gap_lb:.9g} vs gap {lam:.9g}"),
-                _direction("eta_direction_consistent", "eta_n", eta, "non-increasing", "non-decreasing"),
-            ]
-        else:
-            low, up = sequences
-            results["delta_n"] = low.values
-            results["delta_n_prime"] = up.values
-            if up.companion_dbar:
-                results["dbar_n"] = up.companion_dbar
-            lb, ub = max(low.bounds()), min(up.bounds())
-            i_dev, ii_dev = resid["i_deviation"], resid["ii_deviation"]
-            verdicts += [
-                _chain("basic_bracket", [brep.lower_basic, lam, brep.upper_basic], 1e-6),
-                _chain("improved_chain", [brep.lower_basic, brep.lower_improved, lam,
-                                          brep.upper_improved, brep.upper_basic], slack),
-                _chain("delta1_prime_containment", [brep.delta, brep.delta1_prime, 2 * brep.delta], slack),
-                _chain("iterated_bracket", [lb, lam, ub], 1e-2 * lam,
-                       f"lower {lb:.9g} <= lambda <= upper {ub:.9g} (1e-2 relative slack)"),
-                _direction("lower_sequence_monotone", "delta_n", low, "non-increasing"),
-                *([_direction("upper_sequence_monotone", "delta_n_prime", up, "non-decreasing")]
-                  if case == "DN" else []),
-                _chain("eigen_identities", [max(i_dev, ii_dev), 0.0], 5e-3,
-                       f"sup |lambda*I(g)-1| = {i_dev:.3g}, sup |lambda*II(g)-1| = {ii_dev:.3g}"),
-            ]
-            if walk is None:
-                # the dual swaps the measures and the boundary labels, so the
-                # posed eigenvalue is compared against the opposite
-                # orientation on the column-swapped table
-                dual = oracle.dual_table(table)
-                dual_case = "DN" if case == "ND" else "ND"
-                lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
-                d_dual, _ = bounds.delta(dual_case, dual)
-                results["duality"] = {"lambda": lam, "lambda_dual": lam_dual,
-                                      "delta": brep.delta, "delta_dual": d_dual}
-                verdicts.append(_verdict(
-                    "duality",
-                    abs(lam - lam_dual) <= 1e-3 * max(abs(lam), 1e-300) and abs(brep.delta - d_dual) <= slack,
-                    f"lambda: {lam:.9g} vs dual {lam_dual:.9g}; delta: {brep.delta:.9g} vs {d_dual:.9g}",
-                ))
-        verdicts.append(_chain(
-            "oracle_residual", [sol.residual, 0.0], tol.oracle,
-            f"Green's-function defect max|lambda*G*B*g - g|/max|g| = {sol.residual:.3g}",
-        ))
-        results["verdicts"] = verdicts
-        return {
-            "results": results,
-            "all_pass": all(v["pass"] for v in verdicts),
-            "series": {"x": _decimate(table.grid), "eigenfunction": _decimate(sol.eigenfunction)},
-        }
 
-    return _run(cfg, "verify", tuple(_PROVENANCE), oracle.settle_lambda, zero, body)
+# command: what its walk on (0, inf) settles, its provenance keys, and its report's rest
+_COMMANDS = {
+    "bounds": ("delta", ("delta", "lower_basic", "upper_basic", "delta1", "delta1_prime",
+                         "lower_improved", "upper_improved"), _bounds),
+    "iterate": ("delta", ("delta_n", "delta_n_prime", "dbar_n", "eta_n"), _iterate),
+    "oracle": ("lambda", ("lambda",), _oracle),
+    "verify": ("lambda", tuple(_PROVENANCE), _verify),
+}
+
+
+def _run(cfg: RunConfig, command: str) -> list[dict]:
+    """The pipeline every command runs: an Evaluation of each problem, in
+    the order of --D, read into the report after its header.  On (0, inf)
+    bounds and iterate read the criterion walk, oracle and verify the
+    eigenvalue walk.  With --format csv --out, the first report's table is
+    dumped next to it; none is when the first report is a zero report."""
+    walk_of, provenance, read = _COMMANDS[command]
+    reports, dump = [], None
+    for problem in cfg.validate():
+        ev = Evaluation(problem, walk_of, cfg.n_max)
+        reports.append({
+            "command": command,
+            "version": __version__,
+            "config": cfg.echo() | {"D": "inf" if problem.is_infinite else problem.D},
+            "hypothesis": _hypothesis_summary(ev.hypothesis, problem),
+            "provenance": {k: _PROVENANCE[k] for k in provenance},
+        } | read(ev))
+        dump = ev.table if len(reports) == 1 else dump
+        del ev  # each record goes before the next one's stages run
+    if cfg.out and cfg.format == "csv" and dump is not None:
+        dump.to_csv(cfg.out + ".table.csv")
+    return reports
+
+
+def cmd_bounds(cfg: RunConfig) -> list[dict]:
+    return _run(cfg, "bounds")
+
+
+def cmd_iterate(cfg: RunConfig) -> list[dict]:
+    return _run(cfg, "iterate")
+
+
+def cmd_oracle(cfg: RunConfig) -> list[dict]:
+    return _run(cfg, "oracle")
+
+
+def cmd_verify(cfg: RunConfig) -> list[dict]:
+    return _run(cfg, "verify")
 
 
 # ---------------------------------------------------------------------------
@@ -683,33 +680,22 @@ def _keep_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = _build_argparser()
-    args = parser.parse_args(_join_flag_values(list(argv if argv is not None else sys.argv[1:])))
+    args = _build_argparser().parse_args(_join_flag_values(list(argv if argv is not None else sys.argv[1:])))
     try:
-        cfg = parse_config(args.config)
-        cfg = _apply_cli_overrides(cfg, args)
-        cfg.validate()
-    except ConfigError as exc:
-        _emit(_error_payload(exc, 2), None)
-        return 2
-    try:
-        command = globals()[f"cmd_{args.command}"]
-        reports = command(cfg)
-        ok = all(r.get("all_pass", True) for r in reports)  # only verify's reports carry verdicts
-        payload_obj = reports[0] if len(reports) == 1 else reports
-        payload, code = render_report(payload_obj, cfg.format), 0 if ok else 5
-    except (RangeError, ConfigError) as exc:
-        payload, code = _error_payload(exc, 2), 2
-    except HypothesisViolationError as exc:
-        payload, code = _error_payload(exc, 3), 3
-    except (DegenerationError, DomainError) as exc:
-        payload, code = _error_payload(exc, 4), 4
-    except OSError as exc:  # the --format csv table dump next to --out
-        _emit(_error_payload(exc, 2), None)
-        return 2
-    try:
+        cfg = _apply_cli_overrides(parse_config(args.config), args)
+        try:
+            reports = globals()[f"cmd_{args.command}"](cfg)
+            ok = all(r.get("all_pass", True) for r in reports)  # only verify's reports carry verdicts
+            payload = render_report(reports[0] if len(reports) == 1 else reports, cfg.format)
+            code = 0 if ok else 5
+        except RangeError as exc:
+            payload, code = _error_payload(exc, 2), 2
+        except HypothesisViolationError as exc:
+            payload, code = _error_payload(exc, 3), 3
+        except (DegenerationError, DomainError) as exc:
+            payload, code = _error_payload(exc, 4), 4
         _emit(payload, cfg.out)
-    except OSError as exc:  # --out is not writable
+    except (ConfigError, OSError) as exc:  # OSError: --out, or the table dump next to it, is not writable
         _emit(_error_payload(exc, 2), None)
         return 2
     return code

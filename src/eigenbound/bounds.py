@@ -169,11 +169,12 @@ def compute_report(
     and are left unset there.
     """
     d, xd = criterion if criterion is not None else delta(case, table)
-    upper = _reciprocal("delta", d, table.right_end)
     if case == "NN":
         # the criterion decides positivity of the spectral gap, but the
-        # two-sided bracket belongs to the ND/DN eigenvalue, not the gap
+        # two-sided bracket belongs to the ND/DN eigenvalue, not the gap,
+        # and so does 1/delta
         return BoundsReport(case, d, argmax_x={"delta": xd})
+    upper = _reciprocal("delta", d, table.right_end)
     low, up = sequences or (iterate.lower_sequence(case, table, 1), iterate.upper_sequence(case, table, 1))
     d1, x1 = _first_step(low)
     d1p, x1p = _first_step(up)

@@ -17,10 +17,11 @@ in half, so the final grid is refined exactly where the weights vary
 fastest.  The cumulant is threaded left to right through the same pass: a
 fixed 7x7 cumulative-integration matrix turns the node samples of b/a into
 values of C at the quadrature nodes themselves.  One pass (_PanelPass)
-returns, per panel, the increment of C, the speed and scale masses and their
-first moments, in that order.  The pass keeps its nodes node-major, a (7, P)
-array with one row per Gauss node, so every elementwise step runs over
-contiguous rows of length P.  Each 7-point sum adds one node row at a time,
+returns, per panel, the increment of C and the speed and scale masses, with
+the node densities they sum; a table takes the masses' first moments from
+those densities when its weights are first read.  The pass keeps its nodes
+node-major, a (7, P) array with one row per Gauss node, so every elementwise
+step runs over contiguous rows of length P.  Each 7-point sum adds one node row at a time,
 node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
 panel-major (P, 7) layout, so every sum is the reduction's to the bit.
 X @ w would be faster still but rounds differently.  The coefficients come
@@ -244,9 +245,10 @@ class _PanelPass:
         self.t = t
         self.av = av
 
-    def accumulate(self, c_start: float, moments: bool = True):
-        """Panel increments of C, speed mass, scale mass and first moments
-        (None without moments); the panels must be consecutive."""
+    def accumulate(self, c_start: float):
+        """Panel increments of C, speed mass and scale mass, and the speed and
+        scale densities at the nodes, (7, P) each; the panels must be
+        consecutive."""
         dc = self.half * _rule_sum(_GL_WEIGHTS, self.g)
         c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
         # cumulant at the quadrature nodes from its own node samples; the
@@ -260,12 +262,16 @@ class _PanelPass:
             dens_nu = np.exp(np.negative(c, out=c), out=c)
             dmu = self.half * _rule_sum(_GL_WEIGHTS, dens_mu)
             dnu = self.half * _rule_sum(_GL_WEIGHTS, dens_nu)
-            if not moments:
-                return dc, dmu, dnu, None, None
-            wt = _GL_WEIGHTS[:, None] * self.t
-            mom_mu = self.half * _rule_sum(wt, dens_mu)
-            mom_nu = self.half * _rule_sum(wt, dens_nu)
-        return dc, dmu, dnu, mom_mu, mom_nu
+        return dc, dmu, dnu, dens_mu, dens_nu
+
+
+def _pass_moments(xl: np.ndarray, xr: np.ndarray, *dens: np.ndarray) -> list[np.ndarray]:
+    """Per-panel first moments of each density of dens, given at the (7, P)
+    nodes of the panels [xl, xr] as _PanelPass.accumulate returns them."""
+    half, wt = 0.5 * (xr - xl), _panel_nodes(xl, xr)
+    wt *= _GL_WEIGHTS[:, None]
+    with np.errstate(all="ignore"):
+        return [half * _rule_sum(wt, d) for d in dens]
 
 
 def _graded_grid(n: int, p: float, kappa: float = 0.9) -> np.ndarray:
@@ -289,6 +295,12 @@ def _grid_shape(n: int, kappa: float) -> np.ndarray:
     return s
 
 
+_WEIGHTS = ("mu_wL", "mu_wR", "nu_wL", "nu_wR")
+
+#: the weights of a table made for _defer
+_UNFORMED = dict.fromkeys(_WEIGHTS)
+
+
 @dataclass
 class MeasureTable:
     """Cumulative measure tables on a refined grid over (0, right_end).
@@ -298,6 +310,10 @@ class MeasureTable:
     cumulative and tail columns are per-node (length M+1) with
     cum[0] = tail[M] = 0.  Every mass, and the case's criterion product of
     head and tail masses, is finite (build_tables refuses a table otherwise).
+
+    The tables of build_tables, mirrored() and oracle.dual_table() form their
+    four weights on first read: a truncation that a walk discards, or a table
+    read for its masses alone, never forms them.
     """
 
     problem: ProblemSpec
@@ -317,6 +333,24 @@ class MeasureTable:
     nu_wL: np.ndarray = field(repr=False)
     nu_wR: np.ndarray = field(repr=False)
 
+    def _defer(self, form: Callable[[], tuple[np.ndarray, ...]]) -> "MeasureTable":
+        """This table, whose weights are dropped until their first read, which
+        sets all four to form().  form must not refer to this table: the pair
+        would be a reference cycle."""
+        for name in _WEIGHTS:
+            del self.__dict__[name]
+        self.__dict__["_form"] = form
+        return self
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: a weight that a
+        # deferred table has not formed yet
+        if name not in _WEIGHTS or "_form" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(_WEIGHTS, self.__dict__["_form"]()))
+        del self.__dict__["_form"]
+        return self.__dict__[name]
+
     @property
     def n_panels(self) -> int:
         return len(self.grid) - 1
@@ -330,7 +364,8 @@ class MeasureTable:
         this table read backwards.  Node j of the mirror is node M - j of
         this table.  C keeps its additive constant, so exp(-C) stays the
         density of the moved scale masses.  `problem` is this table's own;
-        its coefficients are not mirrored.
+        its coefficients are not mirrored.  The weights are this table's,
+        moved on their first read.
         """
         r = self.right_end
         return replace(
@@ -343,11 +378,8 @@ class MeasureTable:
             nu_cum=self.nu_tail[::-1].copy(),
             mu_tail=self.mu_cum[::-1].copy(),
             nu_tail=self.nu_cum[::-1].copy(),
-            mu_wL=self.mu_wR[::-1].copy(),
-            mu_wR=self.mu_wL[::-1].copy(),
-            nu_wL=self.nu_wR[::-1].copy(),
-            nu_wR=self.nu_wL[::-1].copy(),
-        )
+            **_UNFORMED,
+        )._defer(lambda: tuple(w[::-1].copy() for w in (self.mu_wR, self.mu_wL, self.nu_wR, self.nu_wL)))
 
     def mu_total(self) -> float:
         return float(self.mu_cum[-1])
@@ -396,16 +428,26 @@ def _not_integrable_near(end: str) -> HypothesisViolationError:
 
 
 class _Refined(NamedTuple):
-    """Panel integrals over a refined grid; bad marks the panels still over tolerance."""
+    """Panel integrals over a refined grid, and the speed and scale densities
+    at the nodes of the pass over its half-panels; bad marks the panels still
+    over tolerance."""
 
     edges: np.ndarray
     dc: np.ndarray
     dmu: np.ndarray
     dnu: np.ndarray
-    mmu: np.ndarray
-    mnu: np.ndarray
+    dens_mu: np.ndarray
+    dens_nu: np.ndarray
     bad: np.ndarray
     worst: float
+
+
+def _halves(edges: np.ndarray) -> np.ndarray:
+    """The nodes of edges with every panel's midpoint between them."""
+    fine = np.empty(2 * len(edges) - 1)
+    fine[0::2] = edges
+    fine[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    return fine
 
 
 def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) -> _Refined:
@@ -432,22 +474,19 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
     ends_arr = np.asarray(ends, dtype=float)
     for round_ in range(14):
         xl, xr = edges[:-1], edges[1:]
-        mids = 0.5 * (xl + xr)
-        fine_edges = np.empty(2 * len(xl) + 1)
-        fine_edges[0::2] = edges
-        fine_edges[1::2] = mids
+        fine_edges = _halves(edges)
+        mids = fine_edges[1::2]
 
+        # the fine pass's node arrays go before the coarse pass; its densities stay
         fine = _PanelPass(fine_edges[:-1], fine_edges[1:], problem.a, problem.b)
-        dc_f, dmu_f, dnu_f, mmu_f, mnu_f = fine.accumulate(0.0)
-        coarse = _PanelPass(xl, xr, problem.a, problem.b)
-        dc_c, dmu_c, dnu_c, _, _ = coarse.accumulate(0.0, moments=False)
+        dc_f, dmu_f, dnu_f, dens_mu, dens_nu = fine.accumulate(0.0)
+        del fine
+        dc_c, dmu_c, dnu_c, _, _ = _PanelPass(xl, xr, problem.a, problem.b).accumulate(0.0)
 
         # combine half-panels back onto the table panels
         dc = dc_f[0::2] + dc_f[1::2]
         dmu = dmu_f[0::2] + dmu_f[1::2]
         dnu = dnu_f[0::2] + dnu_f[1::2]
-        mmu = mmu_f[0::2] + mmu_f[1::2]
-        mnu = mnu_f[0::2] + mnu_f[1::2]
 
         with np.errstate(invalid="ignore"):
             err_c = np.abs(dc - dc_c) / np.maximum(1.0, np.abs(dc))
@@ -499,7 +538,7 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
         if len(new_edges) == len(edges):
             break  # cannot refine further at float resolution
         edges = new_edges
-    return _Refined(edges, dc, dmu, dnu, mmu, mnu, bad, worst)
+    return _Refined(edges, dc, dmu, dnu, dens_mu, dens_nu, bad, worst)
 
 
 def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
@@ -526,7 +565,7 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     if not pos.passed:
         raise HypothesisViolationError(_not_positive(right_end, pos))
 
-    edges, dc, dmu, dnu, mmu, mnu, bad, worst = _refine(
+    edges, dc, dmu, dnu, dens_mu, dens_nu, bad, worst = _refine(
         problem, _graded_grid(problem.grid_size, right_end), (right_end,)
     )
     if bad[0]:
@@ -559,18 +598,8 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
             f"mass of (x, {right_end:g}) overflowed the float range"
         )
 
-    widths = edges[1:] - edges[:-1]
-    if not (widths > 0).all():
+    if not (edges[1:] > edges[:-1]).all():
         raise DegenerationError(f"(0, {right_end:g}) is too short for floats: a panel has zero width")
-    # each centroid is its panel's first moment over its mass, the midpoint
-    # where the mass is 0
-    cen_mu = 0.5 * (edges[:-1] + edges[1:])
-    cen_nu = cen_mu.copy()
-    for cen, m, d in ((cen_mu, mmu, dmu), (cen_nu, mnu, dnu)):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.divide(m, d, out=cen, where=d > 0)
-        np.nan_to_num(cen, copy=False, nan=0.0)
-        np.clip(cen, edges[:-1], edges[1:], out=cen)
 
     return MeasureTable(
         problem=problem,
@@ -584,11 +613,29 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
         mu_tail=mu_tail,
         nu_tail=nu_tail,
         quad_residual=worst,
-        mu_wL=dmu * (edges[1:] - cen_mu) / widths,
-        mu_wR=dmu * (cen_mu - edges[:-1]) / widths,
-        nu_wL=dnu * (edges[1:] - cen_nu) / widths,
-        nu_wR=dnu * (cen_nu - edges[:-1]) / widths,
-    )
+        **_UNFORMED,
+    )._defer(functools.partial(_linear_weights, edges, dmu, dnu, dens_mu, dens_nu))
+
+
+def _linear_weights(edges, dmu, dnu, dens_mu, dens_nu) -> tuple[np.ndarray, ...]:
+    """mu_wL, mu_wR, nu_wL and nu_wR of the table with panels edges and masses
+    dmu, dnu, from the densities of its last _refine pass.
+
+    Each centroid is its panel's first moment over its mass, the midpoint
+    where the mass is 0; a panel's weights split its mass between its ends
+    so that linear functions integrate exactly against it.
+    """
+    fine = _halves(edges)
+    widths = edges[1:] - edges[:-1]
+    weights = []
+    for d, m in zip((dmu, dnu), _pass_moments(fine[:-1], fine[1:], dens_mu, dens_nu)):
+        cen = fine[1::2].copy()  # the panel midpoints
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(m[0::2] + m[1::2], d, out=cen, where=d > 0)
+        np.nan_to_num(cen, copy=False, nan=0.0)
+        np.clip(cen, edges[:-1], edges[1:], out=cen)
+        weights += [d * (edges[1:] - cen) / widths, d * (cen - edges[:-1]) / widths]
+    return tuple(weights)
 
 
 def prefix_integral(table: MeasureTable, values: np.ndarray, measure: str = "mu") -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import DegenerationError, DomainError, RangeError
 from .measures import (
+    _UNFORMED,
     MeasureTable,
     ProblemSpec,
     TruncationWalk,
@@ -295,7 +296,8 @@ def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationTrace]
 
 
 def dual_table(table: MeasureTable) -> MeasureTable:
-    """Swap the roles of the two measures (the dual operator's table)."""
+    """Swap the roles of the two measures (the dual operator's table); its
+    weights are those of ``table``, swapped on their first read."""
     return replace(
         table,
         Cvals=-table.Cvals,
@@ -305,11 +307,8 @@ def dual_table(table: MeasureTable) -> MeasureTable:
         nu_cum=table.mu_cum.copy(),
         mu_tail=table.nu_tail.copy(),
         nu_tail=table.mu_tail.copy(),
-        mu_wL=table.nu_wL.copy(),
-        mu_wR=table.nu_wR.copy(),
-        nu_wL=table.mu_wL.copy(),
-        nu_wR=table.mu_wR.copy(),
-    )
+        **_UNFORMED,
+    )._defer(lambda: tuple(w.copy() for w in (table.nu_wL, table.nu_wR, table.mu_wL, table.mu_wR)))
 
 
 def eigen_residuals(sol: EigenSolution) -> dict:

@@ -589,6 +589,17 @@ class TestUnresolvableProblems:
         if case == "NN":
             assert code == 4 and "least ratio" in out["error"]["message"]
 
+    @pytest.mark.parametrize("case, code", [("NN", 0), ("ND", 4)])
+    def test_nn_bounds_print_a_delta_without_a_reciprocal(self, case, code, capsys):
+        # delta = 2.5e-321 on (0, 1e-160) has no finite reciprocal: ND prints
+        # 1/delta and refuses, NN prints delta alone
+        assert cli.main(["bounds", "--a", "1", "--b", "0", "--D", "1e-160", "--case", case]) == code
+        out = json.loads(capsys.readouterr().out)
+        if code:
+            assert out["error"]["exit_code"] == 4 and "no finite nonzero reciprocal" in out["error"]["message"]
+        else:
+            assert out["results"]["delta"] == 2.5e-321 and out["results"]["upper_basic"] is None
+
     @pytest.mark.parametrize("command, a, D", [
         ("oracle", "1", "1e-104"), ("oracle", "1", "1e-106"), ("oracle", "1", "1e-120"),
         ("oracle", "1", "1e-150"), ("oracle", "1e200", "1"), ("verify", "1e200", "1"),

@@ -1,12 +1,15 @@
 import dataclasses
+import gc
+import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import conftest as C
-from eigenbound import measures
+from eigenbound import cli, measures, oracle
 from eigenbound.errors import (
     DegenerationError,
     DomainError,
@@ -375,7 +378,7 @@ class _FrozenPanelPass:
     def cumulant_increments(self):
         return self.half * np.sum(measures._GL_WEIGHTS[None, :] * self.g, axis=1)
 
-    def accumulate(self, c_start, moments=True):  # always returns the moments
+    def columns(self, c_start):  # increments, masses and first moments, as the pass returned them
         w = measures._GL_WEIGHTS[None, :]
         dc = self.cumulant_increments()
         c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
@@ -387,7 +390,17 @@ class _FrozenPanelPass:
             dnu = self.half * np.sum(w * dens_nu, axis=1)
             mom_mu = self.half * np.sum(w * self.t * dens_mu, axis=1)
             mom_nu = self.half * np.sum(w * self.t * dens_nu, axis=1)
+        self.densities = dens_mu.T, dens_nu.T
         return dc, dmu, dnu, mom_mu, mom_nu
+
+    def accumulate(self, c_start):  # the masses and the node-major densities they sum, as _refine reads them
+        return (*self.columns(c_start)[:3], *self.densities)
+
+
+def _new_columns(xl, xr, a_ast, b_ast, c_start):
+    """The five columns of the frozen pass, from today's pass and moment step."""
+    dc, dmu, dnu, dens_mu, dens_nu = measures._PanelPass(xl, xr, a_ast, b_ast).accumulate(c_start)
+    return dc, dmu, dnu, *measures._pass_moments(xl, xr, dens_mu, dens_nu)
 
 
 # (a, b, D): laplacian, 1+x^2, OU (0, 8), 1/8-x, exp(x)/1, 1+x^2 (0, 4096),
@@ -418,14 +431,13 @@ class TestPanelPassFrozen:
         edges = measures._graded_grid(p.grid_size, D)
         fine = np.empty(2 * len(edges) - 1)
         fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+        assert np.array_equal(measures._halves(edges), fine)
         for e in (fine, edges):
             args = (e[:-1], e[1:], p.a, p.b)
-            new, old = measures._PanelPass(*args), _FrozenPanelPass(*args)
             assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]).T, _frozen_panel_nodes(e[:-1], e[1:]))
-            assert _same_columns(new.accumulate(0.0), old.accumulate(0.0)) == [True] * 5
-            coarse = new.accumulate(0.0, moments=False)
-            assert coarse[3:] == (None, None)
-            assert _same_columns(coarse[:3], old.accumulate(0.0)[:3]) == [True] * 3
+            assert _same_columns(_new_columns(*args, 0.0), _FrozenPanelPass(*args).columns(0.0)) == [True] * 5
+            new, old = measures._PanelPass(*args).accumulate(0.0), _FrozenPanelPass(*args).accumulate(0.0)
+            assert _same_columns(new, old) == [True] * 5
 
     def test_overflowing_pass_holds_inf_and_nan(self):
         p = measures.make_problem(a="1", b="x + exp(x) - exp(x)", D=800.0, case="ND")
@@ -437,7 +449,7 @@ class TestPanelPassFrozen:
     def test_empty_and_single_panel_passes(self, xl, xr):
         p = measures.make_problem(a="1+x^2", b="sin(10*x)", D=1.0, case="ND")
         args = (np.array(xl), np.array(xr), p.a, p.b)
-        new, old = measures._PanelPass(*args).accumulate(0.5), _FrozenPanelPass(*args).accumulate(0.5)
+        new, old = _new_columns(*args, 0.5), _FrozenPanelPass(*args).columns(0.5)
         assert _same_columns(new, old) == [True] * 5
         assert all(len(col) == len(xl) for col in new)
 
@@ -446,7 +458,7 @@ class TestPanelPassFrozen:
         # constants are evaluated on one node and broadcast, a 0-panel pass included
         p = measures.make_problem(a="2+sin(1)", b="-3", D=1.0, case="ND")
         args = (np.array(xl), np.array(xr), p.a, p.b)
-        new, old = measures._PanelPass(*args).accumulate(0.5), _FrozenPanelPass(*args).accumulate(0.5)
+        new, old = _new_columns(*args, 0.5), _FrozenPanelPass(*args).columns(0.5)
         assert _same_columns(new, old) == [True] * 5
         assert all(len(col) == len(xl) for col in new)
 
@@ -525,7 +537,7 @@ def _frozen_build_tables(problem, right_end):
     pos = measures.expr.validate_positive(problem.a, right_end, samples=64)
     if not pos.passed:
         raise HypothesisViolationError(f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}")
-    edges, dc, dmu, dnu, mmu, mnu, bad, worst = measures._refine(
+    edges, dc, dmu, dnu, _, _, bad, worst = measures._refine(
         problem, _frozen_graded_grid(problem.grid_size, right_end), (right_end,)
     )
     if bad[0]:
@@ -554,9 +566,25 @@ def _frozen_build_tables(problem, right_end):
             f"the product of the {head}-measure mass of (0, x) and the {tail}-measure "
             f"mass of (x, {right_end:g}) overflowed the float range"
         )
-    widths = edges[1:] - edges[:-1]
-    if not (widths > 0).all():
+    if not (edges[1:] - edges[:-1] > 0).all():
         raise DegenerationError(f"(0, {right_end:g}) is too short for floats: a panel has zero width")
+    return {
+        "right_end": float(right_end), "grid": edges, "Cvals": cvals, "dmu": dmu, "dnu": dnu,
+        "mu_cum": mu_cum, "nu_cum": nu_cum, "mu_tail": mu_tail, "nu_tail": nu_tail, "quad_residual": worst,
+        **_frozen_weights(problem, edges, dmu, dnu),
+    }
+
+
+def _frozen_weights(problem, edges, dmu, dnu):
+    """The four weight columns as build_tables formed them when it formed
+    them eagerly: the first moments of its last refinement pass (the pass
+    over the half-panels of edges, re-run here by the frozen pass), then
+    centroids and weights."""
+    fine = np.empty(2 * len(edges) - 1)
+    fine[0::2], fine[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    _, _, _, mmu, mnu = _FrozenPanelPass(fine[:-1], fine[1:], problem.a, problem.b).columns(0.0)
+    mmu, mnu = mmu[0::2] + mmu[1::2], mnu[0::2] + mnu[1::2]
+    widths = edges[1:] - edges[:-1]
     mid = 0.5 * (edges[:-1] + edges[1:])
     with np.errstate(invalid="ignore", divide="ignore"):
         cen_mu = np.where(dmu > 0, mmu / np.where(dmu > 0, dmu, 1.0), mid)
@@ -564,8 +592,6 @@ def _frozen_build_tables(problem, right_end):
     cen_mu = np.clip(np.nan_to_num(cen_mu, nan=0.0), edges[:-1], edges[1:])
     cen_nu = np.clip(np.nan_to_num(cen_nu, nan=0.0), edges[:-1], edges[1:])
     return {
-        "right_end": float(right_end), "grid": edges, "Cvals": cvals, "dmu": dmu, "dnu": dnu,
-        "mu_cum": mu_cum, "nu_cum": nu_cum, "mu_tail": mu_tail, "nu_tail": nu_tail, "quad_residual": worst,
         "mu_wL": dmu * (edges[1:] - cen_mu) / widths, "mu_wR": dmu * (cen_mu - edges[:-1]) / widths,
         "nu_wL": dnu * (edges[1:] - cen_nu) / widths, "nu_wR": dnu * (cen_nu - edges[:-1]) / widths,
     }
@@ -649,3 +675,100 @@ class TestTablesFrozen:
         old = measures.hypothesis_check(problem)
         assert new.mass_trace == old.mass_trace
         assert (new.criterion_zero, new.notes) == (old.criterion_zero, old.notes)
+
+
+# mirrored() and dual_table() as they moved the weights before they deferred
+# them to the first read
+def _frozen_mirror_weights(w):
+    return {"mu_wL": w["mu_wR"][::-1], "mu_wR": w["mu_wL"][::-1], "nu_wL": w["nu_wR"][::-1], "nu_wR": w["nu_wL"][::-1]}
+
+
+def _frozen_dual_weights(w):
+    return {"mu_wL": w["nu_wL"], "mu_wR": w["nu_wR"], "nu_wL": w["mu_wL"], "nu_wR": w["mu_wR"]}
+
+
+_WEIGHT_NAMES = ("mu_wL", "mu_wR", "nu_wL", "nu_wR")
+
+# laplacian ND, DN and NN, 1+x^2 DN, OU DN (0, 8) and its mirror image,
+# exp(x)/1 ND, and a table whose refinement ran past round 0 (see
+# test_singular_weights_refine_past_round_zero)
+_DEFERRED_TABLES = _BENCH_TABLES[:6] + [("exp(x)", "1", "ND", "3"), _REFINED_AND_CONSTANT_TABLES[0]]
+
+
+def _counting_moments(monkeypatch):
+    """Calls of the moment step, one per table whose weights form."""
+    calls, real = [], measures._pass_moments
+
+    def counting(*args):
+        calls.append(float(args[1][-1]))  # the right end of the table
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_pass_moments", counting)
+    return calls
+
+
+class TestDeferredWeightsFrozen:
+    @pytest.mark.parametrize("a, b, case, D", _DEFERRED_TABLES)
+    @pytest.mark.parametrize("derive", ["mirrored", "dual_table"])
+    @pytest.mark.parametrize("source_first", [True, False], ids=["source-first", "derived-first"])
+    def test_weights_equal_the_frozen_eager_weights(self, a, b, case, D, derive, source_first, monkeypatch):
+        calls = _counting_moments(monkeypatch)
+        problem = measures.make_problem(a=a, b=b, D=D, case=case)
+        table = measures.build_tables(problem, problem.D)
+        derived = table.mirrored() if derive == "mirrored" else oracle.dual_table(table)
+        assert "_form" in vars(table) and "_form" in vars(derived) and not calls
+        read = {id(t): {n: getattr(t, n) for n in _WEIGHT_NAMES}
+                for t in ((table, derived) if source_first else (derived, table))}
+        # one moment step, whichever table is read first; every kept
+        # fine-pass array is dropped
+        assert len(calls) == 1 and "_form" not in vars(table) and "_form" not in vars(derived)
+        want = _frozen_weights(problem, table.grid, table.dmu, table.dnu)
+        moved = (_frozen_mirror_weights if derive == "mirrored" else _frozen_dual_weights)(want)
+        for got, expected in ((read[id(table)], want), (read[id(derived)], moved)):
+            for name in _WEIGHT_NAMES:
+                assert got[name].tobytes() == expected[name].tobytes(), name
+
+    def test_given_weights_are_kept(self, lap_nd):
+        # a table made with its weights, as replace() makes one, forms nothing
+        w = {n: np.full(lap_nd.n_panels, float(i)) for i, n in enumerate(_WEIGHT_NAMES)}
+        t = dataclasses.replace(lap_nd, **w)
+        assert "_form" not in vars(t) and all(getattr(t, n) is w[n] for n in _WEIGHT_NAMES)
+        with pytest.raises(AttributeError, match="no attribute 'mu_w'"):
+            t.mu_w
+
+    def test_tables_make_no_reference_cycle(self):
+        problem = measures.make_problem(preset="ou", D=8.0, case="DN")
+        gc.disable()
+        try:
+            for read in (False, True):
+                table = measures.build_tables(problem, problem.D)
+                derived = [table.mirrored(), oracle.dual_table(table), table.mirrored().mirrored()]
+                if read:
+                    [t.nu_wR for t in derived]
+                refs = [weakref.ref(t) for t in [table, *derived]]
+                del table, derived
+                assert [r() for r in refs] == [None] * 4, read
+        finally:
+            gc.enable()
+
+
+class TestDeferredWeightsFormed:
+    """The moment step runs once per table whose weights a command reads: on
+    (0, inf) the walk's last table, never a truncation the walk discards."""
+
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0")])
+    @pytest.mark.parametrize("command, tables", [("oracle", 0), ("bounds", 1), ("iterate", 1), ("verify", 1)])
+    def test_a_walk_forms_the_weights_of_its_last_table_alone(self, a, b, command, tables, monkeypatch, capsys):
+        calls = _counting_moments(monkeypatch)
+        assert cli.main([command, "--a", a, "--b", b, "--D", "inf", "--case", "DN"]) in (0, 5)
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypothesis"]["criterion_zero"] is False
+        assert len(calls) == tables
+        if "right_end_used" in report["results"]:
+            assert calls == [report["results"]["right_end_used"]]
+
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0")])
+    def test_the_mass_trace_forms_no_weights(self, a, b, monkeypatch):
+        calls = _counting_moments(monkeypatch)
+        rep = measures.hypothesis_check(measures.make_problem(a=a, b=b, D="inf", case="DN"))
+        assert len(rep.mass_trace) == 12 and not calls

@@ -527,10 +527,14 @@ def _verify(ev: Evaluation) -> dict:
         if walk is None:
             # the dual swaps the measures and the boundary labels, so the
             # posed eigenvalue is compared against the opposite
-            # orientation on the column-swapped table
+            # orientation on the column-swapped table.  Its eigenfunction is
+            # the primal's flux, the integral of g against mu from the
+            # Neumann end, where its solve starts
             dual = oracle.dual_table(table)
             dual_case = "DN" if case == "ND" else "ND"
-            lam_dual = oracle.solve_on_table(dual, dual_case).lambda_
+            flux = (measures.prefix_integral if case == "ND" else measures.suffix_integral)(
+                table, sol.eigenfunction, "mu")
+            lam_dual = oracle.solve_on_table(dual, dual_case, start=flux).lambda_
             d_dual, _ = bounds.delta(dual_case, dual)
             results["duality"] = {"lambda": lam, "lambda_dual": lam_dual,
                                   "delta": brep.delta, "delta_dual": d_dual}

@@ -753,13 +753,28 @@ def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
     return np.concatenate(shells + [np.array([ends[-1]])])
 
 
+def _positive_reach(a: expr.ExprAst, points: tuple[float, ...]) -> int:
+    """The number of leading truncation points p where a is positive and
+    finite at every sample expr.validate_positive takes on (0, p), from one
+    evaluation of all of them; 0 when that evaluation raises DomainError."""
+    xs = (np.arange(POSITIVITY_SAMPLES) + 0.5) * (np.array(points)[:, None] / POSITIVITY_SAMPLES)
+    with np.errstate(all="ignore"):
+        try:
+            vals = expr.evaluate(a, xs)
+        except DomainError:
+            return 0
+        failed = (~(vals > 0) | ~np.isfinite(vals)).any(axis=1)
+    return int(np.argmax(failed)) if failed.any() else len(points)
+
+
 def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[float, float, float]], str | None]:
     """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval,
     and why the run must be refused, or None.
 
     a is sampled at every truncation point p as build_tables samples it on
-    (0, p), up to the first point where a sample fails.  A failing sample
-    that is not positive (-inf included) or where a cannot be evaluated
+    (0, p), up to the first point where a sample fails: every point in one
+    pass, then that point alone, for the report of its failure.  A failing
+    sample that is not positive (-inf included) or where a cannot be evaluated
     refuses the run, however far a walk would get: a breaks the hypothesis
     on (0, inf).  A sample of +inf or NaN, where a overflowed, only ends the
     trace.  One grid spans (0, p_reach), p_reach the last point before the
@@ -775,8 +790,8 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
     the guard.
     """
     points = problem.truncation_schedule
-    reach, refusal = 0, None
-    for p in points:
+    reach, refusal = _positive_reach(problem.a, points), None
+    for p in points[reach:]:
         pos = expr.validate_positive(problem.a, p, POSITIVITY_SAMPLES)
         if not pos.passed:
             try:

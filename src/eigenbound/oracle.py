@@ -19,6 +19,9 @@ every positive v, the least and greatest entry of (G B v) / v bracket 1/lambda
 (Collatz-Wielandt).  Each solve reports [lambda_lo, lambda_hi], and refuses
 one still open to the oracle tolerance after MAX_ITERATIONS applications of
 G B.  Its Green's-function defect is at most the enclosure's relative width.
+Lanczos starts from the scale tail, or from a vector the caller already
+holds near the eigenvector: a truncation walk's previous eigenfunction, or
+the primal's flux for the dual.  The enclosure does not depend on the start.
 - ND: G[i, k] = T[max(i, k)], T[i] the scale mass from node i to the right
   end, where the value is zero.  DN is ND on the panels in reverse order.
 - NN: the gap is the principal eigenvalue of the panel fluxes w,
@@ -178,13 +181,26 @@ def _quotient(num, den, scale):
         return num / den / scale
 
 
+def _unscaled(x, shift: int) -> float:
+    """x * 2^shift as a float, inf past the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(x, shift))
+
+
 def _green_defect(lam: float, v: np.ndarray, w: np.ndarray) -> float:
     """max |lambda w - v| / max |v| for w = G B v, free of differences of v."""
     return float(np.max(np.abs(lam * w - v)) / np.max(np.abs(v)))
 
 
-def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
-    """The principal eigenpair of the scheme on an existing measure table."""
+def solve_on_table(table: MeasureTable, case: str, *, start: np.ndarray | None = None) -> EigenSolution:
+    """The principal eigenpair of the scheme on an existing measure table.
+
+    Lanczos starts from ``start`` when it is given: node values in the
+    layout of EigenSolution.eigenfunction, read as the unknowns (the
+    Dirichlet node dropped; for NN, the fluxes, differences over dnu).
+    Otherwise ND/DN start from the scale tail T and NN from equal fluxes.  A
+    start near the eigenfunction saves applications of G B; the enclosure is
+    certified at the final vector whatever the start."""
     if case not in ("ND", "DN", "NN"):
         raise ValueError(f"unknown case {case!r}")
     dnu, dmu = (table.dnu[::-1], table.dmu[::-1]) if case == "DN" else (table.dnu, table.dmu)
@@ -196,9 +212,21 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
             "non-positive panel mass: a coefficient slipped past validation, or "
             "a mass underflowed at this truncation and grid size"
         )
-    apply, start = _nn_green(dnu, cell) if case == "NN" else _nd_green(dnu, cell)
+    shift = 0  # lambda of the masses solved for is 2^shift times the table's
+    if case == "NN":
+        # G B multiplies three masses, which underflow on a tiny interval
+        # though lambda is a float.  Masses whose total is below 1/2 are
+        # scaled up by a power of two, which is exact, to a total in [1/4,
+        # 1); that of dnu by a power of 4, as Lanczos takes the square root
+        # of a dnu-weighted sum.  Larger totals keep their bits
+        ec, en = (min(0, int(np.frexp(np.sum(m))[1])) for m in (cell, dnu))
+        en += en % 2
+        cell, dnu, shift = np.ldexp(cell, -ec), np.ldexp(dnu, -en), ec + en
+    apply, v0 = _nn_green(dnu, cell) if case == "NN" else _nd_green(dnu, cell)
+    if start is not None:  # DN's unknowns reversed, as its panels are
+        v0 = np.diff(start) / dnu if case == "NN" else start[1:][::-1] if case == "DN" else start[:-1]
     weight = dnu if case == "NN" else cell  # the inner product the operator is self-adjoint in
-    ritz, used = _lanczos(apply, start, weight, MAX_ITERATIONS)
+    ritz, used = _lanczos(apply, v0, weight, MAX_ITERATIONS)
     v, w, lo, hi = _power(apply, np.abs(ritz), MAX_ITERATIONS - used)
     if lo <= 0:  # NaN, when no power step was left, is refused below
         raise DegenerationError(
@@ -208,16 +236,20 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
     lam_lo, lam_hi = 1.0 / hi, 1.0 / lo
     if not lam_hi - lam_lo <= table.problem.tolerances.oracle * lam_lo:
         raise DegenerationError(
-            f"the eigenvalue enclosure [{lam_lo:.6g}, {lam_hi:.6g}] is still open to the oracle "
-            f"tolerance after {MAX_ITERATIONS} applications of G B; the spectral gap is too small here"
+            f"the eigenvalue enclosure [{_unscaled(lam_lo, -shift):.6g}, {_unscaled(lam_hi, -shift):.6g}] "
+            f"is still open to the oracle tolerance after {MAX_ITERATIONS} applications of G B; "
+            "the spectral gap is too small here"
         )
     scale = np.max(w)  # w is about v / lambda: rescaled, its squares cannot underflow
     u = w / scale
     vu = np.dot(weight * v, u)
     lam = float(_quotient(np.dot(weight * v, v), vu, scale))  # the Rayleigh quotient of G B at v, inverted
-    if not math.isfinite(lam):
+    residual = _green_defect(lam, v, w)
+    lam, lam_lo, lam_hi = (_unscaled(x, -shift) for x in (lam, lam_lo, lam_hi))
+    if not (math.isfinite(lam) and math.isfinite(lam_hi)):
         raise DegenerationError(
-            f"the eigenvector's Rayleigh quotient is {lam!r}: floats do not resolve this problem's scale"
+            f"the eigenvector's Rayleigh quotient is {lam!r}, enclosed above by {lam_hi!r}: "
+            "floats do not resolve this problem's scale"
         )
     if case == "NN":  # the node values, centred against the cells
         g = np.concatenate([[0.0], np.cumsum(dnu * v)])
@@ -229,8 +261,8 @@ def solve_on_table(table: MeasureTable, case: str) -> EigenSolution:
         lambda_=lam,
         table=table,
         eigenfunction=g,
-        residual=_green_defect(lam, v, w),
-        rayleigh=float(_quotient(vu, np.dot(weight * u, u), scale)),  # of A at w, as A w = B v
+        residual=residual,
+        rayleigh=_unscaled(_quotient(vu, np.dot(weight * u, u), scale), -shift),  # of A at w, as A w = B v
         lambda_lo=lam_lo,
         lambda_hi=lam_hi,
     )
@@ -253,17 +285,23 @@ class TruncationTrace:
     stop_reason: str
 
 
-def _lambda(table: MeasureTable) -> tuple[float, EigenSolution]:
-    sol = solve_on_table(table, table.problem.case)
-    return sol.lambda_, sol
-
-
 def settle_lambda(problem: ProblemSpec) -> TruncationWalk:
     """Eigenvalues along the truncation schedule until successive values
     agree to the oracle tolerance relatively; the walk's result is the
-    eigenpair on its last table."""
-    eps = problem.tolerances.oracle
-    return walk_truncations(problem, _lambda, lambda lam: eps * max(abs(lam), 1e-300))
+    eigenpair on its last table.  Each solve after the first starts from
+    the previous truncation's eigenfunction on the new grid, extended past
+    the old end by its end value: zero for ND, the Neumann value for DN and
+    NN."""
+    eps, case = problem.tolerances.oracle, problem.case
+    last: EigenSolution | None = None
+
+    def lam(table: MeasureTable) -> tuple[float, EigenSolution]:
+        nonlocal last
+        start = None if last is None else np.interp(table.grid, last.table.grid, last.eigenfunction)
+        last = solve_on_table(table, case, start=start)
+        return last.lambda_, last
+
+    return walk_truncations(problem, lam, lambda value: eps * max(abs(value), 1e-300))
 
 
 def truncation_trace(walk: TruncationWalk) -> TruncationTrace:

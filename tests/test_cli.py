@@ -511,8 +511,8 @@ _TINY_INTERVALS = [
     # the sequences start from a power of two near their max, so their transforms stay normal
     ("bounds", "1e-110", "ND"), ("iterate", "1e-110", "ND"), ("verify", "1e-110", "ND"),
     ("iterate", "1e-154", "ND"),
-    # NN: the power steps' least ratio underflows to 0, refused before its reciprocal
-    ("oracle", "1e-110", "NN"),
+    # NN: G B's products of three masses would underflow; the solve scales the masses
+    ("oracle", "1e-106", "NN"), ("oracle", "1e-110", "NN"), ("oracle", "1e-130", "NN"),
 ]
 
 
@@ -576,6 +576,8 @@ class TestUnresolvableProblems:
         out = json.loads(capsys.readouterr().out)
         assert code != 1
         if code == 0:
+            if case == "NN":  # no double-integral identity: its deviation is NaN at every D
+                assert out["results"]["identity_deviations"].pop("double_integral") == "nan"
             assert not self.non_finite(out["results"])
         else:
             assert out["error"]["exit_code"] == code
@@ -587,7 +589,8 @@ class TestUnresolvableProblems:
         if D == "5e-324":  # every panel has zero width: refused where the table is built
             assert code == 4 and "zero width" in out["error"]["message"]
         if case == "NN":
-            assert code == 4 and "least ratio" in out["error"]["message"]
+            assert code == 0
+            assert out["results"]["lambda"] == pytest.approx(math.pi**2 / float(D) ** 2, rel=1e-6)
 
     @pytest.mark.parametrize("case, code", [("NN", 0), ("ND", 4)])
     def test_nn_bounds_print_a_delta_without_a_reciprocal(self, case, code, capsys):
@@ -775,7 +778,7 @@ class TestVerdicts:
         ('lower_sequence_monotone', True, 'delta_n: non-increasing'),
         ('upper_sequence_monotone', True, 'delta_n_prime: non-decreasing'),
         ('eigen_identities', True, 'sup |lambda*I(g)-1| = 7.71e-05, sup |lambda*II(g)-1| = 0.000987'),
-        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 3.33e-16"),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 2.22e-16"),
     ]),
     ('1', '1', 'inf', 'ND', ()): (5, [
         ('truncation_limit_converged', False, 'stopped at truncation 1024.0: the speed-measure mass over (0, 1024) overflowed the float range'),
@@ -785,7 +788,7 @@ class TestVerdicts:
         ('iterated_bracket', False, 'lower 0.247547602 <= lambda <= upper 0.353637303 (1e-2 relative slack)'),
         ('lower_sequence_monotone', True, 'delta_n: constant'),
         ('eigen_identities', False, 'sup |lambda*I(g)-1| = 0.00309, sup |lambda*II(g)-1| = 0.0336'),
-        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 1.12e-14"),
+        ('oracle_residual', True, "Green's-function defect max|lambda*G*B*g - g|/max|g| = 1.25e-14"),
     ]),
     ('1', '-20*(x-1)*(x-2)*(x-3)', '4', 'ND', ()): (5, [
         ('basic_bracket', True, '1.01352078e-18 <= 4.05408313e-18 <= 4.05408313e-18'),

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import conftest as C
-from eigenbound import cli, measures, oracle
+from eigenbound import cli, expr, measures, oracle
 from eigenbound.errors import (
     DegenerationError,
     DomainError,
@@ -258,6 +259,23 @@ class TestMassProbe:
         else:
             with pytest.raises(HypothesisViolationError, match="^" + re.escape(refusal)):
                 measures.hypothesis_check(problem)
+
+    @pytest.mark.parametrize("a, checked", [
+        ("1+x^2", []), ("3-x", [4.0]), ("1-exp(x-50)", [64.0]),
+        # a domain error in the one pass: every point is checked alone, up to the failing one
+        ("sqrt(100-x)", [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+    ])
+    def test_points_are_checked_alone_from_the_first_failure(self, a, checked, monkeypatch):
+        calls, real = [], expr.validate_positive
+
+        def recording(ast, upper, samples):
+            calls.append(upper)
+            return real(ast, upper, samples)
+
+        monkeypatch.setattr(expr, "validate_positive", recording)
+        with contextlib.suppress(HypothesisViolationError):
+            measures.hypothesis_check(measures.make_problem(a=a, b="0", D="inf", case="ND"))
+        assert calls == checked
 
     def test_finite_interval_report_is_empty(self):
         rep = measures.hypothesis_check(measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND"))

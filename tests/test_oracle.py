@@ -385,6 +385,20 @@ class TestRayleighUnderflow:
         assert sol.lambda_ == pytest.approx(C.PI_SQ_OVER_4 / D**2, rel=2e-7)
         assert sol.rayleigh == pytest.approx(sol.lambda_, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [2, 10, 200, 360])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nn_masses_a_power_of_two_smaller_keep_their_bits(self, k):
+        # G B multiplies three masses: at 2^-360 each, their products underflow.
+        # Masses of total 1.5 are solved as they are; an even k keeps dnu's
+        # weighted norms, whose square roots Lanczos takes, a power of two apart
+        table = C.make_table(preset="laplacian", D=1.5, case="NN")
+        small = replace(table, dmu=np.ldexp(table.dmu, -k), dnu=np.ldexp(table.dnu, -k))
+        ref, sol = oracle.solve_on_table(table, "NN"), oracle.solve_on_table(small, "NN")
+        for name in ("lambda_", "lambda_lo", "lambda_hi", "rayleigh"):
+            assert getattr(sol, name) == math.ldexp(getattr(ref, name), 2 * k), name
+        assert sol.residual == ref.residual
+        assert sol.eigenfunction.tobytes() == ref.eigenfunction.tobytes()
+
 
 class TestPowerIteration:
     """The Green's-function power iteration: enclosure, defect and refusal."""
@@ -568,6 +582,78 @@ class TestDuality:
         results = json.loads(capsys.readouterr().out)["results"]
         assert code == 0 and "duality" not in results
         assert "duality" not in {v["check"] for v in results["verdicts"]}
+
+
+class TestWarmStart:
+    """Solves that start from an eigenvector the run holds, the walk's previous
+    eigenfunction or the primal's flux for verify's dual, against cold solves
+    on the same tables: each eigenvalue lies in the other's enclosure, and the
+    warm solves take no more applications of G B."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Record every solve as (solution, applications of G B, whether it
+        started warm)."""
+        solves, used = [], [0]
+        lanczos, power, solve = oracle._lanczos, oracle._power, oracle.solve_on_table
+
+        def counted_lanczos(apply, v, weight, budget):
+            ritz, n = lanczos(apply, v, weight, budget)
+            used[0] += n
+            return ritz, n
+
+        def counted_power(apply, v, steps):
+            def step(u):
+                used[0] += 1
+                return apply(u)
+
+            return power(step, v, steps)
+
+        def recorded(table, case, *, start=None):
+            before = used[0]
+            sol = solve(table, case, start=start)
+            solves.append((sol, used[0] - before, start is not None))
+            return sol
+
+        monkeypatch.setattr(oracle, "_lanczos", counted_lanczos)
+        monkeypatch.setattr(oracle, "_power", counted_power)
+        monkeypatch.setattr(oracle, "solve_on_table", recorded)
+        return solves
+
+    @staticmethod
+    def against_cold(solves, case):
+        """Solve cold on the table of each warm solve recorded so far, check
+        that the two agree, and return the applications of each side."""
+        warm = [s for s in solves if s[2]]
+        assert warm
+        for sol, _, _ in warm:
+            cold = oracle.solve_on_table(sol.table, case)
+            for x, y in ((sol, cold), (cold, sol)):
+                assert y.lambda_lo * (1 - 1e-12) <= x.lambda_ <= y.lambda_hi * (1 + 1e-12)
+        cold = solves[-len(warm):]
+        assert not any(started for _, _, started in cold)
+        return sum(n for _, n, _ in warm), sum(n for _, n, _ in cold)
+
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0"), ("exp(x)", "1"), ("1", "-x^3")])
+    def test_every_truncation_of_a_dn_walk(self, a, b, monkeypatch):
+        solves = self.record(monkeypatch)
+        walk = oracle.settle_lambda(measures.make_problem(a=a, b=b, D="inf", case="DN"))
+        assert [s.lambda_ for s, _, _ in solves] == walk.values
+        assert [started for _, _, started in solves] == [False] + [True] * (len(solves) - 1)
+        warm, cold = self.against_cold(solves, "DN")
+        assert warm <= cold
+
+    @pytest.mark.parametrize("a, b, D, case", [
+        ("1", "0", "1", "ND"), ("1", "0", "1", "DN"), ("1+x^2", "0", "1", "DN"),
+        ("1", "-x", "8", "DN"), ("1", "8-x", "8", "ND"), ("exp(x)", "1", "3", "ND"),
+    ])
+    def test_verify_dual(self, a, b, D, case, monkeypatch, capsys):
+        solves = self.record(monkeypatch)
+        assert cli.main(["verify", "--a", a, "--b", b, "--D", D, "--case", case]) == 0
+        capsys.readouterr()
+        assert [started for _, _, started in solves] == [False, True]  # the primal, then the dual
+        warm, cold = self.against_cold(solves, "DN" if case == "ND" else "ND")
+        assert warm <= cold
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ def count_stages(monkeypatch) -> Counter:
     def count(module, name, key, stage=None):
         real = getattr(module, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             stages[(stage or name, *key(*args))] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
 

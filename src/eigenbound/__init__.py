@@ -9,7 +9,7 @@ bound against an independent finite-volume eigensolver.
 
 __version__ = "0.1.0"
 
-from .bounds import BoundsReport, compute_report, delta, delta1, delta1_prime
+from .bounds import BoundsReport, compute_report, delta
 from .errors import (
     ConfigError,
     DegenerationError,
@@ -59,8 +59,6 @@ __all__ = [
     "build_tables",
     "compute_report",
     "delta",
-    "delta1",
-    "delta1_prime",
     "dual_table",
     "eigen_residuals",
     "eta_sequence",

@@ -100,18 +100,6 @@ def _first_step(trace: iterate.IterationTrace) -> tuple[float, float]:
     return trace.values[0], x[0] if isinstance(x, tuple) else x
 
 
-def delta1(case: str, table: MeasureTable) -> tuple[float, float]:
-    """First-step lower-bound constant and its argmax node: step 1 of the
-    lower sequence, the sup of II(sqrt(nu(x, D))) / sqrt(nu(x, D))."""
-    return _first_step(iterate.lower_sequence(case, table, 1))
-
-
-def delta1_prime(case: str, table: MeasureTable) -> tuple[float, float]:
-    """First-step upper-bound constant and its best window start (DN: cap):
-    step 1 of the localized upper family, within [delta, 2*delta]."""
-    return _first_step(iterate.upper_sequence(case, table, 1))
-
-
 @dataclass
 class BoundsReport:
     """The basic and improved two-sided estimates for one problem."""

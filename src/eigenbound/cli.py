@@ -422,11 +422,10 @@ def _oracle(ev: Evaluation) -> dict:
                 "series": {}}
     sol = ev.solution
     results = {"lambda": sol.lambda_, "lambda_lo": sol.lambda_lo, "lambda_hi": sol.lambda_hi}
-    if ev.walk:
-        tr = oracle.truncation_trace(ev.walk)
-        results |= {"trace": [[p, v] for p, v in zip(tr.points, tr.values)], "converged": tr.converged,
-                    "monotone_decreasing": tr.monotone_decreasing, "stop_reason": tr.stop_reason}
-        return {"results": results, "series": {"p": tr.points, "lambda_p": tr.values}}
+    if walk := ev.walk:
+        results |= {"trace": [[p, v] for p, v in zip(walk.points, walk.values)], "converged": walk.settled,
+                    "monotone_decreasing": oracle.monotone_decreasing(walk), "stop_reason": walk.stop_reason}
+        return {"results": results, "series": {"p": walk.points, "lambda_p": walk.values}}
     resid = ev.residuals
     results |= {"residual": sol.residual, "N": sol.N,
                 "identity_deviations": {"single_integral": resid.get("i_deviation"),
@@ -478,8 +477,7 @@ def _verify(ev: Evaluation) -> dict:
     slack = 10 * tol.bound_refine
     verdicts: list[dict] = []
     if walk:
-        tr = oracle.truncation_trace(walk)
-        verdicts.append(_verdict("truncation_limit_converged", tr.converged, tr.stop_reason))
+        verdicts.append(_verdict("truncation_limit_converged", walk.settled, walk.stop_reason))
     sol = ev.solution
     lam = sol.lambda_
     resid = ev.residuals
@@ -487,8 +485,6 @@ def _verify(ev: Evaluation) -> dict:
     brep = ev.bounds_report
     results: dict = {"lambda_oracle": lam, "lambda_lo": sol.lambda_lo, "lambda_hi": sol.lambda_hi,
                      "bounds": brep.to_dict(), "residual": sol.residual}
-    if walk:
-        results["lambda_infinite_limit"] = walk.values[-1]
     # bounds() gives inf for a constant that is not positive, so no bound
     # is NaN: the largest lower (smallest upper) bound passes a chain
     # exactly when every one would.  The oracle refuses a lambda that is
@@ -589,22 +585,6 @@ def _run(cfg: RunConfig, command: str) -> list[dict]:
     return reports
 
 
-def cmd_bounds(cfg: RunConfig) -> list[dict]:
-    return _run(cfg, "bounds")
-
-
-def cmd_iterate(cfg: RunConfig) -> list[dict]:
-    return _run(cfg, "iterate")
-
-
-def cmd_oracle(cfg: RunConfig) -> list[dict]:
-    return _run(cfg, "oracle")
-
-
-def cmd_verify(cfg: RunConfig) -> list[dict]:
-    return _run(cfg, "verify")
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -688,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_cli_overrides(parse_config(args.config), args)
         try:
-            reports = globals()[f"cmd_{args.command}"](cfg)
+            reports = _run(cfg, args.command)
             ok = all(r.get("all_pass", True) for r in reports)  # only verify's reports carry verdicts
             payload = render_report(reports[0] if len(reports) == 1 else reports, cfg.format)
             code = 0 if ok else 5

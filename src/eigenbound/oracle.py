@@ -118,7 +118,8 @@ def _lanczos(apply, v: np.ndarray, weight: np.ndarray, budget: int):
     """Lanczos on apply, self-adjoint in sum(weight u v): cycles of at most 20
     steps, orthogonalized twice, restarted from the top Ritz vector, until
     |beta_k s_k| <= 1e-13 theta (checked every 4 steps) or budget applications.
-    Returns (the Ritz vector, applications used)."""
+    Returns (the Ritz vector, applications used); a step whose norm beta is
+    not finite, as where G B overflows, raises DegenerationError."""
     used, scale = 0, 0.0
     while used < budget:
         m = min(20, len(v), budget - used)
@@ -143,6 +144,11 @@ def _lanczos(apply, v: np.ndarray, weight: np.ndarray, budget: int):
                 alpha[k] += c[k]
             ww = weight * w
             beta[k] = np.sqrt(np.dot(ww, w))
+            if not math.isfinite(beta[k]):
+                raise DegenerationError(
+                    f"Lanczos step {used + k + 1} has norm {float(beta[k])!r}; "
+                    "floats do not resolve G B on the masses of this interval"
+                )
             if (k + 1) % 4 == 0 or k + 1 == m or beta[k] <= 1e-13 * alpha[k]:
                 theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))  # lower half
                 v = s[:, -1] @ basis[: k + 1]
@@ -172,10 +178,12 @@ def _power(apply, v: np.ndarray, steps: int):
 
 def _quotient(num, den, scale):
     """num / (den * scale), divided in two steps where that product is
-    subnormal or 0: with lambda large against the masses, the product (about
-    a mass over lambda) underflows though the quotient is a float."""
-    prod = den * scale
-    if prod >= np.finfo(float).tiny:
+    subnormal, 0 or past the float range: the product is about a mass over
+    lambda, which underflows with lambda large against the masses and
+    overflows with lambda small, though the quotient is a float."""
+    with np.errstate(over="ignore"):
+        prod = den * scale
+    if np.finfo(float).tiny <= prod < math.inf:
         return num / prod
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return num / den / scale
@@ -276,22 +284,15 @@ def fd_eigensolve(problem: ProblemSpec, N: int | None = None) -> EigenSolution:
     return solve_on_table(table, problem.case)
 
 
-@dataclass
-class TruncationTrace:
-    points: list[float]
-    values: list[float]
-    converged: bool
-    monotone_decreasing: bool
-    stop_reason: str
-
-
 def settle_lambda(problem: ProblemSpec) -> TruncationWalk:
     """Eigenvalues along the truncation schedule until successive values
     agree to the oracle tolerance relatively; the walk's result is the
     eigenpair on its last table.  Each solve after the first starts from
     the previous truncation's eigenfunction on the new grid, extended past
     the old end by its end value: zero for ND, the Neumann value for DN and
-    NN."""
+    NN.  For ND the exact values decrease strictly in the endpoint, so an
+    ND walk that does not marks its discretization as too coarse in its
+    stop reason."""
     eps, case = problem.tolerances.oracle, problem.case
     last: EigenSolution | None = None
 
@@ -301,36 +302,27 @@ def settle_lambda(problem: ProblemSpec) -> TruncationWalk:
         last = solve_on_table(table, case, start=start)
         return last.lambda_, last
 
-    return walk_truncations(problem, lam, lambda value: eps * max(abs(value), 1e-300))
+    walk = walk_truncations(problem, lam, lambda value: eps * max(abs(value), 1e-300))
+    if case == "ND" and not monotone_decreasing(walk):
+        walk.stop_reason += "; trace not monotone: discretization too coarse"
+    return walk
 
 
-def truncation_trace(walk: TruncationWalk) -> TruncationTrace:
-    """The trace of an eigenvalue walk.  For the ND case the exact values
-    decrease strictly in the endpoint; a non-monotone computed trace beyond
-    tolerance marks the discretization as too coarse."""
-    problem = walk.table.problem
+def monotone_decreasing(walk: TruncationWalk) -> bool:
+    """Whether each value of an eigenvalue walk is at most the one before,
+    up to 10 oracle tolerances of the largest."""
     values = walk.values
-    slack = 10 * problem.tolerances.oracle * max(abs(v) for v in values)
-    monotone = all(b <= a + slack for a, b in zip(values, values[1:]))
-    stop_reason = walk.stop_reason
-    if not monotone and problem.case == "ND":
-        stop_reason += "; trace not monotone: discretization too coarse"
-    return TruncationTrace(
-        points=walk.points,
-        values=values,
-        converged=walk.settled,
-        monotone_decreasing=monotone,
-        stop_reason=stop_reason,
-    )
+    slack = 10 * walk.table.problem.tolerances.oracle * max(abs(v) for v in values)
+    return all(b <= a + slack for a, b in zip(values, values[1:]))
 
 
-def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationTrace]:
+def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationWalk]:
     """Eigenvalues along the truncation schedule of an infinite interval:
-    the last one and the trace."""
+    the last one and the walk."""
     if not problem.is_infinite:
         raise RangeError("infinite_domain_limit needs an infinite interval")
     walk = settle_lambda(problem)
-    return walk.values[-1], truncation_trace(walk)
+    return walk.values[-1], walk
 
 
 def dual_table(table: MeasureTable) -> MeasureTable:

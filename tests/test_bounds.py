@@ -91,12 +91,11 @@ class TestBasicBounds:
 
 class TestDelta1:
     def test_laplacian_closed_form(self, lap_nd, lap_dn):
-        for case, table in (("ND", lap_nd), ("DN", lap_dn)):
-            d1, x1 = bounds.delta1(case, table)
-            assert d1 == pytest.approx(C.DELTA1_LAPLACIAN, rel=1e-6)
+        rep_nd, rep_dn = bounds.compute_report("ND", lap_nd), bounds.compute_report("DN", lap_dn)
+        for rep in (rep_nd, rep_dn):
+            assert rep.delta1 == pytest.approx(C.DELTA1_LAPLACIAN, rel=1e-6)
         # argmax mirrors between the orientations
-        _, x_nd = bounds.delta1("ND", lap_nd)
-        _, x_dn = bounds.delta1("DN", lap_dn)
+        x_nd, x_dn = rep_nd.argmax_x["delta1"], rep_dn.argmax_x["delta1"]
         assert x_nd == pytest.approx(1 - x_dn, abs=1e-3)
 
     @pytest.mark.parametrize(
@@ -105,7 +104,7 @@ class TestDelta1:
     )
     def test_matches_double_integral_of_sqrt_seed(self, case, fixture, request):
         table = request.getfixturevalue(fixture)
-        d1, _ = bounds.delta1(case, table)
+        d1 = bounds.compute_report(case, table).delta1
         t = table.mirrored() if case == "DN" else table
         f = np.sqrt(t.nu_tail)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,12 +122,12 @@ class TestDelta1:
 
 class TestDelta1Prime:
     def test_laplacian_closed_form(self, lap_nd, lap_dn):
-        d1p, x = bounds.delta1_prime("ND", lap_nd)
-        assert d1p == pytest.approx(0.375, rel=1e-6)
-        assert x == pytest.approx(0.25, abs=1e-3)
-        d1p_dn, x_dn = bounds.delta1_prime("DN", lap_dn)
-        assert d1p_dn == pytest.approx(0.375, rel=1e-6)
-        assert x_dn == pytest.approx(0.75, abs=1e-3)
+        rep = bounds.compute_report("ND", lap_nd)
+        assert rep.delta1_prime == pytest.approx(0.375, rel=1e-6)
+        assert rep.argmax_x["delta1_prime"] == pytest.approx(0.25, abs=1e-3)
+        rep_dn = bounds.compute_report("DN", lap_dn)
+        assert rep_dn.delta1_prime == pytest.approx(0.375, rel=1e-6)
+        assert rep_dn.argmax_x["delta1_prime"] == pytest.approx(0.75, abs=1e-3)
 
     @pytest.mark.parametrize(
         "case,fixture",
@@ -144,7 +143,7 @@ class TestDelta1Prime:
     def test_containment_in_delta_bracket(self, case, fixture, request):
         table = request.getfixturevalue(fixture)
         d, _ = bounds.delta(case, table)
-        d1p, _ = bounds.delta1_prime(case, table)
+        d1p = bounds.compute_report(case, table).delta1_prime
         eps = table.problem.tolerances.bound_refine
         assert d - 10 * eps <= d1p <= 2 * d + 10 * eps
 

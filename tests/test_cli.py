@@ -103,7 +103,7 @@ class TestCommands:
     def test_bounds_laplacian(self):
         cfg = cli.RunConfig(preset="laplacian", D=[1.0], case="ND")
         cfg.validate()
-        (rep,) = cli.cmd_bounds(cfg)
+        (rep,) = cli._run(cfg, "bounds")
         assert rep["results"]["delta"] == pytest.approx(0.25, abs=1e-9)
         assert rep["results"]["positivity"] == "positive"
         assert "criterion_product" in rep["series"]
@@ -112,7 +112,7 @@ class TestCommands:
     def test_bounds_degenerate_infinite(self):
         cfg = cli.RunConfig(preset="ou", D=[math.inf], case="ND", grid_size=512)
         cfg.validate()
-        (rep,) = cli.cmd_bounds(cfg)
+        (rep,) = cli._run(cfg, "bounds")
         assert rep["results"]["positivity"] == "zero"
         assert rep["results"]["lower_basic"] == 0.0
         assert rep["results"]["upper_basic"] == 0.0
@@ -122,7 +122,7 @@ class TestCommands:
     def test_bounds_infinite_positive_uses_stable_truncation(self):
         cfg = cli.RunConfig(preset="ou", D=[math.inf], case="DN", grid_size=512)
         cfg.validate()
-        (rep,) = cli.cmd_bounds(cfg)
+        (rep,) = cli._run(cfg, "bounds")
         assert rep["results"]["positivity"] == "positive"
         assert rep["results"]["right_end_used"] >= 4.0
         assert rep["results"]["lower_basic"] <= 1.0 <= rep["results"]["upper_basic"]
@@ -130,13 +130,13 @@ class TestCommands:
     def test_iterate_degenerate_infinite(self):
         cfg = cli.RunConfig(preset="ou", D=[math.inf], case="ND", grid_size=512)
         cfg.validate()
-        (rep,) = cli.cmd_iterate(cfg)
+        (rep,) = cli._run(cfg, "iterate")
         assert rep["results"]["positivity"] == "zero"
 
     def test_oracle_infinite_trace_field(self):
         cfg = cli.RunConfig(preset="ou", D=[math.inf], case="DN", grid_size=800)
         cfg.validate()
-        (rep,) = cli.cmd_oracle(cfg)
+        (rep,) = cli._run(cfg, "oracle")
         trace = dict((p, v) for p, v in rep["results"]["trace"])
         assert trace[8.0] == pytest.approx(1.0, abs=1e-2)
         assert rep["results"]["converged"]
@@ -144,28 +144,28 @@ class TestCommands:
     def test_iterate_nn(self):
         cfg = cli.RunConfig(preset="laplacian", D=[1.0], case="NN", n_max=2, grid_size=1000)
         cfg.validate()
-        (rep,) = cli.cmd_iterate(cfg)
+        (rep,) = cli._run(cfg, "iterate")
         assert rep["results"]["eta_n"][0] == pytest.approx(C.ETA1_LAPLACIAN, rel=1e-3)
         assert rep["series"]["eta_n"] == rep["results"]["eta_n"]
 
     def test_oracle_finite(self):
         cfg = cli.RunConfig(preset="laplacian", D=[1.0], case="DN", grid_size=1000)
         cfg.validate()
-        (rep,) = cli.cmd_oracle(cfg)
+        (rep,) = cli._run(cfg, "oracle")
         assert rep["results"]["lambda"] == pytest.approx(C.PI_SQ_OVER_4, rel=1e-4)
         assert len(rep["series"]["eigenfunction"]) <= 512
 
     def test_sweep_order_preserved(self):
         cfg = cli.RunConfig(preset="laplacian", D=[0.5, 1.0], case="ND", grid_size=600)
         cfg.validate()
-        reps = cli.cmd_bounds(cfg)
+        reps = cli._run(cfg, "bounds")
         assert [r["config"]["D"] for r in reps] == [0.5, 1.0]
         assert reps[0]["results"]["delta"] == pytest.approx(0.0625, abs=1e-9)
 
     def test_verify_passes(self):
         cfg = cli.RunConfig(preset="laplacian", D=[1.0], case="ND", n_max=2, grid_size=1000)
         cfg.validate()
-        reps = cli.cmd_verify(cfg)
+        reps = cli._run(cfg, "verify")
         assert len(reps) == 1 and reps[0]["all_pass"] is True
         names = {v["check"] for v in reps[0]["results"]["verdicts"]}
         assert {"basic_bracket", "improved_chain", "iterated_bracket", "duality"} <= names
@@ -192,7 +192,7 @@ class TestMain:
         code = cli.main(self.OU_DN_INF)
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["all_pass"]
-        assert out["results"]["lambda_infinite_limit"] == pytest.approx(1.0, abs=1e-3)
+        assert out["results"]["lambda_oracle"] == pytest.approx(1.0, abs=1e-3)
         assert out["results"]["bounds"]["positivity"] == "positive"
         assert all(v["pass"] for v in out["results"]["verdicts"])
 
@@ -355,7 +355,7 @@ class TestMain:
     def test_verdict_failure_exit_5(self, monkeypatch):
         # any report of a --D sweep that fails a verdict fails the run
         for reports in ([{"all_pass": False}], [{"all_pass": False}, {"all_pass": True}]):
-            monkeypatch.setattr(cli, "cmd_verify", lambda cfg, reports=reports: reports)
+            monkeypatch.setattr(cli, "_run", lambda cfg, command, reports=reports: reports)
             assert cli.main(["verify", "--a", "1", "--b", "0", "--D", "1", "--case", "ND"]) == 5
 
     def test_env_tolerance_override(self, monkeypatch, capsys):

@@ -56,7 +56,7 @@ class TestLowerSequence:
     def test_delta1_pins_its_closed_form_from_below(self, case, fixture, request):
         # the laplacian's delta1 is (5/8)^(1/3)/2; the node sup of the
         # step-1 ratio reads it 1.6e-7 low
-        d1, _ = bounds.delta1(case, request.getfixturevalue(fixture))
+        d1 = bounds.compute_report(case, request.getfixturevalue(fixture)).delta1
         assert -1e-6 <= d1 / C.DELTA1_LAPLACIAN - 1 < 0
 
     def test_renormalization_invariance(self, lap_nd):
@@ -181,7 +181,7 @@ class TestUpperSequenceND:
     def test_delta1_prime_pins_its_closed_form_from_below(self, case, fixture, request):
         # the laplacian's delta1' is 3/8; the best node window reads it
         # 3.8e-7 low, on the safe side of an upper-bound constant
-        d1p, _ = bounds.delta1_prime(case, request.getfixturevalue(fixture))
+        d1p = bounds.compute_report(case, request.getfixturevalue(fixture)).delta1_prime
         assert -1e-6 <= d1p / C.DELTA1P_LAPLACIAN - 1 < 0
 
     def test_rayleigh_companion_identities(self, lap_nd):

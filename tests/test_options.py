@@ -122,7 +122,7 @@ def test_sweep_runs_in_order_on_the_calling_thread(monkeypatch):
         return real(problem)
 
     monkeypatch.setattr(measures, "hypothesis_check", recording)
-    cli.cmd_bounds(cli.RunConfig(preset="laplacian", D=[2.0, 0.5, 1.0], grid_size=400))
+    cli._run(cli.RunConfig(preset="laplacian", D=[2.0, 0.5, 1.0], grid_size=400), "bounds")
     assert seen == [(d, threading.get_ident()) for d in (2.0, 0.5, 1.0)]
 
 

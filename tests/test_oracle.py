@@ -376,6 +376,23 @@ class TestRayleighUnderflow:
         assert oracle._quotient(1e-150, 1e-150, 1e-300) == 1e-150 / 1e-150 / 1e-300
         assert oracle._quotient(np.float64(1.0), np.float64(0.0), 1.0) == math.inf  # refused by the caller
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_denominator_divides_twice(self):
+        # den * scale is inf: dividing by it once would give 0
+        assert oracle._quotient(1e110, 1e200, 1e200) == 1e110 / 1e200 / 1e200 > 0
+
+    @pytest.mark.parametrize("case", ["ND", "DN"])
+    def test_rayleigh_quotient_of_a_huge_interval(self, case, capsys):
+        # on (0, 1e110) the masses are about 1e107 and lambda about 2.5e-220,
+        # so the Rayleigh quotient's denominator times its scale overflows
+        argv = ["--a", "1", "--b", "0", "--D", "1e110", "--case", case]
+        assert cli.main(["oracle", *argv]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["lambda_lo"] <= results["lambda"] <= results["lambda_hi"]
+        assert results["lambda"] == pytest.approx(C.PI_SQ_OVER_4 / 1e220, rel=2e-7)
+        assert cli.main(["verify", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["lambda_oracle"] == results["lambda"]
+
     @pytest.mark.parametrize("D", [1e-104, 1e-120, 1e-150])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rayleigh_quotient_of_a_tiny_interval(self, D):
@@ -506,6 +523,22 @@ class TestPowerIteration:
         assert sol.lambda_lo * (1 - 1e-9) <= ref <= sol.lambda_hi * (1 + 1e-9)
 
 
+class TestLanczosOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nn_masses_past_the_float_range_are_a_degeneration(self, capsys):
+        # the speed masses of a = 1, b = 1 grow like e^x: on (0, 512) G B
+        # overflows, and the Lanczos step's norm with it
+        argv = ["--a", "1", "--b", "1", "--D", "512", "--case", "NN"]
+        for command in ("oracle", "verify"):
+            assert cli.main([command, *argv]) == 4
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "DegenerationError"
+
+    @pytest.mark.parametrize("D, lam", [("128", 0.250017202419), ("256", 0.247705054163)])
+    def test_nn_masses_inside_the_float_range_solve(self, D, lam, capsys):
+        assert cli.main(["oracle", "--a", "1", "--b", "1", "--D", D, "--case", "NN"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["lambda"] == pytest.approx(lam, rel=1e-9)
+
+
 class TestThinTipDN:
     # panels graded to 1e-19 next to 0, the Dirichlet end of DN: a solve on a
     # grid mirrored as D - x would round those nodes onto D
@@ -523,18 +556,18 @@ class TestThinTipDN:
 class TestInfiniteDomainLimit:
     def test_ou_dn_converges_to_one(self):
         p = measures.make_problem(preset="ou", D="inf", case="DN")
-        lam, trace = oracle.infinite_domain_limit(p)
-        assert trace.converged
+        lam, walk = oracle.infinite_domain_limit(p)
+        assert walk.settled
         assert lam == pytest.approx(1.0, abs=1e-2)
-        by_p8 = dict(zip(trace.points, trace.values))[8.0]
+        by_p8 = dict(zip(walk.points, walk.values))[8.0]
         assert by_p8 == pytest.approx(1.0, abs=1e-2)
 
     def test_laplacian_nd_trace_scales_to_zero(self):
         p = measures.make_problem(preset="laplacian", D="inf", case="ND", grid_size=600)
-        lam, trace = oracle.infinite_domain_limit(p)
-        expected = [(math.pi / (2 * q)) ** 2 for q in trace.points]
-        assert trace.values == pytest.approx(expected, rel=1e-3)
-        assert trace.monotone_decreasing
+        lam, walk = oracle.infinite_domain_limit(p)
+        expected = [(math.pi / (2 * q)) ** 2 for q in walk.points]
+        assert walk.values == pytest.approx(expected, rel=1e-3)
+        assert oracle.monotone_decreasing(walk)
         assert lam == pytest.approx(expected[-1], rel=1e-3)
 
     def test_finite_interval_rejected(self):
@@ -545,9 +578,37 @@ class TestInfiniteDomainLimit:
     def test_ou_nn_gap_limit(self):
         # the half-line gap is 2: L(x^2 - 1) = 2 - 2x^2 with zero slope at 0
         p = measures.make_problem(preset="ou", D="inf", case="NN")
-        lam, trace = oracle.infinite_domain_limit(p)
+        lam, walk = oracle.infinite_domain_limit(p)
         assert lam == pytest.approx(2.0, abs=1e-2)
-        assert trace.monotone_decreasing
+        assert oracle.monotone_decreasing(walk)
+
+    # verify exits 5 on 1+x^2: its walk runs out of truncations unsettled
+    @pytest.mark.parametrize("a, b, verify_code", [("1", "-x", 0), ("1+x^2", "0", 5)])
+    def test_verify_prints_the_oracle_walk_eigenvalue(self, a, b, verify_code, capsys):
+        argv = ["--a", a, "--b", b, "--D", "inf", "--case", "DN"]
+        assert cli.main(["oracle", *argv]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]
+        assert cli.main(["verify", *argv]) == verify_code
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["lambda_oracle"] == printed["lambda"] == printed["trace"][-1][1]
+        assert "lambda_infinite_limit" not in results
+
+    # 16 panels are too coarse for 1/x ND: its trace rises at p = 32
+    @pytest.mark.parametrize("a, b, case, grid_size, monotone", [
+        ("1", "-x", "DN", 2000, True), ("1+x^2", "0", "DN", 2000, True), ("1", "x", "ND", 16, False),
+    ])
+    def test_walk_is_what_oracle_prints(self, a, b, case, grid_size, monotone, capsys):
+        problem = measures.make_problem(a=a, b=b, D="inf", case=case, grid_size=grid_size)
+        lam, walk = oracle.infinite_domain_limit(problem)
+        argv = ["--a", a, "--b", b, "--D", "inf", "--case", case, "--grid-size", str(grid_size)]
+        assert cli.main(["oracle", *argv]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]
+        assert printed["converged"] == walk.settled
+        assert printed["monotone_decreasing"] == oracle.monotone_decreasing(walk) == monotone
+        assert printed["stop_reason"] == walk.stop_reason
+        assert walk.stop_reason.endswith("; trace not monotone: discretization too coarse") == (not monotone)
+        assert printed["trace"] == [[p, cli._round12(v)] for p, v in zip(walk.points, walk.values)]
+        assert printed["lambda"] == cli._round12(lam)
 
 
 def duality_pair(table):

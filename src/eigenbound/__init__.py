@@ -27,13 +27,13 @@ from .measures import (
     ProblemSpec,
     Tolerances,
     build_tables,
+    dual_table,
     hypothesis_check,
     make_problem,
     truncate,
 )
 from .oracle import (
     EigenSolution,
-    dual_table,
     eigen_residuals,
     fd_eigensolve,
     infinite_domain_limit,

@@ -56,7 +56,7 @@ def _parse_number_list(text: str) -> list[float]:
     items = [item.strip().lower() for item in text.split(",") if item.strip()]
     if not items:
         raise ValueError("empty numeric list")
-    return [math.inf if item in ("inf", "infinity") else float(item) for item in items]
+    return [float(item) for item in items]
 
 
 def _option(default, read=str, flag: dict | None = None, echo: bool = True):
@@ -347,9 +347,11 @@ class Evaluation:
             self.table = self.walk.table
 
     @functools.cached_property
-    def sequences(self) -> tuple[iterate.IterationTrace, iterate.IterationTrace]:
-        """The ND/DN lower and localized upper sequences."""
+    def sequences(self) -> tuple[iterate.IterationTrace, ...]:
+        """The ND/DN lower and localized upper sequences; NN's centered sequence alone."""
         case = self.problem.case
+        if case == "NN":
+            return (iterate.eta_sequence(self.table, self.n_max),)
         return (iterate.lower_sequence(case, self.table, self.n_max),
                 iterate.upper_sequence(case, self.table, self.n_max))
 
@@ -407,7 +409,7 @@ def _iterate(ev: Evaluation) -> dict:
         results |= {"delta_n_prime": up.values, "delta_n_prime_monotonicity": up.monotonicity,
                     "upper_bounds": up.bounds(), "window_locations": up.pair_locations}
     else:
-        eta = iterate.eta_sequence(ev.table, ev.n_max)
+        (eta,) = ev.sequences
         results |= {"eta_n": eta.values, "eta_n_monotonicity": eta.monotonicity,
                     "gap_lower_bounds": eta.bounds(), "sign_changes": eta.sign_changes, "notes": eta.notes}
     if ev.walk:
@@ -481,7 +483,7 @@ def _verify(ev: Evaluation) -> dict:
     sol = ev.solution
     lam = sol.lambda_
     resid = ev.residuals
-    sequences = None if case == "NN" else ev.sequences  # read first: the bounds report takes step 1 off them
+    sequences = ev.sequences  # read first: the ND/DN bounds report takes step 1 off them
     brep = ev.bounds_report
     results: dict = {"lambda_oracle": lam, "lambda_lo": sol.lambda_lo, "lambda_hi": sol.lambda_hi,
                      "bounds": brep.to_dict(), "residual": sol.residual}
@@ -490,7 +492,7 @@ def _verify(ev: Evaluation) -> dict:
     # exactly when every one would.  The oracle refuses a lambda that is
     # not finite, so a slack relative to lambda is finite
     if case == "NN":
-        eta = iterate.eta_sequence(table, ev.n_max)
+        (eta,) = sequences
         results["eta_n"] = eta.values
         results["eta_monotonicity"] = eta.monotonicity
         gap_lb = max(eta.bounds())

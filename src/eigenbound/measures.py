@@ -157,8 +157,6 @@ def make_problem(
         if a is None or b is None:
             raise ValueError("either preset or both a and b must be given")
         a_ast, b_ast = _parse_coefficient("a", a), _parse_coefficient("b", b)
-    if isinstance(D, str):
-        D = math.inf if D.strip().lower() in ("inf", "infinity") else float(D)
     return ProblemSpec(
         a=a_ast,
         b=b_ast,
@@ -311,7 +309,7 @@ class MeasureTable:
     cum[0] = tail[M] = 0.  Every mass, and the case's criterion product of
     head and tail masses, is finite (build_tables refuses a table otherwise).
 
-    The tables of build_tables, mirrored() and oracle.dual_table() form their
+    The tables of build_tables, mirrored() and dual_table() form their
     four weights on first read: a truncation that a walk discards, or a table
     read for its masses alone, never forms them.
     """
@@ -392,6 +390,22 @@ class MeasureTable:
                 row = (self.grid[i], self.Cvals[i], self.mu_cum[i], self.nu_cum[i],
                        self.mu_tail[i], self.nu_tail[i])
                 out.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def dual_table(table: MeasureTable) -> MeasureTable:
+    """Swap the roles of the two measures (the dual operator's table); its
+    weights are those of ``table``, swapped on their first read."""
+    return replace(
+        table,
+        Cvals=-table.Cvals,
+        dmu=table.dnu.copy(),
+        dnu=table.dmu.copy(),
+        mu_cum=table.nu_cum.copy(),
+        nu_cum=table.mu_cum.copy(),
+        mu_tail=table.nu_tail.copy(),
+        nu_tail=table.mu_tail.copy(),
+        **_UNFORMED,
+    )._defer(lambda: tuple(w.copy() for w in (table.nu_wL, table.nu_wR, table.mu_wL, table.mu_wR)))
 
 
 def _median(a: np.ndarray) -> float:  # np.median, whose import of numpy.ma costs a process 10 ms

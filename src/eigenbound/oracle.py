@@ -39,12 +39,12 @@ import numpy as np
 
 from .errors import DegenerationError, DomainError, RangeError
 from .measures import (
-    _UNFORMED,
     MeasureTable,
     ProblemSpec,
     TruncationWalk,
     _suffix_from_panels,
     build_tables,
+    dual_table,  # re-exported: the benchmark's tracer wraps oracle.dual_table
     prefix_integral,
     suffix_integral,
     walk_truncations,
@@ -234,7 +234,8 @@ def solve_on_table(table: MeasureTable, case: str, *, start: np.ndarray | None =
     if start is not None:  # DN's unknowns reversed, as its panels are
         v0 = np.diff(start) / dnu if case == "NN" else start[1:][::-1] if case == "DN" else start[:-1]
     weight = dnu if case == "NN" else cell  # the inner product the operator is self-adjoint in
-    ritz, used = _lanczos(apply, v0, weight, MAX_ITERATIONS)
+    with np.errstate(over="ignore", invalid="ignore"):  # G B past the float range: refused on its beta
+        ritz, used = _lanczos(apply, v0, weight, MAX_ITERATIONS)
     v, w, lo, hi = _power(apply, np.abs(ritz), MAX_ITERATIONS - used)
     if lo <= 0:  # NaN, when no power step was left, is refused below
         raise DegenerationError(
@@ -323,22 +324,6 @@ def infinite_domain_limit(problem: ProblemSpec) -> tuple[float, TruncationWalk]:
         raise RangeError("infinite_domain_limit needs an infinite interval")
     walk = settle_lambda(problem)
     return walk.values[-1], walk
-
-
-def dual_table(table: MeasureTable) -> MeasureTable:
-    """Swap the roles of the two measures (the dual operator's table); its
-    weights are those of ``table``, swapped on their first read."""
-    return replace(
-        table,
-        Cvals=-table.Cvals,
-        dmu=table.dnu.copy(),
-        dnu=table.dmu.copy(),
-        mu_cum=table.nu_cum.copy(),
-        nu_cum=table.mu_cum.copy(),
-        mu_tail=table.nu_tail.copy(),
-        nu_tail=table.mu_tail.copy(),
-        **_UNFORMED,
-    )._defer(lambda: tuple(w.copy() for w in (table.nu_wL, table.nu_wR, table.mu_wL, table.mu_wR)))
 
 
 def eigen_residuals(sol: EigenSolution) -> dict:

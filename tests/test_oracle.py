@@ -524,14 +524,16 @@ class TestPowerIteration:
 
 
 class TestLanczosOverflow:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nn_masses_past_the_float_range_are_a_degeneration(self, capsys):
         # the speed masses of a = 1, b = 1 grow like e^x: on (0, 512) G B
         # overflows, and the Lanczos step's norm with it
         argv = ["--a", "1", "--b", "1", "--D", "512", "--case", "NN"]
         for command in ("oracle", "verify"):
             assert cli.main([command, *argv]) == 4
-            assert json.loads(capsys.readouterr().out)["error"]["type"] == "DegenerationError"
+            out, err = capsys.readouterr()
+            error = json.loads(out)["error"]
+            assert (error["type"], error["exit_code"], err) == ("DegenerationError", 4, "")
 
     @pytest.mark.parametrize("D, lam", [("128", 0.250017202419), ("256", 0.247705054163)])
     def test_nn_masses_inside_the_float_range_solve(self, D, lam, capsys):

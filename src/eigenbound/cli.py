@@ -53,7 +53,7 @@ _PROVENANCE = {
 
 
 def _parse_number_list(text: str) -> list[float]:
-    items = [item.strip().lower() for item in text.split(",") if item.strip()]
+    items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
         raise ValueError("empty numeric list")
     return [float(item) for item in items]

@@ -26,7 +26,10 @@ node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
 panel-major (P, 7) layout, so every sum is the reduction's to the bit.
 X @ w would be faster still but rounds differently.  The coefficients come
 from expr.walk, so a coefficient without x is evaluated once and broadcast
-over the nodes.
+over the nodes.  A drift-free pass, whose b is a constant +0.0 and whose a is
+positive at every node, has b/a = +0.0 and so a constant C: it skips b/a, the
+cumulant and both exponentials, and returns the general pass's numbers to the
+bit.
 
 Every table covers a finite interval, where every mass is finite.  A mass
 over the 1e300 guard there, or a criterion product head x tail that leaves
@@ -237,9 +240,11 @@ class _PanelPass:
         t = _panel_nodes(xl, xr)
         with np.errstate(all="ignore"):
             av, bv = expr.walk(a_ast, t), expr.walk(b_ast, t)
-            # drift-to-diffusion ratio, integrand of the cumulant; a full node
-            # array even for two constants, as the matrix product below needs
-            self.g = np.divide(bv, av, out=np.empty(t.shape))
+            # b/a, integrand of the cumulant, as the full node array the
+            # matrix product below needs; None where it would be +0.0 at every
+            # node (b a constant +0.0, not -0.0, and a > 0): a drift-free pass
+            drift_free = np.ndim(bv) == 0 and bv == 0.0 and not np.signbit(bv) and (av > 0).all()
+            self.g = None if drift_free else np.divide(bv, av, out=np.empty(t.shape))
         self.t = t
         self.av = av
 
@@ -247,6 +252,17 @@ class _PanelPass:
         """Panel increments of C, speed mass and scale mass, and the speed and
         scale densities at the nodes, (7, P) each; the panels must be
         consecutive."""
+        if self.g is None:
+            # C is c_start + 0.0 at every node and dc is +0.0, as the general
+            # path makes them; each density is a read-only broadcast, so
+            # every panel's dnu has the rule sum of one node column
+            c = np.array([c_start + 0.0])
+            with np.errstate(all="ignore"):
+                dens_mu = np.broadcast_to(np.exp(c) / self.av, self.t.shape)
+                dens_nu = np.broadcast_to(np.exp(-c), self.t.shape)
+                dmu = self.half * _rule_sum(_GL_WEIGHTS, dens_mu)
+                dnu = self.half * _rule_sum(_GL_WEIGHTS, dens_nu[:, :1])
+            return np.zeros(len(self.half)), dmu, dnu, dens_mu, dens_nu
         dc = self.half * _rule_sum(_GL_WEIGHTS, self.g)
         c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
         # cumulant at the quadrature nodes from its own node samples; the

@@ -262,6 +262,18 @@ class TestMain:
         assert (code, err["type"], err["exit_code"]) == (2, "ConfigError", 2)
         assert err["message"].startswith("coefficient a: ")
 
+    def test_bad_number_is_quoted_as_typed(self, capsys):
+        code = cli.main(["bounds", "--a", "1", "--b", "-x", "--D", "ABC", "--case", "DN"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (code, err["type"]) == (2, "ConfigError")
+        assert err["message"] == "bad value for --D: could not convert string to float: 'ABC'"
+
+    @pytest.mark.parametrize("text", ["INF", "Inf"])
+    def test_inf_parses_in_any_case(self, text, capsys):
+        outs = [(cli.main(["bounds", "--a", "1", "--b", "0", "--D", d, "--case", "ND"]), capsys.readouterr().out)
+                for d in (text, "inf")]
+        assert outs[0] == outs[1] and outs[0][0] == 0 and '"D": "inf"' in outs[0][1]
+
     def test_bad_flag_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["bounds", "--case", "XY"])

@@ -112,13 +112,25 @@ def test_the_problems_of_a_sweep_share_no_state(line, ds, capsys):
     assert [(r["results"], r["series"]) for r in sweep] == [(r["results"], r["series"]) for r in single]
 
 
-def test_a_constant_prints_what_an_x_dependent_spelling_prints(capsys):
+def test_a_constant_prints_what_an_x_dependent_spelling_prints(capsys, tmp_path):
     c, x = (report(capsys, f"verify --a {a} --b {b} --D 1 --case ND")
             for a, b in (("1", "0"), ("1+0*x", "0*x")))
     assert (c["results"], c["series"]) == (x["results"], x["series"])
     c, x = (report(capsys, f"bounds --a {a} --b {b} --D 1 --case DN")
             for a, b in (("2", "-3"), ("2+0*x", "-3+0*x")))
     assert c["results"] == x["results"]
+    # the drift-free problems of the benchmark skip the cumulant; their
+    # x-dependent spellings do not
+    for line, spellings in (("bounds {} --D inf --case DN", (("1+x^2", "0"), ("1+x^2", "0*x"))),
+                            ("oracle {} --D inf --case DN", (("1+x^2", "0"), ("1+x^2", "0*x"))),
+                            ("verify {} --D 1 --case NN", (("1", "0"), ("1+0*x", "0*x")))):
+        c, x = (report(capsys, line.format(f"--a {a} --b {b}")) for a, b in spellings)
+        assert c.pop("config") != x.pop("config") and c == x
+    # -0 is not drift-free: its table keeps C = -0.0, as -0*x does
+    for name, b in (("const", "-0"), ("spelled", "-0*x")):
+        run(capsys, f"bounds --a 1 --b {b} --D 1 --case ND --format csv --out {tmp_path}/{name}")
+    dump = (tmp_path / "const.table.csv").read_bytes()
+    assert dump == (tmp_path / "spelled.table.csv").read_bytes() and b",-0," in dump
 
 
 @pytest.mark.parametrize("problem", [

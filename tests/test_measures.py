@@ -489,6 +489,27 @@ class TestPanelPassFrozen:
         with pytest.raises(DomainError, match=re.escape(f"(x={x!r})")):
             measures._PanelPass(e[:-1], e[1:], p.a, p.b)
 
+    # b/a is +0.0 at every node only for a constant +0.0 b and an a > 0 at
+    # every node, and only then does the pass skip the cumulant: -0 keeps a
+    # -0.0 cumulant, and an a that underflows to 0 on panels next to 0 makes
+    # b/a NaN there
+    @pytest.mark.parametrize("a, b, edges, c_start, drift_free", [
+        ("1", "-0", measures._graded_grid(500, 1.0), 0.0, False),
+        ("1+x^2", "1-1", measures._graded_grid(500, 64.0), 0.0, True),
+        ("x^8", "0", np.array([0.0, 1e-50, 1e-45, 1e-30, 1e-10, 1e-3, 0.5, 1.0]), 0.0, False),
+        ("1+x^2", "0", measures._graded_grid(500, 64.0), 0.5, True),
+    ], ids=["minus-zero", "one-minus-one", "vanishing-a", "c-start"])
+    def test_drift_free_gate_keeps_every_bit(self, a, b, edges, c_start, drift_free):
+        p = measures.make_problem(a=a, b=b, D=float(edges[-1]), case="ND")
+        args = (edges[:-1], edges[1:], p.a, p.b)
+        assert (measures._PanelPass(*args).g is None) == drift_free
+        for new, old in ((_new_columns(*args, c_start), _FrozenPanelPass(*args).columns(c_start)),
+                         (measures._PanelPass(*args).accumulate(c_start), _FrozenPanelPass(*args).accumulate(c_start))):
+            if b == "-0":  # the frozen pass summed the -0.0 increments of C to +0.0
+                assert np.signbit(new[0]).all() and np.array_equal(new[0], old[0])
+                new, old = new[1:], old[1:]
+            assert [(n.shape, n.tobytes()) for n in new] == [(o.shape, o.tobytes()) for o in old]
+
     def test_gauss_legendre_literals_are_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(7)
         assert measures._GL_NODES.tobytes() == nodes.tobytes()
@@ -529,6 +550,13 @@ _BENCH_TABLES = [
 _REFINED_AND_CONSTANT_TABLES = [
     ("1", "-1/sqrt(x)", "DN", "1"), ("1", "1/sqrt(x)", "ND", "1"), ("sqrt(x)", "0", "DN", "1"),
     ("2+sin(1)", "-3", "ND", "2"), ("exp(1)", "pi", "DN", "1"), ("4", "1/(1+x)", "ND", "3"),
+]
+
+# drift-free tables, whose passes skip the cumulant, and b = -0, whose passes
+# do not; a vanishing a is refused next to 0
+_DRIFT_FREE_TABLES = [
+    ("1", "0", "ND", "1"), ("1+x^2", "0", "DN", "inf"), ("1+x^2", "1-1", "DN", "64"), ("1", "-0", "ND", "1"),
+    ("x^8", "0", "ND", "1"),
 ]
 
 
@@ -676,6 +704,28 @@ class TestTablesFrozen:
         for p in const.truncation_schedule if const.is_infinite else (const.D,):
             tables = [_table_or_error(measures.truncate(q, p) if q.is_infinite else q, p) for q in (const, spelled)]
             _assert_same_table(*tables)
+
+    @pytest.mark.parametrize("a, b, case, D", _DRIFT_FREE_TABLES)
+    def test_drift_free_tables_keep_every_bit(self, a, b, case, D, monkeypatch):
+        # (b)*x^0 makes b/a a full node array of b's sign, which takes the
+        # general pass; the frozen pass summed the -0.0 increments of C to +0.0
+        def tables(a, b):
+            problem = measures.make_problem(a=a, b=b, D=D, case=case)
+            ends = problem.truncation_schedule if problem.is_infinite else (problem.D,)
+            return [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p)
+                    for p in ends]
+
+        def columns(table, signed_zero=True):
+            return {k: np.asarray(v).tobytes() for k, v in table.items() if signed_zero or k != "Cvals"}
+
+        new, spelled = tables(a, b), tables(a, f"({b})*x^0")
+        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        for n, s, f in zip(new, spelled, tables(a, b), strict=True):
+            if isinstance(n, tuple):
+                assert n == s == f
+                continue
+            assert columns(n) == columns(s) and columns(n, b != "-0") == columns(f, b != "-0")
+            assert np.array_equal(n["Cvals"], f["Cvals"]) and np.signbit(n["Cvals"][1:]).all() == (b == "-0")
 
     @pytest.mark.parametrize("a, b, case, D", _REFINED_AND_CONSTANT_TABLES[:2])
     def test_singular_weights_refine_past_round_zero(self, a, b, case, D):

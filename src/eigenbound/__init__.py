@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .expr import parse_expression, validate_positive
+from .expr import parse_expression
 from .iterate import IterationTrace, eta_sequence, lower_sequence, upper_sequence_dn, upper_sequence_nd
 from .measures import (
     MeasureTable,
@@ -72,5 +72,4 @@ __all__ = [
     "truncate",
     "upper_sequence_dn",
     "upper_sequence_nd",
-    "validate_positive",
 ]

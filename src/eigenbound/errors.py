@@ -32,7 +32,12 @@ class ParseError(EigenboundError):
 
 
 class DomainError(EigenboundError):
-    """Evaluation left the mathematical domain (log of non-positive, 0^negative, x/0)."""
+    """Evaluation left the mathematical domain (log of non-positive, 0^negative, x/0);
+    x is the smallest point where it did, when known."""
+
+    def __init__(self, message: str, x: float | None = None):
+        super().__init__(message)
+        self.x = x
 
 
 class RangeError(EigenboundError):

@@ -213,18 +213,21 @@ def parse(tokens: list[Token]) -> ExprAst:
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected {trailing.lexeme!r}", trailing.pos)
-    # a chain such as x+x+...+x grows the tree in the parser's loop, not its recursion
-    stack = [(ast, 1)]
+    # a chain such as x+x+...+x grows the tree in the parser's loop, not its
+    # recursion; the error names the leftmost node past the bound
+    stack, leftmost = [(ast, 1)], math.inf
     while stack:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
-            raise _too_deep(node.pos)
+            leftmost = min(leftmost, node.pos)
         kids = (
             (node.left, node.right) if isinstance(node, Bin)
             else (node.child,) if isinstance(node, Neg)
             else getattr(node, "args", ())  # a Call's, or none
         )
         stack.extend((kid, depth + 1) for kid in kids)
+    if leftmost < math.inf:
+        raise _too_deep(leftmost)
     return ast
 
 
@@ -240,7 +243,7 @@ def _fail(message: str, node, x: np.ndarray, bad) -> None:
     """Raise DomainError naming node and the smallest x at which bad holds;
     bad has x's shape, or is 0-d under a subtree without x."""
     where = float(x[np.broadcast_to(bad, x.shape)].min())
-    raise DomainError(f"{message} in node at offset {node.pos} (x={where!r})")
+    raise DomainError(f"{message} in node at offset {node.pos} (x={where!r})", where)
 
 
 def evaluate(ast: ExprAst, x: Number) -> Number:
@@ -358,46 +361,7 @@ def to_text(ast: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Positivity diagnostics and presets
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    passed: bool
-    first_violation_x: float | None = None
-    detail: str = ""
-
-
-def validate_positive(ast: ExprAst, upper: float, samples: int) -> PositivityReport:
-    """Check a(x) > 0 on an interior grid of (0, upper), endpoints excluded.
-
-    The coefficient may degenerate at 0 or at the right endpoint, so sampling
-    uses midpoints of a uniform partition.  Evaluation domain errors count as
-    failures at the offending sample.  All samples are evaluated in one array
-    pass; only a failure walks them one at a time, from the first failing
-    sample (from the first sample when the array pass raised), so the report
-    names the first sample that fails, by its value or by a domain error.
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    xs = (np.arange(samples) + 0.5) * (upper / samples)
-    with np.errstate(all="ignore"):
-        try:
-            vals = evaluate(ast, xs)
-            failed = np.flatnonzero(~(vals > 0) | ~np.isfinite(vals))
-            if not failed.size:
-                return PositivityReport(True)
-            start = int(failed[0])
-        except DomainError:
-            start = 0
-        for xv in xs[start:]:
-            try:
-                v = evaluate(ast, float(xv))
-            except DomainError as exc:
-                return PositivityReport(False, float(xv), f"evaluation failed: {exc}")
-            if not (v > 0) or not math.isfinite(v):
-                return PositivityReport(False, float(xv), f"value {v} at x={xv} is not positive")
-    return PositivityReport(True)
+# Presets
 
 
 #: Built-in coefficient pairs that bypass parsing.

@@ -26,10 +26,11 @@ node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
 panel-major (P, 7) layout, so every sum is the reduction's to the bit.
 X @ w would be faster still but rounds differently.  The coefficients come
 from expr.walk, so a coefficient without x is evaluated once and broadcast
-over the nodes.  A drift-free pass, whose b is a constant +0.0 and whose a is
-positive at every node, has b/a = +0.0 and so a constant C: it skips b/a, the
-cumulant and both exponentials, and returns the general pass's numbers to the
-bit.
+over the nodes.  Each pass also decides the hypothesis a > 0: it evaluates a
+first, and refuses the pass at the smallest node where a is not positive or
+cannot be evaluated, before b is evaluated.  A drift-free pass, whose b is a
+constant +0.0, has b/a = +0.0 and so a constant C: it skips b/a, the cumulant
+and both exponentials, and returns the general pass's numbers to the bit.
 
 Every table covers a finite interval, where every mass is finite.  A mass
 over the 1e300 guard there, or a criterion product head x tail that leaves
@@ -74,10 +75,6 @@ UNCONVERGED_ENDPOINT = (
 )
 
 _DEFAULT_SCHEDULE = tuple(float(2**n) for n in range(1, 13))
-
-#: midpoints of (0, p) at which a must be positive, for a table of (0, p)
-#: and at a truncation point p of the mass trace
-POSITIVITY_SAMPLES = 320
 
 
 @dataclass(frozen=True)
@@ -232,18 +229,60 @@ def _rule_sum(f, v: np.ndarray) -> np.ndarray:
     return s
 
 
-class _PanelPass:
-    """One vectorized quadrature pass over the panels [xl[i], xr[i]]."""
+class _NotPositive(HypothesisViolationError):
+    """a fails the hypothesis at the quadrature node x, as the message says;
+    refuses is False where a is +inf or NaN, which only ends a trace."""
 
-    def __init__(self, xl: np.ndarray, xr: np.ndarray, a_ast, b_ast):
+    def __init__(self, detail: str, x: float, refuses: bool = True):
+        super().__init__(detail)
+        self.x, self.refuses = x, refuses
+
+    def refusal(self, right_end: float) -> str:
+        return f"diffusion coefficient not positive on (0, {right_end}): {self}"
+
+
+def _diffusion(a_ast, t: np.ndarray, finite_a: bool):
+    """a at the nodes t, where it must be positive, and finite too when
+    finite_a is set; otherwise _NotPositive names the smallest node where a is
+    not, or where it cannot be evaluated.  A domain error stops a walk at
+    the smallest node where its own operation fails, so the nodes left of
+    it are walked again, for a failure further left, until none is left."""
+    nodes, domain = t, None
+    while True:
+        try:
+            av = expr.walk(a_ast, nodes)
+            break
+        except DomainError as exc:
+            nodes, domain = nodes[nodes < exc.x], exc
+            if not nodes.size:
+                raise _NotPositive(f"evaluation failed: {exc}", exc.x) from None
+    ok = (av > 0) & (av < np.inf) if finite_a else av > 0
+    if not np.all(ok):
+        i = np.argmin(np.where(ok, np.inf, nodes))
+        x, v = float(nodes.flat[i]), float(np.broadcast_to(av, nodes.shape).flat[i])
+        raise _NotPositive(f"value {v} at x={x} is not positive", x, refuses=v <= 0)
+    if domain is not None:
+        raise _NotPositive(f"evaluation failed: {domain}", domain.x)
+    return av
+
+
+class _PanelPass:
+    """One vectorized quadrature pass over the panels [xl[i], xr[i]].
+
+    a is evaluated first, by _diffusion: where a fails at a node, the pass
+    raises before b is evaluated.
+    """
+
+    def __init__(self, xl: np.ndarray, xr: np.ndarray, a_ast, b_ast, finite_a: bool):
         self.half = 0.5 * (xr - xl)
         t = _panel_nodes(xl, xr)
         with np.errstate(all="ignore"):
-            av, bv = expr.walk(a_ast, t), expr.walk(b_ast, t)
+            av = _diffusion(a_ast, t, finite_a)
+            bv = expr.walk(b_ast, t)
             # b/a, integrand of the cumulant, as the full node array the
             # matrix product below needs; None where it would be +0.0 at every
-            # node (b a constant +0.0, not -0.0, and a > 0): a drift-free pass
-            drift_free = np.ndim(bv) == 0 and bv == 0.0 and not np.signbit(bv) and (av > 0).all()
+            # node (b a constant +0.0, not -0.0, as a > 0): a drift-free pass
+            drift_free = np.ndim(bv) == 0 and bv == 0.0 and not np.signbit(bv)
             self.g = None if drift_free else np.divide(bv, av, out=np.empty(t.shape))
         self.t = t
         self.av = av
@@ -447,10 +486,6 @@ def _suffix_from_panels(d: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _not_positive(right_end: float, pos: expr.PositivityReport) -> str:
-    return f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}"
-
-
 def _not_integrable_near(end: str) -> HypothesisViolationError:
     """The refusal of the panel next to 0 (end "0") or to the right end
     ("right") when it did not converge."""
@@ -482,7 +517,10 @@ def _halves(edges: np.ndarray) -> np.ndarray:
 
 def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) -> _Refined:
     """Integrate the cumulant and both measures over the panels of edges,
-    splitting the panels that miss tolerances.quadrature.
+    splitting the panels that miss tolerances.quadrature.  Every pass, fine
+    and coarse, raises _NotPositive where a fails at one of its nodes (see
+    _diffusion): where it is not positive, or, on the mass trace of an
+    infinite interval, +inf.
 
     The grid serves as the table of (0, e) for each e in ends, ascending
     nodes of edges with edges[-1] last, and refinement treats each like a
@@ -499,7 +537,7 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
     nothing can be split, or when no failing panel can be split within the
     cap; the returned arrays belong to the returned edges.
     """
-    tol = problem.tolerances.quadrature
+    tol, finite_a = problem.tolerances.quadrature, problem.is_infinite
     max_nodes = max(16 * problem.grid_size, 20000)
     ends_arr = np.asarray(ends, dtype=float)
     for round_ in range(14):
@@ -508,10 +546,10 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
         mids = fine_edges[1::2]
 
         # the fine pass's node arrays go before the coarse pass; its densities stay
-        fine = _PanelPass(fine_edges[:-1], fine_edges[1:], problem.a, problem.b)
+        fine = _PanelPass(fine_edges[:-1], fine_edges[1:], problem.a, problem.b, finite_a)
         dc_f, dmu_f, dnu_f, dens_mu, dens_nu = fine.accumulate(0.0)
         del fine
-        dc_c, dmu_c, dnu_c, _, _ = _PanelPass(xl, xr, problem.a, problem.b).accumulate(0.0)
+        dc_c, dmu_c, dnu_c, _, _ = _PanelPass(xl, xr, problem.a, problem.b, finite_a).accumulate(0.0)
 
         # combine half-panels back onto the table panels
         dc = dc_f[0::2] + dc_f[1::2]
@@ -574,9 +612,10 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
 def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     """Integrate the cumulant and both measures over (0, right_end).
 
-    a must be positive at POSITIVITY_SAMPLES midpoints of (0, right_end), or
-    HypothesisViolationError names the first sample where it is not; no
-    other check of a > 0 covers a table.  Per-panel error is held below
+    a must be positive (+inf included) at every node of every quadrature
+    pass, or HypothesisViolationError names the interval and the smallest
+    node of the first pass where a is not positive or cannot be evaluated.
+    Per-panel error is held below
     tolerances.quadrature (relative to the panel mass once that exceeds 1);
     failing panels are split in half and the grid keeps the splits.  A panel
     still over tolerance after refinement raises HypothesisViolationError: a
@@ -591,13 +630,12 @@ def build_tables(problem: ProblemSpec, right_end: float) -> MeasureTable:
     """
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
-    pos = expr.validate_positive(problem.a, right_end, POSITIVITY_SAMPLES)
-    if not pos.passed:
-        raise HypothesisViolationError(_not_positive(right_end, pos))
-
-    edges, dc, dmu, dnu, dens_mu, dens_nu, bad, worst = _refine(
-        problem, _graded_grid(problem.grid_size, right_end), (right_end,)
-    )
+    try:
+        edges, dc, dmu, dnu, dens_mu, dens_nu, bad, worst = _refine(
+            problem, _graded_grid(problem.grid_size, right_end), (right_end,)
+        )
+    except _NotPositive as exc:
+        raise HypothesisViolationError(exc.refusal(right_end)) from None
     if bad[0]:
         raise _not_integrable_near("0")
     if bad[-1]:
@@ -783,60 +821,42 @@ def _probe_grid(points: tuple[float, ...]) -> np.ndarray:
     return np.concatenate(shells + [np.array([ends[-1]])])
 
 
-def _positive_reach(a: expr.ExprAst, points: tuple[float, ...]) -> int:
-    """The number of leading truncation points p where a is positive and
-    finite at every sample expr.validate_positive takes on (0, p), from one
-    evaluation of all of them; 0 when that evaluation raises DomainError."""
-    xs = (np.arange(POSITIVITY_SAMPLES) + 0.5) * (np.array(points)[:, None] / POSITIVITY_SAMPLES)
-    with np.errstate(all="ignore"):
-        try:
-            vals = expr.evaluate(a, xs)
-        except DomainError:
-            return 0
-        failed = (~(vals > 0) | ~np.isfinite(vals)).any(axis=1)
-    return int(np.argmax(failed)) if failed.any() else len(points)
-
-
 def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[float, float, float]], str | None]:
     """(p, mu(0,p), nu(0,p)) at the truncation points of an infinite interval,
     and why the run must be refused, or None.
 
-    a is sampled at every truncation point p as build_tables samples it on
-    (0, p), up to the first point where a sample fails: every point in one
-    pass, then that point alone, for the report of its failure.  A failing
-    sample that is not positive (-inf included) or where a cannot be evaluated
-    refuses the run, however far a walk would get: a breaks the hypothesis
-    on (0, inf).  A sample of +inf or NaN, where a overflowed, only ends the
-    trace.  One grid spans (0, p_reach), p_reach the last point before the
-    first failure.  Every truncation point is a node of the grid and is
+    One grid spans (0, p_reach), and its quadrature passes decide a > 0 at
+    their nodes, a finite too: p_reach is the last truncation point below
+    the first node where a fails.  The first pass over the grid of the whole
+    schedule finds that node; should a later round's pass find one that its
+    refinement added, the grid is cut again.  A node where a is not positive
+    (-inf included) or cannot be evaluated refuses the run at the first
+    point past it, however far a walk would get: a breaks the hypothesis on
+    (0, inf).  A node where a is +inf or NaN, where it overflowed, only ends
+    the trace.  Every truncation point is a node of the grid and is
     refined as a right end (see _refine), so the masses at p are prefix sums
     of the panel masses, capped at the overflow guard, which a non-finite
     panel below p enters at.  A panel next to 0 that did not converge raises
     HypothesisViolationError naming locally_integrable_near_0, as
     build_tables does; a panel ending at a later p that did not converge
-    refuses the run with UNCONVERGED_ENDPOINT, before a sample past p does.
+    refuses the run with UNCONVERGED_ENDPOINT, before a node past p does.
     The trace stops before the first point whose own table could not be
     built, and notes it, or at the first point where both masses reached
     the guard.
     """
     points = problem.truncation_schedule
-    reach, refusal = _positive_reach(problem.a, points), None
-    for p in points[reach:]:
-        pos = expr.validate_positive(problem.a, p, POSITIVITY_SAMPLES)
-        if not pos.passed:
-            try:
-                refused = expr.evaluate(problem.a, pos.first_violation_x) <= 0
-            except DomainError:
-                refused = True
-            if refused:
-                refusal = _not_positive(p, pos)
+    probe = replace(problem, grid_size=max(256, problem.grid_size // 8))
+    reach, refusal = len(points), None
+    while reach:
+        try:
+            q = _refine(probe, _probe_grid(points[:reach]), points[:reach])
             break
-        reach += 1
+        except _NotPositive as exc:
+            reach = int(np.searchsorted(points, exc.x))
+            refusal = exc.refusal(points[reach]) if exc.refuses else None
     built = 0
     trace: list[tuple[float, float, float]] = []
     if reach:
-        probe = replace(problem, grid_size=max(256, problem.grid_size // 8))
-        q = _refine(probe, _probe_grid(points[:reach]), points[:reach])
         if q.bad[0]:
             raise _not_integrable_near("0")
         nodes = np.searchsorted(q.edges, points[:reach])
@@ -860,8 +880,8 @@ def hypothesis_check(problem: ProblemSpec) -> HypothesisReport:
     diverges, which forces a zero eigenvalue: its value at some truncation
     point reached the overflow guard, or its increments stay above the
     quadrature noise floor without shrinking.  The masses mu(0,p) and
-    nu(0,p) at every truncation point p are read off one table, and a is
-    sampled at every p (see _mass_trace); a failure there raises
+    nu(0,p) at every truncation point p are read off one table, whose
+    quadrature passes decide a > 0 (see _mass_trace); a failure there raises
     HypothesisViolationError with the trace's refusal, so no report exists
     for a run that must be refused.  On a finite interval the report is
     empty: the positivity of a and the local integrability of b/a and e^C/a

@@ -359,6 +359,38 @@ class TestMain:
         assert report["hypothesis"]["notes"] == ["table build failed at truncation 1024.0"]
         assert report["results"]["positivity"] == "zero"
 
+    @pytest.mark.parametrize("a, D, refusal", [
+        # a is decided at every quadrature node, by its value or by a domain error
+        ("x-0.5", "1", "diffusion coefficient not positive on (0, 1.0): value"),
+        ("log(x-0.5)", "1", "diffusion coefficient not positive on (0, 1.0): evaluation failed: log of"),
+        ("sqrt(x-0.5)", "1", "diffusion coefficient not positive on (0, 1.0): evaluation failed: sqrt of"),
+        ("sqrt(x-0.5)", "inf", "diffusion coefficient not positive on (0, 2.0): evaluation failed: sqrt of"),
+        # a subtree without x that fails fails at every node, the smallest named
+        ("sqrt(-1)", "1", "diffusion coefficient not positive on (0, 1.0): evaluation failed: sqrt of"),
+        ("sqrt(-1)", "inf", "diffusion coefficient not positive on (0, 2.0): evaluation failed: sqrt of"),
+        ("x+log(0)", "1", "diffusion coefficient not positive on (0, 1.0): evaluation failed: log of"),
+        ("x+log(0)", "inf", "diffusion coefficient not positive on (0, 2.0): evaluation failed: log of"),
+        ("3-x", "4", "diffusion coefficient not positive on (0, 4.0): value"),
+        ("sqrt(2-x)", "4", "diffusion coefficient not positive on (0, 4.0): evaluation failed: sqrt of"),
+        ("1/(x-1)", "4", "diffusion coefficient not positive on (0, 4.0): value"),
+        ("x^2-1", "4", "diffusion coefficient not positive on (0, 4.0): value"),
+        # a < 0 only on |x - 0.3| < 1e-4, narrower than a panel of the base grid
+        ("1-2/(1+1e8*(x-0.3)^2)", "1", "diffusion coefficient not positive on (0, 1.0): value"),
+        # positive on the open interval: refused on integrability alone
+        ("x*(1-x)", "1", "locally_integrable_near_0 failed"),
+    ])
+    def test_a_is_refused_at_the_nodes_it_is_integrated_on(self, a, D, refusal, capsys):
+        code = cli.main(["bounds", "--a", a, "--b", "0", "--D", D, "--case", "ND"])
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert code == 3 and err["type"] == "HypothesisViolationError"
+        assert err["message"].startswith(refusal)
+
+    @pytest.mark.parametrize("a, D", [("exp(1/x)", "1"), ("exp(1/(1-x))", "1"), ("exp(x)", "800")])
+    def test_a_that_overflows_is_positive_on_a_finite_interval(self, a, D, capsys):
+        # a is +inf at the nodes next to an end (past x = 709.8 for exp(x))
+        assert cli.main(["bounds", "--a", a, "--b", "0", "--D", D, "--case", "ND"]) == 0
+        assert json.loads(capsys.readouterr().out)["hypothesis"]["positivity_of_a"] is True
+
     def test_degeneration_exit_4(self, capsys):
         code = cli.main(["bounds", "--a", "1", "--b", "x", "--D", "40",
                          "--case", "DN", "--grid-size", "256"])

@@ -177,6 +177,15 @@ class TestParse:
         with pytest.raises(ParseError, match=f"nested more than {expr.MAX_DEPTH} levels"):
             expr.parse_expression(self._NESTED[kind](expr.MAX_DEPTH + 1))
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1" + "+0*x" * 999, 0),  # a sum's tree: its leftmost node past the bound
+        ("(" * 1500 + "x" + ")" * 1500, 400),  # the parser's recursion: the token it stops at
+    ])
+    def test_nesting_error_names_the_leftmost_node_past_the_bound(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            expr.parse_expression(text)
+        assert err.value.offset == offset
+
     def test_long_sum_parses(self):
         ast = expr.parse_expression("1" + "+0*x" * 299)
         assert expr.evaluate(ast, 0.5) == 1.0
@@ -272,44 +281,6 @@ class TestEvaluateContract:
     def test_domain_error_under_a_constant_subtree_names_the_smallest_x(self, x):
         with pytest.raises(DomainError, match=re.escape(f"division by zero in node at offset 1 (x={float(np.min(x))!r})")):
             expr.evaluate(expr.parse_expression("1/0*x"), x)
-
-
-class TestValidatePositive:
-    def test_constant_passes(self):
-        assert expr.validate_positive(expr.parse_expression("1"), 1.0, 100).passed
-
-    def test_sign_change_fails_at_first_bad_sample(self):
-        rep = expr.validate_positive(expr.parse_expression("x-0.5"), 1.0, 100)
-        assert not rep.passed
-        assert rep.first_violation_x == pytest.approx(0.005)
-
-    def test_open_interval_endpoints_excluded(self):
-        assert expr.validate_positive(expr.parse_expression("x*(1-x)"), 1.0, 100).passed
-
-    def test_domain_error_counts_as_failure(self):
-        rep = expr.validate_positive(expr.parse_expression("log(x-0.5)"), 1.0, 50)
-        assert not rep.passed
-
-    def test_samples_validation(self):
-        with pytest.raises(ValueError):
-            expr.validate_positive(expr.Num(1.0), 1.0, 1)
-
-    @pytest.mark.parametrize("text", ["3-x", "log(x-0.5)", "sqrt(2-x)", "1/(x-1)", "x^2-1"])
-    @pytest.mark.parametrize("upper, samples", [(0.5, 64), (4.0, 64), (4.0, 200)])
-    def test_array_pass_reports_like_a_scalar_walk(self, text, upper, samples):
-        def scalar_walk(ast):
-            xs = (np.arange(samples) + 0.5) * (upper / samples)
-            for xv in xs:
-                try:
-                    v = expr.evaluate(ast, float(xv))
-                except DomainError as exc:
-                    return expr.PositivityReport(False, float(xv), f"evaluation failed: {exc}")
-                if not (v > 0) or not math.isfinite(v):
-                    return expr.PositivityReport(False, float(xv), f"value {v} at x={xv} is not positive")
-            return expr.PositivityReport(True)
-
-        ast = expr.parse_expression(text)
-        assert expr.validate_positive(ast, upper, samples) == scalar_walk(ast)
 
 
 class TestRoundTrip:

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import gc
 import json
@@ -260,22 +259,44 @@ class TestMassProbe:
             with pytest.raises(HypothesisViolationError, match="^" + re.escape(refusal)):
                 measures.hypothesis_check(problem)
 
-    @pytest.mark.parametrize("a, checked", [
-        ("1+x^2", []), ("3-x", [4.0]), ("1-exp(x-50)", [64.0]),
-        # a domain error in the one pass: every point is checked alone, up to the failing one
-        ("sqrt(100-x)", [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+    @pytest.mark.parametrize("a, refused_at", [
+        ("1+x^2", None), ("3-x", 4.0), ("1-exp(x-50)", 64.0),
+        ("sqrt(100-x)", 128.0),  # a domain error
     ])
-    def test_points_are_checked_alone_from_the_first_failure(self, a, checked, monkeypatch):
-        calls, real = [], expr.validate_positive
+    def test_the_first_pass_decides_the_reach(self, a, refused_at, monkeypatch):
+        # a is evaluated only by the quadrature passes, on each pass's nodes
+        # once (and again left of a domain error): one pass over the grid of
+        # the whole schedule finds the failing node, then the passes of the
+        # trace's grid, which ends at the last point below it, follow; no
+        # truncation point is checked alone
+        problem = measures.make_problem(a=a, b="0", D="inf", case="ND")
+        pass_ends, a_walks, real_walk = [], [], expr.walk
 
-        def recording(ast, upper, samples):
-            calls.append(upper)
-            return real(ast, upper, samples)
+        class Recording(measures._PanelPass):
+            def __init__(self, xl, xr, *args):
+                pass_ends.append(float(xr[-1]))
+                super().__init__(xl, xr, *args)
 
-        monkeypatch.setattr(expr, "validate_positive", recording)
-        with contextlib.suppress(HypothesisViolationError):
-            measures.hypothesis_check(measures.make_problem(a=a, b="0", D="inf", case="ND"))
-        assert calls == checked
+        def walk(ast, x):
+            if ast is problem.a:
+                a_walks.append(x.shape)
+            return real_walk(ast, x)
+
+        monkeypatch.setattr(measures, "_PanelPass", Recording)
+        monkeypatch.setattr(expr, "walk", walk)
+        points = problem.truncation_schedule
+        if refused_at is None:
+            assert len(measures.hypothesis_check(problem).mass_trace) == len(points)
+            assert set(pass_ends) == {points[-1]}
+        else:
+            with pytest.raises(HypothesisViolationError, match=re.escape(f"not positive on (0, {refused_at}): ")):
+                measures.hypothesis_check(problem)
+            reach = points[points.index(refused_at) - 1]
+            assert pass_ends[0] == points[-1] and len(pass_ends) > 1 and set(pass_ends[1:]) == {reach}
+        # one walk of each pass's (7, P) nodes; the nodes left of a domain error are a 1-d walk
+        full = [shape for shape in a_walks if len(shape) == 2]
+        assert len(full) == len(pass_ends)
+        assert len(a_walks) - len(full) == (1 if a == "sqrt(100-x)" else 0)
 
     def test_finite_interval_report_is_empty(self):
         rep = measures.hypothesis_check(measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND"))
@@ -415,9 +436,14 @@ class _FrozenPanelPass:
         return (*self.columns(c_start)[:3], *self.densities)
 
 
+def _frozen_refine_pass(xl, xr, a_ast, b_ast, finite_a):
+    """The frozen pass as _refine calls a pass; it checks no a."""
+    return _FrozenPanelPass(xl, xr, a_ast, b_ast)
+
+
 def _new_columns(xl, xr, a_ast, b_ast, c_start):
     """The five columns of the frozen pass, from today's pass and moment step."""
-    dc, dmu, dnu, dens_mu, dens_nu = measures._PanelPass(xl, xr, a_ast, b_ast).accumulate(c_start)
+    dc, dmu, dnu, dens_mu, dens_nu = measures._PanelPass(xl, xr, a_ast, b_ast, False).accumulate(c_start)
     return dc, dmu, dnu, *measures._pass_moments(xl, xr, dens_mu, dens_nu)
 
 
@@ -439,7 +465,7 @@ _PASS_PROBLEMS = [
 
 
 def _same_columns(new, old):
-    return [np.array_equal(n, o, equal_nan=True) and n.shape == o.shape for n, o in zip(new, old)]
+    return [n.shape == o.shape and n.tobytes() == o.tobytes() for n, o in zip(new, old)]
 
 
 class TestPanelPassFrozen:
@@ -454,13 +480,13 @@ class TestPanelPassFrozen:
             args = (e[:-1], e[1:], p.a, p.b)
             assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]).T, _frozen_panel_nodes(e[:-1], e[1:]))
             assert _same_columns(_new_columns(*args, 0.0), _FrozenPanelPass(*args).columns(0.0)) == [True] * 5
-            new, old = measures._PanelPass(*args).accumulate(0.0), _FrozenPanelPass(*args).accumulate(0.0)
+            new, old = measures._PanelPass(*args, False).accumulate(0.0), _FrozenPanelPass(*args).accumulate(0.0)
             assert _same_columns(new, old) == [True] * 5
 
     def test_overflowing_pass_holds_inf_and_nan(self):
         p = measures.make_problem(a="1", b="x + exp(x) - exp(x)", D=800.0, case="ND")
         e = measures._graded_grid(256, 800.0)
-        _, dmu, dnu, _, _ = measures._PanelPass(e[:-1], e[1:], p.a, p.b).accumulate(0.0)
+        _, dmu, dnu, _, _ = measures._PanelPass(e[:-1], e[1:], p.a, p.b, False).accumulate(0.0)
         assert np.isinf(dmu).any() and np.isnan(dmu).any() and (dnu == 0.0).any()
 
     @pytest.mark.parametrize("xl, xr", [([], []), ([0.25], [0.75])])
@@ -487,28 +513,70 @@ class TestPanelPassFrozen:
         t = measures._panel_nodes(e[:-1], e[1:])
         x = float(t[(t - 0.3) * (t - 0.7) < 0].min())
         with pytest.raises(DomainError, match=re.escape(f"(x={x!r})")):
-            measures._PanelPass(e[:-1], e[1:], p.a, p.b)
+            measures._PanelPass(e[:-1], e[1:], p.a, p.b, False)
 
-    # b/a is +0.0 at every node only for a constant +0.0 b and an a > 0 at
-    # every node, and only then does the pass skip the cumulant: -0 keeps a
-    # -0.0 cumulant, and an a that underflows to 0 on panels next to 0 makes
-    # b/a NaN there
+    # b/a is +0.0 at every node only for a constant +0.0 b, as a pass has
+    # a > 0 at every node, and only then does the pass skip the cumulant: -0
+    # keeps a -0.0 cumulant
     @pytest.mark.parametrize("a, b, edges, c_start, drift_free", [
         ("1", "-0", measures._graded_grid(500, 1.0), 0.0, False),
         ("1+x^2", "1-1", measures._graded_grid(500, 64.0), 0.0, True),
-        ("x^8", "0", np.array([0.0, 1e-50, 1e-45, 1e-30, 1e-10, 1e-3, 0.5, 1.0]), 0.0, False),
         ("1+x^2", "0", measures._graded_grid(500, 64.0), 0.5, True),
-    ], ids=["minus-zero", "one-minus-one", "vanishing-a", "c-start"])
+    ], ids=["minus-zero", "one-minus-one", "c-start"])
     def test_drift_free_gate_keeps_every_bit(self, a, b, edges, c_start, drift_free):
         p = measures.make_problem(a=a, b=b, D=float(edges[-1]), case="ND")
         args = (edges[:-1], edges[1:], p.a, p.b)
-        assert (measures._PanelPass(*args).g is None) == drift_free
+        assert (measures._PanelPass(*args, False).g is None) == drift_free
         for new, old in ((_new_columns(*args, c_start), _FrozenPanelPass(*args).columns(c_start)),
-                         (measures._PanelPass(*args).accumulate(c_start), _FrozenPanelPass(*args).accumulate(c_start))):
+                         (measures._PanelPass(*args, False).accumulate(c_start), _FrozenPanelPass(*args).accumulate(c_start))):
             if b == "-0":  # the frozen pass summed the -0.0 increments of C to +0.0
                 assert np.signbit(new[0]).all() and np.array_equal(new[0], old[0])
                 new, old = new[1:], old[1:]
             assert [(n.shape, n.tobytes()) for n in new] == [(o.shape, o.tobytes()) for o in old]
+
+    # the smallest failing node of a pass, by a value that is not positive
+    # (+inf is positive unless a must be finite, as on a trace of (0, inf);
+    # NaN and +inf only end a trace) or by a domain error of a, which the
+    # pass meets before it evaluates b; None where the pass holds
+    _VANISHING = np.array([0.0, 1e-50, 1e-45, 1e-30, 1e-10, 1e-3, 0.5, 1.0])
+    _OVERFLOWING = measures._graded_grid(256, 800.0)
+
+    @pytest.mark.parametrize("a, edges, finite_a, kind, refuses", [
+        ("x^8", _VANISHING, False, "value 0.0 at", True),  # underflows to 0 next to 0
+        ("exp(x)", _OVERFLOWING, False, None, None),
+        ("exp(x)", _OVERFLOWING, True, "value inf at", False),
+        ("exp(x)-exp(x)+1", _OVERFLOWING, False, "value nan at", False),
+        ("2-exp(x)^0.0001", _OVERFLOWING, False, "value -inf at", True),
+        ("sqrt(700-x)", _OVERFLOWING, False, "evaluation failed: sqrt of negative value", True),
+        ("sqrt(-1)", _OVERFLOWING, False, "evaluation failed: sqrt of negative value", True),  # no x
+        # the first failing node decides, left of a domain error too
+        ("exp(x)+sqrt(750-x)", _OVERFLOWING, True, "value inf at", False),
+        ("exp(x)+sqrt(750-x)", _OVERFLOWING, False, "evaluation failed: sqrt of negative value", True),
+        ("1", _OVERFLOWING, True, None, None),
+    ])
+    def test_a_pass_refuses_the_smallest_node_where_a_fails(self, a, edges, finite_a, kind, refuses):
+        p = measures.make_problem(a=a, b="sqrt(x-0.5)", D=float(edges[-1]), case="ND")
+        args = (edges[:-1], edges[1:], p.a, p.b, finite_a)
+        if kind is None:
+            with pytest.raises(DomainError, match="sqrt of negative value"):  # b, once a holds
+                measures._PanelPass(*args)
+            return
+
+        def first_failure():  # the nodes one at a time, in x order
+            for x in np.sort(measures._panel_nodes(edges[:-1], edges[1:]), axis=None):
+                try:
+                    v = expr.evaluate(p.a, float(x))
+                except DomainError as exc:
+                    return float(x), f"evaluation failed: {exc}"
+                if not v > 0 or (finite_a and v == math.inf):
+                    return float(x), f"value {v} at x={x} is not positive"
+
+        with np.errstate(all="ignore"):
+            x, detail = first_failure()
+        with pytest.raises(HypothesisViolationError) as err:
+            measures._PanelPass(*args)
+        assert (err.value.x, str(err.value), err.value.refuses) == (x, detail, refuses)
+        assert detail.startswith(kind)
 
     def test_gauss_legendre_literals_are_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(7)
@@ -531,7 +599,7 @@ def _assert_same_table(new, old):
         return
     for name, value in new.items():
         if isinstance(value, np.ndarray):
-            assert np.array_equal(value, old[name], equal_nan=True), name
+            assert value.shape == old[name].shape and value.tobytes() == old[name].tobytes(), name
         else:
             assert value == old[name], name
 
@@ -575,14 +643,28 @@ def _frozen_suffix(d):
     return np.concatenate([np.cumsum(d[::-1])[::-1], [0.0]])
 
 
+def _frozen_positivity(ast, upper, samples=64):
+    """How a fails at the first of samples midpoints of (0, upper) where it
+    is not positive and finite or cannot be evaluated, or None: the check
+    build_tables made by sampling before its quadrature passes decided a > 0."""
+    for xv in (np.arange(samples) + 0.5) * (upper / samples):
+        try:
+            v = expr.evaluate(ast, float(xv))
+        except DomainError as exc:
+            return f"evaluation failed: {exc}"
+        if not (v > 0) or not math.isfinite(v):
+            return f"value {v} at x={xv} is not positive"
+    return None
+
+
 def _frozen_build_tables(problem, right_end):
     """build_tables' grid, column and centroid steps as they were written
     before they accumulated into their outputs; the refinement is shared."""
     if not (math.isfinite(right_end) and right_end > 0):
         raise RangeError("right_end must be finite and positive")
-    pos = measures.expr.validate_positive(problem.a, right_end, samples=64)
-    if not pos.passed:
-        raise HypothesisViolationError(f"diffusion coefficient not positive on (0, {right_end}): {pos.detail}")
+    detail = _frozen_positivity(problem.a, right_end)
+    if detail is not None:
+        raise HypothesisViolationError(f"diffusion coefficient not positive on (0, {right_end}): {detail}")
     edges, dc, dmu, dnu, _, _, bad, worst = measures._refine(
         problem, _frozen_graded_grid(problem.grid_size, right_end), (right_end,)
     )
@@ -691,7 +773,7 @@ class TestTablesFrozen:
         problem = measures.make_problem(a=a, b=b, D=D, case=case)
         ends = problem.truncation_schedule if problem.is_infinite else (problem.D,)
         new = [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p) for p in ends]
-        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        monkeypatch.setattr(measures, "_PanelPass", _frozen_refine_pass)
         old = [_table_or_error(measures.truncate(problem, p) if problem.is_infinite else problem, p) for p in ends]
         for n, o in zip(new, old):
             _assert_same_table(n, o)
@@ -719,7 +801,7 @@ class TestTablesFrozen:
             return {k: np.asarray(v).tobytes() for k, v in table.items() if signed_zero or k != "Cvals"}
 
         new, spelled = tables(a, b), tables(a, f"({b})*x^0")
-        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        monkeypatch.setattr(measures, "_PanelPass", _frozen_refine_pass)
         for n, s, f in zip(new, spelled, tables(a, b), strict=True):
             if isinstance(n, tuple):
                 assert n == s == f
@@ -739,7 +821,7 @@ class TestTablesFrozen:
     def test_mass_trace_equals_the_frozen_pass_trace(self, a, b, case, monkeypatch):
         problem = measures.make_problem(a=a, b=b, D="inf", case=case)
         new = measures.hypothesis_check(problem)
-        monkeypatch.setattr(measures, "_PanelPass", _FrozenPanelPass)
+        monkeypatch.setattr(measures, "_PanelPass", _frozen_refine_pass)
         old = measures.hypothesis_check(problem)
         assert new.mass_trace == old.mass_trace
         assert (new.criterion_zero, new.notes) == (old.criterion_zero, old.notes)

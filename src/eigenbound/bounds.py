@@ -37,47 +37,42 @@ from .errors import DegenerationError
 from .measures import MeasureTable, ProblemSpec, TruncationWalk, walk_truncations
 
 
-def _oriented(case: str, table: MeasureTable) -> MeasureTable:
-    """The table the ND formulas run on: DN and NN are ND on the mirror."""
-    if case == "ND":
-        return table
-    if case in ("DN", "NN"):
-        return table.mirrored()
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _back(case: str, table: MeasureTable, x: float) -> float:
-    """An argmax found on the oriented table, in this table's coordinates."""
-    return x if case == "ND" else table.right_end - x
-
-
 def delta(case: str, table: MeasureTable) -> tuple[float, float]:
     """The criterion constant and its argmax.
 
     ND: sup of mu(0,x) * nu(x,D).  DN and NN: sup of nu(0,x) * mu(x,D), the
-    same supremum on the mirrored table.  The best node, or a larger value
-    on a panel next to it: both measures are linear inside a panel, where
-    the product is a concave quadratic, maximal at an end or at its vertex.
+    same supremum on the mirrored table, read off reversed views of this
+    table's columns.  The best node, or a larger value on a panel next to
+    it: both measures are linear inside a panel, where the product is a
+    concave quadratic, maximal at an end or at its vertex.
     """
-    t = _oriented(case, table)
-    node_vals = t.mu_cum * t.nu_tail
+    r = table.right_end
+    if case == "ND":
+        grid, mu_cum, nu_tail, dmu, dnu = table.grid, table.mu_cum, table.nu_tail, table.dmu, table.dnu
+    elif case in ("DN", "NN"):
+        # the columns of table.mirrored()
+        grid, mu_cum, nu_tail = r - table.grid[::-1], table.mu_tail[::-1], table.nu_cum[::-1]
+        dmu, dnu = table.dmu[::-1], table.dnu[::-1]
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    node_vals = mu_cum * nu_tail
     k = int(np.nanargmax(node_vals))
-    v, x = float(node_vals[k]), float(t.grid[k])
+    v, x = float(node_vals[k]), float(grid[k])
     if not math.isfinite(v):
-        raise DegenerationError(f"delta overflowed the float range on (0, {t.right_end:g})")
+        raise DegenerationError(f"delta overflowed the float range on (0, {r:g})")
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(max(k - 1, 0), min(k + 1, t.n_panels)):
+        for j in range(max(k - 1, 0), min(k + 1, table.n_panels)):
             f = [0.0, 1.0]
-            if t.dmu[j] > 0 and t.dnu[j] > 0:
+            if dmu[j] > 0 and dnu[j] > 0:
                 # vertex of the concave (m1 - dmu*g) * (P1 + dnu*g) in g = 1 - f
-                f.append(1.0 - 0.5 * (t.mu_cum[j + 1] / t.dmu[j] - t.nu_tail[j + 1] / t.dnu[j]))
+                f.append(1.0 - 0.5 * (mu_cum[j + 1] / dmu[j] - nu_tail[j + 1] / dnu[j]))
             f = np.array(f)
             f = f[(f >= 0) & (f <= 1)]
-            vals = (t.mu_cum[j] + t.dmu[j] * f) * (t.dnu[j] * (1.0 - f) + t.nu_tail[j + 1])
+            vals = (mu_cum[j] + dmu[j] * f) * (dnu[j] * (1.0 - f) + nu_tail[j + 1])
             i = int(np.argmax(vals))
             if vals[i] > v:
-                v, x = float(vals[i]), float((1.0 - f[i]) * t.grid[j] + f[i] * t.grid[j + 1])
-    return v, _back(case, table, x)
+                v, x = float(vals[i]), float((1.0 - f[i]) * grid[j] + f[i] * grid[j + 1])
+    return v, (x if case == "ND" else r - x)
 
 
 def _reciprocal(name: str, c: float, right_end: float) -> float:

@@ -10,16 +10,20 @@ passes: prefix_integral and suffix_integral, the package's one transform
 kernel.  A mass over a window is a partial sum of panel masses, never a
 difference of two cumulative totals.
 
-Quadrature: each grid panel is integrated by a 7-point Gauss-Legendre rule,
-with the error estimated by comparing against the two half-panel rules
-(the embedded estimate).  Panels that miss the per-panel tolerance are split
-in half, so the final grid is refined exactly where the weights vary
-fastest.  The cumulant is threaded left to right through the same pass: a
-fixed 7x7 cumulative-integration matrix turns the node samples of b/a into
-values of C at the quadrature nodes themselves.  One pass (_PanelPass)
-returns, per panel, the increment of C and the speed and scale masses, with
-the node densities they sum; a table takes the masses' first moments from
-those densities when its weights are first read.  The pass keeps its nodes
+Quadrature: each grid panel is integrated by a 7-point Gauss-Legendre rule
+on each of its halves, with the error estimated by comparing against the
+rule on the whole panel (the embedded estimate).  Panels that miss the
+per-panel tolerance are split in half, so the final grid is refined exactly
+where the weights vary fastest.  The cumulant is threaded left to right
+through the same pass: a fixed 7x7 cumulative-integration matrix turns the
+node samples of b/a into values of C at the quadrature nodes themselves.
+One pass (_PanelPass) returns, per panel, the increment of C and the speed
+and scale masses, with the node densities they sum; a table takes the
+masses' first moments from those densities when its weights are first read.
+Each refinement round makes one pass, over the half-panels followed by the
+panels, with C threaded through each of the two runs from 0 as a pass over
+that run alone would thread it, so both rules share one node array and
+every number is the two separate passes' to the bit.  The pass lays out its nodes
 node-major, a (7, P) array with one row per Gauss node, so every elementwise
 step runs over contiguous rows of length P.  Each 7-point sum adds one node row at a time,
 node 0 first: the order np.sum(w * X, axis=1) adds a 7-wide row of the
@@ -60,6 +64,7 @@ from . import expr
 from .errors import (
     DegenerationError,
     DomainError,
+    EigenboundError,
     HypothesisViolationError,
     LexError,
     ParseError,
@@ -267,10 +272,11 @@ def _diffusion(a_ast, t: np.ndarray, finite_a: bool):
 
 
 class _PanelPass:
-    """One vectorized quadrature pass over the panels [xl[i], xr[i]].
+    """One vectorized quadrature pass over the panels [xl[i], xr[i]], on one
+    node array; _refine passes it the panels of both rules of a round.
 
     a is evaluated first, by _diffusion: where a fails at a node, the pass
-    raises before b is evaluated.
+    raises before b is evaluated, at the pass's smallest failing node.
     """
 
     def __init__(self, xl: np.ndarray, xr: np.ndarray, a_ast, b_ast, finite_a: bool):
@@ -284,26 +290,32 @@ class _PanelPass:
             # node (b a constant +0.0, not -0.0, as a > 0): a drift-free pass
             drift_free = np.ndim(bv) == 0 and bv == 0.0 and not np.signbit(bv)
             self.g = None if drift_free else np.divide(bv, av, out=np.empty(t.shape))
-        self.t = t
+        self.shape = t.shape  # not the nodes: their memory is freed before accumulate allocates
         self.av = av
 
-    def accumulate(self, c_start: float):
+    def accumulate(self, c_start: float, restart: int):
         """Panel increments of C, speed mass and scale mass, and the speed and
-        scale densities at the nodes, (7, P) each; the panels must be
-        consecutive."""
+        scale densities at the nodes, (7, P) each.  The panels form two runs,
+        [0, restart) and [restart, P), each of consecutive panels, and C is
+        c_start at the left end of each: a run is integrated as a pass over
+        its panels alone would integrate it.  restart 0 makes one run."""
         if self.g is None:
             # C is c_start + 0.0 at every node and dc is +0.0, as the general
             # path makes them; each density is a read-only broadcast, so
             # every panel's dnu has the rule sum of one node column
             c = np.array([c_start + 0.0])
             with np.errstate(all="ignore"):
-                dens_mu = np.broadcast_to(np.exp(c) / self.av, self.t.shape)
-                dens_nu = np.broadcast_to(np.exp(-c), self.t.shape)
+                dens_mu = np.broadcast_to(np.exp(c) / self.av, self.shape)
+                dens_nu = np.broadcast_to(np.exp(-c), self.shape)
                 dmu = self.half * _rule_sum(_GL_WEIGHTS, dens_mu)
                 dnu = self.half * _rule_sum(_GL_WEIGHTS, dens_nu[:, :1])
             return np.zeros(len(self.half)), dmu, dnu, dens_mu, dens_nu
         dc = self.half * _rule_sum(_GL_WEIGHTS, self.g)
-        c_left = c_start + np.concatenate([[0.0], np.cumsum(dc[:-1])])
+        c_left = np.zeros(len(dc))
+        for lo, hi in ((0, restart), (restart, len(dc))):
+            if hi > lo:
+                np.cumsum(dc[lo : hi - 1], out=c_left[lo + 1 : hi])
+        c_left += c_start
         # cumulant at the quadrature nodes from its own node samples; the
         # buffer then holds exp(-C)
         c = _GL_CUM @ self.g
@@ -517,10 +529,14 @@ def _halves(edges: np.ndarray) -> np.ndarray:
 
 def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) -> _Refined:
     """Integrate the cumulant and both measures over the panels of edges,
-    splitting the panels that miss tolerances.quadrature.  Every pass, fine
-    and coarse, raises _NotPositive where a fails at one of its nodes (see
-    _diffusion): where it is not positive, or, on the mass trace of an
-    infinite interval, +inf.
+    splitting the panels that miss tolerances.quadrature.  Each round runs
+    the fine rule (the half-panels) and the coarse rule (the panels) as one
+    _PanelPass over both runs of panels.  A round raises _NotPositive where
+    a fails at one of its nodes (see _diffusion): where it is not positive,
+    or, on the mass trace of an infinite interval, +inf.  Should the shared
+    pass raise, the round runs each rule's own pass, the fine rule's first,
+    and raises what that raises: the smallest failing node of the fine
+    rule, or else of the coarse rule, never a coarse node left of it.
 
     The grid serves as the table of (0, e) for each e in ends, ascending
     nodes of edges with edges[-1] last, and refinement treats each like a
@@ -541,20 +557,35 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
     max_nodes = max(16 * problem.grid_size, 20000)
     ends_arr = np.asarray(ends, dtype=float)
     for round_ in range(14):
-        xl, xr = edges[:-1], edges[1:]
         fine_edges = _halves(edges)
         mids = fine_edges[1::2]
+        n = len(fine_edges) - 1
 
-        # the fine pass's node arrays go before the coarse pass; its densities stay
-        fine = _PanelPass(fine_edges[:-1], fine_edges[1:], problem.a, problem.b, finite_a)
-        dc_f, dmu_f, dnu_f, dens_mu, dens_nu = fine.accumulate(0.0)
-        del fine
-        dc_c, dmu_c, dnu_c, _, _ = _PanelPass(xl, xr, problem.a, problem.b, finite_a).accumulate(0.0)
+        # the fine rule's half-panels, then the coarse rule's panels, in one
+        # pass whose cumulant starts again at the coarse rule's first panel
+        failure = None
+        try:
+            both = _PanelPass(
+                np.concatenate([fine_edges[:-1], edges[:-1]]),
+                np.concatenate([fine_edges[1:], edges[1:]]),
+                problem.a, problem.b, finite_a,
+            )
+        except EigenboundError as exc:
+            failure = exc
+        if failure is not None:
+            # a failing node of the coarse rule may lie left of the fine rule's
+            # first: the round refuses as the rules' own passes, fine first, do
+            _PanelPass(fine_edges[:-1], fine_edges[1:], problem.a, problem.b, finite_a)
+            _PanelPass(edges[:-1], edges[1:], problem.a, problem.b, finite_a)
+            raise failure
+        dc_b, dmu_b, dnu_b, dens_mu, dens_nu = both.accumulate(0.0, n)
+        del both
+        dens_mu, dens_nu = dens_mu[:, :n], dens_nu[:, :n]
 
         # combine half-panels back onto the table panels
-        dc = dc_f[0::2] + dc_f[1::2]
-        dmu = dmu_f[0::2] + dmu_f[1::2]
-        dnu = dnu_f[0::2] + dnu_f[1::2]
+        dc, dc_c = dc_b[0:n:2] + dc_b[1:n:2], dc_b[n:]
+        dmu, dmu_c = dmu_b[0:n:2] + dmu_b[1:n:2], dmu_b[n:]
+        dnu, dnu_c = dnu_b[0:n:2] + dnu_b[1:n:2], dnu_b[n:]
 
         with np.errstate(invalid="ignore"):
             err_c = np.abs(dc - dc_c) / np.maximum(1.0, np.abs(dc))
@@ -567,7 +598,7 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
             )
         finite = np.isfinite(dc) & np.isfinite(dmu) & np.isfinite(dnu)
         bad = np.where(finite, err, err_c) > tol
-        worst = float(np.max(np.where(finite, np.nan_to_num(err, nan=0.0), 0.0)))
+        worst = float(np.fmax.reduce(np.where(finite, err, 0.0), initial=0.0))
         if not bad.any() or round_ == 13:
             break
         # node count after splitting the failing panels below each end e
@@ -606,6 +637,8 @@ def _refine(problem: ProblemSpec, edges: np.ndarray, ends: tuple[float, ...]) ->
         if len(new_edges) == len(edges):
             break  # cannot refine further at float resolution
         edges = new_edges
+        # a round that refines leaves its densities unread: free them before the next pass
+        del dens_mu, dens_nu
     return _Refined(edges, dc, dmu, dnu, dens_mu, dens_nu, bad, worst)
 
 
@@ -700,7 +733,7 @@ def _linear_weights(edges, dmu, dnu, dens_mu, dens_nu) -> tuple[np.ndarray, ...]
         cen = fine[1::2].copy()  # the panel midpoints
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(m[0::2] + m[1::2], d, out=cen, where=d > 0)
-        np.nan_to_num(cen, copy=False, nan=0.0)
+        cen[np.isnan(cen)] = 0.0  # then clipped, as +-inf are, to a panel end
         np.clip(cen, edges[:-1], edges[1:], out=cen)
         weights += [d * (edges[1:] - cen) / widths, d * (cen - edges[:-1]) / widths]
     return tuple(weights)
@@ -862,7 +895,9 @@ def _mass_trace(problem: ProblemSpec, notes: list[str]) -> tuple[list[tuple[floa
         nodes = np.searchsorted(q.edges, points[:reach])
         failed = q.bad[nodes - 1]
         built = int(np.argmax(failed)) if failed.any() else reach
-        capped = [np.nan_to_num(d, nan=OVERFLOW_GUARD, posinf=OVERFLOW_GUARD) for d in (q.dmu, q.dnu)]
+        # a mass is >= 0, +inf or NaN: fmin makes the last two the guard, and a
+        # panel over the guard puts every prefix past it over the guard, as before
+        capped = [np.fmin(d, OVERFLOW_GUARD) for d in (q.dmu, q.dnu)]
         mu_at, nu_at = (np.minimum(_prefix_from_panels(d), OVERFLOW_GUARD)[nodes] for d in capped)
         for p, mu, nu in zip(points[:built], mu_at, nu_at):
             trace.append((p, float(mu), float(nu)))

@@ -215,7 +215,7 @@ def reference_delta(case, table):
     over the two panels around the best node and a scalar objective that
     looks every probe up in the table found it: the frozen reference for
     the closed-form panel maximum."""
-    t = bounds._oriented(case, table)
+    t = table if case == "ND" else table.mirrored()
     D = t.right_end
 
     def delta(x):
@@ -223,7 +223,7 @@ def reference_delta(case, table):
                 * reference_mass(t, t.dnu, t.nu_cum, t.nu_tail, x, D))
 
     x, v = reference_scan_refine(t.grid, t.mu_cum * t.nu_tail, delta)
-    return v, bounds._back(case, table, x)
+    return v, (x if case == "ND" else D - x)
 
 
 REFERENCE_FIXTURES = [

@@ -17,6 +17,7 @@ from eigenbound.errors import (
     HypothesisViolationError,
     RangeError,
 )
+from test_cli import _benchmark_argv
 
 
 class TestBuildTables:
@@ -265,16 +266,18 @@ class TestMassProbe:
     ])
     def test_the_first_pass_decides_the_reach(self, a, refused_at, monkeypatch):
         # a is evaluated only by the quadrature passes, on each pass's nodes
-        # once (and again left of a domain error): one pass over the grid of
-        # the whole schedule finds the failing node, then the passes of the
-        # trace's grid, which ends at the last point below it, follow; no
-        # truncation point is checked alone
+        # once (and again left of a domain error): the first pass, over both
+        # rules' panels of the grid of the whole schedule, finds the failing
+        # node, and the fine rule's own pass then names the node the round
+        # refuses at; the passes of the trace's grid, which ends at the last
+        # point below it, follow, one per round; no truncation point is
+        # checked alone
         problem = measures.make_problem(a=a, b="0", D="inf", case="ND")
-        pass_ends, a_walks, real_walk = [], [], expr.walk
+        passes, a_walks, real_walk = [], [], expr.walk
 
         class Recording(measures._PanelPass):
             def __init__(self, xl, xr, *args):
-                pass_ends.append(float(xr[-1]))
+                passes.append((float(xr[-1]), len(xl)))
                 super().__init__(xl, xr, *args)
 
         def walk(ast, x):
@@ -287,16 +290,19 @@ class TestMassProbe:
         points = problem.truncation_schedule
         if refused_at is None:
             assert len(measures.hypothesis_check(problem).mass_trace) == len(points)
-            assert set(pass_ends) == {points[-1]}
+            assert {end for end, _ in passes} == {points[-1]}
         else:
             with pytest.raises(HypothesisViolationError, match=re.escape(f"not positive on (0, {refused_at}): ")):
                 measures.hypothesis_check(problem)
             reach = points[points.index(refused_at) - 1]
-            assert pass_ends[0] == points[-1] and len(pass_ends) > 1 and set(pass_ends[1:]) == {reach}
-        # one walk of each pass's (7, P) nodes; the nodes left of a domain error are a 1-d walk
+            (end, both), (fine_end, fine) = passes[:2]
+            assert end == fine_end == points[-1] and fine == 2 * both // 3
+            assert len(passes) > 2 and {end for end, _ in passes[2:]} == {reach}
+        # one walk of each pass's (7, P) nodes; the nodes left of a domain
+        # error are a 1-d walk, in the round's pass and the fine rule's
         full = [shape for shape in a_walks if len(shape) == 2]
-        assert len(full) == len(pass_ends)
-        assert len(a_walks) - len(full) == (1 if a == "sqrt(100-x)" else 0)
+        assert len(full) == len(passes)
+        assert len(a_walks) - len(full) == (2 if a == "sqrt(100-x)" else 0)
 
     def test_finite_interval_report_is_empty(self):
         rep = measures.hypothesis_check(measures.make_problem(a="x-0.5", b="0", D=1.0, case="ND"))
@@ -436,14 +442,39 @@ class _FrozenPanelPass:
         return (*self.columns(c_start)[:3], *self.densities)
 
 
-def _frozen_refine_pass(xl, xr, a_ast, b_ast, finite_a):
-    """The frozen pass as _refine calls a pass; it checks no a."""
-    return _FrozenPanelPass(xl, xr, a_ast, b_ast)
+_LIVE_PANEL_PASS = measures._PanelPass
+
+
+class _TwoPassRound:
+    """_refine's one pass of a round, split at its run boundary into the two
+    passes a round made before its fine and coarse rules shared one: today's
+    pass over the half-panels, then over the panels, each run alone.  The
+    runs are integrated when the round accumulates, so a failing node of the
+    fine rule is met first, as it was."""
+
+    def __init__(self, xl, xr, a_ast, b_ast, finite_a):
+        self.panels, self.coefficients, self.finite_a = (xl, xr), (a_ast, b_ast), finite_a
+
+    def run(self, xl, xr, c_start):
+        return _LIVE_PANEL_PASS(xl, xr, *self.coefficients, self.finite_a).accumulate(c_start, 0)
+
+    def accumulate(self, c_start, restart):
+        xl, xr = self.panels
+        runs = [self.run(xl[s], xr[s], c_start) for s in (slice(None, restart), slice(restart, None))]
+        return tuple(np.concatenate(columns, axis=-1) for columns in zip(*runs))
+
+
+class _frozen_refine_pass(_TwoPassRound):
+    """The frozen pass as _refine calls its pass: the two runs of the round
+    are two frozen passes, which check no a."""
+
+    def run(self, xl, xr, c_start):
+        return _FrozenPanelPass(xl, xr, *self.coefficients).accumulate(c_start)
 
 
 def _new_columns(xl, xr, a_ast, b_ast, c_start):
     """The five columns of the frozen pass, from today's pass and moment step."""
-    dc, dmu, dnu, dens_mu, dens_nu = measures._PanelPass(xl, xr, a_ast, b_ast, False).accumulate(c_start)
+    dc, dmu, dnu, dens_mu, dens_nu = measures._PanelPass(xl, xr, a_ast, b_ast, False).accumulate(c_start, 0)
     return dc, dmu, dnu, *measures._pass_moments(xl, xr, dens_mu, dens_nu)
 
 
@@ -480,13 +511,13 @@ class TestPanelPassFrozen:
             args = (e[:-1], e[1:], p.a, p.b)
             assert np.array_equal(measures._panel_nodes(e[:-1], e[1:]).T, _frozen_panel_nodes(e[:-1], e[1:]))
             assert _same_columns(_new_columns(*args, 0.0), _FrozenPanelPass(*args).columns(0.0)) == [True] * 5
-            new, old = measures._PanelPass(*args, False).accumulate(0.0), _FrozenPanelPass(*args).accumulate(0.0)
+            new, old = measures._PanelPass(*args, False).accumulate(0.0, 0), _FrozenPanelPass(*args).accumulate(0.0)
             assert _same_columns(new, old) == [True] * 5
 
     def test_overflowing_pass_holds_inf_and_nan(self):
         p = measures.make_problem(a="1", b="x + exp(x) - exp(x)", D=800.0, case="ND")
         e = measures._graded_grid(256, 800.0)
-        _, dmu, dnu, _, _ = measures._PanelPass(e[:-1], e[1:], p.a, p.b, False).accumulate(0.0)
+        _, dmu, dnu, _, _ = measures._PanelPass(e[:-1], e[1:], p.a, p.b, False).accumulate(0.0, 0)
         assert np.isinf(dmu).any() and np.isnan(dmu).any() and (dnu == 0.0).any()
 
     @pytest.mark.parametrize("xl, xr", [([], []), ([0.25], [0.75])])
@@ -528,7 +559,7 @@ class TestPanelPassFrozen:
         args = (edges[:-1], edges[1:], p.a, p.b)
         assert (measures._PanelPass(*args, False).g is None) == drift_free
         for new, old in ((_new_columns(*args, c_start), _FrozenPanelPass(*args).columns(c_start)),
-                         (measures._PanelPass(*args, False).accumulate(c_start), _FrozenPanelPass(*args).accumulate(c_start))):
+                         (measures._PanelPass(*args, False).accumulate(c_start, 0), _FrozenPanelPass(*args).accumulate(c_start))):
             if b == "-0":  # the frozen pass summed the -0.0 increments of C to +0.0
                 assert np.signbit(new[0]).all() and np.array_equal(new[0], old[0])
                 new, old = new[1:], old[1:]
@@ -825,6 +856,74 @@ class TestTablesFrozen:
         old = measures.hypothesis_check(problem)
         assert new.mass_trace == old.mass_trace
         assert (new.criterion_zero, new.notes) == (old.criterion_zero, old.notes)
+
+
+def _refined_or_error(problem, edges, ends):
+    """Every field of _refine's result as (shape, bytes), or the error it raises."""
+    try:
+        refined = measures._refine(problem, edges, ends)
+    except EigenboundError as exc:
+        return type(exc), str(exc)
+    return {name: (np.shape(v), np.asarray(v).tobytes()) for name, v in zip(refined._fields, refined)}
+
+
+def _sorted_nodes(edges):
+    return np.sort(measures._panel_nodes(edges[:-1], edges[1:]), axis=None)
+
+
+class TestRoundFused:
+    """The fine and coarse rules of a _refine round share one pass; the round
+    returns and raises what the two-pass round did, to the bit."""
+
+    # weights singular at 0 or vanishing there, which refine past round 0
+    _MULTI_ROUND = [("1", "-1/sqrt(x)", 1.0), ("1", "1/sqrt(x)", 1.0), ("sqrt(x)", "0", 1.0), ("x", "0", 1.0)]
+
+    @pytest.mark.parametrize("a, b, D", _PASS_PROBLEMS + _MULTI_ROUND)
+    def test_every_field_equals_the_two_pass_round(self, a, b, D, monkeypatch):
+        problem = measures.make_problem(a=a, b=b, D=D, case="ND")
+        edges = measures._graded_grid(problem.grid_size, D)
+        new = _refined_or_error(problem, edges, (D,))
+        monkeypatch.setattr(measures, "_PanelPass", _TwoPassRound)
+        assert new == _refined_or_error(problem, edges, (D,))
+        if (a, b, D) in self._MULTI_ROUND:
+            assert new["edges"][0][0] > problem.grid_size + 1
+
+    @pytest.mark.parametrize("a, b", [("1", "-x"), ("1+x^2", "0")])
+    def test_probe_grid_equals_the_two_pass_round(self, a, b, monkeypatch):
+        problem = measures.make_problem(a=a, b=b, D="inf", case="DN")
+        probe = dataclasses.replace(problem, grid_size=max(256, problem.grid_size // 8))
+        points = problem.truncation_schedule
+        new = _refined_or_error(probe, measures._probe_grid(points), points)
+        monkeypatch.setattr(measures, "_PanelPass", _TwoPassRound)
+        assert new == _refined_or_error(probe, measures._probe_grid(points), points)
+
+    # a, or b, fails at exactly one coarse node c and one fine node f right of
+    # it: one pass over both rules' panels meets c first, the round names f
+    @pytest.mark.parametrize("a, b", [
+        ("((x - {c!r})*(x - {f!r}))^2", "0"),
+        ("1", "log(((x - {c!r})*(x - {f!r}))^2)"),
+    ], ids=["a-not-positive", "b-domain-error"])
+    def test_the_round_refuses_at_the_fine_rule_node(self, a, b, monkeypatch):
+        edges = measures._graded_grid(16, 1.0)
+        fine_edges = measures._halves(edges)
+        coarse, fine = _sorted_nodes(edges), _sorted_nodes(fine_edges)
+        c, f = float(coarse[coarse > 0.3][0]), float(fine[fine > 0.6][0])
+        assert c not in fine and f not in coarse
+        problem = measures.make_problem(a=a.format(c=c, f=f), b=b.format(c=c, f=f), D=1.0, case="ND", grid_size=16)
+        both = (np.concatenate([fine_edges[:-1], edges[:-1]]), np.concatenate([fine_edges[1:], edges[1:]]))
+        with pytest.raises(EigenboundError, match=re.escape(f"x={c!r}")):
+            measures._PanelPass(*both, problem.a, problem.b, False)
+        new = _refined_or_error(problem, edges, (1.0,))
+        monkeypatch.setattr(measures, "_PanelPass", _TwoPassRound)
+        assert new == _refined_or_error(problem, edges, (1.0,))
+        assert new[0] is (DomainError if a == "1" else measures._NotPositive) and f"x={f!r}" in new[1]
+
+    @pytest.mark.parametrize("argv", _benchmark_argv(), ids=" ".join)
+    def test_benchmark_commands_print_what_the_frozen_two_pass_round_prints(self, argv, monkeypatch, capsys):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(measures, "_PanelPass", _frozen_refine_pass)
+        assert (cli.main(argv), capsys.readouterr().out) == (code, out)
 
 
 # mirrored() and dual_table() as they moved the weights before they deferred

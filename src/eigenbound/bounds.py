@@ -9,7 +9,10 @@ mirrored table, with the argmax mapped back.  The first iteration step
 sharpens this to the improved constants delta1 (lower side) and delta1'
 (upper side, within [delta, 2*delta]): step 1 of the lower sequence and of
 the upper window family of the iterate module, one rule for each constant
-whether it is printed alone or as the first of a sequence.
+whether it is printed alone or as the first of a sequence.  delta1' is the
+maximum over every window start, which the iterate module's first-step
+scan computes without evaluating a window; its window search serves steps
+2 and later alone.
 
 Only delta keeps a panel maximum: a node scan, then the exact maximum on
 the two panels around the best node, where tables model each measure as
@@ -21,8 +24,9 @@ infinite only on (0, inf), where the hypothesis probe's mass trace decides
 it and zero_report gives the report.
 
 BoundsReport is one record for every case; a case names only the fields it
-sets.  NN sets the criterion and its argmax alone, a zero eigenvalue the
-(0, 0) bracket; unset fields stay None, with argmax_x {} and "positive".
+sets.  NN sets the criterion and its argmax alone, an ND or DN zero
+eigenvalue the (0, 0) bracket; unset fields stay None, with argmax_x {} and
+"positive".
 """
 
 from __future__ import annotations
@@ -116,7 +120,10 @@ class BoundsReport:
 
 def zero_report(case: str) -> BoundsReport:
     """The report of a zero eigenvalue on (0, inf): infinite criterion
-    constant, (0, 0) bracket."""
+    constant, and for ND and DN the (0, 0) bracket, which NN leaves unset as
+    its positive report does."""
+    if case == "NN":
+        return BoundsReport(case, math.inf, positivity="zero")
     return BoundsReport(case, math.inf, lower_basic=0.0, upper_basic=0.0, positivity="zero")
 
 
@@ -146,7 +153,8 @@ def compute_report(
     last result of a settle_delta walk); it is computed otherwise.  delta1
     and delta1' are step 1 of the lower sequence and of the upper window
     family: ``sequences`` is that (lower, upper) pair when the caller has
-    run them (verify, to n_max); both run to n_max = 1 otherwise.  For the
+    run them (verify, to n_max); both run to n_max = 1 otherwise, where the
+    upper one is the first-step scan alone and evaluates no window.  For the
     double-Neumann case only the criterion applies (it decides positivity of
     the spectral gap); the improved constants describe the ND/DN eigenvalue
     and are left unset there.

@@ -370,7 +370,9 @@ class Evaluation:
     def bounds_report(self) -> bounds.BoundsReport:
         """The basic and improved estimates, or the zero report.  delta1 and
         delta1' are step 1 of the sequences if a command read those first
-        (verify); compute_report runs step 1 alone otherwise (bounds)."""
+        (verify); compute_report runs step 1 alone otherwise (bounds).
+        Either way delta1' is the maximum over every window start, from the
+        first-step scan; the window search serves steps 2 and later."""
         if self.table is None:
             return bounds.zero_report(self.problem.case)
         criterion = self.walk.result if self.walk_of == "delta" and self.walk else None

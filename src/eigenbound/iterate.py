@@ -20,18 +20,22 @@ companions dbar_n and best window per step (ND), the best cap per step
 (DN), and the sign changes and notes of the centered sequence.  Step 1 of
 the lower and upper sequences is what bounds reports as delta1 and delta1'.
 
-Iterates are renormalized to sup-norm one each step; the transforms are
-scale-invariant, so this only prevents magnitude drift.  The outer
-optimization scans a coarse candidate set snapped to table nodes, then
-halves a local 5-point refinement step around the best member down to
-single-node resolution.  A window (x_i0, D) costs O((M - i0) * n_max): the
-iterate is constant on the plateau [0, x_i0], so the plateau enters each
-transform as one prefix sum read at i0, and per-node work runs on the
-window's own nodes.  The prefix sums, the start nu(x, D) every window
-shares, its first-step terms and the work arrays every window runs in are
-built once per search; a window writes every slice of those arrays it reads
+Step 1 of an upper sequence is the maximum over every window start: one
+scan gives the first infimum (and ND's companion) of all M windows in
+O(M log M), with no window evaluated.  Steps from 2 on come from a search,
+which runs only for n_max >= 2.  Iterates are renormalized to sup-norm one
+each step; the transforms are scale-invariant, so this only prevents
+magnitude drift.  The search scans a coarse candidate set snapped to table
+nodes, then halves a local 5-point refinement step around the best member
+down to single-node resolution.  A window (x_i0, D) costs
+O((M - i0) * n_max): the iterate is constant on the plateau [0, x_i0], so
+the plateau enters each transform as one prefix sum read at i0, and
+per-node work runs on the window's own nodes.  The prefix sums, the start
+nu(x, D) every window shares and its first-step terms are built once per
+table, for the scan and the search; the work arrays every window runs in
+once per search, and a window writes every slice of those arrays it reads
 before reading it.  A step is a few per-node passes, most of its time the
-two sequential cumsums.  Only the ND search, whose dbar_n is printed,
+two sequential cumsums.  Only the ND family, whose dbar_n is printed,
 computes the Rayleigh companion.
 """
 
@@ -145,33 +149,93 @@ def _index_candidates(lo: int, hi: int, count: int) -> list[int]:
     return [round(i * step + lo) for i in range(count - 1)] + [hi if count > 1 else lo]
 
 
-def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
-    """The localized ND iteration of ``table`` on the windows (x_i0, D), the
-    only ones a search visits, as ``eval_window(i0)``.
+def _window_arrays(table: MeasureTable) -> tuple:
+    """What every window (x_i0, D) of ``table`` shares, built once per table:
+    (S, W, T, e, P).
 
-    Built once per search: S[i], the speed mass of (0, x_i) as the
-    cumulative sum of the panel weights; W[j] = mu_wL[j] + mu_wR[j-1], the
-    speed weight of node j in the companion's quadrature; T[i] = nu(x_i, D)
-    over 2^e, a power of two near nu(0, D), a reverse partial sum of the
-    panels whose tail T[i0:] (never written) starts window i0, scaled
-    exactly so that a tiny or huge interval's transforms stay in the float
-    range; P, the panel terms of T its first step reads; and
-    seven work arrays of length M + 1.  Window i0 runs in their leading
-    L + 1 = M - i0 + 1 entries and writes every slice it reads before
-    reading it, so no window sees another's numbers.  What is left is a few
-    per-node passes a step, the two sequential cumsums the most of them.
+    S[i], the speed mass of (0, x_i) as the cumulative sum of the panel
+    weights; W[j] = mu_wL[j] + mu_wR[j-1], the speed weight of node j in the
+    companion's quadrature; T[i] = nu(x_i, D) over 2^e, a power of two near
+    nu(0, D), a reverse partial sum of the panels whose tail T[i0:] starts
+    window i0, scaled exactly so that a tiny or huge interval's transforms
+    stay in the float range; and P[p] = mu_wL[p] T[p] + mu_wR[p] T[p+1], the
+    panel terms of T that every window's first step reads.
     """
     m = table.n_panels
     mu_wL, mu_wR = table.mu_wL, table.mu_wR
-    nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
     S = np.zeros(m + 1)
     np.cumsum(mu_wL + mu_wR, out=S[1:])
     W = mu_wL.copy()
     W[1:] += mu_wR[:-1]
-    T = _suffix_from_panels(dnu)
+    T = _suffix_from_panels(table.dnu)
     e = int(np.frexp(T[0])[1])
     np.ldexp(T, -e, out=T)
     P = mu_wL * T[:m] + mu_wR * T[1:]
+    return S, W, T, e, P
+
+
+def _first_step_scan(table: MeasureTable, arrays: tuple, companion: bool):
+    """Step 1 of the localized ND iteration of ``table`` at every window
+    start at once: the infimum of window (x_i, D) for i = 0..M-1 and, with
+    ``companion``, its Rayleigh companion (None without), in O(M log M)
+    with no window evaluated.
+
+    Window i's first transform at node j >= i is
+    N[j] (T[i] S[i] + P[i:j].sum()) + H[j], with N[j] the scale mass of
+    (x_j, D) as the suffix sums of nu_wL + nu_wR, and H[j] = H[j+1] +
+    P[j] (nu_wR[j] + N[j+1]) the panels right of j.  With N[j] = 2^e T[j],
+    its ratio to T[j] is 2^e T[i] S[i] + 2^e P[i:j].sum() + H[j] / T[j], and
+    the infimum over j >= i is 2^e T[i] S[i] + low[i], where
+    low[i] = min(H[i] / T[i], 2^e P[i] + low[i+1]).  That backward min-plus
+    recursion runs by doubling, in log2(M) vector passes: after the pass of
+    stride s, low holds each start's minimum over its next 2s nodes and c
+    each start's sum of 2s panel terms.  Every term is >= 0, so nothing
+    cancels.  A node with T[j] = 0 is skipped, as the window evaluator skips
+    it.  The infimum is NaN where the window's transform vanishes at its
+    start, T[i] S[i] N[i] + H[i], a window the evaluator refuses.
+    """
+    S, W, T, e, P = arrays
+    m = table.n_panels
+    nu_wR = table.nu_wR
+    N = _suffix_from_panels(table.nu_wL + nu_wR)
+    H = _suffix_from_panels(P * (nu_wR + N[1:]))
+    Tm, TS = T[:m], T[:m] * S[:m]
+    low = np.full(m, np.inf)
+    np.divide(H[:m], Tm, out=low, where=Tm > 0)
+    c = np.ldexp(P, e)
+    s = 1
+    while s < m:
+        low[:-s] = np.minimum(low[:-s], c[:-s] + low[s:])
+        c[:-s] = c[:-s] + c[s:]
+        s *= 2
+    infs = np.ldexp(TS, e) + low
+    infs[~(TS * N[:m] + H[:m] > 0)] = np.nan
+    if not companion:
+        return infs, None
+    # numerator T[i]^2 (S[i] + mu_wL[i]) + sum of W[j] T[j]^2 over j > i; flux 2^-e T[i]
+    tail = _suffix_from_panels(W * (Tm * Tm))
+    numer = Tm * Tm * (S[:m] + table.mu_wL) + tail[1:]
+    energy = np.ldexp(Tm, -e)
+    dbars = np.zeros(m)
+    np.divide(numer, energy, out=dbars, where=energy > 0)
+    return infs, dbars
+
+
+def _window_evaluator(table: MeasureTable, n_max: int, companion: bool, arrays: tuple):
+    """The localized ND iteration of ``table`` on the windows (x_i0, D), the
+    only ones a search visits, as ``eval_window(i0)``.
+
+    It runs on ``arrays``, the _window_arrays of ``table`` (T[i0:] never
+    written), and in seven work arrays of length M + 1 built once per
+    search.  Window i0 runs in their leading L + 1 = M - i0 + 1 entries and
+    writes every slice it reads before reading it, so no window sees
+    another's numbers.  What is left is a few per-node passes a step, the
+    two sequential cumsums the most of them.
+    """
+    m = table.n_panels
+    mu_wL, mu_wR = table.mu_wL, table.mu_wR
+    nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
+    S, W, T, e, P = arrays
     terms, F, left, right, G, ratio, u = (np.empty(m + 1) for _ in range(7))
 
     def eval_window(i0: int):
@@ -230,17 +294,20 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool):
     return eval_window
 
 
-def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, companion: bool):
+def _family_sup(
+    table: MeasureTable, n_max: int, start_of, lo: int, hi: int, companion: bool, arrays: tuple
+):
     """Sup over the ND windows (x_i0, D) of ``table`` of each step's infimum.
 
     Members are node indices k in [lo, hi], the window starting at node
-    ``start_of(k)``.  The coarse scan covers _COARSE members; each
-    refinement round halves the step and rescans a 5-point neighbourhood of
-    each step's best member, for _REFINE_ROUNDS rounds and then on until the
-    step is one node.  Ties go to the member visited first.
+    ``start_of(k)``; ``arrays`` are the _window_arrays of ``table``.  The
+    coarse scan covers _COARSE members; each refinement round halves the
+    step and rescans a 5-point neighbourhood of each step's best member,
+    for _REFINE_ROUNDS rounds and then on until the step is one node.  Ties
+    go to the member visited first.
     Returns per step the best value, member and companion sup (-inf if none).
     """
-    eval_window = _window_evaluator(table, n_max, companion)
+    eval_window = _window_evaluator(table, n_max, companion, arrays)
     best_val = [-np.inf] * n_max
     best_at = [lo] * n_max
     best_dbar = [-np.inf] * n_max
@@ -273,16 +340,43 @@ def _family_sup(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, com
     return best_val, best_at, best_dbar
 
 
+def _upper_family(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, companion: bool):
+    """Per step the best value, member and companion sup of the ND windows
+    (x_i0, D) of ``table``, members k in [lo, hi] starting at ``start_of(k)``.
+
+    Step 1 is the maximum of _first_step_scan over every member, ties to the
+    smallest member, and its companion the maximum over every start; steps
+    from 2 on are _family_sup's, which runs only for n_max >= 2, and first,
+    so that a window it refuses is refused as before.
+    """
+    arrays = _window_arrays(table)
+    searched = _family_sup(table, n_max, start_of, lo, hi, companion, arrays) if n_max >= 2 else None
+    infs, dbars = _first_step_scan(table, arrays, companion)
+    members = infs[start_of(np.arange(lo, hi + 1))]
+    vanished = np.flatnonzero(np.isnan(members))
+    if vanished.size:
+        i0 = int(start_of(lo + int(vanished[0])))
+        raise DegenerationError(f"localized iterate vanished on window ({i0}, {table.n_panels})")
+    k = int(np.argmax(members))
+    best_val, best_at = [float(members[k])], [lo + k]
+    best_dbar = [float(np.max(dbars)) if companion else -np.inf]
+    if searched:
+        vals, at, dbar = searched
+        best_val, best_at, best_dbar = best_val + vals[1:], best_at + at[1:], best_dbar + dbar[1:]
+    return best_val, best_at, best_dbar
+
+
 def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     """Upper-bound constants: sup over the windows (x0, D) of the window infimum.
 
-    Window starts are snapped to table nodes; the outer sup scans 32 starts
-    and then halves a local 5-point refinement step around the best start
-    of each step down to single-node resolution.
+    Window starts are table nodes.  Step 1 is the maximum over every start;
+    from step 2 on, the outer sup scans 32 starts and then halves a local
+    5-point refinement step around the best start of each step down to
+    single-node resolution.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    best_val, best_start, best_dbar = _family_sup(table, n_max, lambda i0: i0, 0, table.n_panels - 1, True)
+    best_val, best_start, best_dbar = _upper_family(table, n_max, lambda i0: i0, 0, table.n_panels - 1, True)
     D = float(table.grid[-1])
     return IterationTrace(
         values=best_val,
@@ -296,14 +390,14 @@ def upper_sequence_dn(table: MeasureTable, n_max: int) -> IterationTrace:
     """Upper-bound constants for DN: sup over cap locations of the infimum.
 
     The DN family capped at node c is the ND window (M - c, M) of the
-    mirrored table, so DN runs the ND search there, indexed by cap so that
+    mirrored table, so DN runs the ND family there, indexed by cap so that
     ties go to the smallest cap; cap locations are read back off this
     table's grid by index.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     m = table.n_panels
-    best_val, best_cap, _ = _family_sup(table.mirrored(), n_max, lambda c: m - c, 1, m, False)
+    best_val, best_cap, _ = _upper_family(table.mirrored(), n_max, lambda c: m - c, 1, m, False)
     return IterationTrace(
         values=best_val,
         monotonicity=monotone_verdict(best_val, table.problem.tolerances.bound_refine),

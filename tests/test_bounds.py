@@ -298,10 +298,12 @@ class TestReport:
 
     UNSET_IMPROVED = {"delta1": None, "delta1_prime": None, "lower_improved": None, "upper_improved": None}
 
-    @pytest.mark.parametrize("case", ["ND", "DN"])
-    def test_zero_report_shape(self, case):
+    @pytest.mark.parametrize("case, basic", [("ND", 0.0), ("DN", 0.0), ("NN", None)])
+    def test_zero_report_shape(self, case, basic):
+        # NN's brackets belong to the ND/DN eigenvalue, not the gap: unset
+        # in its zero report as in its positive one
         expected = {
-            "case": case, "delta": math.inf, "lower_basic": 0.0, "upper_basic": 0.0,
+            "case": case, "delta": math.inf, "lower_basic": basic, "upper_basic": basic,
             **self.UNSET_IMPROVED, "argmax_x": {}, "positivity": "zero",
         }
         d = bounds.zero_report(case).to_dict()

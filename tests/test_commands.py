@@ -37,6 +37,7 @@ NN_SHAPE = {"case": "NN", "delta": 0.25, "lower_basic": None, "upper_basic": Non
             "argmax_x": {"delta": 0.5}, "positivity": "positive"}
 ZERO_SHAPE = {"case": "ND", "delta": "inf", "lower_basic": 0.0, "upper_basic": 0.0, **_UNSET,
               "argmax_x": {}, "positivity": "zero"}
+NN_ZERO_SHAPE = {**ZERO_SHAPE, "case": "NN", "lower_basic": None, "upper_basic": None}
 
 # each solve of a walk starts from the previous truncation's eigenfunction;
 # the traces are those of solves started from the scale tail
@@ -79,6 +80,8 @@ ROWS = [
     ("bounds --a 1 --b 0 --D 1 --case NN", 0, lambda r, tmp: list(r["results"].items()) == list(NN_SHAPE.items())),
     ("bounds --a 1 --b 0 --D inf --case ND", 0,
      lambda r, tmp: list(r["results"].items()) == list(ZERO_SHAPE.items())),
+    ("bounds --a 1 --b 0 --D inf --case NN", 0,
+     lambda r, tmp: list(r["results"].items()) == list(NN_ZERO_SHAPE.items())),
     # Laplacian delta's argmax is the exact panel maximum
     ("bounds --a 1 --b 0 --D 1 --case ND", 0, lambda r, tmp: r["results"]["argmax_x"]["delta"] == 0.5),
     # the identity residuals hold on the tightest DN case

@@ -250,11 +250,16 @@ def cut(table, i1):
     )
 
 
+def window_evaluator(table, n_max, companion):
+    """iterate's window evaluator on ``table``, on its own window arrays."""
+    return iterate._window_evaluator(table, n_max, companion, iterate._window_arrays(table))
+
+
 def eval_window(table, i0, i1, n_max):
     """The infima and companions of the window (i0, i1) of ``table``: the
     window evaluator serves windows ending at D, so it runs on the table cut
     at i1 (it reads only panels below i1 and the speed prefix at i0)."""
-    return iterate._window_evaluator(cut(table, i1), n_max, True)(i0)
+    return window_evaluator(cut(table, i1), n_max, True)(i0)
 
 
 @pytest.fixture(scope="module")
@@ -387,8 +392,9 @@ def frozen_window_evaluator(table):
     return eval_window
 
 
-def frozen_pinned_evaluator(table, n_max, companion):
-    """The frozen evaluator behind the pinned evaluator's signature."""
+def frozen_pinned_evaluator(table, n_max, companion, arrays):
+    """The frozen evaluator behind the pinned evaluator's signature; it
+    builds its own arrays."""
     frozen = frozen_window_evaluator(table)
 
     def eval_window(i0):
@@ -402,8 +408,8 @@ def record_starts(patch, build, starts):
     """Serve iterate's window searches from ``build``, appending each window
     start they evaluate to ``starts``."""
 
-    def recording(t, n_max, companion):
-        evaluate = build(t, n_max, companion)
+    def recording(t, n_max, companion, arrays):
+        evaluate = build(t, n_max, companion, arrays)
 
         def eval_window(i0):
             starts.append(i0)
@@ -426,7 +432,7 @@ class TestPinnedEvaluatorIsExact:
         table = table.mirrored() if mirror else table
         m = table.n_panels
         frozen = frozen_window_evaluator(table)
-        with_dbar, without = (iterate._window_evaluator(table, 3, c) for c in (True, False))
+        with_dbar, without = (window_evaluator(table, 3, c) for c in (True, False))
         for i0 in range(m):
             infs, dbars = frozen(i0, m, 3)
             assert without(i0) == (infs, []), i0
@@ -450,7 +456,7 @@ class TestPinnedEvaluatorIsExact:
             expected[i0] = (infs, [] if mirror else dbars)
         shuffled = np.random.default_rng(26).permutation(m).tolist()
         for order in (range(m - 1, -1, -1), shuffled):
-            evaluate = iterate._window_evaluator(table, n_max, not mirror)
+            evaluate = window_evaluator(table, n_max, not mirror)
             for i0 in order:
                 for _ in range(2):
                     assert evaluate(i0) == expected[i0], (i0, n_max)
@@ -468,6 +474,97 @@ class TestPinnedEvaluatorIsExact:
         assert len(visits[1]) > iterate._COARSE
         assert visits[1] == visits[0]
         assert traces[1] == traces[0]
+
+
+# the scan's tables: (make_table arguments, case); DN runs the ND family on
+# the mirrored table, and the last six are the verify-finite problems
+SCAN_TABLES = {
+    "1/-1/sqrt(x) DN": (dict(a="1", b="-1/sqrt(x)"), "DN"),  # 14,513 panels
+    "sqrt(x)/0 DN": (dict(a="sqrt(x)", b="0"), "DN"),  # zero-width tip panels in the mirror
+    "double well ND (0,4)": (dict(a="1", b="-20*(x-1)*(x-2)*(x-3)", D=4.0), "ND"),
+    "laplacian ND (0,1e-3)": (dict(preset="laplacian", D=1e-3), "ND"),
+    "laplacian ND (0,1e3)": (dict(preset="laplacian", D=1e3), "ND"),
+    "ou DN (0,37)": (dict(preset="ou", D=37.0), "DN"),
+    "laplacian ND": (dict(preset="laplacian"), "ND"),
+    "laplacian DN": (dict(preset="laplacian"), "DN"),
+    "1+x^2/0 DN": (dict(a="1+x^2", b="0"), "DN"),
+    "ou DN (0,8)": (dict(preset="ou", D=8.0), "DN"),
+    "1/8-x ND (0,8)": (dict(a="1", b="8-x", D=8.0), "ND"),
+    "exp(x)/1 ND (0,3)": (dict(a="exp(x)", b="1", D=3.0), "ND"),
+}
+
+
+def scan_family(name):
+    """The table a family of ``name`` runs on, whether it has the companion,
+    and its members as (start_of, lo, hi)."""
+    kwargs, case = SCAN_TABLES[name]
+    table = C.make_table(case=case, **kwargs)
+    m = table.n_panels
+    if case == "DN":
+        return table.mirrored(), False, (lambda c: m - c, 1, m)
+    return table, True, (lambda i0: i0, 0, m - 1)
+
+
+class TestFirstStepScan:
+    """The first-step scan gives, at every window start, the infimum and
+    companion the window evaluator gives, and its maximum is the search's."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_TABLES))
+    def test_every_start_equals_the_window_evaluator(self, name):
+        table, companion, members = scan_family(name)
+        arrays = iterate._window_arrays(table)
+        infs, dbars = iterate._first_step_scan(table, arrays, companion)
+        evaluate = iterate._window_evaluator(table, 1, companion, arrays)
+        ref = [evaluate(i0) for i0 in range(table.n_panels)]
+        assert infs == pytest.approx([r[0][0] for r in ref], rel=1e-13)
+        if companion:
+            assert dbars == pytest.approx([r[1][0] for r in ref], rel=1e-13)
+        else:
+            assert dbars is None
+        (val,), _, _ = iterate._family_sup(table, 1, *members, companion, arrays)
+        assert np.max(infs) == pytest.approx(val, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["laplacian ND", "ou DN (0,8)", "double well ND (0,4)"])
+    def test_step_one_is_the_scan_maximum_and_later_steps_the_search(self, name):
+        table, companion, (start_of, lo, hi) = scan_family(name)
+        arrays = iterate._window_arrays(table)
+        infs, dbars = iterate._first_step_scan(table, arrays, companion)
+        members = infs[start_of(np.arange(lo, hi + 1))]
+        k = lo + int(np.flatnonzero(members == members.max())[0])  # ties to the smallest member
+        vals, at, dbar = iterate._family_sup(table, 3, start_of, lo, hi, companion, arrays)
+        for n_max in (1, 3):
+            got = iterate._upper_family(table, n_max, start_of, lo, hi, companion)
+            first = ([members.max()], [k], [np.max(dbars) if companion else -np.inf])
+            assert got == tuple(f + rest[1:n_max] for f, rest in zip(first, (vals, at, dbar)))
+
+    def test_a_zero_scale_tail_is_skipped_and_its_windows_refused(self, lap_nd):
+        # the scale mass vanishes on the last 50 panels: windows starting
+        # before them skip their nodes, as the evaluator's v0 > 0 path does,
+        # and windows starting on them vanish, which the evaluator refuses
+        m = lap_nd.n_panels
+        tail = np.arange(m) >= m - 50
+        thin = dataclasses.replace(
+            lap_nd,
+            dnu=np.where(tail, 0.0, lap_nd.dnu),
+            nu_wL=np.where(tail, 0.0, lap_nd.nu_wL),
+            nu_wR=np.where(tail, 0.0, lap_nd.nu_wR),
+        )
+        arrays = iterate._window_arrays(thin)
+        assert (arrays[2][m - 50 :] == 0).all()
+        infs, dbars = iterate._first_step_scan(thin, arrays, True)
+        evaluate = iterate._window_evaluator(thin, 1, True, arrays)
+        for i0 in range(m):
+            if i0 < m - 50:
+                ref_infs, ref_dbars = evaluate(i0)
+                assert infs[i0] == pytest.approx(ref_infs[0], rel=1e-13), i0
+                assert dbars[i0] == pytest.approx(ref_dbars[0], rel=1e-13), i0
+            else:
+                assert np.isnan(infs[i0]), i0
+                with pytest.raises(DegenerationError):
+                    evaluate(i0)
+        for n_max in (1, 2):
+            with pytest.raises(DegenerationError, match="localized iterate vanished"):
+                iterate.upper_sequence_nd(thin, n_max)
 
 
 class TestIndexCandidates:

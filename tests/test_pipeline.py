@@ -105,6 +105,7 @@ def count_stages(monkeypatch) -> Counter:
     count(measures, "hypothesis_check", lambda problem: (problem.D,))
     count(bounds, "delta", lambda case, table: (case, table.right_end))
     count(iterate, "lower_sequence", lambda case, table, n_max: (n_max, table.right_end))
+    count(iterate, "_first_step_scan", lambda table, *rest: (table.right_end,), "first_step_scan")
     count(iterate, "_family_sup", lambda table, n_max, *rest: (n_max, table.right_end), "upper_search")
     count(iterate, "eta_sequence", lambda table, n_max: (n_max, table.right_end))
     count(oracle, "solve_on_table", lambda table, case: (case, table.right_end))
@@ -122,26 +123,31 @@ STAGE_PROBLEMS = {
 }
 
 # the stages each command runs on each problem, each on each table once.
-# bounds runs the lower sequence and the upper window search for their first
-# step alone, the others to the default n_max = 3, on the last table of the
-# walk they settle on; verify's dual runs the opposite case on the dual
-# table, and its criterion_zero check solves on the first two truncations
+# bounds runs the lower sequence for its first step alone and the upper
+# family's first-step scan, which evaluates no window; the others run the
+# scan and both sequences to the default n_max = 3, the window search for
+# steps 2 and 3, on the last table of the walk they settle on; verify's dual
+# runs the opposite case on the dual table, and its criterion_zero check
+# solves on the first two truncations
 STAGE_RUNS = {
     ("bounds", "ND"): [("hypothesis_check", 1.0), ("delta", "ND", 1.0), ("lower_sequence", 1, 1.0),
-        ("upper_search", 1, 1.0)],
+        ("first_step_scan", 1.0)],
     ("bounds", "DN"): [("hypothesis_check", 1.0), ("delta", "DN", 1.0), ("lower_sequence", 1, 1.0),
-        ("upper_search", 1, 1.0)],
+        ("first_step_scan", 1.0)],
     ("bounds", "NN"): [("hypothesis_check", 1.0), ("delta", "NN", 1.0)],
     ("bounds", "DN-inf"): [("hypothesis_check", INF), ("delta", "DN", 2.0), ("delta", "DN", 4.0),
-        ("delta", "DN", 8.0), ("lower_sequence", 1, 8.0), ("upper_search", 1, 8.0)],
+        ("delta", "DN", 8.0), ("lower_sequence", 1, 8.0), ("first_step_scan", 8.0)],
     ("bounds", "NN-inf"): [("hypothesis_check", INF), ("delta", "NN", 2.0), ("delta", "NN", 4.0),
         ("delta", "NN", 8.0)],
     ("bounds", "ND-inf"): [("hypothesis_check", INF)],
-    ("iterate", "ND"): [("hypothesis_check", 1.0), ("lower_sequence", 3, 1.0), ("upper_search", 3, 1.0)],
-    ("iterate", "DN"): [("hypothesis_check", 1.0), ("lower_sequence", 3, 1.0), ("upper_search", 3, 1.0)],
+    ("iterate", "ND"): [("hypothesis_check", 1.0), ("lower_sequence", 3, 1.0), ("first_step_scan", 1.0),
+        ("upper_search", 3, 1.0)],
+    ("iterate", "DN"): [("hypothesis_check", 1.0), ("lower_sequence", 3, 1.0), ("first_step_scan", 1.0),
+        ("upper_search", 3, 1.0)],
     ("iterate", "NN"): [("hypothesis_check", 1.0), ("eta_sequence", 3, 1.0)],
     ("iterate", "DN-inf"): [("hypothesis_check", INF), ("delta", "DN", 2.0), ("delta", "DN", 4.0),
-        ("delta", "DN", 8.0), ("lower_sequence", 3, 8.0), ("upper_search", 3, 8.0)],
+        ("delta", "DN", 8.0), ("lower_sequence", 3, 8.0), ("first_step_scan", 8.0),
+        ("upper_search", 3, 8.0)],
     ("iterate", "NN-inf"): [("hypothesis_check", INF), ("delta", "NN", 2.0), ("delta", "NN", 4.0),
         ("delta", "NN", 8.0), ("eta_sequence", 3, 8.0)],
     ("iterate", "ND-inf"): [("hypothesis_check", INF)],
@@ -154,17 +160,17 @@ STAGE_RUNS = {
         ("solve_on_table", "NN", 4.0), ("solve_on_table", "NN", 8.0), ("solve_on_table", "NN", 16.0)],
     ("oracle", "ND-inf"): [("hypothesis_check", INF)],
     ("verify", "ND"): [("hypothesis_check", 1.0), ("solve_on_table", "ND", 1.0), ("eigen_residuals", 1.0),
-        ("lower_sequence", 3, 1.0), ("upper_search", 3, 1.0), ("delta", "ND", 1.0),
-        ("solve_on_table", "DN", 1.0), ("delta", "DN", 1.0)],
+        ("lower_sequence", 3, 1.0), ("first_step_scan", 1.0), ("upper_search", 3, 1.0),
+        ("delta", "ND", 1.0), ("solve_on_table", "DN", 1.0), ("delta", "DN", 1.0)],
     ("verify", "DN"): [("hypothesis_check", 1.0), ("solve_on_table", "DN", 1.0), ("eigen_residuals", 1.0),
-        ("lower_sequence", 3, 1.0), ("upper_search", 3, 1.0), ("delta", "DN", 1.0),
-        ("solve_on_table", "ND", 1.0), ("delta", "ND", 1.0)],
+        ("lower_sequence", 3, 1.0), ("first_step_scan", 1.0), ("upper_search", 3, 1.0),
+        ("delta", "DN", 1.0), ("solve_on_table", "ND", 1.0), ("delta", "ND", 1.0)],
     ("verify", "NN"): [("hypothesis_check", 1.0), ("solve_on_table", "NN", 1.0), ("eigen_residuals", 1.0),
         ("delta", "NN", 1.0), ("eta_sequence", 3, 1.0)],
     ("verify", "DN-inf"): [("hypothesis_check", INF), ("solve_on_table", "DN", 2.0),
         ("solve_on_table", "DN", 4.0), ("solve_on_table", "DN", 8.0), ("solve_on_table", "DN", 16.0),
-        ("eigen_residuals", 16.0), ("lower_sequence", 3, 16.0), ("upper_search", 3, 16.0),
-        ("delta", "DN", 16.0)],
+        ("eigen_residuals", 16.0), ("lower_sequence", 3, 16.0), ("first_step_scan", 16.0),
+        ("upper_search", 3, 16.0), ("delta", "DN", 16.0)],
     ("verify", "NN-inf"): [("hypothesis_check", INF), ("solve_on_table", "NN", 2.0),
         ("solve_on_table", "NN", 4.0), ("solve_on_table", "NN", 8.0), ("solve_on_table", "NN", 16.0),
         ("eigen_residuals", 16.0), ("delta", "NN", 16.0), ("eta_sequence", 3, 16.0)],
@@ -185,7 +191,8 @@ def test_every_stage_runs_once_per_table(command, problem, monkeypatch, capsys):
     ("1", "-x", "DN", "8"), ("1", "8-x", "ND", "8"), ("exp(x)", "1", "ND", "3"),
 ])
 def test_bounds_and_verify_print_the_same_improved_constants(a, b, case, D, capsys):
-    # bounds searches the windows for step 1 alone, verify for n_max steps
+    # bounds takes step 1 from the first-step scan alone, verify from the
+    # scan beside its window search for steps 2 to n_max
     printed = {}
     for command in ("bounds", "verify"):
         cli.main([command, "--a", a, "--b", b, "--D", D, "--case", case])

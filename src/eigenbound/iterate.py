@@ -27,8 +27,8 @@ which runs only for n_max >= 2.  Iterates are renormalized to sup-norm one
 each step; the transforms are scale-invariant, so this only prevents
 magnitude drift.  The search scans a coarse candidate set snapped to table
 nodes, then halves a local 5-point refinement step around the best member
-down to single-node resolution.  A window (x_i0, D) costs
-O((M - i0) * n_max): the iterate is constant on the plateau [0, x_i0], so
+of each step from 2 on, down to single-node resolution.  A window (x_i0, D)
+costs O((M - i0) * n_max): the iterate is constant on the plateau [0, x_i0], so
 the plateau enters each transform as one prefix sum read at i0, and
 per-node work runs on the window's own nodes.  The prefix sums, the start
 nu(x, D) every window shares and its first-step terms are built once per
@@ -297,20 +297,22 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool, arrays: 
 def _family_sup(
     table: MeasureTable, n_max: int, start_of, lo: int, hi: int, companion: bool, arrays: tuple
 ):
-    """Sup over the ND windows (x_i0, D) of ``table`` of each step's infimum.
+    """Sup over the ND windows (x_i0, D) of ``table`` of each step's infimum
+    from step 2 on (n_max >= 2); step 1 is _first_step_scan's.
 
     Members are node indices k in [lo, hi], the window starting at node
     ``start_of(k)``; ``arrays`` are the _window_arrays of ``table``.  The
     coarse scan covers _COARSE members; each refinement round halves the
-    step and rescans a 5-point neighbourhood of each step's best member,
-    for _REFINE_ROUNDS rounds and then on until the step is one node.  Ties
-    go to the member visited first.
-    Returns per step the best value, member and companion sup (-inf if none).
+    step and rescans a 5-point neighbourhood of the best member of each step
+    from 2 on, for _REFINE_ROUNDS rounds and then on until the step is one
+    node.  Ties go to the member visited first.
+    Returns per step from 2 on the best value, member and companion sup
+    (-inf if none).
     """
     eval_window = _window_evaluator(table, n_max, companion, arrays)
-    best_val = [-np.inf] * n_max
-    best_at = [lo] * n_max
-    best_dbar = [-np.inf] * n_max
+    best_val = [-np.inf] * (n_max - 1)
+    best_at = [lo] * (n_max - 1)
+    best_dbar = [-np.inf] * (n_max - 1)
     seen: set[int] = set()
 
     def consider(k):
@@ -318,11 +320,11 @@ def _family_sup(
             return
         seen.add(k)
         infs, dbars = eval_window(start_of(k))
-        for n in range(n_max):
-            if infs[n] > best_val[n]:
-                best_val[n] = infs[n]
+        for n, inf in enumerate(infs[1:]):
+            if inf > best_val[n]:
+                best_val[n] = inf
                 best_at[n] = k
-        for n, dbar in enumerate(dbars):
+        for n, dbar in enumerate(dbars[1:]):
             if dbar > best_dbar[n]:
                 best_dbar[n] = dbar
 
@@ -350,7 +352,9 @@ def _upper_family(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, c
     so that a window it refuses is refused as before.
     """
     arrays = _window_arrays(table)
-    searched = _family_sup(table, n_max, start_of, lo, hi, companion, arrays) if n_max >= 2 else None
+    vals, at, dbar = (
+        _family_sup(table, n_max, start_of, lo, hi, companion, arrays) if n_max >= 2 else ([], [], [])
+    )
     infs, dbars = _first_step_scan(table, arrays, companion)
     members = infs[start_of(np.arange(lo, hi + 1))]
     vanished = np.flatnonzero(np.isnan(members))
@@ -358,12 +362,8 @@ def _upper_family(table: MeasureTable, n_max: int, start_of, lo: int, hi: int, c
         i0 = int(start_of(lo + int(vanished[0])))
         raise DegenerationError(f"localized iterate vanished on window ({i0}, {table.n_panels})")
     k = int(np.argmax(members))
-    best_val, best_at = [float(members[k])], [lo + k]
-    best_dbar = [float(np.max(dbars)) if companion else -np.inf]
-    if searched:
-        vals, at, dbar = searched
-        best_val, best_at, best_dbar = best_val + vals[1:], best_at + at[1:], best_dbar + dbar[1:]
-    return best_val, best_at, best_dbar
+    first_dbar = float(np.max(dbars)) if companion else -np.inf
+    return [float(members[k])] + vals, [lo + k] + at, [first_dbar] + dbar
 
 
 def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
@@ -371,8 +371,8 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
 
     Window starts are table nodes.  Step 1 is the maximum over every start;
     from step 2 on, the outer sup scans 32 starts and then halves a local
-    5-point refinement step around the best start of each step down to
-    single-node resolution.
+    5-point refinement step around the best start of each step from 2 on
+    down to single-node resolution.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

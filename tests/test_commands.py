@@ -61,9 +61,10 @@ ROWS = [
     # the largest window search, a DN cap family past 255-node coarse steps
     ("iterate --a 1 --b -1/sqrt(x) --D 1 --case DN", 0,
      lambda r, tmp: len(r["results"]["delta_n_prime"]) == 3 and "dbar_n" not in r["results"]),
-    # window searches run every step in their shared work arrays
+    # window searches run every step in their shared work arrays; at n-max 2
+    # the search refines around one centre, step 2's best window
     *[(f"iterate {problem} --n-max {n}", 0, lambda r, tmp, n=n: len(r["results"]["delta_n_prime"]) == n)
-      for n in (1, 6) for problem in ("--a 1 --b 0 --D 1 --case ND", "--a 1 --b -x --D 8 --case DN")],
+      for n in (1, 2, 6) for problem in ("--a 1 --b 0 --D 1 --case ND", "--a 1 --b -x --D 8 --case DN")],
     # the lower sequence's early stop is scale-free
     ("iterate --a 1 --b 0 --D 0.001 --case ND --n-max 6", 0, lambda r, tmp: len(r["results"]["delta_n"]) == 6),
     # the oracle's last table is dumped, its weights never read

@@ -507,11 +507,11 @@ def scan_family(name):
 
 class TestFirstStepScan:
     """The first-step scan gives, at every window start, the infimum and
-    companion the window evaluator gives, and its maximum is the search's."""
+    companion the window evaluator gives, and so their maximum."""
 
     @pytest.mark.parametrize("name", sorted(SCAN_TABLES))
     def test_every_start_equals_the_window_evaluator(self, name):
-        table, companion, members = scan_family(name)
+        table, companion, _ = scan_family(name)
         arrays = iterate._window_arrays(table)
         infs, dbars = iterate._first_step_scan(table, arrays, companion)
         evaluate = iterate._window_evaluator(table, 1, companion, arrays)
@@ -521,8 +521,7 @@ class TestFirstStepScan:
             assert dbars == pytest.approx([r[1][0] for r in ref], rel=1e-13)
         else:
             assert dbars is None
-        (val,), _, _ = iterate._family_sup(table, 1, *members, companion, arrays)
-        assert np.max(infs) == pytest.approx(val, rel=1e-14)
+        assert np.max(infs) == pytest.approx(max(r[0][0] for r in ref), rel=1e-14)
 
     @pytest.mark.parametrize("name", ["laplacian ND", "ou DN (0,8)", "double well ND (0,4)"])
     def test_step_one_is_the_scan_maximum_and_later_steps_the_search(self, name):
@@ -535,7 +534,7 @@ class TestFirstStepScan:
         for n_max in (1, 3):
             got = iterate._upper_family(table, n_max, start_of, lo, hi, companion)
             first = ([members.max()], [k], [np.max(dbars) if companion else -np.inf])
-            assert got == tuple(f + rest[1:n_max] for f, rest in zip(first, (vals, at, dbar)))
+            assert got == tuple(f + rest[: n_max - 1] for f, rest in zip(first, (vals, at, dbar)))
 
     def test_a_zero_scale_tail_is_skipped_and_its_windows_refused(self, lap_nd):
         # the scale mass vanishes on the last 50 panels: windows starting
@@ -565,6 +564,89 @@ class TestFirstStepScan:
         for n_max in (1, 2):
             with pytest.raises(DegenerationError, match="localized iterate vanished"):
                 iterate.upper_sequence_nd(thin, n_max)
+
+
+def frozen_family_sup(table, n_max, start_of, lo, hi, companion, arrays):
+    """The window search as it ran while step 1 came from it too: every
+    refinement round centres on the best member of every step, step 1
+    included.  Per step from 1 on the best value, member and companion sup;
+    it evaluates its windows through iterate._window_evaluator."""
+    eval_window = iterate._window_evaluator(table, n_max, companion, arrays)
+    best_val = [-np.inf] * n_max
+    best_at = [lo] * n_max
+    best_dbar = [-np.inf] * n_max
+    seen = set()
+
+    def consider(k):
+        if k in seen:
+            return
+        seen.add(k)
+        infs, dbars = eval_window(start_of(k))
+        for n in range(n_max):
+            if infs[n] > best_val[n]:
+                best_val[n] = infs[n]
+                best_at[n] = k
+        for n, dbar in enumerate(dbars):
+            if dbar > best_dbar[n]:
+                best_dbar[n] = dbar
+
+    cands = iterate._index_candidates(lo, hi, iterate._COARSE)
+    for k in cands:
+        consider(k)
+    step = int(cands[1] - cands[0]) if len(cands) > 1 else 1
+    rounds = 0
+    while rounds < iterate._REFINE_ROUNDS or step > 1:
+        step = max(1, step // 2)
+        for b in dict.fromkeys(best_at):
+            for k in iterate._index_candidates(max(lo, b - 2 * step), min(hi, b + 2 * step), 5):
+                consider(k)
+        rounds += 1
+    return best_val, best_at, best_dbar
+
+
+# the ND/DN problems of the benchmark's verify-finite workload
+VERIFY_FINITE_TABLES = [
+    "laplacian ND", "laplacian DN", "1+x^2/0 DN", "ou DN (0,8)", "1/8-x ND (0,8)", "exp(x)/1 ND (0,3)",
+]
+
+
+class TestSearchCentresFromStepTwo:
+    """The search centres its refinement on the best members of steps 2 and
+    later only: those steps keep the values and companions of the search
+    that also centred on step 1, their members up to ties, and the search
+    evaluates fewer windows."""
+
+    @pytest.mark.parametrize("n_max", [3, 6])
+    @pytest.mark.parametrize("name", sorted(SCAN_TABLES))
+    def test_later_steps_equal_the_search_centred_on_every_step(self, name, n_max):
+        table, companion, members = scan_family(name)
+        arrays = iterate._window_arrays(table)
+        vals, at, dbar = iterate._family_sup(table, n_max, *members, companion, arrays)
+        f_vals, f_at, f_dbar = (rest[1:] for rest in frozen_family_sup(table, n_max, *members, companion, arrays))
+        assert len(vals) == len(at) == len(dbar) == n_max - 1
+        assert vals == pytest.approx(f_vals, rel=1e-14)
+        if companion:
+            assert dbar == pytest.approx(f_dbar, rel=1e-14)
+        else:
+            assert dbar == f_dbar == [-np.inf] * (n_max - 1)
+        evaluate = iterate._window_evaluator(table, n_max, companion, arrays)
+        start_of = members[0]
+        for n, (k, f_k) in enumerate(zip(at, f_at), 1):
+            assert evaluate(start_of(k))[0][n] == vals[n - 1], (n, k)
+            if k != f_k:  # a tie among the members
+                assert evaluate(start_of(f_k))[0][n] == pytest.approx(vals[n - 1], rel=1e-14), (n, k, f_k)
+
+    @pytest.mark.parametrize("name", VERIFY_FINITE_TABLES)
+    def test_fewer_windows_than_the_search_centred_on_every_step(self, name, monkeypatch):
+        table, companion, members = scan_family(name)
+        arrays = iterate._window_arrays(table)
+        visits = []
+        for search in (frozen_family_sup, iterate._family_sup):
+            visits.append([])
+            with monkeypatch.context() as patched:
+                record_starts(patched, iterate._window_evaluator, visits[-1])
+                search(table, 3, *members, companion, arrays)
+        assert len(visits[1]) == len(set(visits[1])) < len(visits[0]) == len(set(visits[0]))
 
 
 class TestIndexCandidates:
@@ -753,8 +835,9 @@ class TestUpperSequenceDN:
 
     def test_refinement_reaches_single_nodes_on_a_large_table(self, monkeypatch):
         # a coarse step above 255 nodes is still above one node after seven
-        # halvings; the search keeps halving until every best cap's
-        # neighbouring caps have been evaluated
+        # halvings; the search keeps halving until the neighbouring caps of
+        # every best cap from step 2 on have been evaluated, and step 1's
+        # cap is the first-step scan's argmax, ties to the smallest cap
         table = C.make_table(a="1", b="-1/sqrt(x)", D=1.0, case="DN")
         m = table.n_panels
         assert np.diff(iterate._index_candidates(1, m, iterate._COARSE))[0] > 255
@@ -762,9 +845,13 @@ class TestUpperSequenceDN:
         record_starts(monkeypatch, iterate._window_evaluator, starts)
         trace = iterate.upper_sequence_dn(table, 3)
         caps = {m - i0 for i0 in starts}
-        for x in trace.pair_locations:
+        for x in trace.pair_locations[1:]:
             c = int(np.flatnonzero(table.grid == x)[0])
             assert {max(c - 1, 1), min(c + 1, m)} <= caps
+        mirror = table.mirrored()
+        infs, _ = iterate._first_step_scan(mirror, iterate._window_arrays(mirror), False)
+        by_cap = infs[m - np.arange(1, m + 1)]
+        assert trace.pair_locations[0] == table.grid[1 + np.flatnonzero(by_cap == by_cap.max())[0]]
 
     def test_divergent_mass_refused(self):
         # the speed density e^{x^2/2} overflows on (0, 40), whatever the case

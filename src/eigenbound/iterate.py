@@ -34,9 +34,13 @@ per-node work runs on the window's own nodes.  The prefix sums, the start
 nu(x, D) every window shares and its first-step terms are built once per
 table, for the scan and the search; the work arrays every window runs in
 once per search, and a window writes every slice of those arrays it reads
-before reading it.  A step is a few per-node passes, most of its time the
-two sequential cumsums.  Only the ND family, whose dbar_n is printed,
-computes the Rayleigh companion.
+before reading it.  A searched window starts at step 2: its first transform
+is read off the scan's arrays, with one prefix cumsum and no suffix sum.
+Each later step is a few per-node passes, most of its time the two
+sequential cumsums.  Only the ND family, whose dbar_n is printed, computes
+the Rayleigh companion; from step 2 on, dbar_n is a sup over the windows
+the search visits, so it can sit below the maximum over every start (by
+3.28e-4 relative at step 3 for a = 1, b = 8 - x, ND on (0, 8)).
 """
 
 from __future__ import annotations
@@ -67,10 +71,12 @@ class IterationTrace:
 
 
 def monotone_verdict(values: list[float], eps_bound: float) -> str:
-    """The direction of a sequence, each step allowed 10 * eps_bound against it."""
-    slack = 10 * eps_bound
+    """The direction of a sequence, each step allowed 10 * eps_bound times
+    the sequence's largest magnitude against it, so that a problem and its
+    rescaled copy get the same direction."""
     if len(values) < 2:
         return "single"
+    slack = 10 * eps_bound * max(abs(v) for v in values)
     down = all(b <= a + slack for a, b in zip(values, values[1:]))
     up = all(b >= a - slack for a, b in zip(values, values[1:]))
     if down and up:
@@ -140,6 +146,12 @@ def lower_sequence(case: str, table: MeasureTable, n_max: int) -> IterationTrace
 # coarse candidates per family, and the least number of refinement rounds
 _COARSE = 32
 _REFINE_ROUNDS = 7
+# a later member replaces a step's best only when it beats it by more than
+# this, relative, a few ulps: on a flat family, where starts tie to rounding,
+# the best member and the windows the search visits then do not follow the
+# last bits of the values; near a maximum that is not flat, neighbouring
+# starts differ by 1e-10 and more on the tested tables
+_TIE = 8 * np.finfo(float).eps
 
 
 def _index_candidates(lo: int, hi: int, count: int) -> list[int]:
@@ -151,18 +163,21 @@ def _index_candidates(lo: int, hi: int, count: int) -> list[int]:
 
 def _window_arrays(table: MeasureTable) -> tuple:
     """What every window (x_i0, D) of ``table`` shares, built once per table:
-    (S, W, T, e, P).
+    (S, W, T, e, P, N, H).
 
     S[i], the speed mass of (0, x_i) as the cumulative sum of the panel
     weights; W[j] = mu_wL[j] + mu_wR[j-1], the speed weight of node j in the
     companion's quadrature; T[i] = nu(x_i, D) over 2^e, a power of two near
     nu(0, D), a reverse partial sum of the panels whose tail T[i0:] starts
     window i0, scaled exactly so that a tiny or huge interval's transforms
-    stay in the float range; and P[p] = mu_wL[p] T[p] + mu_wR[p] T[p+1], the
-    panel terms of T that every window's first step reads.
+    stay in the float range; P[p] = mu_wL[p] T[p] + mu_wR[p] T[p+1], the
+    panel terms of T that every window's first step reads; N[j], the scale
+    mass of (x_j, D) as the suffix sums of nu_wL + nu_wR; and H[j] = H[j+1] +
+    P[j] (nu_wR[j] + N[j+1]), the panels right of j, whose first
+    transforms _first_step_scan and the window evaluator read.
     """
     m = table.n_panels
-    mu_wL, mu_wR = table.mu_wL, table.mu_wR
+    mu_wL, mu_wR, nu_wR = table.mu_wL, table.mu_wR, table.nu_wR
     S = np.zeros(m + 1)
     np.cumsum(mu_wL + mu_wR, out=S[1:])
     W = mu_wL.copy()
@@ -171,7 +186,9 @@ def _window_arrays(table: MeasureTable) -> tuple:
     e = int(np.frexp(T[0])[1])
     np.ldexp(T, -e, out=T)
     P = mu_wL * T[:m] + mu_wR * T[1:]
-    return S, W, T, e, P
+    N = _suffix_from_panels(table.nu_wL + nu_wR)
+    H = _suffix_from_panels(P * (nu_wR + N[1:]))
+    return S, W, T, e, P, N, H
 
 
 def _first_step_scan(table: MeasureTable, arrays: tuple, companion: bool):
@@ -181,9 +198,8 @@ def _first_step_scan(table: MeasureTable, arrays: tuple, companion: bool):
     with no window evaluated.
 
     Window i's first transform at node j >= i is
-    N[j] (T[i] S[i] + P[i:j].sum()) + H[j], with N[j] the scale mass of
-    (x_j, D) as the suffix sums of nu_wL + nu_wR, and H[j] = H[j+1] +
-    P[j] (nu_wR[j] + N[j+1]) the panels right of j.  With N[j] = 2^e T[j],
+    N[j] (T[i] S[i] + P[i:j].sum()) + H[j], with N and H of ``arrays``.
+    With N[j] = 2^e T[j],
     its ratio to T[j] is 2^e T[i] S[i] + 2^e P[i:j].sum() + H[j] / T[j], and
     the infimum over j >= i is 2^e T[i] S[i] + low[i], where
     low[i] = min(H[i] / T[i], 2^e P[i] + low[i+1]).  That backward min-plus
@@ -194,11 +210,8 @@ def _first_step_scan(table: MeasureTable, arrays: tuple, companion: bool):
     it.  The infimum is NaN where the window's transform vanishes at its
     start, T[i] S[i] N[i] + H[i], a window the evaluator refuses.
     """
-    S, W, T, e, P = arrays
+    S, W, T, e, P, N, H = arrays
     m = table.n_panels
-    nu_wR = table.nu_wR
-    N = _suffix_from_panels(table.nu_wL + nu_wR)
-    H = _suffix_from_panels(P * (nu_wR + N[1:]))
     Tm, TS = T[:m], T[:m] * S[:m]
     low = np.full(m, np.inf)
     np.divide(H[:m], Tm, out=low, where=Tm > 0)
@@ -222,54 +235,66 @@ def _first_step_scan(table: MeasureTable, arrays: tuple, companion: bool):
 
 
 def _window_evaluator(table: MeasureTable, n_max: int, companion: bool, arrays: tuple):
-    """The localized ND iteration of ``table`` on the windows (x_i0, D), the
-    only ones a search visits, as ``eval_window(i0)``.
+    """Steps 2..n_max of the localized ND iteration of ``table`` on the
+    windows (x_i0, D), the only ones a search visits, as ``eval_window(i0)``.
 
-    It runs on ``arrays``, the _window_arrays of ``table`` (T[i0:] never
-    written), and in seven work arrays of length M + 1 built once per
-    search.  Window i0 runs in their leading L + 1 = M - i0 + 1 entries and
-    writes every slice it reads before reading it, so no window sees
-    another's numbers.  What is left is a few per-node passes a step, the
-    two sequential cumsums the most of them.
+    It runs on ``arrays``, the _window_arrays of ``table`` (never written),
+    and in seven work arrays of length M + 1 built once per search.  Window
+    i0 runs in their leading L + 1 = M - i0 + 1 entries and writes every
+    slice it reads before reading it, so no window sees another's numbers.
+    Step 1 is the first-step scan's: the window forms only its transform,
+    N F + H, to start step 2.  What is left is a few per-node passes a step
+    from 2 on, the two sequential cumsums the most of them.
     """
     m = table.n_panels
     mu_wL, mu_wR = table.mu_wL, table.mu_wR
     nu_wL, nu_wR, dnu = table.nu_wL, table.nu_wR, table.dnu
-    S, W, T, e, P = arrays
+    S, W, T, _, P, N, H = arrays
     terms, F, left, right, G, ratio, u = (np.empty(m + 1) for _ in range(7))
 
     def eval_window(i0: int):
         """Localized ND iteration on the node window (i0, M).
 
-        Returns the per-step window infima and, with ``companion``, their
-        Rayleigh-quotient companions.  The iterate is a constant c on the
-        plateau [0, x_i0], decreasing on the window and zero at D: the
+        Returns the window infima of steps 2..n_max and, with ``companion``,
+        their Rayleigh-quotient companions.  The iterate is a constant c on
+        the plateau [0, x_i0], decreasing on the window and zero at D: the
         plateau enters F as c * S[i0] and the companion's numerator as
-        c^2 * S[i0].  The second transform G is a reverse cumulative sum of
-        non-negative terms, so the iterate never increases: the scale is
-        G[i0], no plateau node has a smaller ratio than i0, and the iterate
-        is positive on the window exactly when it is at node M - 1.  The
-        last step only checks the scale; nothing reads its renormalization.
+        c^2 * S[i0].  The first iterate is T[i0:], so its F is the prefix sum
+        of T[i0] S[i0] and P[i0:], and its transform N F + H, a sum of
+        non-negative terms.  Each later transform G is a reverse cumulative
+        sum of non-negative terms, so the iterate never increases: the scale
+        is G[i0], no plateau node has a smaller ratio than i0, and the
+        iterate is positive on the window exactly when it is at node M - 1.
+        The last step only checks the scale; nothing reads its
+        renormalization.
         """
         L = m - i0
         wL, wR, gL, gR, d = mu_wL[i0:], mu_wR[i0:], nu_wL[i0:], nu_wR[i0:], dnu[i0:]
         t, f, g, r, lw, rw = terms[: L + 1], F[: L + 1], G[:L], ratio[:L], left[:L], right[:L]
         t1, F0, F1, g_rev, W1, sq = t[1:], f[:L], f[1:], g[::-1], W[i0 + 1 :], lw[: L - 1]
-        v0, v1, vin = T[i0:m], T[i0 + 1 :], T[i0 + 1 : m]  # v[:L], v[1:], v[1:L] of the first step
-        u0, u1, uin = u[:L], u[1 : L + 1], u[1:L]  # and of each later one
+        v0, v1, vin = u[:L], u[1 : L + 1], u[1:L]  # the iterate from step 2 on: v[:L], v[1:], v[1:L]
         u[L] = 0.0  # the iterate is zero at D
-        energy = math.ldexp(float(v0[0]), -e)  # flux 2^-e on the window
+        t[0] = float(T[i0]) * S[i0]
+        t1[:] = P[i0:]
+        np.add.accumulate(t, out=f)
+        np.add(np.multiply(N[i0:m], F0, out=g), H[i0:m], out=g)
         infs, dbars = [], []
         for n in range(n_max):
+            scale = float(g[0])
+            if not scale > 0:
+                raise DegenerationError(f"localized iterate vanished on window ({i0}, {m})")
+            if n + 1 == n_max:
+                break
+            # renormalize for the next step; the plateau takes the value at i0
+            np.divide(g, scale, out=v0)
             c = float(v0[0])
             if companion:
+                flux = np.multiply(0.5 / scale, np.add(F0, F1, out=lw), out=lw)
+                energy = float(np.multiply(flux, d, out=rw) @ flux)
                 numer = c * c * (S[i0] + wL[0]) + W1 @ np.multiply(vin, vin, out=sq)
                 dbars.append(float(numer) / energy if energy > 0 else 0.0)
             t[0] = c * S[i0]
-            if n == 0:
-                t1[:] = P[i0:]
-            else:
-                np.add(np.multiply(wL, v0, out=lw), np.multiply(wR, v1, out=rw), out=t1)
+            np.add(np.multiply(wL, v0, out=lw), np.multiply(wR, v1, out=rw), out=t1)
             np.add.accumulate(t, out=f)
             np.add(np.multiply(gL, F0, out=lw), np.multiply(gR, F1, out=rw), out=lw)
             np.add.accumulate(lw[::-1], out=g_rev)
@@ -279,16 +304,6 @@ def _window_evaluator(table: MeasureTable, n_max: int, companion: bool, arrays: 
                 r.fill(np.inf)
                 np.divide(g, v0, out=r, where=v0 > 0)
             infs.append(float(np.minimum.reduce(r)))
-            scale = float(g[0])
-            if not scale > 0:
-                raise DegenerationError(f"localized iterate vanished on window ({i0}, {m})")
-            if n + 1 == n_max:
-                break
-            # renormalize for the next step; the plateau takes the value at i0
-            v0, v1, vin = np.divide(g, scale, out=u0), u1, uin
-            if companion:
-                flux = np.multiply(0.5 / scale, np.add(F0, F1, out=lw), out=lw)
-                energy = float(np.multiply(flux, d, out=rw) @ flux)
         return infs, dbars
 
     return eval_window
@@ -305,7 +320,8 @@ def _family_sup(
     coarse scan covers _COARSE members; each refinement round halves the
     step and rescans a 5-point neighbourhood of the best member of each step
     from 2 on, for _REFINE_ROUNDS rounds and then on until the step is one
-    node.  Ties go to the member visited first.
+    node.  Ties, to _TIE relative, go to the member visited first, so the
+    members and the windows visited do not follow rounding.
     Returns per step from 2 on the best value, member and companion sup
     (-inf if none).
     """
@@ -320,11 +336,11 @@ def _family_sup(
             return
         seen.add(k)
         infs, dbars = eval_window(start_of(k))
-        for n, inf in enumerate(infs[1:]):
-            if inf > best_val[n]:
+        for n, inf in enumerate(infs):
+            if inf > best_val[n] * (1 + _TIE):
                 best_val[n] = inf
                 best_at[n] = k
-        for n, dbar in enumerate(dbars[1:]):
+        for n, dbar in enumerate(dbars):
             if dbar > best_dbar[n]:
                 best_dbar[n] = dbar
 
@@ -372,7 +388,8 @@ def upper_sequence_nd(table: MeasureTable, n_max: int) -> IterationTrace:
     Window starts are table nodes.  Step 1 is the maximum over every start;
     from step 2 on, the outer sup scans 32 starts and then halves a local
     5-point refinement step around the best start of each step from 2 on
-    down to single-node resolution.
+    down to single-node resolution.  The companion dbar_n is the maximum
+    over every start at step 1 and a sup over the starts visited from 2 on.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -258,8 +259,13 @@ def window_evaluator(table, n_max, companion):
 def eval_window(table, i0, i1, n_max):
     """The infima and companions of the window (i0, i1) of ``table``: the
     window evaluator serves windows ending at D, so it runs on the table cut
-    at i1 (it reads only panels below i1 and the speed prefix at i0)."""
-    return window_evaluator(cut(table, i1), n_max, True)(i0)
+    at i1 (it reads only panels below i1 and the speed prefix at i0); step 1
+    is the first-step scan's at start i0, steps from 2 on the evaluator's."""
+    table = cut(table, i1)
+    arrays = iterate._window_arrays(table)
+    infs, dbars = iterate._window_evaluator(table, n_max, True, arrays)(i0)
+    first, first_dbar = iterate._first_step_scan(table, arrays, True)
+    return [float(first[i0])] + infs, [float(first_dbar[i0])] + dbars
 
 
 @pytest.fixture(scope="module")
@@ -392,14 +398,29 @@ def frozen_window_evaluator(table):
     return eval_window
 
 
+def frozen_evaluator(table, companion):
+    """frozen_window_evaluator(table); without ``companion`` the overflow of
+    the companion it forms on its unscaled iterate, which nothing then reads,
+    is ignored (it overflows on the OU (0, 37) mirror)."""
+    frozen = frozen_window_evaluator(table)
+    if companion:
+        return frozen
+
+    def eval_window(i0, i1, n_max):
+        with np.errstate(over="ignore"):
+            return frozen(i0, i1, n_max)
+
+    return eval_window
+
+
 def frozen_pinned_evaluator(table, n_max, companion, arrays):
-    """The frozen evaluator behind the pinned evaluator's signature; it
-    builds its own arrays."""
+    """The frozen evaluator behind the pinned evaluator's signature, steps 2
+    and later; it builds its own arrays."""
     frozen = frozen_window_evaluator(table)
 
     def eval_window(i0):
         infs, dbars = frozen(i0, table.n_panels, n_max)
-        return infs, dbars if companion else []
+        return infs[1:], dbars[1:] if companion else []
 
     return eval_window
 
@@ -422,7 +443,8 @@ def record_starts(patch, build, starts):
 
 class TestPinnedEvaluatorIsExact:
     """The shared start, the companion left out of DN and the last step left
-    unrenormalized change no bit of what a search reads."""
+    unrenormalized change no bit of what a search reads; step 1's transform
+    read off the scan's N F + H moves steps 2 and later by rounding only."""
 
     @pytest.mark.parametrize(
         "fixture, mirror", [(f, False) for f in ND_TABLES] + [("lap_dn", True), ("ou_dn_8", True)]
@@ -435,9 +457,12 @@ class TestPinnedEvaluatorIsExact:
         with_dbar, without = (window_evaluator(table, 3, c) for c in (True, False))
         for i0 in range(m):
             infs, dbars = frozen(i0, m, 3)
-            assert without(i0) == (infs, []), i0
+            got_infs, got_dbars = without(i0)
+            assert got_infs == pytest.approx(infs[1:], rel=1e-13) and got_dbars == [], i0
             if not mirror:
-                assert with_dbar(i0) == (infs, dbars), i0
+                got_infs, got_dbars = with_dbar(i0)
+                assert got_infs == pytest.approx(infs[1:], rel=1e-13), i0
+                assert got_dbars == pytest.approx(dbars[1:], rel=1e-13), i0
 
     @pytest.mark.parametrize("n_max", [1, 3, 6])
     @pytest.mark.parametrize("fixture, mirror", [("lap_nd", False), ("ou_dn_8", False), ("lap_dn", True)])
@@ -445,15 +470,11 @@ class TestPinnedEvaluatorIsExact:
         # one search's windows run in the same work arrays: in descending
         # order each window reaches entries no window wrote before, in a
         # shuffled order it follows longer and shorter ones, and its second
-        # run follows itself
+        # run follows itself; each is what a fresh evaluator gives it
         table = request.getfixturevalue(fixture)
         table = table.mirrored() if mirror else table
         m = table.n_panels
-        frozen = frozen_window_evaluator(table)
-        expected = {}
-        for i0 in range(m):
-            infs, dbars = frozen(i0, m, n_max)
-            expected[i0] = (infs, [] if mirror else dbars)
+        expected = {i0: window_evaluator(table, n_max, not mirror)(i0) for i0 in range(m)}
         shuffled = np.random.default_rng(26).permutation(m).tolist()
         for order in (range(m - 1, -1, -1), shuffled):
             evaluate = window_evaluator(table, n_max, not mirror)
@@ -473,7 +494,13 @@ class TestPinnedEvaluatorIsExact:
                 traces.append(getattr(iterate, search)(table, 3))
         assert len(visits[1]) > iterate._COARSE
         assert visits[1] == visits[0]
-        assert traces[1] == traces[0]
+        # step 1, the members, the direction and the notes are exact; the
+        # values and companions of steps 2 and later are pinned to 1e-13
+        dbar = [t.companion_dbar or [] for t in traces]
+        step_1 = [dataclasses.replace(t, values=t.values[:1], companion_dbar=d[:1]) for t, d in zip(traces, dbar)]
+        assert step_1[1] == step_1[0]
+        assert traces[1].values[1:] == pytest.approx(traces[0].values[1:], rel=1e-13)
+        assert dbar[1][1:] == pytest.approx(dbar[0][1:], rel=1e-13)
 
 
 # the scan's tables: (make_table arguments, case); DN runs the ND family on
@@ -505,6 +532,30 @@ def scan_family(name):
     return table, True, (lambda i0: i0, 0, m - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def frozen_every_start(name):
+    """The frozen evaluator's infima and companions of steps 1..3 at every
+    window start of the family of ``name``."""
+    table, companion, _ = scan_family(name)
+    frozen = frozen_evaluator(table, companion)
+    return [frozen(i0, table.n_panels, 3) for i0 in range(table.n_panels)]
+
+
+class TestEvaluatorStartsFromTheScan:
+    """The evaluator reads step 1's transform off the scan's arrays, as
+    N F + H: at every window start its steps 2 and later are within 1e-13
+    of the frozen evaluator, which forms that transform as a reverse sum."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_TABLES))
+    def test_later_steps_at_every_start_equal_the_frozen_evaluator(self, name):
+        table, companion, _ = scan_family(name)
+        evaluate = iterate._window_evaluator(table, 3, companion, iterate._window_arrays(table))
+        for i0, (infs, dbars) in enumerate(frozen_every_start(name)):
+            got_infs, got_dbars = evaluate(i0)
+            assert got_infs == pytest.approx(infs[1:], rel=1e-13), i0
+            assert got_dbars == (pytest.approx(dbars[1:], rel=1e-13) if companion else []), i0
+
+
 class TestFirstStepScan:
     """The first-step scan gives, at every window start, the infimum and
     companion the window evaluator gives, and so their maximum."""
@@ -514,8 +565,7 @@ class TestFirstStepScan:
         table, companion, _ = scan_family(name)
         arrays = iterate._window_arrays(table)
         infs, dbars = iterate._first_step_scan(table, arrays, companion)
-        evaluate = iterate._window_evaluator(table, 1, companion, arrays)
-        ref = [evaluate(i0) for i0 in range(table.n_panels)]
+        ref = frozen_every_start(name)
         assert infs == pytest.approx([r[0][0] for r in ref], rel=1e-13)
         if companion:
             assert dbars == pytest.approx([r[1][0] for r in ref], rel=1e-13)
@@ -552,9 +602,11 @@ class TestFirstStepScan:
         assert (arrays[2][m - 50 :] == 0).all()
         infs, dbars = iterate._first_step_scan(thin, arrays, True)
         evaluate = iterate._window_evaluator(thin, 1, True, arrays)
+        frozen = frozen_window_evaluator(thin)
         for i0 in range(m):
             if i0 < m - 50:
-                ref_infs, ref_dbars = evaluate(i0)
+                assert evaluate(i0) == ([], []), i0
+                ref_infs, ref_dbars = frozen(i0, m, 1)
                 assert infs[i0] == pytest.approx(ref_infs[0], rel=1e-13), i0
                 assert dbars[i0] == pytest.approx(ref_dbars[0], rel=1e-13), i0
             else:
@@ -570,8 +622,15 @@ def frozen_family_sup(table, n_max, start_of, lo, hi, companion, arrays):
     """The window search as it ran while step 1 came from it too: every
     refinement round centres on the best member of every step, step 1
     included.  Per step from 1 on the best value, member and companion sup;
-    it evaluates its windows through iterate._window_evaluator."""
-    eval_window = iterate._window_evaluator(table, n_max, companion, arrays)
+    it evaluates step 1 of its windows through the frozen evaluator and
+    steps 2 and later through iterate._window_evaluator."""
+    later = iterate._window_evaluator(table, n_max, companion, arrays)
+    frozen = frozen_evaluator(table, companion)
+
+    def eval_window(i0):
+        first, first_dbar = frozen(i0, table.n_panels, 1)
+        infs, dbars = later(i0)
+        return first + infs, first_dbar + dbars if companion else []
     best_val = [-np.inf] * n_max
     best_at = [lo] * n_max
     best_dbar = [-np.inf] * n_max
@@ -632,9 +691,9 @@ class TestSearchCentresFromStepTwo:
         evaluate = iterate._window_evaluator(table, n_max, companion, arrays)
         start_of = members[0]
         for n, (k, f_k) in enumerate(zip(at, f_at), 1):
-            assert evaluate(start_of(k))[0][n] == vals[n - 1], (n, k)
+            assert evaluate(start_of(k))[0][n - 1] == vals[n - 1], (n, k)
             if k != f_k:  # a tie among the members
-                assert evaluate(start_of(f_k))[0][n] == pytest.approx(vals[n - 1], rel=1e-14), (n, k, f_k)
+                assert evaluate(start_of(f_k))[0][n - 1] == pytest.approx(vals[n - 1], rel=1e-14), (n, k, f_k)
 
     @pytest.mark.parametrize("name", VERIFY_FINITE_TABLES)
     def test_fewer_windows_than_the_search_centred_on_every_step(self, name, monkeypatch):
@@ -647,6 +706,48 @@ class TestSearchCentresFromStepTwo:
                 record_starts(patched, iterate._window_evaluator, visits[-1])
                 search(table, 3, *members, companion, arrays)
         assert len(visits[1]) == len(set(visits[1])) < len(visits[0]) == len(set(visits[0]))
+
+
+class TestSearchTies:
+    """A later member replaces a step's best only when it beats it by more
+    than a few ulps, so on a flat family the members and the windows the
+    search visits do not follow the last bits of the values."""
+
+    def test_a_flat_family_keeps_its_first_member_whatever_the_rounding(self, lap_nd, monkeypatch):
+        m = lap_nd.n_panels
+        runs = []
+        for seed in range(4):
+            # every start's values are 1 within 3 ulps, drawn anew per run
+            ulps = np.random.default_rng(seed).integers(-3, 4, size=(m, 2))
+
+            def build(t, n_max, companion, arrays, ulps=ulps):
+                return lambda i0: ([1.0 + float(u) * np.finfo(float).eps for u in ulps[i0]], [])
+
+            visits = []
+            with monkeypatch.context() as patched:
+                record_starts(patched, build, visits)
+                _, at, _ = iterate._family_sup(lap_nd, 3, lambda k: k, 0, m - 1, False, None)
+            runs.append((visits, at))
+        assert runs[0][1] == [0, 0]
+        assert all(run == runs[0] for run in runs)
+
+
+class TestSearchAgainstEveryStart:
+    """On the verify-finite tables the search finds each later step's
+    maximum over every window start, and its companion dbar_n, a sup over
+    the windows it visits, is at most the maximum over every start."""
+
+    @pytest.mark.parametrize("name", VERIFY_FINITE_TABLES)
+    def test_later_steps_are_the_maximum_over_every_start(self, name):
+        table, companion, members = scan_family(name)
+        arrays = iterate._window_arrays(table)
+        vals, _, dbar = iterate._family_sup(table, 3, *members, companion, arrays)
+        evaluate = iterate._window_evaluator(table, 3, companion, arrays)
+        start_of, lo, hi = members
+        every = [evaluate(start_of(k)) for k in range(lo, hi + 1)]
+        assert vals == np.max([infs for infs, _ in every], axis=0).tolist()
+        if companion:
+            assert (np.array(dbar) <= np.max([dbars for _, dbars in every], axis=0)).all()
 
 
 class TestIndexCandidates:
